@@ -55,7 +55,7 @@ from .calibration import (
     CalibrationResult,
     PilotPlan,
     PolyMismatch,
-    TrainingRecord,
+    TrainingSet,
     TrueMismatch,
     assemble_psi_matrix,
     calibrate,
@@ -66,8 +66,6 @@ from .calibration import (
     estimate_poly_coeffs_from_records,
     linear_calibration,
     measured_level_shapes,
-    mu_hat,
-    mu_hat_amplitude,
     orth_poly_psi,
     psi_vector,
     simulate_ota_training,

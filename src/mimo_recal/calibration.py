@@ -17,17 +17,17 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Iterable, Literal
+from typing import Callable, Literal
 
 import numpy as np
 
-from .hardware import SystemHardware, bussgang_decompose, sspa_apply
+from .hardware import SystemHardware, sspa_apply
 from .numerics import bussgang_mu
 
 __all__ = [
     "CalibrationError",
     "PilotPlan",
-    "TrainingRecord",
+    "TrainingSet",
     "PolyMismatch",
     "TrueMismatch",
     "CalibrationResult",
@@ -38,8 +38,6 @@ __all__ = [
     "assemble_psi_matrix",
     "estimate_poly_coeffs",
     "estimate_poly_coeffs_from_records",
-    "mu_hat",
-    "mu_hat_amplitude",
     "linear_calibration",
     "slp_solve",
     "calibration_phases",
@@ -97,7 +95,7 @@ def psi_vector(order: int, z) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# pilot plan and training records
+# pilot plan and training set
 # ---------------------------------------------------------------------------
 
 
@@ -153,19 +151,31 @@ class PilotPlan:
 
 
 @dataclass(frozen=True)
-class TrainingRecord:
-    """Pilots sent by ``tx_antenna`` at one power level and the samples
-    received at ``rx_antenna``."""
+class TrainingSet:
+    """Pilots and received samples of one OTA training round.
 
-    tx_antenna: int
-    rx_antenna: int
-    level: int
+    ``x[m, n]`` holds the Q pilots antenna m sends at level n, shape (M, N, Q);
+    ``y[tx, rx, n]`` the samples antenna rx receives from them, shape
+    (M, M, N, Q).  ``y[m, m]`` is 0: an antenna does not receive itself.
+    """
+
     x: np.ndarray
     y: np.ndarray
 
     def __post_init__(self):
-        if len(self.x) != len(self.y):
-            raise ValueError("pilot and received arrays must have equal length")
+        if self.x.ndim != 3:
+            raise ValueError("x must have shape (M, N, Q)")
+        m, n, q = self.x.shape
+        if self.y.shape != (m, m, n, q):
+            raise ValueError(f"y must have shape {(m, m, n, q)}, got {self.y.shape}")
+
+    @property
+    def m(self) -> int:
+        return self.x.shape[0]
+
+    def level(self, n: int) -> "TrainingSet":
+        """The single-level set of power level ``n`` (views, no copy)."""
+        return TrainingSet(x=self.x[:, n:n + 1], y=self.y[:, :, n:n + 1])
 
 
 def training_overhead(m: int, plan: PilotPlan) -> int:
@@ -187,7 +197,7 @@ def simulate_ota_training(
     noise_var: float,
     mode: Literal["physical", "surrogate"],
     rng: np.random.Generator,
-) -> list[TrainingRecord]:
+) -> TrainingSet:
     """Simulate the pair-wise pilot exchange for all ordered antenna pairs.
 
     Pilots are constant-modulus with random phases, so the level-n operating
@@ -199,6 +209,9 @@ def simulate_ota_training(
     (memoryless) amplifier at a single deterministic operating point, so the
     Gaussian-input distortion term has no physical counterpart here and would
     only act as errors-in-variables noise in the ratio equations.
+
+    Random draws run per (tx, level): Q pilot phases, then the receive noise
+    of the M-1 other antennas (real parts, then imaginary parts, per rx).
     """
     m = hw.m
     if omega.shape != (m, m):
@@ -210,77 +223,70 @@ def simulate_ota_training(
     if mode not in ("physical", "surrogate"):
         raise ValueError(f"unknown mode {mode!r}")
 
-    q = plan.n_symbols
-    a0 = hw.a0
-    records: list[TrainingRecord] = []
+    n_levels, q = plan.n_levels, plan.n_symbols
+    amps = np.sqrt(plan.levels)[None, :] * plan.sigma_max[:, None]  # (M, N)
+    x = np.empty((m, n_levels, q), dtype=np.complex128)
+    # noise goes into y in draw order; the signal is added in one broadcast
+    y = np.zeros((m, m, n_levels, q), dtype=np.complex128)
+    scale = math.sqrt(noise_var / 2.0)
     for tx in range(m):
-        hpa = hw.bs_hpas[tx]
-        for n in range(plan.n_levels):
-            amp = plan.amplitude(tx, n)
-            x = amp * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, size=q))
-            if mode == "physical":
-                out = sspa_apply(hpa, x) / math.sqrt(a0)
-            else:
-                out = bussgang_decompose(hpa, amp).g * x
-            for rx in range(m):
-                if rx == tx:
-                    continue
-                y = a0 * hw.bs_rx[rx] * omega[tx, rx] * out
-                if noise_var > 0:
-                    y = y + math.sqrt(noise_var / 2.0) * (
-                        rng.standard_normal(q) + 1j * rng.standard_normal(q)
-                    )
-                records.append(TrainingRecord(tx_antenna=tx, rx_antenna=rx, level=n, x=x, y=y))
-    return records
+        others = np.arange(m) != tx
+        for n in range(n_levels):
+            x[tx, n] = amps[tx, n] * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, size=q))
+            if noise_var > 0:
+                re, im = rng.standard_normal((m - 1, 2, q)).transpose(1, 0, 2)
+                y[tx, others, n] = scale * (re + 1j * im)
+    if mode == "physical":
+        out = np.stack([sspa_apply(hpa, xt) for hpa, xt in zip(hw.bs_hpas, x)])
+        out = out / math.sqrt(hw.a0)
+    else:
+        out = (hw.t[:, None] * bussgang_mu(hw.a_sat[:, None] / amps))[:, :, None] * x
+    y += _unfused_product(hw.a0 * hw.bs_rx[None, :], omega)[:, :, None, None] * out[:, None]
+    return TrainingSet(x=x, y=y)
 
 
-def _records_by_key(records: Iterable[TrainingRecord]) -> dict[tuple[int, int, int], TrainingRecord]:
-    table = {}
-    for rec in records:
-        table[(rec.tx_antenna, rec.rx_antenna, rec.level)] = rec
-    return table
+def _unfused_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Complex a * b with each real product rounded on its own, as scalar
+    complex arithmetic does; numpy's vector kernels may fuse a product into
+    the sum, which moves the last bit against a per-pair scalar loop."""
+    return (a.real * b.real - a.imag * b.imag) + 1j * (a.real * b.imag + a.imag * b.real)
 
 
-def _pair_row_blocks(table, plan, order, m, i, n):
-    """Row coefficients for the unordered pair (m, i) at level n.
-
-    The reciprocity identity mu_m * (x_m . y_{i->m}) = mu_i * (x_i . y_{m->i})
-    holds per symbol, so each symbol q yields one row with +ybar^{(m)} psi_n
-    on antenna m's block and -ybar^{(i)} psi_n on antenna i's block.
-    """
-    rec_to_m = table.get((i, m, n))  # transmitted by i, received at m
-    rec_to_i = table.get((m, i, n))  # transmitted by m, received at i
-    if rec_to_m is None or rec_to_i is None:
-        raise CalibrationError(f"missing training records for pair ({m},{i}) at level {n}")
-    # the pilot of antenna m lives in the record where m transmits (rec_to_i.x)
-    ybar_m = rec_to_m.y * rec_to_i.x
-    ybar_i = rec_to_i.y * rec_to_m.x
-    psi_n = psi_vector(order, float(plan.levels[n]))  # shared normalised power
-    return ybar_m[:, None] * psi_n[None, :], ybar_i[:, None] * psi_n[None, :]
+def _check_levels(training: TrainingSet, plan: PilotPlan) -> None:
+    if training.x.shape[1] != plan.n_levels:
+        raise ValueError(f"training set has {training.x.shape[1]} levels, "
+                         f"the pilot plan {plan.n_levels}")
 
 
-def assemble_psi_matrix(records: Iterable[TrainingRecord], plan: PilotPlan, order: int) -> np.ndarray:
+def _level_basis(order: int, plan: PilotPlan) -> np.ndarray:
+    """psi_vector at each pilot level, shape (N, order+1).  Evaluated level by
+    level: a batched matmul rounds differently from the single-level one."""
+    return np.stack([psi_vector(order, level) for level in plan.levels])
+
+
+def _ratio_products(training: TrainingSet) -> np.ndarray:
+    """z[t, r] = y_{t->r} * x_r, the per-symbol side of antenna r in the
+    reciprocity identity mu_m (x_m . y_{i->m}) = mu_i (x_i . y_{m->i})."""
+    return training.y * training.x[None]
+
+
+def assemble_psi_matrix(training: TrainingSet, plan: PilotPlan, order: int) -> np.ndarray:
     """Stack the homogeneous equations Psi tau = 0 for all unordered pairs.
 
-    Rows: M(M-1)/2 * N * Q; columns: M * (order+1), block-sparse so that the
-    pair (m, i) touches only the blocks of antennas m and i with opposite
-    signs.
+    Rows: M(M-1)/2 * N * Q, ordered by pair (m < i), level and symbol;
+    columns: M * (order+1), block-sparse so that the pair (m, i) touches only
+    the blocks of antennas m and i, with +ybar^{(m)} psi_n and -ybar^{(i)} psi_n.
     """
-    table = _records_by_key(records)
-    m_count = max(max(t, r) for t, r, _ in table.keys()) + 1
-    p = order + 1
-    q = plan.n_symbols
-    n_rows = m_count * (m_count - 1) // 2 * plan.n_levels * q
-    psi = np.zeros((n_rows, m_count * p), dtype=np.complex128)
-    row = 0
-    for m in range(m_count):
-        for i in range(m + 1, m_count):
-            for n in range(plan.n_levels):
-                block_m, block_i = _pair_row_blocks(table, plan, order, m, i, n)
-                psi[row:row + q, m * p:(m + 1) * p] = block_m
-                psi[row:row + q, i * p:(i + 1) * p] = -block_i
-                row += q
-    return psi
+    _check_levels(training, plan)
+    m, n_levels, q = training.x.shape
+    z = _ratio_products(training)
+    lo, hi = np.triu_indices(m, 1)
+    pair = np.arange(len(lo))
+    psi_n = _level_basis(order, plan)  # shared normalised power
+    psi = np.zeros((len(lo), n_levels, q, m, order + 1), dtype=np.complex128)
+    psi[pair, :, :, lo] = z[hi, lo][..., None] * psi_n[:, None, :]
+    psi[pair, :, :, hi] = -(z[lo, hi][..., None] * psi_n[:, None, :])
+    return psi.reshape(len(lo) * n_levels * q, m * (order + 1))
 
 
 @dataclass(frozen=True)
@@ -357,16 +363,6 @@ class TrueMismatch:
         return np.abs(self.mu_all(sigma))
 
 
-def mu_hat(poly, antenna: int, sigma):
-    """Mismatch-function value of a fitted or true model at amplitude sigma."""
-    return poly.mu(antenna, sigma)
-
-
-def mu_hat_amplitude(poly, antenna: int, sigma):
-    """Amplitude sqrt(mu_r^2 + mu_i^2) of the mismatch function."""
-    return poly.mu_abs(antenna, sigma)
-
-
 def _solve_pinned_ls(gram: np.ndarray, order: int) -> np.ndarray:
     """Solve the pinned least-squares problem from the full Gram matrix of Psi."""
     g22 = gram[1:, 1:]
@@ -385,20 +381,6 @@ def _solve_pinned_ls(gram: np.ndarray, order: int) -> np.ndarray:
         )
     tau_c = -np.linalg.solve(gs, (g21 / scale)) / scale
     return np.concatenate([[1.0 + 0j], tau_c])
-
-
-def _row_weights(block_m: np.ndarray, block_i: np.ndarray) -> np.ndarray:
-    """Per-symbol equation weights that equilibrate row norms.
-
-    Row magnitudes are set by the received-signal products, which vary by
-    orders of magnitude across pairs and power levels; unweighted LS is
-    numerically unusable.  Equilibration leaves noiseless solutions unchanged.
-    """
-    norms = np.sqrt(
-        np.sum(np.abs(block_m) ** 2, axis=1) + np.sum(np.abs(block_i) ** 2, axis=1)
-    )
-    norms[norms == 0] = 1.0
-    return 1.0 / norms
 
 
 def estimate_poly_coeffs(psi_matrix: np.ndarray, order: int,
@@ -420,42 +402,49 @@ def estimate_poly_coeffs(psi_matrix: np.ndarray, order: int,
     return PolyMismatch(tau=tau.reshape(n_cols // p, p), order=order, sigma_ref=sigma_ref)
 
 
-def estimate_poly_coeffs_from_records(records: Iterable[TrainingRecord], plan: PilotPlan,
-                                      order: int) -> PolyMismatch:
-    """Same estimate as ``estimate_poly_coeffs`` without materialising Psi.
+def _pair_ratio_gram(training: TrainingSet, plan: PilotPlan, order: int) -> np.ndarray:
+    """Gram matrix Psi^H Psi of the row-equilibrated pair-ratio system.
 
-    Accumulates the normal equations pair by pair; the Gram matrix only
-    receives contributions on the two antenna blocks each pair touches.
+    Each row of Psi (one pair, level and symbol) is scaled to unit norm
+    first; the row magnitudes are set by the received-signal products, which
+    vary by orders of magnitude across pairs and power levels, so unweighted
+    LS is numerically unusable.  Equilibration leaves noiseless solutions
+    unchanged.
     """
+    _check_levels(training, plan)
+    m = training.m
+    p = order + 1
+    z = _ratio_products(training)
+    psi_n = _level_basis(order, plan)
+    outer = psi_n[:, :, None] * psi_n[:, None, :]  # (N, P, P)
+    a = np.abs(z) ** 2
+    norm2 = (a + a.transpose(1, 0, 2, 3)) * np.sum(psi_n**2, axis=1)[:, None]
+    norm2[norm2 == 0] = 1.0
+    w2 = 1.0 / norm2  # symmetric in the pair
+    # block (m, i): -sum w2 conj(ybar^{(m)}) ybar^{(i)} psi_n psi_n^T; block
+    # (m, m): sum over partners of w2 |ybar^{(m)}|^2 psi_n psi_n^T
+    cross = np.sum(w2 * np.conj(z.transpose(1, 0, 2, 3)) * z, axis=-1)
+    gram = -np.einsum("min,npr->mpir", cross, outer)
+    idx = np.arange(m)
+    gram[idx, :, idx, :] += np.einsum("mn,npr->mpr", np.sum(w2 * a, axis=(0, 3)), outer)
+    return gram.reshape(m * p, m * p)
+
+
+def estimate_poly_coeffs_from_records(training: TrainingSet, plan: PilotPlan,
+                                      order: int) -> PolyMismatch:
+    """Same estimate as ``estimate_poly_coeffs`` without materialising Psi:
+    the normal equations are formed directly from the training tensors."""
     if plan.n_levels < order + 2:
         raise CalibrationError(
             f"need at least order+2 = {order + 2} power levels: the pinning removes "
             "only the global scale, one extra level resolves the per-level scale family"
         )
-    table = _records_by_key(records)
-    m_count = max(max(t, r) for t, r, _ in table.keys()) + 1
-    p = order + 1
-    gram = np.zeros((m_count * p, m_count * p), dtype=np.complex128)
-    for m in range(m_count):
-        sl_m = slice(m * p, (m + 1) * p)
-        for i in range(m + 1, m_count):
-            sl_i = slice(i * p, (i + 1) * p)
-            for n in range(plan.n_levels):
-                block_m, block_i = _pair_row_blocks(table, plan, order, m, i, n)
-                w = _row_weights(block_m, block_i)
-                block_m = block_m * w[:, None]
-                block_i = block_i * w[:, None]
-                gram[sl_m, sl_m] += np.conj(block_m).T @ block_m
-                gram[sl_i, sl_i] += np.conj(block_i).T @ block_i
-                cross = -np.conj(block_m).T @ block_i
-                gram[sl_m, sl_i] += cross
-                gram[sl_i, sl_m] += np.conj(cross).T
-    tau = _solve_pinned_ls(gram, order)
-    return PolyMismatch(tau=tau.reshape(m_count, p), order=order,
+    tau = _solve_pinned_ls(_pair_ratio_gram(training, plan, order), order)
+    return PolyMismatch(tau=tau.reshape(training.m, order + 1), order=order,
                         sigma_ref=plan.sigma_max.copy())
 
 
-def measured_level_shapes(records: Iterable[TrainingRecord], plan: PilotPlan) -> np.ndarray:
+def measured_level_shapes(training: TrainingSet, plan: PilotPlan) -> np.ndarray:
     """Per-antenna transmit-gain profiles across the power levels.
 
     For a fixed pair the received signal scales across levels exactly like
@@ -465,25 +454,17 @@ def measured_level_shapes(records: Iterable[TrainingRecord], plan: PilotPlan) ->
     to 1 at the top level.  (This is the observable that the pair-ratio
     equations of the polynomial LS cancel out.)
     """
-    table = _records_by_key(records)
-    m_count = max(max(t, r) for t, r, _ in table.keys()) + 1
-    n_levels = plan.n_levels
-    prof = np.zeros((m_count, m_count, n_levels), dtype=np.complex128)
-    for (tx, rx, n), rec in table.items():
-        prof[tx, rx, n] = np.mean(rec.y / rec.x)
-    top = n_levels - 1
-    shapes = np.zeros((m_count, n_levels), dtype=np.complex128)
-    for m in range(m_count):
-        others = [i for i in range(m_count) if i != m]
-        pm = prof[m, others, :]
-        denom = float(np.sum(np.abs(pm[:, top]) ** 2))
-        if denom == 0:
-            raise CalibrationError(f"no usable level profile for antenna {m}")
-        shapes[m] = (np.conj(pm[:, top]) @ pm) / denom
-    return shapes
+    _check_levels(training, plan)
+    prof = np.mean(training.y / training.x[:, None], axis=-1)  # (tx, rx, n)
+    top = prof[:, :, -1]
+    denom = np.sum(np.abs(top) ** 2, axis=1)
+    dead = np.flatnonzero(denom == 0)
+    if dead.size:
+        raise CalibrationError(f"no usable level profile for antenna {dead[0]}")
+    return np.einsum("mi,min->mn", np.conj(top), prof) / denom[:, None]
 
 
-def estimate_poly_coeffs_anchored(records: Iterable[TrainingRecord], plan: PilotPlan,
+def estimate_poly_coeffs_anchored(training: TrainingSet, plan: PilotPlan,
                                   order: int) -> PolyMismatch:
     """Polynomial mismatch estimate with the common-shape gauge pinned.
 
@@ -497,12 +478,10 @@ def estimate_poly_coeffs_anchored(records: Iterable[TrainingRecord], plan: Pilot
     calibration LS.  A per-antenna polynomial refit on the shared level grid
     returns coefficients in the same basis, pinned to tau[0,0] = 1.
     """
-    recs = list(records)
     if plan.n_levels < order + 2:
         raise CalibrationError(f"need at least order+2 = {order + 2} power levels")
-    shapes = measured_level_shapes(recs, plan)
-    top = plan.n_levels - 1
-    top_scale = 1.0 / linear_calibration([r for r in recs if r.level == top], 1.0)
+    shapes = measured_level_shapes(training, plan)
+    top_scale = 1.0 / linear_calibration(training.level(plan.n_levels - 1), 1.0)
     values = shapes * top_scale[:, None]
     # precision-weighted refit: the level-n profile noise scales like 1/amp_n,
     # so weight nodes by the level amplitude (exact data is unaffected)
@@ -519,41 +498,22 @@ def estimate_poly_coeffs_anchored(records: Iterable[TrainingRecord], plan: Pilot
 # ---------------------------------------------------------------------------
 
 
-def linear_calibration(records: Iterable[TrainingRecord], c0: complex) -> np.ndarray:
+def linear_calibration(training: TrainingSet, c0: complex) -> np.ndarray:
     """Single-power-level reciprocity calibration (Rogalin-style LS).
 
-    ``records`` must contain both directions for every antenna pair at one
-    common power level.  Returns c_m = c0 / f_m with f estimated from the
-    cross-correlation matrix Ybar.
+    ``training`` holds one power level (see ``TrainingSet.level``).  Returns
+    c_m = c0 / f_m with f estimated from the cross-correlation matrix Ybar.
     """
     if c0 == 0:
         raise ValueError("c0 must be non-zero")
-    recs = list(records)
-    levels = {r.level for r in recs}
-    if len(levels) != 1:
-        raise ValueError("linear calibration expects records at a single power level")
-    level = levels.pop()
-    table = {(r.tx_antenna, r.rx_antenna): r for r in recs}
-    m_count = max(max(t, r) for t, r in table.keys()) + 1
-    for m in range(m_count):
-        for i in range(m_count):
-            if m != i and (m, i) not in table:
-                raise CalibrationError(f"missing record for pair ({m},{i}) at level {level}")
-
-    ybar = np.zeros((m_count, m_count), dtype=np.complex128)
-    for m in range(m_count):
-        x_m = table[(m, 0 if m else 1)].x  # pilot of antenna m (same at all receivers)
-        diag = 0.0
-        for j in range(m_count):
-            if j == m:
-                continue
-            diag += abs(np.sum(x_m * table[(j, m)].y)) ** 2
-        ybar[m, m] = diag
-        for i in range(m_count):
-            if i == m:
-                continue
-            x_i = table[(i, 0 if i else 1)].x
-            ybar[m, i] = -np.conj(np.sum(x_m * table[(i, m)].y)) * np.sum(x_i * table[(m, i)].y)
+    if training.x.shape[1] != 1:
+        raise ValueError("linear calibration expects a single power level; "
+                         "pass TrainingSet.level(n)")
+    # s[t, r] = x_r . y_{t->r}: receiver r's own pilot against what it heard from t
+    s = np.sum(training.x[None, :, 0] * training.y[:, :, 0], axis=-1)
+    ybar = _unfused_product(-np.conj(s.T), s)
+    # hypot rounds |s| as scalar abs() does; numpy's vector complex abs does not
+    ybar[np.diag_indices(training.m)] = np.sum(np.hypot(s.real, s.imag) ** 2, axis=0)
 
     y1 = ybar[:, 0]
     y2 = ybar[:, 1:]
@@ -583,14 +543,8 @@ class CalibrationResult:
     overhead: int = 0
 
 
-def _mu_abs_all(model, amps: np.ndarray) -> np.ndarray:
-    if hasattr(model, "mu_abs_all"):
-        return model.mu_abs_all(amps)
-    return np.array([model.mu_abs(m, amps[m]) for m in range(len(amps))])
-
-
 def _phi_all(model, c_abs: np.ndarray, sigma_x: np.ndarray) -> np.ndarray:
-    return c_abs * _mu_abs_all(model, c_abs * sigma_x)
+    return c_abs * model.mu_abs_all(c_abs * sigma_x)
 
 
 def _phi_grid(model, sigma_x, c_max, n_grid=65):
@@ -598,7 +552,7 @@ def _phi_grid(model, sigma_x, c_max, n_grid=65):
     vals = np.empty((len(c_max), n_grid))
     for j, frac in enumerate(grid):
         c = frac * c_max
-        vals[:, j] = c * _mu_abs_all(model, c * sigma_x)
+        vals[:, j] = _phi_all(model, c, sigma_x)
     return vals
 
 
@@ -722,10 +676,7 @@ def slp_solve(
 def calibration_phases(model, c_abs: np.ndarray, sigma_x: np.ndarray) -> np.ndarray:
     """Phases angle(c_m) = -angle(mu_m(|c_m| sigma_x,m)), quadrant-safe."""
     c_abs = np.asarray(c_abs, dtype=np.float64)
-    if hasattr(model, "mu_all"):
-        vals = np.asarray(model.mu_all(c_abs * sigma_x))
-    else:
-        vals = np.array([model.mu(m, c_abs[m] * sigma_x[m]) for m in range(len(c_abs))])
+    vals = np.asarray(model.mu_all(c_abs * sigma_x))
     if np.any(vals == 0):
         dead = np.flatnonzero(vals == 0).tolist()
         raise CalibrationError(f"mu vanishes at the operating point for antennas {dead}")
@@ -735,18 +686,17 @@ def calibration_phases(model, c_abs: np.ndarray, sigma_x: np.ndarray) -> np.ndar
 def calibrate(
     hw: SystemHardware,
     plan: PilotPlan,
-    omega: np.ndarray,
-    noise_var: float,
+    training: TrainingSet,
     order: int,
     rho_t: float,
-    rng: np.random.Generator,
-    mode: Literal["physical", "surrogate"] = "surrogate",
     eps: float = 1e-6,
     rho_step: float = 0.5,
     strict: bool = False,
     anchor_gauge: bool = True,
 ) -> CalibrationResult:
-    """Full pipeline: OTA training, polynomial fit, SLP amplitudes, phases.
+    """Calibration from one OTA training set: polynomial fit, SLP
+    amplitudes, phases.  ``training`` comes from ``simulate_ota_training``
+    with the same hardware and plan.
 
     ``anchor_gauge`` selects the gauge-pinned estimator (recommended); with
     it off, the pipeline uses the plain pair-ratio LS, which cannot resolve
@@ -755,11 +705,12 @@ def calibrate(
     off because the backtracking line search preserves the solver guarantees
     under the small boundary wiggles a fitted polynomial carries.
     """
-    records = simulate_ota_training(hw, plan, omega, noise_var, mode, rng)
+    if training.m != hw.m:
+        raise ValueError(f"training set has {training.m} antennas, the hardware {hw.m}")
     if anchor_gauge:
-        poly = estimate_poly_coeffs_anchored(records, plan, order)
+        poly = estimate_poly_coeffs_anchored(training, plan, order)
     else:
-        poly = estimate_poly_coeffs_from_records(records, plan, order)
+        poly = estimate_poly_coeffs_from_records(training, plan, order)
     sigma_x = hw.sigma_x(rho_t)
     c_max = plan.sigma_max / sigma_x
     res = slp_solve(poly, sigma_x, rho_t, c_max, eps=eps, rho_step=rho_step, strict=strict)

@@ -256,21 +256,20 @@ def _calibration_point(cfg: ExperimentConfig, sweep_value, seed_seq) -> list[dic
 
         rates["none"].append(mc_rate(None))
 
-        records = simulate_ota_training(hw, plan, omega, p["train_noise_var"], cfg.mode, rng)
+        # one training set per hardware draw, shared by linear_rc and poly_nrc
+        training = simulate_ota_training(hw, plan, omega, p["train_noise_var"], cfg.mode, rng)
         # conventional single-power calibration uses the pilot level closest
         # to the data-phase operating amplitude
         op_amp = float(np.mean(sigma_x))
         level = int(np.argmin([abs(plan.amplitude(0, n) - op_amp) for n in range(plan.n_levels)]))
-        single = [r for r in records if r.level == level]
-        c_lin = linear_calibration(single, p["cal_c0"])
+        c_lin = linear_calibration(training.level(level), p["cal_c0"])
         rates["linear_rc"].append(mc_rate(_scale_to_power(c_lin, sigma_x, p["rho_t"], c_max)))
 
         if cfg.scenario == "cal_rate_vs_order" and order == 0:
             # order 0 is the conventional single-power calibration
             rates["poly_nrc"].append(rates["linear_rc"][-1])
         else:
-            res = calibrate(hw, plan, omega, p["train_noise_var"], order, p["rho_t"], rng,
-                            mode=cfg.mode, strict=False)
+            res = calibrate(hw, plan, training, order, p["rho_t"], strict=False)
             rates["poly_nrc"].append(mc_rate(res.c))
 
         true_model = TrueMismatch(hw)

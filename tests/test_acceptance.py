@@ -27,7 +27,7 @@ from tests.conftest import (
     mean_rate_mc,
     scale_to_power,
     slp_bisection_oracle,
-    synth_poly_records,
+    synth_poly_training,
 )
 
 A0 = 10.0
@@ -210,7 +210,7 @@ def test_criterion_6_polynomial_estimation():
     order = 5
     tau = rng.standard_normal((8, order + 1)) + 1j * rng.standard_normal((8, order + 1))
     tau /= tau[0, 0]
-    recs = synth_poly_records(hw, plan, omega, tau, order, rng)
+    recs = synth_poly_training(hw, plan, omega, tau, order, rng)
     est = mr.estimate_poly_coeffs(mr.assemble_psi_matrix(recs, plan, order), order)
     rec_err = float(np.max(np.abs(est.tau - tau)) / np.max(np.abs(tau)))
 
@@ -249,7 +249,7 @@ def test_criterion_6_polynomial_estimation():
                     lvl = int(np.argmin([abs(plan_i.amplitude(0, n) - op)
                                          for n in range(plan_i.n_levels)]))
                     c = scale_to_power(
-                        linear_calibration([r for r in recs_i if r.level == lvl], 1.0),
+                        linear_calibration(recs_i.level(lvl), 1.0),
                         sigma_x, rho, c_max)
                 else:
                     poly = estimate_poly_coeffs_anchored(recs_i, plan_i, o)
@@ -288,6 +288,7 @@ def test_criterion_6_polynomial_estimation():
     assert chain_ok
 
 
+@pytest.mark.slow
 def test_criterion_7_slp_optimizer():
     """SLP vs bisection on 100 instances; monotone progress; constraints."""
     worst = 0.0
@@ -325,6 +326,7 @@ def test_criterion_7_slp_optimizer():
     assert equal and binding
 
 
+@pytest.mark.slow
 def test_criterion_8_end_to_end_calibration():
     """Figs. 6-7 trends: method ordering at IBO 10 dB; convergence at 25 dB."""
     def experiment(ibo, seed, n_hw=50):
@@ -345,11 +347,13 @@ def test_criterion_8_end_to_end_calibration():
             lvl = int(np.argmin([abs(plan.amplitude(0, n) - op)
                                  for n in range(plan.n_levels)]))
             c_lin = scale_to_power(
-                linear_calibration([r for r in recs if r.level == lvl], 1.0),
+                linear_calibration(recs.level(lvl), 1.0),
                 sigma_x, rho, c_max)
             rates["linear_rc"].append(mean_rate_mc(hw, phi, rho, A0, NOISE, c_lin,
                                                    rng, 400))
-            res = mr.calibrate(hw, plan, omega, 1.0, 5, rho, rng)
+            res = mr.calibrate(
+                hw, plan, mr.simulate_ota_training(hw, plan, omega, 1.0, "surrogate", rng),
+                5, rho)
             rates["poly_nrc"].append(mean_rate_mc(hw, phi, rho, A0, NOISE, res.c,
                                                   rng, 400))
             tm = mr.TrueMismatch(hw)
@@ -393,7 +397,9 @@ def test_criterion_9_overhead_accounting():
         plan = mr.PilotPlan.for_hardware(hw, n_levels, q)
         omega = mr.draw_inter_antenna_channel(np.random.default_rng(1), m)
         order = min(5, n_levels - 2)
-        res = mr.calibrate(hw, plan, omega, 0.0, order, 1.0, np.random.default_rng(2))
+        training = mr.simulate_ota_training(hw, plan, omega, 0.0, "surrogate",
+                                            np.random.default_rng(2))
+        res = mr.calibrate(hw, plan, training, order, 1.0)
         counts.append(res.overhead == m * n_levels * q)
     ok = all(counts)
     _line(9, "overhead accounting", ok, f"M*N*Q exact for {sum(counts)}/3 configs")

@@ -5,19 +5,26 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mimo_recal as mr
 from mimo_recal.calibration import (
     CalibrationError,
+    _pair_ratio_gram,
     estimate_poly_coeffs_anchored,
     measured_level_shapes,
     psi_vector,
 )
 from tests.conftest import (
     gauge_fit_error,
+    ref_assemble_psi_matrix,
+    ref_linear_calibration,
+    ref_measured_level_shapes,
+    ref_simulate_ota_training,
     scale_to_power,
     slp_bisection_oracle,
-    synth_poly_records,
+    synth_poly_training,
 )
 
 
@@ -96,34 +103,37 @@ class TestSimulateOta:
                                         ue_pilot_amp=1e-9)
         recs = mr.simulate_ota_training(hw_id, plan, omega, 0.0, "surrogate",
                                         np.random.default_rng(2))
-        for rec in recs:
-            # y = a0 * r_i * omega * g * x with g = 1 in the linear regime
-            expected = hw_id.a0 * omega[rec.tx_antenna, rec.rx_antenna] * rec.x
-            assert np.allclose(rec.y, expected, rtol=1e-6)
+        # y = a0 * r_i * omega * g * x with g = 1 in the linear regime
+        expected = hw_id.a0 * omega[:, :, None, None] * recs.x[:, None]
+        assert np.allclose(recs.y, expected, rtol=1e-6)
 
     def test_reciprocity_of_propagation(self):
         hw, omega, plan, _ = _setup(4, 2, 3)
         recs = mr.simulate_ota_training(hw, plan, omega, 0.0, "surrogate",
                                         np.random.default_rng(4))
-        table = {(r.tx_antenna, r.rx_antenna, r.level): r for r in recs}
-        for (m, i, n), rec in table.items():
-            g_m = mr.bussgang_decompose(hw.bs_hpas[m], plan.amplitude(m, n)).g
-            ratio = rec.y / (g_m * rec.x)
-            other = table[(i, m, n)]
-            g_i = mr.bussgang_decompose(hw.bs_hpas[i], plan.amplitude(i, n)).g
-            ratio_sym = other.y / (g_i * other.x)
-            # y_{m,i}/(g_m x_m) = a0 r_i w_{mi}; the symmetric pair shares w
-            assert np.allclose(ratio / hw.bs_rx[i], ratio_sym / hw.bs_rx[m], rtol=1e-9)
+        for m in range(4):
+            for i in range(4):
+                if i == m:
+                    continue
+                for n in range(plan.n_levels):
+                    g_m = mr.bussgang_decompose(hw.bs_hpas[m], plan.amplitude(m, n)).g
+                    ratio = recs.y[m, i, n] / (g_m * recs.x[m, n])
+                    g_i = mr.bussgang_decompose(hw.bs_hpas[i], plan.amplitude(i, n)).g
+                    ratio_sym = recs.y[i, m, n] / (g_i * recs.x[i, n])
+                    # y_{m,i}/(g_m x_m) = a0 r_i w_{mi}; the symmetric pair shares w
+                    assert np.allclose(ratio / hw.bs_rx[i], ratio_sym / hw.bs_rx[m],
+                                       rtol=1e-9)
 
     def test_constant_modulus_pilots(self):
         hw, omega, plan, _ = _setup(4, 2, 5, n_symbols=1000)
         recs = mr.simulate_ota_training(hw, plan, omega, 0.0, "surrogate",
                                         np.random.default_rng(6))
-        for rec in recs[:20]:
-            amp = plan.amplitude(rec.tx_antenna, rec.level)
-            assert np.allclose(np.abs(rec.x), amp, rtol=1e-12)
-            rms = math.sqrt(float(np.mean(np.abs(rec.x) ** 2)))
-            assert rms == pytest.approx(amp, rel=1e-3)
+        for tx in range(4):
+            for n in range(plan.n_levels):
+                amp = plan.amplitude(tx, n)
+                assert np.allclose(np.abs(recs.x[tx, n]), amp, rtol=1e-12)
+                rms = math.sqrt(float(np.mean(np.abs(recs.x[tx, n]) ** 2)))
+                assert rms == pytest.approx(amp, rel=1e-3)
 
     def test_symmetry_validation(self):
         hw, omega, plan, _ = _setup(4, 2, 7)
@@ -137,7 +147,57 @@ class TestSimulateOta:
         hw, omega, plan, _ = _setup(5, 2, 9)
         recs = mr.simulate_ota_training(hw, plan, omega, 0.0, "surrogate",
                                         np.random.default_rng(10))
-        assert len(recs) == 5 * 4 * plan.n_levels
+        assert recs.x.shape == (5, plan.n_levels, plan.n_symbols)
+        assert recs.y.shape == (5, 5, plan.n_levels, plan.n_symbols)
+        assert np.all(recs.y[np.arange(5), np.arange(5)] == 0)
+        assert np.count_nonzero(recs.y) == 5 * 4 * plan.n_levels * plan.n_symbols
+        single = recs.level(2)
+        assert single.x.shape == (5, 1, plan.n_symbols)
+        assert np.shares_memory(single.y, recs.y)
+        assert np.array_equal(single.y[:, :, 0], recs.y[:, :, 2])
+
+
+def _close(a, b, rel=1e-12):
+    return np.max(np.abs(a - b), initial=0.0) <= rel * np.max(np.abs(b), initial=0.0)
+
+
+class TestTensorMatchesRecordReference:
+    """The TrainingSet path against the record-based loop implementation."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(m=st.integers(2, 6), n_levels=st.integers(1, 4), q=st.integers(1, 5),
+           noisy=st.booleans(), mode=st.sampled_from(["surrogate", "physical"]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_same_draws_same_outputs(self, m, n_levels, q, noisy, mode, seed):
+        rng = np.random.default_rng(seed)
+        hw = mr.draw_system_hardware(rng, m, 1, mr.HardwareMismatch.uniform(0.05, 0.5),
+                                     mr.a_sat_for_ibo(10.0, 1.0, m))
+        omega = mr.draw_inter_antenna_channel(rng, m)
+        plan = mr.PilotPlan.for_hardware(hw, n_levels, q)
+        noise_var = 1.0 if noisy else 0.0
+        ts = mr.simulate_ota_training(hw, plan, omega, noise_var, mode,
+                                      np.random.default_rng(seed))
+        recs = ref_simulate_ota_training(hw, plan, omega, noise_var, mode,
+                                         np.random.default_rng(seed))
+
+        assert len(recs) == m * (m - 1) * n_levels
+        for rec in recs:
+            assert np.array_equal(ts.x[rec.tx_antenna, rec.level], rec.x)
+            assert np.array_equal(ts.y[rec.tx_antenna, rec.rx_antenna, rec.level], rec.y)
+        assert not np.any(ts.y[np.arange(m), np.arange(m)])
+
+        for n in range(n_levels):
+            assert _close(mr.linear_calibration(ts.level(n), 1.0),
+                          ref_linear_calibration([r for r in recs if r.level == n], 1.0))
+        assert _close(measured_level_shapes(ts, plan), ref_measured_level_shapes(recs, plan))
+        for order in (0, 1, 3):
+            psi = ref_assemble_psi_matrix(recs, plan, order)
+            assert _close(mr.assemble_psi_matrix(ts, plan, order), psi)
+            # the Gram matrix the pair-ratio LS solves, from the row-equilibrated Psi
+            norms = np.linalg.norm(psi, axis=1)
+            norms[norms == 0] = 1.0
+            scaled = psi / norms[:, None]
+            assert _close(_pair_ratio_gram(ts, plan, order), np.conj(scaled).T @ scaled)
 
 
 class TestAssembleAndEstimate:
@@ -149,7 +209,10 @@ class TestAssembleAndEstimate:
         y21 = np.array([0.7 + 0.2j])   # received at antenna 1 (tx 2)
         y12 = np.array([-0.4 + 0.9j])  # received at antenna 2 (tx 1)
         plan = mr.PilotPlan.make(1, 1, np.array([abs(x1[0]), abs(x2[0])]))
-        recs = [mr.TrainingRecord(0, 1, 0, x1, y12), mr.TrainingRecord(1, 0, 0, x2, y21)]
+        y = np.zeros((2, 2, 1, 1), dtype=complex)
+        y[0, 1, 0] = y12
+        y[1, 0, 0] = y21
+        recs = mr.TrainingSet(x=np.array([x1, x2])[:, None], y=y)
         psi = mr.assemble_psi_matrix(recs, plan, order=1)
         assert psi.shape == (1, 4)
         psi_vals = psi_vector(1, float(plan.levels[0]))
@@ -173,7 +236,7 @@ class TestAssembleAndEstimate:
         tau = (rng.standard_normal((6, order + 1))
                + 1j * rng.standard_normal((6, order + 1)))
         tau /= tau[0, 0]
-        recs = synth_poly_records(hw, plan, omega, tau, order, rng)
+        recs = synth_poly_training(hw, plan, omega, tau, order, rng)
         psi = mr.assemble_psi_matrix(recs, plan, order)
         resid = np.linalg.norm(psi @ tau.ravel())
         assert resid <= 1e-10 * np.linalg.norm(psi) * np.linalg.norm(tau)
@@ -184,7 +247,7 @@ class TestAssembleAndEstimate:
         tau = (rng.standard_normal((8, order + 1))
                + 1j * rng.standard_normal((8, order + 1)))
         tau /= tau[0, 0]
-        recs = synth_poly_records(hw, plan, omega, tau, order, rng)
+        recs = synth_poly_training(hw, plan, omega, tau, order, rng)
         psi = mr.assemble_psi_matrix(recs, plan, order)
         est = mr.estimate_poly_coeffs(psi, order, sigma_ref=plan.sigma_max)
         assert np.max(np.abs(est.tau - tau)) <= 1e-8 * np.max(np.abs(tau))
@@ -200,7 +263,7 @@ class TestAssembleAndEstimate:
         tau_row = rng.standard_normal(order + 1) + 1j * rng.standard_normal(order + 1)
         tau = np.tile(tau_row, (6, 1))
         tau /= tau[0, 0]
-        recs = synth_poly_records(hw, plan, omega, tau, order, rng)
+        recs = synth_poly_training(hw, plan, omega, tau, order, rng)
         with pytest.raises(CalibrationError):
             mr.estimate_poly_coeffs_from_records(recs, plan, order)
         est = estimate_poly_coeffs_anchored(recs, plan, order)
@@ -226,12 +289,16 @@ class TestAssembleAndEstimate:
                 tau = (rng.standard_normal((5, order + 1))
                        + 1j * rng.standard_normal((5, order + 1)))
                 tau /= tau[0, 0]
-                recs = synth_poly_records(hw, plan, omega, tau, order, rng)
-                noisy = [mr.TrainingRecord(r.tx_antenna, r.rx_antenna, r.level, r.x,
-                                           r.y + math.sqrt(noise_var / 2)
-                                           * (rng.standard_normal(len(r.y))
-                                              + 1j * rng.standard_normal(len(r.y))))
-                         for r in recs]
+                recs = synth_poly_training(hw, plan, omega, tau, order, rng)
+                y = recs.y.copy()
+                for tx in range(5):
+                    for n in range(plan.n_levels):
+                        for rx in range(5):
+                            if rx != tx:
+                                y[tx, rx, n] += math.sqrt(noise_var / 2) * (
+                                    rng.standard_normal(plan.n_symbols)
+                                    + 1j * rng.standard_normal(plan.n_symbols))
+                noisy = mr.TrainingSet(x=recs.x, y=y)
                 est = mr.estimate_poly_coeffs_from_records(noisy, plan, order)
                 acc += float(np.linalg.norm(est.tau - tau) / np.linalg.norm(tau))
             errs.append(acc / 40)
@@ -264,8 +331,8 @@ class TestMuHatFit:
         tau[:, 0] = 1.0
         tau[0, 0] = 1.0
         poly = mr.PolyMismatch(tau=tau, order=2, sigma_ref=np.ones(2))
-        val = mr.mu_hat(poly, 0, 0.5)
-        assert mr.mu_hat_amplitude(poly, 0, 0.5) == pytest.approx(abs(val))
+        val = poly.mu(0, 0.5)
+        assert poly.mu_abs(0, 0.5) == pytest.approx(abs(val))
         assert np.angle(val) == pytest.approx(0.0, abs=1e-15)
 
 
@@ -306,7 +373,7 @@ class TestLinearCalibration:
         recs = mr.simulate_ota_training(hw, plan, omega, 0.0, "surrogate", rng)
         with pytest.raises(ValueError):
             mr.linear_calibration(recs, 1.0)  # two levels mixed
-        single = [r for r in recs if r.level == 0]
+        single = recs.level(0)
         with pytest.raises(ValueError):
             mr.linear_calibration(single, 0.0)
 
@@ -350,6 +417,7 @@ class TestSlpSolve:
         expect *= math.sqrt(1.0 / float(np.sum(expect**2 * sigma_x**2)))
         assert np.allclose(np.abs(res.c), expect, rtol=1e-5)
 
+    @pytest.mark.slow
     def test_matches_bisection_oracle(self, default_mismatch):
         for seed in range(10):
             rng = np.random.default_rng((1, seed))
@@ -421,7 +489,8 @@ class TestPhases:
                                      default_mismatch, mr.a_sat_for_ibo(10.0, 1.0, 8))
         plan = mr.PilotPlan.for_hardware(hw, 7, 5)
         omega = mr.draw_inter_antenna_channel(np.random.default_rng(6), 8)
-        res = mr.calibrate(hw, plan, omega, 0.0, 5, 1.0, np.random.default_rng(7))
+        res = mr.calibrate(hw, plan, mr.simulate_ota_training(
+            hw, plan, omega, 0.0, "surrogate", np.random.default_rng(7)), 5, 1.0)
         model = mr.TrueMismatch(hw)
         sigma_x = hw.sigma_x(1.0)
         res_amp = mr.slp_solve(
@@ -438,7 +507,8 @@ class TestCalibrate:
     def test_end_to_end_residual(self, default_mismatch):
         hw, omega, plan, _ = _setup(8, 2, 30, ibo=10.0, n_levels=7, n_symbols=10,
                                     ibo_min=5.0)
-        res = mr.calibrate(hw, plan, omega, 0.0, 5, 1.0, np.random.default_rng(31))
+        res = mr.calibrate(hw, plan, mr.simulate_ota_training(
+            hw, plan, omega, 0.0, "surrogate", np.random.default_rng(31)), 5, 1.0)
         assert res.converged
         model = mr.TrueMismatch(hw)
         sigma_x = hw.sigma_x(1.0)
@@ -449,12 +519,14 @@ class TestCalibrate:
 
     def test_overhead_counter(self, default_mismatch):
         hw, omega, plan, _ = _setup(8, 2, 32, n_levels=7, n_symbols=10)
-        res = mr.calibrate(hw, plan, omega, 0.0, 5, 1.0, np.random.default_rng(33))
+        res = mr.calibrate(hw, plan, mr.simulate_ota_training(
+            hw, plan, omega, 0.0, "surrogate", np.random.default_rng(33)), 5, 1.0)
         assert res.overhead == 8 * 7 * 10
 
     def test_constraints_satisfied(self, default_mismatch):
         hw, omega, plan, _ = _setup(8, 2, 34, n_levels=7)
-        res = mr.calibrate(hw, plan, omega, 0.0, 5, 2.0, np.random.default_rng(35))
+        res = mr.calibrate(hw, plan, mr.simulate_ota_training(
+            hw, plan, omega, 0.0, "surrogate", np.random.default_rng(35)), 5, 2.0)
         sigma_x = hw.sigma_x(2.0)
         c_max = plan.sigma_max / sigma_x
         assert float(np.sum(np.abs(res.c) ** 2 * sigma_x**2)) <= 2.0 + 1e-9

@@ -136,6 +136,44 @@ class TestScenarios:
             assert row["n_trials"] == 3
             assert np.isfinite(row["rate_mean"])
 
+    def test_one_training_set_per_hardware_draw(self, tmp_path, monkeypatch):
+        # linear_rc and poly_nrc calibrate from the same OTA pilots, and the
+        # training is simulated once per hardware draw
+        seen = {"simulated": [], "linear": [], "calibrate": []}
+        simulate, linear, calibrate = (cli.simulate_ota_training, cli.linear_calibration,
+                                       cli.calibrate)
+
+        def spy_simulate(*args, **kwargs):
+            seen["simulated"].append(simulate(*args, **kwargs))
+            return seen["simulated"][-1]
+
+        def spy_linear(training, c0):
+            seen["linear"].append(training)
+            return linear(training, c0)
+
+        def spy_calibrate(hw, plan, training, *args, **kwargs):
+            seen["calibrate"].append(training)
+            return calibrate(hw, plan, training, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "simulate_ota_training", spy_simulate)
+        monkeypatch.setattr(cli, "linear_calibration", spy_linear)
+        monkeypatch.setattr(cli, "calibrate", spy_calibrate)
+        n_hardware = 3
+        path, _ = _write_config(
+            tmp_path, scenario="cal_rate_vs_snr",
+            sweep={"param": "snr_db", "values": [15.0]}, m=8, k=2,
+            mc={"n_hardware": n_hardware, "n_channels": 20, "n_symbols": 8},
+            params={"ibo_db": 10.0, "order": 3, "n_levels": 5})
+        cli.run_scenario(cli.load_config(str(path)))
+
+        assert len(seen["simulated"]) == n_hardware
+        assert len(seen["linear"]) == len(seen["calibrate"]) == n_hardware
+        for full, single, used in zip(seen["simulated"], seen["linear"], seen["calibrate"]):
+            assert used is full
+            assert single.x.shape[1] == 1 and np.shares_memory(single.y, full.y)
+            assert any(np.array_equal(single.y, full.level(n).y)
+                       for n in range(full.x.shape[1]))
+
     def test_order_zero_reduces_to_linear(self, tmp_path):
         path, _ = _write_config(
             tmp_path, scenario="cal_rate_vs_order",
