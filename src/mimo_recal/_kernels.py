@@ -1,15 +1,16 @@
-"""Hot numeric kernels with a numba fast path and a pure-numpy fallback.
+"""Hot numeric kernels: special functions with a numba fast path and a
+pure-numpy fallback, and the batched zero-forcing core.
 
-The backend is picked once at import time: numba is used whenever it can be
-imported, unless the environment variable ``MIMO_RECAL_NO_NUMBA`` is set to a
-truthy value ("1", "true", "yes", "on").  Every public function in this module
-behaves identically on both backends; ``benchmarks/bench_kernels.py`` compares
-their throughput.
+The special-function backend is picked once at import time: numba is used
+whenever it can be imported, unless the environment variable
+``MIMO_RECAL_NO_NUMBA`` is set to a truthy value ("1", "true", "yes", "on").
+The special functions behave identically on both backends.
 
 The scalar special functions here (erfcx, scaled E1, the Bussgang gain and
 distortion-variance curves) are written so the same source compiles under
 ``@numba.njit`` and runs as plain Python.  The array entry points either wrap
-the scalars with ``numba.vectorize`` or use masked vectorised numpy.
+the scalars with ``numba.vectorize`` or use masked vectorised numpy.  The ZF
+core is batched numpy (matmul and K x K solves) on both backends.
 """
 
 from __future__ import annotations
@@ -270,11 +271,48 @@ else:
 
 
 # ---------------------------------------------------------------------------
-# batched ZF effective-channel kernel (the Monte-Carlo hot loop)
+# batched zero-forcing core (the Monte-Carlo hot loop)
 # ---------------------------------------------------------------------------
 
+# a Gram matrix above this condition number counts as rank-deficient
+ZF_COND_MAX = 1e12
 
-def _effective_channels_np(
+
+def uplink(h: np.ndarray, r: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Effective uplink H_UL = R H^T B of (..., K, M) channels, shape (..., M, K)."""
+    return np.swapaxes(h, -1, -2) * (r[:, None] * b)
+
+
+def zf_apply(h_ul: np.ndarray, beta: float, lhs: np.ndarray | None = None) -> np.ndarray:
+    """lhs W for the zero-forcing precoder W = H_UL^* (H_UL^T H_UL^*)^{-1} / sqrt(beta).
+
+    h_ul is (B, M, K) and lhs (B, P, M); the result is (B, P, K) and only
+    K x K systems are solved, so W itself is never formed.  Without ``lhs``
+    the result is W, (B, M, K).  A draw whose Gram matrix is non-finite or has
+    condition number above ``ZF_COND_MAX`` raises LinAlgError naming the draw.
+    """
+    h_conj = np.conj(h_ul)
+    # (H_UL^T H_UL^*)^T = H_UL^H H_UL; solving against the transpose gives
+    # A Gram^{-1} as (Gram^T)^{-1} A^T with A = lhs H_UL^*
+    gram_t = np.swapaxes(h_conj, -1, -2) @ h_ul
+    finite = np.isfinite(gram_t).all(axis=(-2, -1))
+    cond = np.full(finite.shape, np.inf)
+    # the Gram matrix is Hermitian, so its singular values are |eigenvalues|
+    lam = np.abs(np.linalg.eigvalsh(gram_t[finite]))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond[finite] = lam.max(axis=-1) / lam.min(axis=-1)
+    bad = np.flatnonzero(~(cond <= ZF_COND_MAX))
+    if bad.size:
+        i = int(bad[0])
+        raise np.linalg.LinAlgError(
+            f"rank-deficient uplink Gram matrix in draw {i} of {cond.size} "
+            f"(cond={cond[i]:.3g})")
+    a = h_conj if lhs is None else lhs @ h_conj
+    x = np.linalg.solve(gram_t, np.swapaxes(a, -1, -2))
+    return np.swapaxes(x, -1, -2) / math.sqrt(beta)
+
+
+def effective_channels(
     h: np.ndarray,
     r: np.ndarray,
     b: np.ndarray,
@@ -288,47 +326,4 @@ def _effective_channels_np(
     precoder built from H_UL = R H^T B with normalisation 1/sqrt(beta).
     Returns (B, K, K).
     """
-    h_ul = r[None, :, None] * np.transpose(h, (0, 2, 1)) * b[None, None, :]
-    # h_ul: (B, M, K);  gram = H_UL^T H_UL^* : (B, K, K)
-    gram = np.einsum("bmk,bml->bkl", h_ul, np.conj(h_ul))
-    inv = np.linalg.inv(gram)
-    w = np.einsum("bmk,bkl->bml", np.conj(h_ul), inv) / math.sqrt(beta)
-    hg = h * g[None, None, :]
-    h_eq = np.einsum("bkm,bml->bkl", hg, w) * u[None, :, None]
-    return h_eq
-
-
-if HAVE_NUMBA:
-
-    @_nb.njit(cache=True)
-    def _effective_channels_nb(h, r, b, u, g, beta):  # pragma: no cover - jit
-        B, K, M = h.shape
-        out = np.empty((B, K, K), dtype=np.complex128)
-        sqrt_beta = math.sqrt(beta)
-        for t in range(B):
-            h_ul = np.empty((M, K), dtype=np.complex128)
-            for m in range(M):
-                for k in range(K):
-                    h_ul[m, k] = r[m] * h[t, k, m] * b[k]
-            gram = h_ul.T @ np.conj(h_ul)
-            inv = np.linalg.inv(gram)
-            w = (np.conj(h_ul) @ inv) / sqrt_beta
-            hg = h[t] * g
-            heq = hg @ w
-            for k in range(K):
-                for l in range(K):
-                    out[t, k, l] = u[k] * heq[k, l]
-        return out
-
-    def effective_channels(h, r, b, u, g, beta):
-        return _effective_channels_nb(
-            np.ascontiguousarray(h),
-            np.ascontiguousarray(r),
-            np.ascontiguousarray(b),
-            np.ascontiguousarray(u),
-            np.ascontiguousarray(g, dtype=np.complex128),
-            float(beta),
-        )
-
-else:
-    effective_channels = _effective_channels_np
+    return u[:, None] * zf_apply(uplink(h, r, b), beta, h * g)

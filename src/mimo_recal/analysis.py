@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .hardware import SystemHardware
+from .hardware import SystemHardware, sspa_apply
 from .numerics import bussgang_lambda, bussgang_mu, sinc
 from .precoding import beta_zf_closed
 
@@ -263,7 +263,11 @@ def estimate_sindr_mc(
     phi = np.asarray(phi, dtype=np.float64)
     m, k = hw.m, hw.k
     beta = beta_zf_closed(hw, phi)
-    row_power = phi**2
+    # channel rows sqrt(phi^2) (z_re + 1j z_im) / sqrt(2), written part by part
+    # into one complex array; numpy divides a complex array by a real scalar
+    # through its reciprocal, so scaling by 1/sqrt(2) keeps the same bits
+    row_scale = np.sqrt(phi**2)[:, None]
+    inv_sqrt2 = 1.0 / math.sqrt(2.0)
     c_vec = np.ones(m, dtype=np.complex128) if c is None else np.asarray(c, np.complex128)
 
     g_eff = zf_gain_vector(hw, rho_t, c=None if c is None else c_vec) * c_vec
@@ -276,8 +280,12 @@ def estimate_sindr_mc(
     done = 0
     while done < n_channels:
         nb = min(batch, n_channels - done)
-        h_r = (rng.standard_normal((nb, k, m)) + 1j * rng.standard_normal((nb, k, m))) / math.sqrt(2.0)
-        h = np.sqrt(row_power)[None, :, None] * h_r
+        z = rng.standard_normal((2, nb, k, m))
+        z *= inv_sqrt2
+        h = np.empty((nb, k, m), dtype=np.complex128)
+        np.multiply(z[0], row_scale, out=h.real)
+        np.multiply(z[1], row_scale, out=h.imag)
+        del z
         if mode == "surrogate":
             h_eq = _kernels.effective_channels(h, hw.bs_rx, hw.ue_tx_gain, hw.ue_rx,
                                                g_eff, beta)
@@ -314,20 +322,15 @@ def estimate_sindr_mc(
 
 def _physical_heq(hw, h, beta, rho_t, n_symbols, c_vec, rng):
     """LS estimate of the effective channel and residual power for one draw."""
-    from .hardware import sspa_apply  # local import avoids a cycle at module load
-
-    m, k = hw.m, hw.k
-    h_ul = hw.bs_rx[:, None] * h.T * hw.ue_tx_gain[None, :]
-    gram = h_ul.T @ np.conj(h_ul)
-    w = np.conj(h_ul) @ np.linalg.inv(gram) / math.sqrt(beta)
-    w = c_vec[:, None] * w
+    # W per draw, not per batch: a batch of M x K precoders and its
+    # temporaries outweigh the per-draw symbol buffers and raise peak memory
+    w = c_vec[:, None] * _kernels.zf_apply(
+        _kernels.uplink(h, hw.bs_rx, hw.ue_tx_gain)[None], beta)[0]
+    k = hw.k
     s = math.sqrt(rho_t / 2.0) * (
         rng.standard_normal((n_symbols, k)) + 1j * rng.standard_normal((n_symbols, k))
     )
-    x_b = s @ w.T
-    x_hat = np.empty_like(x_b)
-    for i, hpa in enumerate(hw.bs_hpas):
-        x_hat[:, i] = sspa_apply(hpa, x_b[:, i])
+    x_hat = sspa_apply(hw, s @ w.T)
     y = x_hat @ (hw.ue_rx[:, None] * h).T  # noiseless; noise handled analytically
     h_eq, *_ = np.linalg.lstsq(s, y, rcond=None)
     resid = y - s @ h_eq

@@ -237,8 +237,7 @@ def simulate_ota_training(
                 re, im = rng.standard_normal((m - 1, 2, q)).transpose(1, 0, 2)
                 y[tx, others, n] = scale * (re + 1j * im)
     if mode == "physical":
-        out = np.stack([sspa_apply(hpa, xt) for hpa, xt in zip(hw.bs_hpas, x)])
-        out = out / math.sqrt(hw.a0)
+        out = np.moveaxis(sspa_apply(hw, np.moveaxis(x, 0, -1)), -1, 0) / math.sqrt(hw.a0)
     else:
         out = (hw.t[:, None] * bussgang_mu(hw.a_sat[:, None] / amps))[:, :, None] * x
     y += _unfused_product(hw.a0 * hw.bs_rx[None, :], omega)[:, :, None, None] * out[:, None]

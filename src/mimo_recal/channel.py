@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _kernels
 from .hardware import SystemHardware
 
 __all__ = [
@@ -82,4 +83,4 @@ def uplink_channel(ch: ChannelRealization, hw: SystemHardware) -> np.ndarray:
     k, m = ch.h.shape
     if m != hw.m or k != hw.k:
         raise ValueError(f"dimension mismatch: channel {k}x{m} vs hardware M={hw.m}, K={hw.k}")
-    return hw.bs_rx[:, None] * ch.h.T * hw.ue_tx_gain[None, :]
+    return _kernels.uplink(ch.h, hw.bs_rx, hw.ue_tx_gain)

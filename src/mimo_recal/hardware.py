@@ -129,16 +129,8 @@ class SystemHardware:
         return np.array([h.a_sat for h in self.bs_hpas])
 
     @property
-    def r(self) -> np.ndarray:
-        return self.bs_rx
-
-    @property
-    def b(self) -> np.ndarray:
-        return self.ue_tx_gain
-
-    @property
-    def u(self) -> np.ndarray:
-        return self.ue_rx
+    def v(self) -> np.ndarray:
+        return np.array([h.v for h in self.bs_hpas])
 
     def sigma_x(self, rho_t: float) -> np.ndarray:
         """Per-antenna transmit rms under ZF, sigma_x,m = |r_m| sqrt(rho_t/tr{RR*})."""
@@ -176,11 +168,21 @@ def draw_system_hardware(
     return SystemHardware(bs_hpas=bs_hpas, bs_rx=r, ue_tx_gain=b, ue_rx=u, ue_hpas=ue_hpas)
 
 
-def sspa_apply(hpa: HpaModel, x):
-    """Sample-level SSPA transfer sqrt(a0)*t*x / (1 + (|x|/a_sat)^(2v))^(1/(2v))."""
+def sspa_apply(hpa: HpaModel | SystemHardware, x):
+    """Sample-level SSPA transfer sqrt(a0)*t*x / (1 + (|x|/a_sat)^(2v))^(1/(2v)).
+
+    ``hpa`` is one amplifier, or the BS hardware: then t, a_sat and v are
+    per-antenna arrays that broadcast over the last (antenna) axis of ``x``.
+    """
     x = np.asarray(x, dtype=np.complex128)
+    v = np.asarray(hpa.v, dtype=np.float64)
+    if np.all(v == v.flat[0]):
+        # a common order keeps numpy's scalar-exponent paths (square, sqrt),
+        # as a one-amplifier call takes them; an exponent array goes through
+        # pow, which can differ in the last bit
+        v = float(v.flat[0])
     mag = np.abs(x)
-    den = (1.0 + (mag / hpa.a_sat) ** (2.0 * hpa.v)) ** (1.0 / (2.0 * hpa.v))
+    den = (1.0 + (mag / hpa.a_sat) ** (2.0 * v)) ** (1.0 / (2.0 * v))
     out = math.sqrt(hpa.a0) * hpa.t * x / den
     return complex(out) if out.ndim == 0 else out
 

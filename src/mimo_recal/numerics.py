@@ -23,7 +23,6 @@ __all__ = [
     "bussgang_lambda",
     "draw_complex_gain",
     "sinc",
-    "split_rngs",
 ]
 
 
@@ -124,9 +123,3 @@ def draw_complex_gain(rng: np.random.Generator, dist: MismatchDistribution, size
 def sinc(theta):
     """Unnormalised sinc sin(theta)/theta with sinc(0) = 1."""
     return np.sinc(np.asarray(theta, dtype=np.float64) / np.pi)
-
-
-def split_rngs(seed, n: int) -> list[np.random.Generator]:
-    """Derive ``n`` independent generators from a root seed or SeedSequence."""
-    ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    return [np.random.default_rng(child) for child in ss.spawn(n)]

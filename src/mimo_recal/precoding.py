@@ -9,6 +9,7 @@ from typing import Iterable, Iterator, Literal
 
 import numpy as np
 
+from . import _kernels
 from .channel import ChannelRealization
 from .hardware import SystemHardware, bussgang_decompose, sspa_apply
 
@@ -50,16 +51,12 @@ class DownlinkOutcome:
 
 
 def zf_precoder(h_ul: np.ndarray, beta: float) -> Precoder:
-    """W = (1/sqrt(beta)) H_UL^* (H_UL^T H_UL^*)^{-1}."""
+    """W = (1/sqrt(beta)) H_UL^* (H_UL^T H_UL^*)^{-1}; raises LinAlgError when
+    the Gram matrix is non-finite or its condition number exceeds 1e12."""
     m, k = h_ul.shape
     if m < k:
         raise ValueError("ZF requires M >= K")
-    gram = h_ul.T @ np.conj(h_ul)
-    cond = np.linalg.cond(gram)
-    if not np.isfinite(cond) or cond > 1e12:
-        raise np.linalg.LinAlgError(f"rank-deficient uplink Gram matrix (cond={cond:.3g})")
-    w = np.conj(h_ul) @ np.linalg.inv(gram) / math.sqrt(beta)
-    return Precoder(w=w, beta=float(beta))
+    return Precoder(w=_kernels.zf_apply(h_ul[None], beta)[0], beta=float(beta))
 
 
 def beta_zf_closed(hw: SystemHardware, phi, m: int | None = None, k: int | None = None) -> float:
@@ -141,9 +138,7 @@ def transmit_downlink(
         )
         x_b = s @ prec.w.T  # n x M
         if mode == "physical":
-            x_hat = np.empty_like(x_b)
-            for i, hpa in enumerate(hw.bs_hpas):
-                x_hat[:, i] = sspa_apply(hpa, x_b[:, i])
+            x_hat = sspa_apply(hw, x_b)
         else:
             d = sd[None, :] / math.sqrt(2.0) * (
                 rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))

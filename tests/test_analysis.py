@@ -12,6 +12,20 @@ A0 = 10.0
 NOISE = 1.0
 
 
+class _EqualRowsRng:
+    """Generator stand-in: every channel batch it draws gives draw 1 two
+    equal rows, so that draw's uplink Gram matrix is singular."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+
+    def standard_normal(self, size):
+        z = self._rng.standard_normal(size)
+        if z.ndim >= 3:  # (..., draws, K, M) channel entries; symbols are 2-D
+            z[..., 1, 1, :] = z[..., 1, 0, :]
+        return z
+
+
 def _draw(m, k, ibo, rho, mismatch, seed):
     rng = np.random.default_rng(seed)
     return mr.draw_system_hardware(rng, m, k, mismatch, mr.a_sat_for_ibo(ibo, rho, m))
@@ -277,3 +291,12 @@ class TestEstimateSindrMc:
         with pytest.raises(ValueError):
             mr.estimate_sindr_mc(hw, np.ones(2), 1.0, A0, NOISE, 10, 1, "wrong",
                                  np.random.default_rng(0))
+
+    @pytest.mark.parametrize("mode", ["surrogate", "physical"])
+    def test_rank_deficient_draw_raises(self, default_mismatch, mode):
+        hw = _draw(16, 3, 10.0, 1.0, default_mismatch, 5)
+        # surrogate mode solves the batch at once, physical mode one draw at a time
+        where = "draw 1 of 4" if mode == "surrogate" else "draw 0 of 1"
+        with pytest.raises(np.linalg.LinAlgError, match=where):
+            mr.estimate_sindr_mc(hw, np.ones(3), 1.0, A0, NOISE, 4, 32, mode,
+                                 _EqualRowsRng(6))

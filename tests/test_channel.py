@@ -48,8 +48,9 @@ class TestDrawChannel:
         assert np.array_equal(a.h, b.h)
 
     def test_scalar_row_power(self):
-        draws = [mr.draw_channel(rng, 1, np.array([4.0])).h[0, 0]
-                 for rng in mr.numerics.split_rngs(9, 200_000)]
+        seeds = np.random.SeedSequence(9).spawn(200_000)
+        draws = [mr.draw_channel(np.random.default_rng(s), 1, np.array([4.0])).h[0, 0]
+                 for s in seeds]
         assert np.mean(np.abs(draws) ** 2) == pytest.approx(4.0, rel=0.02)
 
     def test_invalid_phi(self):

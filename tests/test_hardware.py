@@ -87,6 +87,22 @@ class TestSspaApply:
         out = np.abs(mr.sspa_apply(hpa, r))
         assert np.max(np.abs(out - hard) / hard) < 0.01
 
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 40), m=st.integers(1, 12), mixed_v=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_whole_hardware_matches_per_antenna(self, n, m, mixed_v, seed):
+        rng = np.random.default_rng(seed)
+        v = rng.uniform(0.5, 4.0, m) if mixed_v else np.ones(m)
+        hpas = [mr.HpaModel(a0=10.0, t=complex(rng.lognormal(0.0, 0.2) * np.exp(1j * p)),
+                            a_sat=rng.lognormal(0.0, 0.5), v=v[i])
+                for i, p in enumerate(rng.uniform(-0.5, 0.5, m))]
+        hw = mr.SystemHardware(bs_hpas=hpas, bs_rx=np.ones(m, complex),
+                               ue_tx_gain=np.ones(1, complex), ue_rx=np.ones(1, complex))
+        x = rng.lognormal(0.0, 1.0, (n, m)) * np.exp(2j * np.pi * rng.uniform(size=(n, m)))
+        out = mr.sspa_apply(hw, x)
+        ref = np.stack([mr.sspa_apply(hpa, x[:, i]) for i, hpa in enumerate(hpas)], axis=1)
+        assert np.max(np.abs(out - ref) / np.abs(ref)) <= 1e-14
+
 
 class TestBussgangDecompose:
     def test_linear_regime(self):

@@ -1,8 +1,14 @@
-"""Backend parity: the numba kernels and the pure-numpy fallbacks agree."""
+"""Kernel checks: numba/numpy parity of the special functions, and the
+batched zero-forcing core against the single-draw precoder."""
+
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import mimo_recal as mr
 from mimo_recal import _kernels
 
 
@@ -39,20 +45,6 @@ def test_mu_lambda_parity():
     assert np.allclose(lam_nb, lam_np, rtol=1e-5, atol=1e-250)
 
 
-@numba_only
-def test_effective_channels_parity():
-    rng = np.random.default_rng(2)
-    b_draws, k, m = 16, 4, 24
-    h = (rng.standard_normal((b_draws, k, m)) + 1j * rng.standard_normal((b_draws, k, m)))
-    r = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-    b = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-    u = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-    g = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-    fast = _kernels.effective_channels(h, r, b, u, g, 0.7)
-    ref = _kernels._effective_channels_np(h, r, b, u, g, 0.7)
-    assert np.allclose(fast, ref, rtol=1e-10)
-
-
 def test_numpy_fallback_env_flag():
     import subprocess
     import sys
@@ -68,3 +60,38 @@ def test_numpy_fallback_env_flag():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "ok"
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_draws=st.integers(1, 8), k=st.integers(1, 6), m=st.integers(3, 40),
+       seed=st.integers(0, 2**32 - 1))
+def test_effective_channels_match_single_draw_precoder(n_draws, k, m, seed):
+    m = max(m, k + 2)
+    rng = np.random.default_rng(seed)
+    hw = mr.draw_system_hardware(rng, m, k, mr.HardwareMismatch.uniform(0.05, np.pi / 6), 1.0)
+    phi = rng.uniform(0.3, 2.0, k)
+    h = np.sqrt(phi)[:, None] * (rng.standard_normal((n_draws, k, m))
+                                 + 1j * rng.standard_normal((n_draws, k, m)))
+    g = rng.lognormal(0.0, 0.2, m) * np.exp(1j * rng.uniform(-0.5, 0.5, m))
+    beta = mr.beta_zf_closed(hw, phi)
+    h_eq = _kernels.effective_channels(h, hw.bs_rx, hw.ue_tx_gain, hw.ue_rx, g, beta)
+    assert h_eq.shape == (n_draws, k, k)
+    for t in range(n_draws):
+        h_ul = mr.uplink_channel(mr.ChannelRealization(h=h[t], phi=phi), hw)
+        w = mr.zf_precoder(h_ul, beta).w
+        # the textbook formula, with an explicit inverse, as an independent oracle
+        w_ref = np.conj(h_ul) @ np.linalg.inv(h_ul.T @ np.conj(h_ul)) / math.sqrt(beta)
+        assert np.max(np.abs(w - w_ref)) <= 1e-12 * np.max(np.abs(w_ref))
+        ref = hw.ue_rx[:, None] * (h[t] * g) @ w
+        assert np.max(np.abs(h_eq[t] - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_zf_core_names_the_singular_draw():
+    rng = np.random.default_rng(4)
+    h_ul = rng.standard_normal((3, 10, 4)) + 1j * rng.standard_normal((3, 10, 4))
+    h_ul[2, :, 3] = 2.0 * h_ul[2, :, 0]
+    with pytest.raises(np.linalg.LinAlgError, match=r"draw 2 of 3 \(cond="):
+        _kernels.zf_apply(h_ul, 1.0)
+    h_ul[2, 0, 0] = np.nan
+    with pytest.raises(np.linalg.LinAlgError, match=r"draw 2 of 3 \(cond=inf\)"):
+        _kernels.zf_apply(h_ul, 1.0)
