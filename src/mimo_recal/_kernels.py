@@ -274,7 +274,7 @@ else:
 # batched zero-forcing core (the Monte-Carlo hot loop)
 # ---------------------------------------------------------------------------
 
-# a Gram matrix above this condition number counts as rank-deficient
+# an equilibrated Gram matrix above this condition number counts as rank-deficient
 ZF_COND_MAX = 1e12
 
 
@@ -283,33 +283,46 @@ def uplink(h: np.ndarray, r: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.swapaxes(h, -1, -2) * (r[:, None] * b)
 
 
-def zf_apply(h_ul: np.ndarray, beta: float, lhs: np.ndarray | None = None) -> np.ndarray:
+def equilibrated_gram(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(S gram S, s, cond) for a (..., K, K) batch of Gram matrices, with
+    S = diag(s) = diag(gram)^{-1/2} and cond that of S gram S (inf when not
+    finite).  The unit diagonal removes each UE's path loss, so cond only
+    measures how nearly collinear the channels are; a draw is rank-deficient
+    when cond exceeds ``ZF_COND_MAX``."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = 1.0 / np.sqrt(np.real(np.diagonal(gram, axis1=-2, axis2=-1)))
+        scaled = s[..., :, None] * gram * s[..., None, :]
+        finite = np.isfinite(scaled).all(axis=(-2, -1))
+        cond = np.full(finite.shape, np.inf)
+        # the Gram matrix is Hermitian, so its singular values are |eigenvalues|
+        lam = np.abs(np.linalg.eigvalsh(scaled[finite]))
+        cond[finite] = lam.max(axis=-1) / lam.min(axis=-1)
+    return scaled, s, cond
+
+
+def zf_apply(h_ul: np.ndarray, beta: float, lhs: np.ndarray | None = None,
+             first: int = 0, total: int | None = None) -> np.ndarray:
     """lhs W for the zero-forcing precoder W = H_UL^* (H_UL^T H_UL^*)^{-1} / sqrt(beta).
 
     h_ul is (B, M, K) and lhs (B, P, M); the result is (B, P, K) and only
     K x K systems are solved, so W itself is never formed.  Without ``lhs``
-    the result is W, (B, M, K).  A draw whose Gram matrix is non-finite or has
-    condition number above ``ZF_COND_MAX`` raises LinAlgError naming the draw.
+    the result is W, (B, M, K).  A rank-deficient draw (``equilibrated_gram``)
+    raises LinAlgError naming it draw ``first + i`` of ``total`` (or of B).
     """
     h_conj = np.conj(h_ul)
     # (H_UL^T H_UL^*)^T = H_UL^H H_UL; solving against the transpose gives
-    # A Gram^{-1} as (Gram^T)^{-1} A^T with A = lhs H_UL^*
-    gram_t = np.swapaxes(h_conj, -1, -2) @ h_ul
-    finite = np.isfinite(gram_t).all(axis=(-2, -1))
-    cond = np.full(finite.shape, np.inf)
-    # the Gram matrix is Hermitian, so its singular values are |eigenvalues|
-    lam = np.abs(np.linalg.eigvalsh(gram_t[finite]))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cond[finite] = lam.max(axis=-1) / lam.min(axis=-1)
+    # A Gram^{-1} as (Gram^T)^{-1} A^T with A = lhs H_UL^*, and with the
+    # equilibrated E = S Gram^T S that is S E^{-1} S A^T
+    gram, s, cond = equilibrated_gram(np.swapaxes(h_conj, -1, -2) @ h_ul)
     bad = np.flatnonzero(~(cond <= ZF_COND_MAX))
     if bad.size:
         i = int(bad[0])
         raise np.linalg.LinAlgError(
-            f"rank-deficient uplink Gram matrix in draw {i} of {cond.size} "
-            f"(cond={cond[i]:.3g})")
+            f"rank-deficient uplink Gram matrix in draw {first + i} of "
+            f"{cond.size if total is None else total} (cond={cond[i]:.3g})")
     a = h_conj if lhs is None else lhs @ h_conj
-    x = np.linalg.solve(gram_t, np.swapaxes(a, -1, -2))
-    return np.swapaxes(x, -1, -2) / math.sqrt(beta)
+    x = np.linalg.solve(gram, s[..., :, None] * np.swapaxes(a, -1, -2))
+    return np.swapaxes((s / math.sqrt(beta))[..., :, None] * x, -1, -2)
 
 
 def effective_channels(

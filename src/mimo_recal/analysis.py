@@ -267,7 +267,6 @@ def estimate_sindr_mc(
     # into one complex array; numpy divides a complex array by a real scalar
     # through its reciprocal, so scaling by 1/sqrt(2) keeps the same bits
     row_scale = np.sqrt(phi**2)[:, None]
-    inv_sqrt2 = 1.0 / math.sqrt(2.0)
     c_vec = np.ones(m, dtype=np.complex128) if c is None else np.asarray(c, np.complex128)
 
     g_eff = zf_gain_vector(hw, rho_t, c=None if c is None else c_vec) * c_vec
@@ -281,7 +280,7 @@ def estimate_sindr_mc(
     while done < n_channels:
         nb = min(batch, n_channels - done)
         z = rng.standard_normal((2, nb, k, m))
-        z *= inv_sqrt2
+        z *= 1.0 / math.sqrt(2.0)
         h = np.empty((nb, k, m), dtype=np.complex128)
         np.multiply(z[0], row_scale, out=h.real)
         np.multiply(z[1], row_scale, out=h.imag)
@@ -289,18 +288,16 @@ def estimate_sindr_mc(
         if mode == "surrogate":
             h_eq = _kernels.effective_channels(h, hw.bs_rx, hw.ue_tx_gain, hw.ue_rx,
                                                g_eff, beta)
+            # NLD: a0 |u_k|^2 sum_m |h_km|^2 sigma_d,m^2 per draw
+            sum_nld += np.abs(hw.ue_rx) ** 2 * np.einsum("bkm,m->k", np.abs(h) ** 2, sig2)
         else:
             h_eq = np.empty((nb, k, k), dtype=np.complex128)
             for t in range(nb):
-                h_eq[t], resid = _physical_heq(hw, h[t], beta, rho_t, n_symbols, c_vec, rng)
+                h_eq[t], resid = _physical_heq(hw, h[t], beta, rho_t, n_symbols, c_vec, rng,
+                                               done + t, n_channels)
                 sum_resid += resid
         sum_h += h_eq.sum(axis=0)
         sum_h2 += (np.abs(h_eq) ** 2).sum(axis=0)
-        if mode == "surrogate":
-            # NLD: a0 |u_k|^2 sum_m |h_km|^2 sigma_d,m^2 per draw
-            sum_nld += (np.abs(hw.ue_rx) ** 2)[:] * np.einsum(
-                "bkm,m->k", np.abs(h) ** 2, sig2
-            )
         done += nb
 
     mean_h = sum_h / n_channels
@@ -320,12 +317,13 @@ def estimate_sindr_mc(
     return out
 
 
-def _physical_heq(hw, h, beta, rho_t, n_symbols, c_vec, rng):
-    """LS estimate of the effective channel and residual power for one draw."""
+def _physical_heq(hw, h, beta, rho_t, n_symbols, c_vec, rng, draw, n_draws):
+    """LS estimate of the effective channel and residual power for one draw,
+    number ``draw`` of ``n_draws``."""
     # W per draw, not per batch: a batch of M x K precoders and its
     # temporaries outweigh the per-draw symbol buffers and raise peak memory
-    w = c_vec[:, None] * _kernels.zf_apply(
-        _kernels.uplink(h, hw.bs_rx, hw.ue_tx_gain)[None], beta)[0]
+    w = c_vec[:, None] * _kernels.zf_apply(_kernels.uplink(h, hw.bs_rx, hw.ue_tx_gain)[None],
+                                           beta, first=draw, total=n_draws)[0]
     k = hw.k
     s = math.sqrt(rho_t / 2.0) * (
         rng.standard_normal((n_symbols, k)) + 1j * rng.standard_normal((n_symbols, k))

@@ -51,8 +51,8 @@ class DownlinkOutcome:
 
 
 def zf_precoder(h_ul: np.ndarray, beta: float) -> Precoder:
-    """W = (1/sqrt(beta)) H_UL^* (H_UL^T H_UL^*)^{-1}; raises LinAlgError when
-    the Gram matrix is non-finite or its condition number exceeds 1e12."""
+    """W = (1/sqrt(beta)) H_UL^* (H_UL^T H_UL^*)^{-1}; raises LinAlgError for a
+    rank-deficient Gram matrix (``_kernels.equilibrated_gram``)."""
     m, k = h_ul.shape
     if m < k:
         raise ValueError("ZF requires M >= K")
@@ -76,22 +76,22 @@ def beta_zf_closed(hw: SystemHardware, phi, m: int | None = None, k: int | None 
 
 
 def beta_zf_empirical(h_ul_samples: Iterable[np.ndarray]) -> float:
-    """Monte-Carlo mean of tr[(H_UL^T H_UL^*)^{-1}]; singular draws skipped."""
-    total = 0.0
-    n = 0
+    """Monte-Carlo mean of tr[(H_UL^T H_UL^*)^{-1}]; rank-deficient draws
+    (``_kernels.equilibrated_gram``) are skipped with a warning."""
+    traces = []
     skipped = 0
     for h_ul in h_ul_samples:
-        gram = h_ul.T @ np.conj(h_ul)
-        try:
-            total += float(np.real(np.trace(np.linalg.inv(gram))))
-            n += 1
-        except np.linalg.LinAlgError:
+        gram, s, cond = _kernels.equilibrated_gram(h_ul.T @ np.conj(h_ul))
+        if not cond <= _kernels.ZF_COND_MAX:
             skipped += 1
+            continue
+        # tr(Gram^{-1}) = tr(S E^{-1} S) for the equilibrated E = S Gram S
+        traces.append(np.sum(s**2 * np.real(np.diagonal(np.linalg.inv(gram)))))
     if skipped:
-        warnings.warn(f"beta_zf_empirical skipped {skipped} singular draws", RuntimeWarning)
-    if n == 0:
+        warnings.warn(f"beta_zf_empirical skipped {skipped} rank-deficient draws", RuntimeWarning)
+    if not traces:
         raise ValueError("no usable H_UL samples")
-    return total / n
+    return float(np.mean(traces))
 
 
 def transmit_downlink(

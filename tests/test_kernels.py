@@ -95,3 +95,16 @@ def test_zf_core_names_the_singular_draw():
     h_ul[2, 0, 0] = np.nan
     with pytest.raises(np.linalg.LinAlgError, match=r"draw 2 of 3 \(cond=inf\)"):
         _kernels.zf_apply(h_ul, 1.0)
+    with pytest.raises(np.linalg.LinAlgError, match=r"draw 7 of 9 \(cond=inf\)"):
+        _kernels.zf_apply(h_ul, 1.0, first=5, total=9)
+
+
+def test_zf_core_ignores_column_scale():
+    # scaling UE k's uplink column by d_k scales W's column k by 1/d_k; a
+    # path-loss spread of 1e7 must neither trip the rank test nor cost accuracy
+    rng = np.random.default_rng(5)
+    h_ul = rng.standard_normal((4, 12, 3)) + 1j * rng.standard_normal((4, 12, 3))
+    d = np.array([1e-4, 1.0, 1e3])
+    w = _kernels.zf_apply(h_ul, 2.0)
+    w_scaled = _kernels.zf_apply(h_ul * d, 2.0)
+    assert np.max(np.abs(w_scaled * d - w)) <= 1e-12 * np.max(np.abs(w))

@@ -99,6 +99,19 @@ class TestBetaZf:
         ref = mr.beta_zf_empirical([good, good])
         assert val == pytest.approx(ref)
 
+    def test_near_singular_draws_skipped(self):
+        # a proportional column leaves the Gram exactly singular in theory but
+        # invertible in floating point; the ZF rank rule must still reject it
+        rng = np.random.default_rng(0)
+        good = rng.standard_normal((8, 2)) + 1j * rng.standard_normal((8, 2))
+        bad = good.copy()
+        bad[:, 1] = (0.3 + 0.7j) * bad[:, 0]
+        with pytest.raises(np.linalg.LinAlgError):
+            mr.zf_precoder(bad, beta=1.0)
+        with pytest.warns(RuntimeWarning, match="skipped 1"):
+            val = mr.beta_zf_empirical([good, bad])
+        assert val == pytest.approx(mr.beta_zf_empirical([good]))
+
     def test_small_m_rejected(self, default_mismatch):
         hw = mr.draw_system_hardware(np.random.default_rng(4), 4, 3, default_mismatch, 1.0)
         with pytest.raises(ValueError):
