@@ -10,7 +10,9 @@ The scalar special functions here (erfcx, scaled E1, the Bussgang gain and
 distortion-variance curves) are written so the same source compiles under
 ``@numba.njit`` and runs as plain Python.  The array entry points either wrap
 the scalars with ``numba.vectorize`` or use masked vectorised numpy.  The ZF
-core is batched numpy (matmul and K x K solves) on both backends.
+core is batched numpy (matmul and K x K solves) on both backends:
+``zf_apply`` builds precoders, and ``effective_channels``, the Monte-Carlo
+kernel, works from K x K products of the channel without forming one.
 """
 
 from __future__ import annotations
@@ -300,28 +302,35 @@ def equilibrated_gram(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
     return scaled, s, cond
 
 
-def zf_apply(h_ul: np.ndarray, beta: float, lhs: np.ndarray | None = None,
-             first: int = 0, total: int | None = None) -> np.ndarray:
-    """lhs W for the zero-forcing precoder W = H_UL^* (H_UL^T H_UL^*)^{-1} / sqrt(beta).
-
-    h_ul is (B, M, K) and lhs (B, P, M); the result is (B, P, K) and only
-    K x K systems are solved, so W itself is never formed.  Without ``lhs``
-    the result is W, (B, M, K).  A rank-deficient draw (``equilibrated_gram``)
-    raises LinAlgError naming it draw ``first + i`` of ``total`` (or of B).
-    """
-    h_conj = np.conj(h_ul)
-    # (H_UL^T H_UL^*)^T = H_UL^H H_UL; solving against the transpose gives
-    # A Gram^{-1} as (Gram^T)^{-1} A^T with A = lhs H_UL^*, and with the
-    # equilibrated E = S Gram^T S that is S E^{-1} S A^T
-    gram, s, cond = equilibrated_gram(np.swapaxes(h_conj, -1, -2) @ h_ul)
+def _full_rank_gram(gram: np.ndarray, first: int,
+                    total: int | None) -> tuple[np.ndarray, np.ndarray]:
+    """``equilibrated_gram`` of a batch that must have full rank: (S gram S, s).
+    The first rank-deficient draw raises LinAlgError naming it draw
+    ``first + i`` of ``total`` (or of B)."""
+    scaled, s, cond = equilibrated_gram(gram)
     bad = np.flatnonzero(~(cond <= ZF_COND_MAX))
     if bad.size:
         i = int(bad[0])
         raise np.linalg.LinAlgError(
             f"rank-deficient uplink Gram matrix in draw {first + i} of "
             f"{cond.size if total is None else total} (cond={cond[i]:.3g})")
-    a = h_conj if lhs is None else lhs @ h_conj
-    x = np.linalg.solve(gram, s[..., :, None] * np.swapaxes(a, -1, -2))
+    return scaled, s
+
+
+def zf_apply(h_ul: np.ndarray, beta: float, first: int = 0,
+             total: int | None = None) -> np.ndarray:
+    """Zero-forcing precoders W = H_UL^* (H_UL^T H_UL^*)^{-1} / sqrt(beta).
+
+    h_ul is (B, M, K); the result is (B, M, K), from K x K solves.  A
+    rank-deficient draw (``equilibrated_gram``) raises LinAlgError naming it
+    draw ``first + i`` of ``total`` (or of B).
+    """
+    h_conj = np.conj(h_ul)
+    # (H_UL^T H_UL^*)^T = H_UL^H H_UL; solving against the transpose gives
+    # W^T = (Gram^T)^{-1} H_UL^H, and with the equilibrated E = S Gram^T S
+    # that is S E^{-1} S H_UL^H
+    gram, s = _full_rank_gram(np.swapaxes(h_conj, -1, -2) @ h_ul, first, total)
+    x = np.linalg.solve(gram, s[..., :, None] * np.swapaxes(h_conj, -1, -2))
     return np.swapaxes((s / math.sqrt(beta))[..., :, None] * x, -1, -2)
 
 
@@ -332,11 +341,29 @@ def effective_channels(
     u: np.ndarray,
     g: np.ndarray,
     beta: float,
+    first: int = 0,
+    total: int | None = None,
 ) -> np.ndarray:
     """Effective downlink channels U H G W for a batch of channel draws.
 
     h is (B, K, M); r, g are (M,); b, u are (K,).  W is the zero-forcing
     precoder built from H_UL = R H^T B with normalisation 1/sqrt(beta).
-    Returns (B, K, K).
+    Returns (B, K, K).  A rank-deficient draw raises LinAlgError as in
+    ``zf_apply``, named draw ``first + i`` of ``total`` (or of B).
+
+    With P = H diag(g r^*) H^H and Q = H diag(|r|^2) H^H, the uplink Gram
+    matrix is B Q B^* and H G H_UL^* = P B^*, so U H G W = U P Q^{-1} B^{-1}
+    / sqrt(beta).  Only K x K products of H are formed: H_UL, its conjugate
+    and H G never are.
     """
-    return u[:, None] * zf_apply(uplink(h, r, b), beta, h * g)
+    n, k, m = h.shape
+    weights = np.stack([np.abs(r) ** 2, np.conj(g) * r])
+    # conj(H) diag(w) H^T for both weights in one product: [Q^T; conj P]
+    stacked = (np.conj(h)[:, None] * weights[:, None, :]).reshape(n, 2 * k, m)
+    qp = (stacked @ np.swapaxes(h, -1, -2)).reshape(n, 2, k, k)
+    # equilibrated, B Q B^* and Q differ by a unit-modulus diagonal
+    # similarity, so Q's cond is the uplink Gram matrix's
+    gram, s = _full_rank_gram(qp[:, 0], first, total)
+    # (P Q^{-1})^T = (Q^T)^{-1} P^T = S E^{-1} S P^T with E = S Q^T S
+    x = np.linalg.solve(gram, s[..., :, None] * np.conj(np.swapaxes(qp[:, 1], -1, -2)))
+    return u[:, None] * np.swapaxes(s[..., :, None] * x, -1, -2) / (b * math.sqrt(beta))

@@ -19,6 +19,14 @@ from .hardware import SystemHardware, sspa_apply
 from .numerics import bussgang_lambda, bussgang_mu, sinc
 from .precoding import beta_zf_closed
 
+# complex channel entries (1 MiB) per block of surrogate Monte-Carlo draws
+_BLOCK_ENTRIES = 1 << 16
+
+
+def _block_draws(k: int, m: int) -> int:
+    """Channel draws of K x M entries in one surrogate Monte-Carlo block."""
+    return max(1, _BLOCK_ENTRIES // (k * m))
+
 __all__ = [
     "SindrBreakdown",
     "RateDecomposition",
@@ -255,22 +263,34 @@ def estimate_sindr_mc(
     (``n_symbols`` is not needed there).  Physical mode additionally streams
     ``n_symbols`` Gaussian symbols per draw through the sample-level SSPAs and
     estimates the effective channel by least squares, so the distortion power
-    is measured rather than taken from the Bussgang pair.  ``c`` applies a
+    is measured rather than taken from the Bussgang pair; it needs
+    ``n_symbols`` > K, so that the fit leaves a residual.  ``c`` applies a
     calibration vector diag(c) to the precoder.
+
+    Channels are drawn ``batch`` draws per generator call.  Surrogate mode
+    then works through each batch in blocks of about 1 MiB of channel
+    entries, so no complex (batch, K, M) array is allocated beside the draw.
+    Raises ValueError for ``n_channels`` or ``batch`` < 1 and LinAlgError for
+    a rank-deficient channel draw.
     """
     if mode not in ("surrogate", "physical"):
         raise ValueError(f"unknown mode {mode!r}")
-    phi = np.asarray(phi, dtype=np.float64)
     m, k = hw.m, hw.k
+    if n_channels < 1 or batch < 1:
+        raise ValueError(f"n_channels and batch must be at least 1, got {n_channels} "
+                         f"and {batch}")
+    if mode == "physical" and n_symbols <= k:
+        raise ValueError(f"physical mode needs n_symbols > K = {k} for a least-squares "
+                         f"fit with a residual, got {n_symbols}")
+    phi = np.asarray(phi, dtype=np.float64)
     beta = beta_zf_closed(hw, phi)
-    # channel rows sqrt(phi^2) (z_re + 1j z_im) / sqrt(2), written part by part
-    # into one complex array; numpy divides a complex array by a real scalar
-    # through its reciprocal, so scaling by 1/sqrt(2) keeps the same bits
     row_scale = np.sqrt(phi**2)[:, None]
+    block = _block_draws(k, m)
     c_vec = np.ones(m, dtype=np.complex128) if c is None else np.asarray(c, np.complex128)
 
     g_eff = zf_gain_vector(hw, rho_t, c=None if c is None else c_vec) * c_vec
     sig2 = zf_distortion_vector(hw, rho_t, c=None if c is None else c_vec)
+    u2 = np.abs(hw.ue_rx) ** 2
 
     sum_h = np.zeros((k, k), dtype=np.complex128)
     sum_h2 = np.zeros((k, k), dtype=np.float64)
@@ -280,22 +300,26 @@ def estimate_sindr_mc(
     while done < n_channels:
         nb = min(batch, n_channels - done)
         z = rng.standard_normal((2, nb, k, m))
-        z *= 1.0 / math.sqrt(2.0)
-        h = np.empty((nb, k, m), dtype=np.complex128)
-        np.multiply(z[0], row_scale, out=h.real)
-        np.multiply(z[1], row_scale, out=h.imag)
-        del z
+        h_eq = np.empty((nb, k, k), dtype=np.complex128)
         if mode == "surrogate":
-            h_eq = _kernels.effective_channels(h, hw.bs_rx, hw.ue_tx_gain, hw.ue_rx,
-                                               g_eff, beta)
-            # NLD: a0 |u_k|^2 sum_m |h_km|^2 sigma_d,m^2 per draw
-            sum_nld += np.abs(hw.ue_rx) ** 2 * np.einsum("bkm,m->k", np.abs(h) ** 2, sig2)
+            # channels, effective channels and the NLD term are built one
+            # cache-sized block of draws at a time
+            for lo in range(0, nb, block):
+                h = _channels(z[:, lo:lo + block], row_scale)
+                h_eq[lo:lo + block] = _kernels.effective_channels(
+                    h, hw.bs_rx, hw.ue_tx_gain, hw.ue_rx, g_eff, beta, done + lo, n_channels)
+                # NLD: a0 |u_k|^2 sum_m |h_km|^2 sigma_d,m^2 per draw
+                sum_nld += u2 * np.einsum("bkm,m->k", np.abs(h) ** 2, sig2)
+            del z
         else:
-            h_eq = np.empty((nb, k, k), dtype=np.complex128)
+            h = _channels(z, row_scale)
+            del z
             for t in range(nb):
                 h_eq[t], resid = _physical_heq(hw, h[t], beta, rho_t, n_symbols, c_vec, rng,
                                                done + t, n_channels)
                 sum_resid += resid
+        # summed over the whole batch, so the order of additions does not
+        # depend on the block length
         sum_h += h_eq.sum(axis=0)
         sum_h2 += (np.abs(h_eq) ** 2).sum(axis=0)
         done += nb
@@ -315,6 +339,18 @@ def estimate_sindr_mc(
             nld = sum_resid[i] / n_channels
         out.append(SindrBreakdown.from_terms(es, si, mui, nld, noise_var))
     return out
+
+
+def _channels(z, row_scale):
+    """Channel draws sqrt(phi^2) (z_re + 1j z_im) / sqrt(2) from a (2, n, K, M)
+    block of standard normals, which is scaled in place."""
+    # numpy divides a complex array by a real scalar through its reciprocal,
+    # so scaling by 1/sqrt(2) keeps the bits of the complex-array form
+    z *= 1.0 / math.sqrt(2.0)
+    h = np.empty(z.shape[1:], dtype=np.complex128)
+    np.multiply(z[0], row_scale, out=h.real)
+    np.multiply(z[1], row_scale, out=h.imag)
+    return h
 
 
 def _physical_heq(hw, h, beta, rho_t, n_symbols, c_vec, rng, draw, n_draws):

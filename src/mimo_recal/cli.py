@@ -19,6 +19,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .analysis import (
+    _block_draws,
     estimate_sindr_mc,
     rate_from_sindr,
     sindr_zf_closed_all,
@@ -96,6 +97,12 @@ class ExperimentConfig:
             raise ConfigError(f"mode: unknown value {self.mode!r}")
         if len(self.sweep_values) < 1:
             raise ConfigError("sweep_values: at least one point required")
+        for name in ("n_hardware", "n_channels"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"mc.{name}: need at least 1, got {getattr(self, name)}")
+        if self.mode == "physical" and self.n_symbols <= self.k:
+            raise ConfigError(f"mc.n_symbols: physical mode needs n_symbols > k = {self.k}, "
+                              f"got {self.n_symbols}")
         for key in self.params:
             if key not in DEFAULT_PARAMS:
                 raise ConfigError(f"params.{key}: unknown parameter")
@@ -398,6 +405,17 @@ def selftest() -> int:
                                  ue_pilot_amp=1e-9)
     check("identity-hardware beta equals K/(M-K)",
           abs(beta_zf_closed(ideal, np.ones(8)) - 8 / 56) < 1e-12)
+
+    # identity hardware over three blocks of surrogate draws: entries within
+    # 1e-10 of I/sqrt(beta) put ES = a0 rho |mean H_kk|^2 within 2e-10 of
+    # a0 rho/beta and MUI below 1e-18 of it; SI is a difference of two
+    # ES-sized sums, so it is held only to 1e-12
+    beta = beta_zf_closed(ideal, np.ones(8))
+    n_draws = 2 * _block_draws(8, 64) + 1
+    mc = estimate_sindr_mc(ideal, np.ones(8), 1.0, 1.0, 1.0, n_draws, 1, "surrogate", rng)
+    check("identity-hardware H_eq over 3 blocks equals I/sqrt(beta) within 1e-10",
+          all(abs(b.es * beta - 1.0) <= 2e-10 and b.mui * beta <= 1e-18
+              and b.si * beta <= 1e-12 for b in mc))
 
     model = TrueMismatch(hw)
     sigma_x = hw.sigma_x(1.0)

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import mimo_recal as mr
+from mimo_recal import _kernels
 from mimo_recal.calibration import (
     CalibrationError,
     PilotPlan,
@@ -337,6 +338,54 @@ def ref_linear_calibration(records: Iterable[TrainingRecord], c0: complex) -> np
         raise CalibrationError("singular Ybar_2 system in linear calibration") from exc
     f = np.concatenate([[1.0 + 0j], f_tail])
     return c0 / f
+
+
+# ---------------------------------------------------------------------------
+# Reference: the effective-channel kernel in its lhs-based form, where the
+# batched ZF solve returns lhs W for lhs = H G and forms H_UL and its conjugate
+# ---------------------------------------------------------------------------
+
+
+def ref_zf_apply(h_ul: np.ndarray, beta: float, lhs: np.ndarray | None = None,
+                 first: int = 0, total: int | None = None) -> np.ndarray:
+    """lhs W for the zero-forcing precoder W = H_UL^* (H_UL^T H_UL^*)^{-1} / sqrt(beta).
+
+    h_ul is (B, M, K) and lhs (B, P, M); the result is (B, P, K) and only
+    K x K systems are solved, so W itself is never formed.  Without ``lhs``
+    the result is W, (B, M, K).  A rank-deficient draw (``equilibrated_gram``)
+    raises LinAlgError naming it draw ``first + i`` of ``total`` (or of B).
+    """
+    h_conj = np.conj(h_ul)
+    # (H_UL^T H_UL^*)^T = H_UL^H H_UL; solving against the transpose gives
+    # A Gram^{-1} as (Gram^T)^{-1} A^T with A = lhs H_UL^*, and with the
+    # equilibrated E = S Gram^T S that is S E^{-1} S A^T
+    gram, s, cond = _kernels.equilibrated_gram(np.swapaxes(h_conj, -1, -2) @ h_ul)
+    bad = np.flatnonzero(~(cond <= _kernels.ZF_COND_MAX))
+    if bad.size:
+        i = int(bad[0])
+        raise np.linalg.LinAlgError(
+            f"rank-deficient uplink Gram matrix in draw {first + i} of "
+            f"{cond.size if total is None else total} (cond={cond[i]:.3g})")
+    a = h_conj if lhs is None else lhs @ h_conj
+    x = np.linalg.solve(gram, s[..., :, None] * np.swapaxes(a, -1, -2))
+    return np.swapaxes((s / math.sqrt(beta))[..., :, None] * x, -1, -2)
+
+
+def ref_effective_channels(
+    h: np.ndarray,
+    r: np.ndarray,
+    b: np.ndarray,
+    u: np.ndarray,
+    g: np.ndarray,
+    beta: float,
+) -> np.ndarray:
+    """Effective downlink channels U H G W for a batch of channel draws.
+
+    h is (B, K, M); r, g are (M,); b, u are (K,).  W is the zero-forcing
+    precoder built from H_UL = R H^T B with normalisation 1/sqrt(beta).
+    Returns (B, K, K).
+    """
+    return u[:, None] * ref_zf_apply(_kernels.uplink(h, r, b), beta, h * g)
 
 
 @pytest.fixture(scope="session")

@@ -1,11 +1,13 @@
 """Closed-form SINDR/rate expressions versus Monte-Carlo estimates."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import mimo_recal as mr
+from mimo_recal import analysis
 
 
 A0 = 10.0
@@ -13,16 +15,17 @@ NOISE = 1.0
 
 
 class _EqualRowsRng:
-    """Generator stand-in: every channel batch it draws gives draw 1 two
-    equal rows, so that draw's uplink Gram matrix is singular."""
+    """Generator stand-in: every channel batch it draws gives draw ``draw``
+    two equal rows, so that draw's uplink Gram matrix is singular."""
 
-    def __init__(self, seed):
+    def __init__(self, seed, draw=1):
         self._rng = np.random.default_rng(seed)
+        self._draw = draw
 
     def standard_normal(self, size):
         z = self._rng.standard_normal(size)
         if z.ndim >= 3:  # (..., draws, K, M) channel entries; symbols are 2-D
-            z[..., 1, 1, :] = z[..., 1, 0, :]
+            z[..., self._draw, 1, :] = z[..., self._draw, 0, :]
         return z
 
 
@@ -310,3 +313,57 @@ class TestEstimateSindrMc:
         out = mr.estimate_sindr_mc(hw, phi, 1.0, A0, NOISE, 4, 32, mode,
                                    np.random.default_rng(6))
         assert all(np.isfinite(b.sindr) and b.sindr > 0 for b in out)
+
+    def test_rank_deficient_draw_in_later_block_named_in_whole_run(self, default_mismatch):
+        # K M = 512 gives 128 draws per block, so draw 200 sits in the second
+        hw = _draw(64, 8, 10.0, 1.0, default_mismatch, 5)
+        with pytest.raises(np.linalg.LinAlgError, match="draw 200 of 300"):
+            mr.estimate_sindr_mc(hw, np.ones(8), 1.0, A0, NOISE, 300, 1, "surrogate",
+                                 _EqualRowsRng(6, draw=200))
+
+    def test_blocks_and_batches_match_one_block(self, default_mismatch, monkeypatch):
+        # 37 draws in batches of 10 and blocks of 3: both boundaries are crossed,
+        # and the last batch and block are partial
+        hw = _draw(16, 3, 10.0, 1.0, default_mismatch, 7)
+        phi = np.array([0.5, 1.0, 2.0])
+
+        def run(block_entries):
+            monkeypatch.setattr(analysis, "_BLOCK_ENTRIES", block_entries)
+            return mr.estimate_sindr_mc(hw, phi, 1.0, A0, NOISE, 37, 1, "surrogate",
+                                        np.random.default_rng(8), batch=10)
+
+        blocked, whole = run(3 * 3 * 16), run(10**9)
+        for b, w in zip(blocked, whole):
+            for term in ("es", "si", "mui", "nld", "sindr"):
+                assert getattr(b, term) == pytest.approx(getattr(w, term), rel=1e-12)
+
+    def test_surrogate_peak_memory_is_the_draw(self, default_mismatch):
+        # the paper-scale batch: the (2, 500, 20, 256) normal draw is 41 MB and
+        # the streamed blocks must add at most a quarter of it
+        m, k, n = 256, 20, 500
+        hw = _draw(m, k, 10.0, 1.0, default_mismatch, 9)
+        draw_bytes = 2 * n * k * m * 8
+        tracemalloc.start()
+        try:
+            mr.estimate_sindr_mc(hw, np.ones(k), 1.0, A0, NOISE, n, 1, "surrogate",
+                                 np.random.default_rng(10))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * draw_bytes
+
+    @pytest.mark.parametrize("n_channels, batch", [(0, 512), (10, 0)])
+    def test_no_channel_draws_rejected(self, default_mismatch, n_channels, batch):
+        # n_channels = 0 gave NaN terms and batch = 0 never returned
+        hw = _draw(8, 2, 10.0, 1.0, default_mismatch, 4)
+        with pytest.raises(ValueError, match="n_channels and batch"):
+            mr.estimate_sindr_mc(hw, np.ones(2), 1.0, A0, NOISE, n_channels, 1, "surrogate",
+                                 np.random.default_rng(0), batch=batch)
+
+    @pytest.mark.parametrize("n_symbols", [2, 4])
+    def test_physical_fit_without_residual_rejected(self, default_mismatch, n_symbols):
+        # with n_symbols <= K the least-squares fit is exact or underdetermined
+        hw = _draw(16, 4, 10.0, 1.0, default_mismatch, 4)
+        with pytest.raises(ValueError, match="n_symbols"):
+            mr.estimate_sindr_mc(hw, np.ones(4), 1.0, A0, NOISE, 10, n_symbols, "physical",
+                                 np.random.default_rng(0))

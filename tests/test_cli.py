@@ -49,6 +49,25 @@ class TestConfig:
         with pytest.raises(cli.ConfigError, match="m/k"):
             cli.load_config(str(path))
 
+    @pytest.mark.parametrize("mc, field", [
+        ({"n_hardware": 0, "n_channels": 100, "n_symbols": 16}, "mc.n_hardware"),
+        ({"n_hardware": 3, "n_channels": 0, "n_symbols": 16}, "mc.n_channels"),
+    ])
+    def test_empty_monte_carlo_rejected(self, tmp_path, mc, field):
+        # an empty Monte Carlo would write NaN rows with n_trials 0
+        path, _ = _write_config(tmp_path, mc=mc)
+        with pytest.raises(cli.ConfigError, match=field):
+            cli.load_config(str(path))
+
+    def test_physical_symbols_must_exceed_k(self, tmp_path):
+        # n_symbols <= k leaves the physical least-squares fit no residual
+        mc = {"n_hardware": 3, "n_channels": 100, "n_symbols": 2}
+        path, _ = _write_config(tmp_path, mode="physical", mc=mc)
+        with pytest.raises(cli.ConfigError, match="mc.n_symbols"):
+            cli.load_config(str(path))
+        path, _ = _write_config(tmp_path, mc=mc)
+        assert cli.load_config(str(path)).n_symbols == 2
+
     def test_overrides(self, tmp_path):
         path, _ = _write_config(tmp_path)
         cfg = cli.load_config(str(path))
