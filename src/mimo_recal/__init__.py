@@ -6,7 +6,6 @@ calibration pipeline (polynomial mismatch fitting + SLP max-min coefficient
 solver).  See the README for the CLI and the acceptance suite.
 """
 
-from ._kernels import backend_name
 from .numerics import (
     MismatchDistribution,
     bussgang_lambda,

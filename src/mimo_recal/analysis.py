@@ -292,8 +292,12 @@ def estimate_sindr_mc(
     sig2 = zf_distortion_vector(hw, rho_t, c=None if c is None else c_vec)
     u2 = np.abs(hw.ue_rx) ** 2
 
-    sum_h = np.zeros((k, k), dtype=np.complex128)
-    sum_h2 = np.zeros((k, k), dtype=np.float64)
+    # moments of the deviations from the first draw: SI is a variance about
+    # 800x below ES at M=256, K=20, and raw sums would amplify their rounding
+    # by that factor
+    shift = None
+    sum_d = np.zeros((k, k), dtype=np.complex128)
+    sum_d2 = np.zeros((k, k), dtype=np.float64)
     sum_nld = np.zeros(k, dtype=np.float64)
     sum_resid = np.zeros(k, dtype=np.float64)
     done = 0
@@ -318,18 +322,23 @@ def estimate_sindr_mc(
                 h_eq[t], resid = _physical_heq(hw, h[t], beta, rho_t, n_symbols, c_vec, rng,
                                                done + t, n_channels)
                 sum_resid += resid
+        if shift is None:
+            shift = h_eq[0].copy()
         # summed over the whole batch, so the order of additions does not
         # depend on the block length
-        sum_h += h_eq.sum(axis=0)
-        sum_h2 += (np.abs(h_eq) ** 2).sum(axis=0)
+        dev = h_eq - shift
+        sum_d += dev.sum(axis=0)
+        sum_d2 += (np.abs(dev) ** 2).sum(axis=0)
         done += nb
 
-    mean_h = sum_h / n_channels
-    mean_h2 = sum_h2 / n_channels
+    mean_d = sum_d / n_channels
+    var_h = np.maximum(sum_d2 / n_channels - np.abs(mean_d) ** 2, 0.0)
+    mean_h = shift + mean_d
+    mean_h2 = var_h + np.abs(mean_h) ** 2
     out = []
     for i in range(k):
         es = a0 * rho_t * abs(mean_h[i, i]) ** 2
-        si = a0 * rho_t * max(mean_h2[i, i] - abs(mean_h[i, i]) ** 2, 0.0)
+        si = a0 * rho_t * float(var_h[i, i])
         mui = a0 * rho_t * float(mean_h2[i].sum() - mean_h2[i, i])
         if mode == "surrogate":
             nld = a0 * sum_nld[i] / n_channels

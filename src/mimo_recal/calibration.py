@@ -14,6 +14,7 @@ in the power); the normalisation keeps the least-squares system conditioned.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -57,11 +58,13 @@ class CalibrationError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _psi_coeff_table(order: int) -> np.ndarray:
     """Coefficients c[w, l] of psi_w(z) = sum_l c[w, l] z^l for w = 0..order.
 
     Exact integer arithmetic; every coefficient up to order 20 is exactly
-    representable in float64.
+    representable in float64.  Built once per order and returned read-only,
+    since every caller shares the cached array.
     """
     if not 0 <= order <= MAX_PSI_ORDER:
         raise ValueError(f"polynomial order must lie in [0, {MAX_PSI_ORDER}]")
@@ -72,6 +75,7 @@ def _psi_coeff_table(order: int) -> np.ndarray:
             num = math.factorial(w + l + 2)
             den = math.factorial(l) * math.factorial(l + 1) * math.factorial(w - l)
             table[w, l] = float(sign * num) / float(den)
+    table.flags.writeable = False
     return table
 
 
@@ -324,9 +328,10 @@ class PolyMismatch:
         return np.abs(self.mu(antenna, sigma))
 
     def mu_all(self, sigma: np.ndarray) -> np.ndarray:
-        """Per-antenna values at per-antenna amplitudes; sigma has shape (M,)."""
+        """Per-antenna values at per-antenna amplitudes; sigma has shape
+        (..., M), and leading axes broadcast."""
         z = (np.asarray(sigma, dtype=np.float64) / self.sigma_ref) ** 2
-        return np.einsum("mp,mp->m", psi_vector(self.order, z), self.tau)
+        return np.einsum("...mp,mp->...m", psi_vector(self.order, z), self.tau)
 
     def mu_abs_all(self, sigma: np.ndarray) -> np.ndarray:
         return np.abs(self.mu_all(sigma))
@@ -547,12 +552,10 @@ def _phi_all(model, c_abs: np.ndarray, sigma_x: np.ndarray) -> np.ndarray:
 
 
 def _phi_grid(model, sigma_x, c_max, n_grid=65):
-    grid = np.linspace(0.0, 1.0, n_grid)
-    vals = np.empty((len(c_max), n_grid))
-    for j, frac in enumerate(grid):
-        c = frac * c_max
-        vals[:, j] = _phi_all(model, c, sigma_x)
-    return vals
+    """phi_m on the grid (j / (n_grid - 1)) c_max,m, shape (M, n_grid), from
+    one model call over the (n_grid, M) amplitudes."""
+    c = np.linspace(0.0, 1.0, n_grid)[:, None] * c_max
+    return _phi_all(model, c, sigma_x).T
 
 
 def _check_concave_increasing(model, sigma_x, c_max, strict: bool):
@@ -593,6 +596,8 @@ def slp_solve(
     per-antenna caps |c_m| <= c_max,m.  Each iteration linearises phi, solves
     the closed-form subproblem and backtracks with ratio ``rho_step`` so the
     minimum of phi never decreases and the next linearisation stays feasible.
+    ``model.mu_abs_all`` takes amplitudes of shape (..., M), as
+    ``PolyMismatch`` and ``TrueMismatch`` do.
     """
     sigma_x = np.asarray(sigma_x, dtype=np.float64)
     c_max = np.asarray(c_max, dtype=np.float64)
@@ -607,9 +612,8 @@ def slp_solve(
         h = np.maximum(h_rel * c_max, 1e-12)
         lo = np.maximum(c_abs - h, 0.0)
         hi = np.minimum(c_abs + h, c_max)
-        phi = _phi_all(model, c_abs, sigma_x)
-        slope = (_phi_all(model, hi, sigma_x) - _phi_all(model, lo, sigma_x)) / (hi - lo)
-        return phi, slope
+        phi, phi_lo, phi_hi = _phi_all(model, np.stack([c_abs, lo, hi]), sigma_x)
+        return phi, (phi_hi - phi_lo) / (hi - lo)
 
     def next_point_feasible(c_abs, phi, slope):
         # Eq.-(64)-style conditions so the next subproblem keeps c_bar >= 0

@@ -1,7 +1,8 @@
 """Special functions and random-variate primitives shared by all modules.
 
-All math is 64-bit; the heavy elementwise kernels live in ``_kernels`` and run
-under numba when available (see ``MIMO_RECAL_NO_NUMBA``).
+All math is 64-bit.  These wrappers check the domain and keep scalars scalar;
+the elementwise kernels behind them live in ``_kernels`` and run on numpy and
+the standard library's ``math.erfc``.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ def erfcx(x):
     arr = _as_float_array(x)
     if np.any(arr < 0):
         raise ValueError("erfcx is only implemented for x >= 0")
-    out = _kernels.erfcx_arr(arr)
+    out = _kernels.erfcx(arr)
     return float(out) if np.isscalar(x) or arr.ndim == 0 else out
 
 
@@ -62,9 +63,7 @@ def erfc(x):
     arr = _as_float_array(x)
     if not np.all(np.isfinite(arr)):
         raise ValueError("erfc requires finite input")
-    ax = np.abs(arr)
-    pos = _kernels.erfcx_arr(ax) * np.exp(-ax * ax)
-    out = np.where(arr >= 0, pos, 2.0 - pos)
+    out = _kernels.erfc(arr)
     return float(out) if np.isscalar(x) or arr.ndim == 0 else out
 
 
@@ -73,7 +72,7 @@ def exp_integral_ei(x):
     arr = _as_float_array(x)
     if np.any(arr >= 0):
         raise ValueError("exp_integral_ei is defined for x < 0 only")
-    out = -_kernels.e1_scaled_arr(-arr) * np.exp(arr)
+    out = -_kernels.e1_scaled(-arr) * np.exp(arr)
     return float(out) if np.isscalar(x) or arr.ndim == 0 else out
 
 
@@ -82,7 +81,7 @@ def exp_integral_ei_scaled(x):
     arr = _as_float_array(x)
     if np.any(arr >= 0):
         raise ValueError("exp_integral_ei_scaled is defined for x < 0 only")
-    out = -_kernels.e1_scaled_arr(-arr)
+    out = -_kernels.e1_scaled(-arr)
     return float(out) if np.isscalar(x) or arr.ndim == 0 else out
 
 
@@ -95,7 +94,7 @@ def bussgang_mu(x):
     arr = _as_float_array(x)
     if np.any(arr < 0):
         raise ValueError("bussgang_mu requires x >= 0")
-    out = _kernels.mu_arr(arr)
+    out = _kernels.mu(arr)
     return float(out) if np.isscalar(x) or arr.ndim == 0 else out
 
 
@@ -105,7 +104,7 @@ def bussgang_lambda(a_sat, sigma_x):
     s = _as_float_array(sigma_x)
     if np.any(a <= 0) or np.any(s <= 0):
         raise ValueError("bussgang_lambda requires positive arguments")
-    out = _kernels.lam_arr(*np.broadcast_arrays(a, s))
+    out = _kernels.lam(a, s)
     scalar = np.isscalar(a_sat) and np.isscalar(sigma_x)
     return float(out) if scalar else out
 

@@ -12,6 +12,7 @@ from typing import Iterable, Literal
 
 import numpy as np
 import pytest
+import scipy.special
 
 import mimo_recal as mr
 from mimo_recal import _kernels
@@ -52,14 +53,29 @@ def mc_bussgang(a_sat, sigma, n, seed, chunks=10):
     return g, var / count
 
 
+def mu_scipy(x):
+    """Bussgang gain mu(x) = (x/2) [2x - sqrt(pi) erfcx(x) (2x^2 - 1)] from
+    ``scipy.special.erfcx``, with the asymptotic series past x = 50."""
+    x = np.asarray(x, dtype=np.float64)
+    small = np.minimum(x, 50.0)
+    direct = 0.5 * small * (2.0 * small - math.sqrt(math.pi) * scipy.special.erfcx(small)
+                            * (2.0 * small**2 - 1.0))
+    u = (1.0 / np.maximum(x, 50.0)) ** 2
+    return np.where(x > 50.0, 1.0 + u * (-1.0 + u * (2.25 + u * (-7.5 + u * 32.8125))), direct)
+
+
 def slp_bisection_oracle(model, sigma_x, rho_t, c_max, outer=80, inner=100):
-    """Independent max-min solution: bisection on the common gain g0, with a
-    per-antenna monotone root find for phi_m^{-1}(g0)."""
+    """Independent max-min solution for a ``TrueMismatch`` model: bisection on
+    the common gain g0, with a per-antenna monotone root find for
+    phi_m^{-1}(g0).  phi_m(c) = c |t_m / r_m| mu(A_m / (c sigma_m)) is
+    evaluated by ``mu_scipy``, not by the library."""
     c_max = np.asarray(c_max, dtype=np.float64)
     sigma_x = np.asarray(sigma_x, dtype=np.float64)
+    ratio = np.abs(model.hw.t / model.hw.bs_rx)
+    a_sat = model.hw.a_sat
 
     def phi_at(c):
-        return c * model.mu_abs_all(c * sigma_x)
+        return c * ratio * mu_scipy(a_sat / np.maximum(c * sigma_x, 1e-300))
 
     hi_g = float(np.min(phi_at(c_max)))
     lo_g = 0.0

@@ -326,7 +326,6 @@ def test_criterion_7_slp_optimizer():
     assert equal and binding
 
 
-@pytest.mark.slow
 def test_criterion_8_end_to_end_calibration():
     """Figs. 6-7 trends: method ordering at IBO 10 dB; convergence at 25 dB."""
     def experiment(ibo, seed, n_hw=50):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import mimo_recal as mr
-from mimo_recal import analysis
+from mimo_recal import _kernels, analysis
 
 
 A0 = 10.0
@@ -336,6 +336,29 @@ class TestEstimateSindrMc:
         for b, w in zip(blocked, whole):
             for term in ("es", "si", "mui", "nld", "sindr"):
                 assert getattr(b, term) == pytest.approx(getattr(w, term), rel=1e-12)
+
+    @pytest.mark.parametrize("block_entries", [analysis._BLOCK_ENTRIES, 2 * 20 * 256])
+    def test_si_matches_two_pass_variance(self, default_mismatch, monkeypatch,
+                                          block_entries):
+        # at M=256, K=20 SI is about 800x below ES, so SI taken from raw sums
+        # of h and |h|^2 is off by about 1e-12 here, whatever the block length
+        m, k, n = 256, 20, 300
+        hw = _draw(m, k, 10.0, 1.0, default_mismatch, 9)
+        seen = []
+        kernel = _kernels.effective_channels
+
+        def recording(*args, **kwargs):
+            seen.append(kernel(*args, **kwargs))
+            return seen[-1]
+
+        monkeypatch.setattr(_kernels, "effective_channels", recording)
+        monkeypatch.setattr(analysis, "_BLOCK_ENTRIES", block_entries)
+        out = mr.estimate_sindr_mc(hw, np.ones(k), 1.0, A0, NOISE, n, 1, "surrogate",
+                                   np.random.default_rng(10))
+        h_kk = np.diagonal(np.concatenate(seen), axis1=1, axis2=2)
+        two_pass = A0 * np.mean(np.abs(h_kk - h_kk.mean(axis=0)) ** 2, axis=0)
+        si = np.array([b.si for b in out])
+        assert np.max(np.abs(si / two_pass - 1.0)) <= 1e-13
 
     def test_surrogate_peak_memory_is_the_draw(self, default_mismatch):
         # the paper-scale batch: the (2, 500, 20, 256) normal draw is 41 MB and

@@ -12,6 +12,9 @@ import mimo_recal as mr
 from mimo_recal.calibration import (
     CalibrationError,
     _pair_ratio_gram,
+    _phi_all,
+    _phi_grid,
+    _psi_coeff_table,
     estimate_poly_coeffs_anchored,
     measured_level_shapes,
     psi_vector,
@@ -66,6 +69,12 @@ class TestOrthPoly:
                     assert abs(mr.orth_poly_psi(order, z)) < 1e-9
                 else:
                     assert mr.orth_poly_psi(order, z) == pytest.approx(ref, rel=1e-10)
+
+    def test_coefficient_table_cached_read_only(self):
+        table = _psi_coeff_table(5)
+        assert _psi_coeff_table(5) is table
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 0.0
 
     def test_overflow_guard(self):
         with pytest.raises(ValueError):
@@ -417,7 +426,6 @@ class TestSlpSolve:
         expect *= math.sqrt(1.0 / float(np.sum(expect**2 * sigma_x**2)))
         assert np.allclose(np.abs(res.c), expect, rtol=1e-5)
 
-    @pytest.mark.slow
     def test_matches_bisection_oracle(self, default_mismatch):
         for seed in range(10):
             rng = np.random.default_rng((1, seed))
@@ -449,6 +457,18 @@ class TestSlpSolve:
                            strict=False)
         assert res.g0 > 0
         assert np.all(np.abs(res.c) > 0)
+
+    def test_phi_grid_matches_column_by_column(self):
+        # the concavity grid is one model call over (65, M) amplitudes
+        hw, omega, plan, _ = _setup(16, 2, 18, ibo_min=5.0)
+        recs = mr.simulate_ota_training(hw, plan, omega, 0.0, "surrogate",
+                                        np.random.default_rng(19))
+        sigma_x = hw.sigma_x(1.0)
+        c_max = plan.sigma_max / sigma_x
+        for model in (mr.TrueMismatch(hw), estimate_poly_coeffs_anchored(recs, plan, 5)):
+            columns = np.stack([_phi_all(model, frac * c_max, sigma_x)
+                                for frac in np.linspace(0.0, 1.0, 65)], axis=1)
+            assert np.array_equal(_phi_grid(model, sigma_x, c_max), columns)
 
     def test_concavity_gate(self):
         class BadModel:

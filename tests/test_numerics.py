@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
@@ -170,6 +171,40 @@ class TestBussgangOrthogonality:
             resid += np.vdot(x, f - g * x)
             den += float(np.real(np.vdot(x, x)))
         assert abs(resid) / den <= 1e-3
+
+
+def _max_rel_err(got, ref):
+    return float(np.max(np.abs(np.asarray(got) / ref - 1.0)))
+
+
+class TestAgainstMpmath:
+    """Relative error against 50-digit mpmath references."""
+
+    def test_erfcx(self):
+        # both sides of the switch from erfc exp(x^2) to the continued fraction at 10
+        x = np.concatenate([np.linspace(0.0, 50.0, 2001),
+                            [np.nextafter(10.0, 0.0), 10.0, np.nextafter(10.0, 11.0), 1e3, 1e6]])
+        with mpmath.workdps(50):
+            ref = np.array([float(mpmath.erfc(v) * mpmath.exp(mpmath.mpf(v) ** 2)) for v in x])
+        assert _max_rel_err(mr.erfcx(x), ref) <= 2e-15
+
+    def test_scaled_e1(self):
+        y = np.geomspace(1e-6, 1e4, 801)
+        with mpmath.workdps(50):
+            ref = np.array([float(-mpmath.e1(v) * mpmath.exp(v)) for v in y])
+        assert _max_rel_err(mr.exp_integral_ei_scaled(-y), ref) <= 1e-14
+
+    @pytest.mark.parametrize("lo, hi, tol", [
+        (0.0, 2.0, 6e-13), (2.0, 10.0, 2.1e-14), (10.0, 50.0, 4.6e-13), (50.0, 1e4, 1.8e-15)])
+    def test_bussgang_mu(self, lo, hi, tol):
+        # each bound is the largest error that the series and continued-fraction
+        # erfcx gave on its range; the math.erfc form must not exceed it
+        x = np.linspace(lo, hi, 1001)[1:-1] if hi <= 50.0 else np.geomspace(lo, hi, 401)[1:]
+        with mpmath.workdps(50):
+            ref = np.array([float(0.5 * v * (2 * v - mpmath.sqrt(mpmath.pi) * mpmath.erfc(v)
+                                              * mpmath.exp(mpmath.mpf(v) ** 2)
+                                              * (2 * mpmath.mpf(v) ** 2 - 1))) for v in x])
+        assert _max_rel_err(mr.bussgang_mu(x), ref) <= tol
 
 
 class TestDrawComplexGain:
