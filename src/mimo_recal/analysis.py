@@ -31,8 +31,7 @@ __all__ = [
     "SindrBreakdown",
     "RateDecomposition",
     "sinr_linear_mismatch",
-    "zf_gain_vector",
-    "zf_distortion_vector",
+    "zf_bussgang",
     "sindr_zf_closed",
     "sindr_zf_closed_all",
     "rate_from_sindr",
@@ -108,8 +107,9 @@ def sinr_linear_mismatch(
     return num / den
 
 
-def zf_gain_vector(hw: SystemHardware, rho_t: float, c=None) -> np.ndarray:
-    """Per-antenna Bussgang linear scales g_ZF,m = t_m mu(A_sat,m / sigma_x,m).
+def zf_bussgang(hw: SystemHardware, rho_t: float, c=None) -> tuple[np.ndarray, np.ndarray]:
+    """Per-antenna Bussgang pair under ZF: linear scales g_ZF,m = t_m mu(A_sat,m / sigma_x,m)
+    and distortion variances sigma_ZF,m^2 = |t_m|^2 lambda(A_sat,m, sigma_x,m).
 
     With a calibration vector ``c`` the operating rms becomes |c_m| sigma_x,m
     (the rms the amplifier actually sees once diag(c) scales the precoder).
@@ -117,15 +117,8 @@ def zf_gain_vector(hw: SystemHardware, rho_t: float, c=None) -> np.ndarray:
     sigma = hw.sigma_x(rho_t)
     if c is not None:
         sigma = np.maximum(np.abs(np.asarray(c)), 1e-300) * sigma
-    return hw.t * bussgang_mu(hw.a_sat / sigma)
-
-
-def zf_distortion_vector(hw: SystemHardware, rho_t: float, c=None) -> np.ndarray:
-    """Per-antenna distortion variances sigma_ZF,m^2 = |t_m|^2 lambda(A_sat,m, sigma_x,m)."""
-    sigma = hw.sigma_x(rho_t)
-    if c is not None:
-        sigma = np.maximum(np.abs(np.asarray(c)), 1e-300) * sigma
-    return np.abs(hw.t) ** 2 * bussgang_lambda(hw.a_sat, sigma)
+    g = hw.t * bussgang_mu(hw.a_sat / sigma)
+    return g, np.abs(hw.t) ** 2 * bussgang_lambda(hw.a_sat, sigma)
 
 
 def _closed_terms(hw: SystemHardware, phi, rho_t, a0, noise_var):
@@ -134,8 +127,7 @@ def _closed_terms(hw: SystemHardware, phi, rho_t, a0, noise_var):
     r = hw.bs_rx
     b = hw.ue_tx_gain
     u = hw.ue_rx
-    g = zf_gain_vector(hw, rho_t)
-    sig2 = zf_distortion_vector(hw, rho_t)
+    g, sig2 = zf_bussgang(hw, rho_t)
 
     tr_rr = float(np.sum(np.abs(r) ** 2))
     s_b = float(np.sum(1.0 / (np.abs(b) ** 2 * phi**2)))
@@ -188,8 +180,7 @@ def avg_rate_decomposition(hw: SystemHardware, phi, rho_t: float, a0: float,
     tr_phi_inv2 = float(np.sum(1.0 / phi**2))
     r_ideal = math.log2((m - k) / tr_phi_inv2 * rho_t * a0 / noise_var)
 
-    g = zf_gain_vector(hw, rho_t)
-    sig2 = zf_distortion_vector(hw, rho_t)
+    g, sig2 = zf_bussgang(hw, rho_t)
     r = hw.bs_rx
     tr_rr = float(np.sum(np.abs(r) ** 2))
     tr_gr = complex(np.sum(g * np.conj(r)))
@@ -288,8 +279,8 @@ def estimate_sindr_mc(
     block = _block_draws(k, m)
     c_vec = np.ones(m, dtype=np.complex128) if c is None else np.asarray(c, np.complex128)
 
-    g_eff = zf_gain_vector(hw, rho_t, c=None if c is None else c_vec) * c_vec
-    sig2 = zf_distortion_vector(hw, rho_t, c=None if c is None else c_vec)
+    g, sig2 = zf_bussgang(hw, rho_t, c_vec)
+    g_eff = g * c_vec
     u2 = np.abs(hw.ue_rx) ** 2
 
     # moments of the deviations from the first draw: SI is a variance about

@@ -349,9 +349,8 @@ class TrueMismatch:
 
     def mu(self, antenna: int, sigma):
         sigma = np.asarray(sigma, dtype=np.float64)
-        hpa = self.hw.bs_hpas[antenna]
-        ratio = hpa.t / self.hw.bs_rx[antenna]
-        arg = hpa.a_sat / np.maximum(sigma, 1e-300)
+        ratio = self.hw.t[antenna] / self.hw.bs_rx[antenna]
+        arg = self.hw.a_sat[antenna] / np.maximum(sigma, 1e-300)
         return ratio * bussgang_mu(arg)
 
     def mu_abs(self, antenna: int, sigma):

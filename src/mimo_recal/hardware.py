@@ -1,19 +1,21 @@
-"""Per-antenna and per-UE RF chain models.
+"""RF-chain models: BS and UE gains held as arrays, and the BS amplifier.
 
-The transmit chains carry a smooth envelope-limiting amplifier (SSPA)
+The BS transmit chains carry a smooth envelope-limiting amplifier (SSPA)
 
     f(x) = sqrt(a0) * t * x / (1 + (|x|/A_sat)^(2v))^(1/(2v)),
 
 whose Bussgang decomposition for complex Gaussian input with rms sigma_x is
 g = t*mu(A_sat/sigma_x), sigma_d^2 = |t|^2 * lambda(A_sat, sigma_x).  The
 closed forms for mu/lambda are exact for smoothness v = 1 (the soft envelope
-limiter); ``sspa_apply`` supports any v for sample-level simulation.
+limiter); ``sspa_apply`` supports any v for sample-level simulation.  Both
+take one amplifier (``HpaModel``) or the whole BS (``SystemHardware``), whose
+per-antenna arrays broadcast over the antenna axis.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,13 +55,13 @@ class HpaModel:
 
 @dataclass(frozen=True)
 class BussgangPair:
-    """Linear scale g and distortion variance sigma_d^2 of one amplifier."""
+    """Linear scale g and distortion variance sigma_d^2, per amplifier."""
 
-    g: complex
-    sigma_d2: float
+    g: complex | np.ndarray
+    sigma_d2: float | np.ndarray
 
     def __post_init__(self):
-        if self.sigma_d2 < 0:
+        if np.any(self.sigma_d2 < 0):
             raise ValueError("sigma_d2 must be non-negative")
 
 
@@ -90,47 +92,36 @@ class HardwareMismatch:
 
 @dataclass(frozen=True)
 class SystemHardware:
-    """All drawn RF-chain gains for one realization."""
+    """All drawn RF-chain gains for one realization: per BS antenna the
+    transmit gain t, saturation level a_sat and receive gain r (length M),
+    per UE the transmit gain b and receive gain u (length K), and the BS
+    amplifiers' common small-signal power gain a0 and smoothness v."""
 
-    bs_hpas: list[HpaModel]
+    a0: float
+    t: np.ndarray
+    a_sat: np.ndarray
     bs_rx: np.ndarray  # r, length M
     ue_tx_gain: np.ndarray  # b_k = B_k(ue_pilot_amp), length K
     ue_rx: np.ndarray  # u, length K
-    ue_hpas: list[HpaModel] = field(default_factory=list)
+    v: float = SOFT_LIMITER_V
 
     def __post_init__(self):
-        if len(self.bs_rx) != len(self.bs_hpas):
-            raise ValueError("bs_rx and bs_hpas must have the same length")
+        if not len(self.t) == len(self.a_sat) == len(self.bs_rx):
+            raise ValueError("t, a_sat and bs_rx must have the same length")
         if len(self.ue_tx_gain) != len(self.ue_rx):
             raise ValueError("ue_tx_gain and ue_rx must have the same length")
-        if self.ue_hpas and len(self.ue_hpas) != len(self.ue_rx):
-            raise ValueError("ue_hpas length must match the UE count")
+        if not (self.a0 > 0 and np.all(np.asarray(self.a_sat) > 0) and self.v > 0):
+            raise ValueError("SystemHardware requires a0 > 0, a_sat > 0, v > 0")
         if np.any(self.bs_rx == 0):
             raise ValueError("receive chains must be live (no zero entries in r)")
 
     @property
     def m(self) -> int:
-        return len(self.bs_hpas)
+        return len(self.t)
 
     @property
     def k(self) -> int:
         return len(self.ue_rx)
-
-    @property
-    def a0(self) -> float:
-        return self.bs_hpas[0].a0
-
-    @property
-    def t(self) -> np.ndarray:
-        return np.array([h.t for h in self.bs_hpas])
-
-    @property
-    def a_sat(self) -> np.ndarray:
-        return np.array([h.a_sat for h in self.bs_hpas])
-
-    @property
-    def v(self) -> np.ndarray:
-        return np.array([h.v for h in self.bs_hpas])
 
     def sigma_x(self, rho_t: float) -> np.ndarray:
         """Per-antenna transmit rms under ZF, sigma_x,m = |r_m| sqrt(rho_t/tr{RR*})."""
@@ -147,7 +138,6 @@ def draw_system_hardware(
     v: float = SOFT_LIMITER_V,
     ue_pilot_amp: float = 0.1,
     a0: float = 10.0,
-    b0: float = 1.0,
     b_sat_base: float = 1.0,
 ) -> SystemHardware:
     """Draw one hardware realization: A_sat,m = a_sat_base * a_m with a_m
@@ -159,40 +149,35 @@ def draw_system_hardware(
     r = draw_complex_gain(rng, dists.r, size=m)
     u = draw_complex_gain(rng, dists.u, size=k)
     v_k = draw_complex_gain(rng, dists.v, size=k)
-
-    bs_hpas = [HpaModel(a0=a0, t=t[i], a_sat=a_sat_base * a_m[i], v=v) for i in range(m)]
-    ue_hpas = [HpaModel(a0=b0, t=v_k[i], a_sat=b_sat_base, v=v) for i in range(k)]
     # b_k = v_k / (1 + (amp/B_sat)^(2v))^(1/(2v)): UE SSPA gain at the pilot amplitude
     comp = (1.0 + (ue_pilot_amp / b_sat_base) ** (2 * v)) ** (1.0 / (2 * v))
-    b = v_k / comp
-    return SystemHardware(bs_hpas=bs_hpas, bs_rx=r, ue_tx_gain=b, ue_rx=u, ue_hpas=ue_hpas)
+    return SystemHardware(a0=a0, t=t, a_sat=a_sat_base * a_m, bs_rx=r, ue_tx_gain=v_k / comp,
+                          ue_rx=u, v=v)
 
 
 def sspa_apply(hpa: HpaModel | SystemHardware, x):
     """Sample-level SSPA transfer sqrt(a0)*t*x / (1 + (|x|/a_sat)^(2v))^(1/(2v)).
 
-    ``hpa`` is one amplifier, or the BS hardware: then t, a_sat and v are
+    ``hpa`` is one amplifier, or the BS hardware: then t and a_sat are
     per-antenna arrays that broadcast over the last (antenna) axis of ``x``.
     """
     x = np.asarray(x, dtype=np.complex128)
-    v = np.asarray(hpa.v, dtype=np.float64)
-    if np.all(v == v.flat[0]):
-        # a common order keeps numpy's scalar-exponent paths (square, sqrt),
-        # as a one-amplifier call takes them; an exponent array goes through
-        # pow, which can differ in the last bit
-        v = float(v.flat[0])
     mag = np.abs(x)
-    den = (1.0 + (mag / hpa.a_sat) ** (2.0 * v)) ** (1.0 / (2.0 * v))
+    den = (1.0 + (mag / hpa.a_sat) ** (2.0 * hpa.v)) ** (1.0 / (2.0 * hpa.v))
     out = math.sqrt(hpa.a0) * hpa.t * x / den
     return complex(out) if out.ndim == 0 else out
 
 
-def bussgang_decompose(hpa: HpaModel, sigma_x: float) -> BussgangPair:
-    """Bussgang pair of one amplifier at input rms sigma_x (a0 stays outside)."""
-    if sigma_x <= 0:
+def bussgang_decompose(hpa: HpaModel | SystemHardware, sigma_x) -> BussgangPair:
+    """Bussgang pair at input rms sigma_x (a0 stays outside).
+
+    ``hpa`` is one amplifier, or the BS hardware: then t, a_sat and a
+    per-antenna ``sigma_x`` broadcast over the antenna axis.
+    """
+    if np.any(np.asarray(sigma_x) <= 0):
         raise ValueError("sigma_x must be positive")
     g = hpa.t * bussgang_mu(hpa.a_sat / sigma_x)
-    sigma_d2 = abs(hpa.t) ** 2 * bussgang_lambda(hpa.a_sat, sigma_x)
+    sigma_d2 = np.abs(hpa.t) ** 2 * bussgang_lambda(hpa.a_sat, sigma_x)
     return BussgangPair(g=g, sigma_d2=sigma_d2)
 
 

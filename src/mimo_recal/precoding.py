@@ -123,9 +123,8 @@ def transmit_downlink(
     sigma_x = hw.sigma_x(rho_t)
     sqrt_a0 = math.sqrt(hw.a0)
     if mode == "surrogate":
-        pairs = [bussgang_decompose(hpa, sx) for hpa, sx in zip(hw.bs_hpas, sigma_x)]
-        g = np.array([p.g for p in pairs])
-        sd = np.sqrt([p.sigma_d2 for p in pairs])
+        pair = bussgang_decompose(hw, sigma_x)
+        g, sd = pair.g, np.sqrt(pair.sigma_d2)
     elif mode != "physical":
         raise ValueError(f"unknown mode {mode!r}")
 

@@ -22,7 +22,7 @@ from mimo_recal.calibration import (
     TrainingSet,
     psi_vector,
 )
-from mimo_recal.hardware import SystemHardware, bussgang_decompose, sspa_apply
+from mimo_recal.hardware import HpaModel, SystemHardware, bussgang_decompose, sspa_apply
 
 
 def soft_limiter(x, a_sat):
@@ -86,8 +86,11 @@ def slp_bisection_oracle(model, sigma_x, rho_t, c_max, outer=80, inner=100):
         for _ in range(inner):
             c = 0.5 * (lo + hi)
             below = phi_at(c) < mid
-            lo = np.where(below, c, lo)
-            hi = np.where(below, hi, c)
+            new_lo = np.where(below, c, lo)
+            new_hi = np.where(below, hi, c)
+            if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
+                break  # a fixed point: every later halving would repeat this one
+            lo, hi = new_lo, new_hi
         if float(np.sum((hi * sigma_x) ** 2)) > rho_t:
             hi_g = mid
         else:
@@ -209,7 +212,7 @@ def ref_simulate_ota_training(
     a0 = hw.a0
     records: list[TrainingRecord] = []
     for tx in range(m):
-        hpa = hw.bs_hpas[tx]
+        hpa = HpaModel(a0, hw.t[tx], hw.a_sat[tx], hw.v)
         for n in range(plan.n_levels):
             amp = plan.amplitude(tx, n)
             x = amp * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, size=q))

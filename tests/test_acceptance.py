@@ -40,6 +40,7 @@ def _line(num, name, ok, detail=""):
     return ok
 
 
+@pytest.mark.slow
 def test_criterion_1_closed_form_vs_monte_carlo():
     """Prop.-1 terms vs surrogate MC at M=64, K=8, IBO=10 dB, 5% per term."""
     m, k = 64, 8

@@ -84,9 +84,8 @@ class TestSindrClosed:
                                        ue_pilot_amp=1e-9)
         r = np.exp(1j * rng.uniform(-1, 1, 16)) * rng.lognormal(0, 0.2, 16)
         hw = mr.SystemHardware(
-            bs_hpas=[mr.HpaModel(a0=A0, t=(2.0 + 1.0j) * r[i], a_sat=1e9, v=1.0)
-                     for i in range(16)],
-            bs_rx=r, ue_tx_gain=base.ue_tx_gain, ue_rx=base.ue_rx, ue_hpas=base.ue_hpas)
+            a0=A0, t=(2.0 + 1.0j) * r, a_sat=np.full(16, 1e9),
+            bs_rx=r, ue_tx_gain=base.ue_tx_gain, ue_rx=base.ue_rx, v=1.0)
         b = mr.sindr_zf_closed(hw, np.ones(4), 1.0, A0, NOISE, k=0)
         assert b.si == pytest.approx(0.0, abs=1e-18 * b.es)
         assert b.mui == pytest.approx(0.0, abs=1e-18 * b.es)
@@ -95,10 +94,9 @@ class TestSindrClosed:
         hw = _draw(32, 4, 10.0, 1.0, default_mismatch, 2)
         base = mr.sindr_zf_closed_all(hw, np.ones(4), 1.0, A0, NOISE)
         rot = mr.SystemHardware(
-            bs_hpas=[mr.HpaModel(a0=h.a0, t=h.t * np.exp(0.8j), a_sat=h.a_sat, v=h.v)
-                     for h in hw.bs_hpas],
+            a0=hw.a0, t=hw.t * np.exp(0.8j), a_sat=hw.a_sat,
             bs_rx=hw.bs_rx * np.exp(-0.3j), ue_tx_gain=hw.ue_tx_gain,
-            ue_rx=hw.ue_rx, ue_hpas=hw.ue_hpas)
+            ue_rx=hw.ue_rx, v=hw.v)
         rotated = mr.sindr_zf_closed_all(rot, np.ones(4), 1.0, A0, NOISE)
         for a, b in zip(base, rotated):
             assert b.sindr == pytest.approx(a.sindr, rel=1e-10)

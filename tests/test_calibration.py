@@ -125,9 +125,9 @@ class TestSimulateOta:
                 if i == m:
                     continue
                 for n in range(plan.n_levels):
-                    g_m = mr.bussgang_decompose(hw.bs_hpas[m], plan.amplitude(m, n)).g
+                    g_m = mr.bussgang_decompose(hw, plan.amplitude(m, n)).g[m]
                     ratio = recs.y[m, i, n] / (g_m * recs.x[m, n])
-                    g_i = mr.bussgang_decompose(hw.bs_hpas[i], plan.amplitude(i, n)).g
+                    g_i = mr.bussgang_decompose(hw, plan.amplitude(i, n)).g[i]
                     ratio_sym = recs.y[i, m, n] / (g_i * recs.x[i, n])
                     # y_{m,i}/(g_m x_m) = a0 r_i w_{mi}; the symmetric pair shares w
                     assert np.allclose(ratio / hw.bs_rx[i], ratio_sym / hw.bs_rx[m],
@@ -362,7 +362,7 @@ class TestLinearCalibration:
         recs = mr.simulate_ota_training(hw, plan, omega, 0.0, "surrogate",
                                         np.random.default_rng(4))
         c = mr.linear_calibration(recs, c0=1.0)
-        g = [mr.bussgang_decompose(hw.bs_hpas[m], plan.amplitude(m, 0)).g
+        g = [mr.bussgang_decompose(hw, plan.amplitude(m, 0)).g[m]
              for m in range(2)]
         f_ratio = (g[1] / hw.bs_rx[1]) / (g[0] / hw.bs_rx[0])
         assert c[0] / c[1] == pytest.approx(f_ratio, rel=1e-10)
@@ -558,6 +558,6 @@ class TestCalibrate:
                                         np.random.default_rng(37))
         shapes = measured_level_shapes(recs, plan)
         for m in range(6):
-            g = np.array([mr.bussgang_decompose(hw.bs_hpas[m], plan.amplitude(m, n)).g
+            g = np.array([mr.bussgang_decompose(hw, plan.amplitude(m, n)).g[m]
                           for n in range(6)])
             assert np.allclose(shapes[m], g / g[-1], rtol=1e-9)

@@ -218,6 +218,19 @@ class TestTransmitDownlink:
             list(mr.transmit_downlink(prec, hw, ch, 1.0, 4, "bogus", 0.0,
                                       np.random.default_rng(0)))
 
+    def test_surrogate_one_bussgang_call(self, default_mismatch, monkeypatch):
+        # the Bussgang pairs of all M antennas come from one vector call
+        from mimo_recal import hardware
+
+        hw, phi, ch = _system(16, 4, default_mismatch, 1.0, 17)
+        prec = mr.zf_precoder(mr.uplink_channel(ch, hw), mr.beta_zf_closed(hw, phi))
+        mu = hardware.bussgang_mu
+        shapes = []
+        monkeypatch.setattr(hardware, "bussgang_mu", lambda x: shapes.append(np.shape(x)) or mu(x))
+        list(mr.transmit_downlink(prec, hw, ch, 1.0, 8, "surrogate", 0.0,
+                                  np.random.default_rng(18)))
+        assert shapes == [(16,)]
+
 
 class TestApplyCalibration:
     def test_unit_vector_identity(self, default_mismatch):
