@@ -205,10 +205,12 @@ def effective_channels(
 ) -> np.ndarray:
     """Effective downlink channels U H G W for a batch of channel draws.
 
-    h is (B, K, M); r, g are (M,); b, u are (K,).  W is the zero-forcing
-    precoder built from H_UL = R H^T B with normalisation 1/sqrt(beta).
-    Returns (B, K, K).  A rank-deficient draw raises LinAlgError as in
-    ``zf_apply``, named draw ``first + i`` of ``total`` (or of B).
+    h is (B, K, M); r is (M,) and g is (M,) or a (C, M) stack of gain
+    vectors; b, u are (K,).  W is the zero-forcing precoder built from H_UL =
+    R H^T B with normalisation 1/sqrt(beta).  Returns (B, K, K), or (C, B, K,
+    K) for a stack, from one Gram matrix per draw.  A rank-deficient draw
+    raises LinAlgError as in ``zf_apply``, named draw ``first + i`` of
+    ``total`` (or of B).
 
     With P = H diag(g r^*) H^H and Q = H diag(|r|^2) H^H, the uplink Gram
     matrix is B Q B^* and H G H_UL^* = P B^*, so U H G W = U P Q^{-1} B^{-1}
@@ -216,13 +218,23 @@ def effective_channels(
     and H G never are.
     """
     n, k, m = h.shape
-    weights = np.stack([np.abs(r) ** 2, np.conj(g) * r])
-    # conj(H) diag(w) H^T for both weights in one product: [Q^T; conj P]
-    stacked = (np.conj(h)[:, None] * weights[:, None, :]).reshape(n, 2 * k, m)
-    qp = (stacked @ np.swapaxes(h, -1, -2)).reshape(n, 2, k, k)
+    g = np.asarray(g)
+    gs = g.reshape(-1, m)
+    c = gs.shape[0]
+    weights = np.concatenate([(np.abs(r) ** 2)[None], np.conj(gs) * r])
+    # conj(H) diag(w) H^T for every weight in one product: [Q^T; conj P_1; ...],
+    # with conj(H) written straight into its 1 + C copies
+    stacked = np.conjugate(np.broadcast_to(h[:, None], (n, 1 + c, k, m)))
+    stacked *= weights[:, None, :]
+    qp = (stacked.reshape(n, (1 + c) * k, m) @ np.swapaxes(h, -1, -2)).reshape(n, 1 + c, k, k)
+    del stacked  # the largest array here; the solve below needs only K x K ones
     # equilibrated, B Q B^* and Q differ by a unit-modulus diagonal
     # similarity, so Q's cond is the uplink Gram matrix's
     gram, s = _full_rank_gram(qp[:, 0], first, total)
-    # (P Q^{-1})^T = (Q^T)^{-1} P^T = S E^{-1} S P^T with E = S Q^T S
-    x = np.linalg.solve(gram, s[..., :, None] * np.conj(np.swapaxes(qp[:, 1], -1, -2)))
-    return u[:, None] * np.swapaxes(s[..., :, None] * x, -1, -2) / (b * math.sqrt(beta))
+    # (P Q^{-1})^T = (Q^T)^{-1} P^T = S E^{-1} S P^T with E = S Q^T S, for
+    # every P_i at once: the right-hand sides are [S P_1^T, ..., S P_C^T]
+    rhs = np.conj(np.swapaxes(qp[:, 1:], -1, -2)).transpose(0, 2, 1, 3).reshape(n, k, c * k)
+    x = np.linalg.solve(gram, s[..., :, None] * rhs).reshape(n, k, c, k)
+    out = s[:, :, None, None] * x  # (B, K_i, C, K_j)
+    out = u[:, None] * out.transpose(2, 0, 3, 1) / (b * math.sqrt(beta))
+    return out.reshape(g.shape[:-1] + (n, k, k))

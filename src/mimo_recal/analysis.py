@@ -23,9 +23,12 @@ from .precoding import beta_zf_closed
 _BLOCK_ENTRIES = 1 << 16
 
 
-def _block_draws(k: int, m: int) -> int:
-    """Channel draws of K x M entries in one surrogate Monte-Carlo block."""
-    return max(1, _BLOCK_ENTRIES // (k * m))
+def _block_draws(k: int, m: int, rows: int = 1) -> int:
+    """Channel draws in one surrogate Monte-Carlo block that scores ``rows``
+    calibration vectors.  The stacked product of ``effective_channels``
+    takes (1 + rows) K x M complex entries per draw, and a block holds
+    2 ``_BLOCK_ENTRIES`` of them whatever ``rows`` is."""
+    return max(1, 2 * _BLOCK_ENTRIES // ((1 + rows) * k * m))
 
 __all__ = [
     "SindrBreakdown",
@@ -246,7 +249,7 @@ def estimate_sindr_mc(
     rng: np.random.Generator,
     c=None,
     batch: int = 512,
-) -> list[SindrBreakdown]:
+) -> list:
     """Monte-Carlo SINDR per UE with hardware held fixed.
 
     Surrogate mode forms the exact effective channels H_eq = U H G W per
@@ -255,14 +258,22 @@ def estimate_sindr_mc(
     ``n_symbols`` Gaussian symbols per draw through the sample-level SSPAs and
     estimates the effective channel by least squares, so the distortion power
     is measured rather than taken from the Bussgang pair; it needs
-    ``n_symbols`` > K, so that the fit leaves a residual.  ``c`` applies a
-    calibration vector diag(c) to the precoder.
+    ``n_symbols`` > K, so that the fit leaves a residual.
+
+    ``c`` applies a calibration vector diag(c) to the precoder.  It is None
+    (no calibration), one (M,) vector, or a (C, M) stack; a stack scores
+    every row on the same channel draws (and, in physical mode, the same
+    symbols) and returns one list of ``SindrBreakdown`` per row, in row
+    order.  One vector is the C = 1 case and consumes the generator as a
+    one-row stack does.  Each row's Bussgang pair comes from its own
+    ``zf_bussgang`` call, so rows do not perturb each other.
 
     Channels are drawn ``batch`` draws per generator call.  Surrogate mode
-    then works through each batch in blocks of about 1 MiB of channel
-    entries, so no complex (batch, K, M) array is allocated beside the draw.
-    Raises ValueError for ``n_channels`` or ``batch`` < 1 and LinAlgError for
-    a rank-deficient channel draw.
+    then works through each batch in blocks sized by ``_block_draws``, so
+    no complex (batch, K, M) array is allocated beside the draw, and forms
+    one uplink Gram matrix per draw for all rows.  Raises ValueError for
+    ``n_channels`` or ``batch`` < 1 or a ``c`` that is not (M,) or (C, M)
+    with C >= 1, and LinAlgError for a rank-deficient channel draw.
     """
     if mode not in ("surrogate", "physical"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -273,72 +284,87 @@ def estimate_sindr_mc(
     if mode == "physical" and n_symbols <= k:
         raise ValueError(f"physical mode needs n_symbols > K = {k} for a least-squares "
                          f"fit with a residual, got {n_symbols}")
+    c_arr = np.ones(m, dtype=np.complex128) if c is None else np.asarray(c, np.complex128)
+    if c_arr.ndim not in (1, 2) or c_arr.shape[-1] != m or c_arr.size == 0:
+        raise ValueError(f"c must be (M,) or (C, M) with M = {m} and C >= 1, "
+                         f"got shape {c_arr.shape}")
+    c_rows = c_arr.reshape(-1, m)
+    n_c = c_rows.shape[0]
     phi = np.asarray(phi, dtype=np.float64)
     beta = beta_zf_closed(hw, phi)
     row_scale = np.sqrt(phi**2)[:, None]
-    block = _block_draws(k, m)
-    c_vec = np.ones(m, dtype=np.complex128) if c is None else np.asarray(c, np.complex128)
+    block = _block_draws(k, m, n_c)
 
-    g, sig2 = zf_bussgang(hw, rho_t, c_vec)
-    g_eff = g * c_vec
+    # one zf_bussgang call per row: lambda of one element depends on the
+    # other elements of its call
+    pairs = [zf_bussgang(hw, rho_t, row) for row in c_rows]
+    g_eff = np.stack([g * row for (g, _), row in zip(pairs, c_rows)])
     u2 = np.abs(hw.ue_rx) ** 2
 
     # moments of the deviations from the first draw: SI is a variance about
     # 800x below ES at M=256, K=20, and raw sums would amplify their rounding
     # by that factor
     shift = None
-    sum_d = np.zeros((k, k), dtype=np.complex128)
-    sum_d2 = np.zeros((k, k), dtype=np.float64)
-    sum_nld = np.zeros(k, dtype=np.float64)
-    sum_resid = np.zeros(k, dtype=np.float64)
+    sum_d = np.zeros((n_c, k, k), dtype=np.complex128)
+    sum_d2 = np.zeros((n_c, k, k), dtype=np.float64)
+    sum_nld = np.zeros((n_c, k), dtype=np.float64)
+    sum_resid = np.zeros((n_c, k), dtype=np.float64)
     done = 0
     while done < n_channels:
         nb = min(batch, n_channels - done)
         z = rng.standard_normal((2, nb, k, m))
-        h_eq = np.empty((nb, k, k), dtype=np.complex128)
+        h_eq = np.empty((n_c, nb, k, k), dtype=np.complex128)
         if mode == "surrogate":
             # channels, effective channels and the NLD term are built one
             # cache-sized block of draws at a time
             for lo in range(0, nb, block):
                 h = _channels(z[:, lo:lo + block], row_scale)
-                h_eq[lo:lo + block] = _kernels.effective_channels(
+                h_eq[:, lo:lo + block] = _kernels.effective_channels(
                     h, hw.bs_rx, hw.ue_tx_gain, hw.ue_rx, g_eff, beta, done + lo, n_channels)
-                # NLD: a0 |u_k|^2 sum_m |h_km|^2 sigma_d,m^2 per draw
-                sum_nld += u2 * np.einsum("bkm,m->k", np.abs(h) ** 2, sig2)
+                # NLD: a0 |u_k|^2 sum_m |h_km|^2 sigma_d,m^2 per draw; the
+                # block's arrays go before the next block's are made
+                h2 = np.abs(h) ** 2
+                del h
+                for i, (_, sig2) in enumerate(pairs):
+                    sum_nld[i] += u2 * np.einsum("bkm,m->k", h2, sig2)
+                del h2
             del z
         else:
             h = _channels(z, row_scale)
             del z
             for t in range(nb):
-                h_eq[t], resid = _physical_heq(hw, h[t], beta, rho_t, n_symbols, c_vec, rng,
-                                               done + t, n_channels)
+                h_eq[:, t], resid = _physical_heq(hw, h[t], beta, rho_t, n_symbols, c_rows,
+                                                  rng, done + t, n_channels)
                 sum_resid += resid
         if shift is None:
-            shift = h_eq[0].copy()
+            shift = h_eq[:, 0].copy()
         # summed over the whole batch, so the order of additions does not
         # depend on the block length
-        dev = h_eq - shift
-        sum_d += dev.sum(axis=0)
-        sum_d2 += (np.abs(dev) ** 2).sum(axis=0)
+        h_eq -= shift[:, None]
+        sum_d += h_eq.sum(axis=1)
+        sum_d2 += (np.abs(h_eq) ** 2).sum(axis=1)
         done += nb
 
     mean_d = sum_d / n_channels
     var_h = np.maximum(sum_d2 / n_channels - np.abs(mean_d) ** 2, 0.0)
     mean_h = shift + mean_d
     mean_h2 = var_h + np.abs(mean_h) ** 2
+    if mode == "surrogate":
+        nld = a0 * sum_nld / n_channels
+    else:
+        # symbols were streamed noiselessly, so the LS residual is the
+        # distortion power alone (noise enters analytically below)
+        nld = sum_resid / n_channels
     out = []
-    for i in range(k):
-        es = a0 * rho_t * abs(mean_h[i, i]) ** 2
-        si = a0 * rho_t * float(var_h[i, i])
-        mui = a0 * rho_t * float(mean_h2[i].sum() - mean_h2[i, i])
-        if mode == "surrogate":
-            nld = a0 * sum_nld[i] / n_channels
-        else:
-            # symbols were streamed noiselessly, so the LS residual is the
-            # distortion power alone (noise enters analytically below)
-            nld = sum_resid[i] / n_channels
-        out.append(SindrBreakdown.from_terms(es, si, mui, nld, noise_var))
-    return out
+    for j in range(n_c):
+        terms = []
+        for i in range(k):
+            es = a0 * rho_t * abs(mean_h[j, i, i]) ** 2
+            si = a0 * rho_t * float(var_h[j, i, i])
+            mui = a0 * rho_t * float(mean_h2[j, i].sum() - mean_h2[j, i, i])
+            terms.append(SindrBreakdown.from_terms(es, si, mui, nld[j, i], noise_var))
+        out.append(terms)
+    return out if c_arr.ndim == 2 else out[0]
 
 
 def _channels(z, row_scale):
@@ -353,22 +379,28 @@ def _channels(z, row_scale):
     return h
 
 
-def _physical_heq(hw, h, beta, rho_t, n_symbols, c_vec, rng, draw, n_draws):
-    """LS estimate of the effective channel and residual power for one draw,
-    number ``draw`` of ``n_draws``."""
+def _physical_heq(hw, h, beta, rho_t, n_symbols, c_rows, rng, draw, n_draws):
+    """LS estimates of the effective channel, (C, K, K), and residual powers,
+    (C, K), for one draw, number ``draw`` of ``n_draws``: one precoder and
+    one symbol block, then one SSPA pass and fit per calibration row."""
     # W per draw, not per batch: a batch of M x K precoders and its
     # temporaries outweigh the per-draw symbol buffers and raise peak memory
-    w = c_vec[:, None] * _kernels.zf_apply(_kernels.uplink(h, hw.bs_rx, hw.ue_tx_gain)[None],
-                                           beta, first=draw, total=n_draws)[0]
+    w = _kernels.zf_apply(_kernels.uplink(h, hw.bs_rx, hw.ue_tx_gain)[None], beta,
+                          first=draw, total=n_draws)[0]
     k = hw.k
     s = math.sqrt(rho_t / 2.0) * (
         rng.standard_normal((n_symbols, k)) + 1j * rng.standard_normal((n_symbols, k))
     )
-    x_hat = sspa_apply(hw, s @ w.T)
-    y = x_hat @ (hw.ue_rx[:, None] * h).T  # noiseless; noise handled analytically
-    h_eq, *_ = np.linalg.lstsq(s, y, rcond=None)
-    resid = y - s @ h_eq
-    # sspa_apply already carries sqrt(a0); strip it from the channel estimate
-    # so the moments match the a0-factored closed-form terms, and report the
-    # residual as received distortion power (a0 included)
-    return h_eq.T / math.sqrt(hw.a0), np.mean(np.abs(resid) ** 2, axis=0)
+    uh_t = (hw.ue_rx[:, None] * h).T
+    h_eq = np.empty((len(c_rows), k, k), dtype=np.complex128)
+    resid = np.empty((len(c_rows), k), dtype=np.float64)
+    for j, c_vec in enumerate(c_rows):
+        x_hat = sspa_apply(hw, s @ (c_vec[:, None] * w).T)
+        y = x_hat @ uh_t  # noiseless; noise handled analytically
+        fit, *_ = np.linalg.lstsq(s, y, rcond=None)
+        # sspa_apply already carries sqrt(a0); strip it from the channel
+        # estimate so the moments match the a0-factored closed-form terms,
+        # and report the residual as received distortion power (a0 included)
+        h_eq[j] = fit.T / math.sqrt(hw.a0)
+        resid[j] = np.mean(np.abs(y - s @ fit) ** 2, axis=0)
+    return h_eq, resid

@@ -256,13 +256,6 @@ def _calibration_point(cfg: ExperimentConfig, sweep_value, seed_seq) -> list[dic
         sigma_x = hw.sigma_x(p["rho_t"])
         c_max = plan.sigma_max / sigma_x
 
-        def mc_rate(c):
-            return _mean_rate(estimate_sindr_mc(
-                hw, phi, p["rho_t"], p["a0"], p["noise_var"], cfg.n_channels,
-                cfg.n_symbols, cfg.mode, rng, c=c))
-
-        rates["none"].append(mc_rate(None))
-
         # one training set per hardware draw, shared by linear_rc and poly_nrc
         training = simulate_ota_training(hw, plan, omega, p["train_noise_var"], cfg.mode, rng)
         # conventional single-power calibration uses the pilot level closest
@@ -270,20 +263,26 @@ def _calibration_point(cfg: ExperimentConfig, sweep_value, seed_seq) -> list[dic
         op_amp = float(np.mean(sigma_x))
         level = int(np.argmin([abs(plan.amplitude(0, n) - op_amp) for n in range(plan.n_levels)]))
         c_lin = linear_calibration(training.level(level), p["cal_c0"])
-        rates["linear_rc"].append(mc_rate(_scale_to_power(c_lin, sigma_x, p["rho_t"], c_max)))
-
-        if cfg.scenario == "cal_rate_vs_order" and order == 0:
-            # order 0 is the conventional single-power calibration
-            rates["poly_nrc"].append(rates["linear_rc"][-1])
-        else:
-            res = calibrate(hw, plan, training, order, p["rho_t"], strict=False)
-            rates["poly_nrc"].append(mc_rate(res.c))
+        stack = {"none": np.ones(cfg.m, dtype=np.complex128),
+                 "linear_rc": _scale_to_power(c_lin, sigma_x, p["rho_t"], c_max)}
+        # order 0 is the conventional single-power calibration
+        if not (cfg.scenario == "cal_rate_vs_order" and order == 0):
+            stack["poly_nrc"] = calibrate(hw, plan, training, order, p["rho_t"],
+                                          strict=False).c
 
         true_model = TrueMismatch(hw)
         res_p = slp_solve(true_model, sigma_x, p["rho_t"], c_max, strict=False)
         amps = np.abs(res_p.c)
-        c_perf = amps * np.exp(1j * calibration_phases(true_model, amps, sigma_x))
-        rates["perfect_nrc"].append(mc_rate(c_perf))
+        stack["perfect_nrc"] = amps * np.exp(1j * calibration_phases(true_model, amps, sigma_x))
+
+        # every method is scored on the same channel draws
+        scored = estimate_sindr_mc(hw, phi, p["rho_t"], p["a0"], p["noise_var"],
+                                   cfg.n_channels, cfg.n_symbols, cfg.mode, rng,
+                                   c=np.stack(list(stack.values())))
+        for name, breakdowns in zip(stack, scored):
+            rates[name].append(_mean_rate(breakdowns))
+        if "poly_nrc" not in stack:
+            rates["poly_nrc"].append(rates["linear_rc"][-1])
 
     return [_row(cfg, sweep_value, name, vals) for name, vals in rates.items()]
 
@@ -409,13 +408,23 @@ def selftest() -> int:
     # identity hardware over three blocks of surrogate draws: entries within
     # 1e-10 of I/sqrt(beta) put ES = a0 rho |mean H_kk|^2 within 2e-10 of
     # a0 rho/beta and MUI below 1e-18 of it; SI is a difference of two
-    # ES-sized sums, so it is held only to 1e-12
+    # ES-sized sums, so it is held only to 1e-12.  A common phase e^{j pi/3}
+    # on every antenna rotates H_eq and must leave the terms alone.
     beta = beta_zf_closed(ideal, np.ones(8))
     n_draws = 2 * _block_draws(8, 64) + 1
+
+    def identity_ok(terms):
+        return all(abs(b.es * beta - 1.0) <= 2e-10 and b.mui * beta <= 1e-18
+                   and b.si * beta <= 1e-12 for b in terms)
+
     mc = estimate_sindr_mc(ideal, np.ones(8), 1.0, 1.0, 1.0, n_draws, 1, "surrogate", rng)
     check("identity-hardware H_eq over 3 blocks equals I/sqrt(beta) within 1e-10",
-          all(abs(b.es * beta - 1.0) <= 2e-10 and b.mui * beta <= 1e-18
-              and b.si * beta <= 1e-12 for b in mc))
+          identity_ok(mc))
+    c_stack = np.stack([np.ones(64), np.full(64, np.exp(1j * math.pi / 3))])
+    mc = estimate_sindr_mc(ideal, np.ones(8), 1.0, 1.0, 1.0, n_draws, 1, "surrogate", rng,
+                           c=c_stack)
+    check("identity-hardware stack [1, e^{j pi/3}] meets the same bounds in both rows",
+          all(identity_ok(row) for row in mc))
 
     model = TrueMismatch(hw)
     sigma_x = hw.sigma_x(1.0)

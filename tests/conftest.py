@@ -91,10 +91,10 @@ def slp_bisection_oracle(model, sigma_x, rho_t, c_max, outer=80, inner=100):
             if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
                 break  # a fixed point: every later halving would repeat this one
             lo, hi = new_lo, new_hi
-        if float(np.sum((hi * sigma_x) ** 2)) > rho_t:
-            hi_g = mid
-        else:
-            lo_g = mid
+        step = (lo_g, mid) if float(np.sum((hi * sigma_x) ** 2)) > rho_t else (mid, hi_g)
+        if step == (lo_g, hi_g):
+            break  # mid rounds to an end: every later halving would repeat this one
+        lo_g, hi_g = step
     return lo_g
 
 

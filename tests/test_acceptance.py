@@ -289,7 +289,6 @@ def test_criterion_6_polynomial_estimation():
     assert chain_ok
 
 
-@pytest.mark.slow
 def test_criterion_7_slp_optimizer():
     """SLP vs bisection on 100 instances; monotone progress; constraints."""
     worst = 0.0

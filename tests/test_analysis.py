@@ -353,7 +353,8 @@ class TestEstimateSindrMc:
         monkeypatch.setattr(analysis, "_BLOCK_ENTRIES", block_entries)
         out = mr.estimate_sindr_mc(hw, np.ones(k), 1.0, A0, NOISE, n, 1, "surrogate",
                                    np.random.default_rng(10))
-        h_kk = np.diagonal(np.concatenate(seen), axis1=1, axis2=2)
+        # the kernel gets a one-row stack of gain vectors: (1, draws, K, K)
+        h_kk = np.diagonal(np.concatenate(seen, axis=1)[0], axis1=1, axis2=2)
         two_pass = A0 * np.mean(np.abs(h_kk - h_kk.mean(axis=0)) ** 2, axis=0)
         si = np.array([b.si for b in out])
         assert np.max(np.abs(si / two_pass - 1.0)) <= 1e-13
@@ -388,3 +389,69 @@ class TestEstimateSindrMc:
         with pytest.raises(ValueError, match="n_symbols"):
             mr.estimate_sindr_mc(hw, np.ones(4), 1.0, A0, NOISE, 10, n_symbols, "physical",
                                  np.random.default_rng(0))
+
+
+class TestEstimateSindrMcStack:
+    """A (C, M) stack of calibration vectors scored on one set of draws."""
+
+    @staticmethod
+    def _setup(default_mismatch, seed=11):
+        rng = np.random.default_rng(seed)
+        m, k = 16, 3
+        hw = _draw(m, k, 8.0, 1.0, default_mismatch, seed)
+        phi = mr.draw_ue_pathloss(rng, k, mr.CellGeometry())
+        c = np.stack([np.ones(m)] + [rng.lognormal(0.0, 0.3, m)
+                                     * np.exp(1j * rng.uniform(-0.5, 0.5, m))
+                                     for _ in range(2)])
+        return hw, phi, c
+
+    @pytest.mark.parametrize("mode, n_channels, batch", [("surrogate", 37, 10),
+                                                          ("physical", 7, 3)])
+    def test_rows_match_single_calls(self, default_mismatch, monkeypatch, mode, n_channels,
+                                     batch):
+        # blocks of 3 draws for one vector and 1 for the three-row stack, so
+        # the stack crosses 37 block and 4 batch boundaries
+        monkeypatch.setattr(analysis, "_BLOCK_ENTRIES", 3 * 3 * 16)
+        hw, phi, c = self._setup(default_mismatch)
+
+        def run(cc):
+            return mr.estimate_sindr_mc(hw, phi, 1.0, A0, NOISE, n_channels, 24, mode,
+                                        np.random.default_rng(12), c=cc, batch=batch)
+
+        stacked = run(c)
+        assert len(stacked) == len(c)
+        for row, got in zip(c, stacked):
+            want = run(row)
+            assert len(got) == len(want) == hw.k
+            for g, w in zip(got, want):
+                assert (g.es, g.si, g.mui) == (w.es, w.si, w.mui)
+                # the NLD einsum is summed per block, and the block length
+                # follows the number of rows
+                assert g.nld == pytest.approx(w.nld, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("mode", ["surrogate", "physical"])
+    def test_one_row_stack_is_the_vector_call(self, default_mismatch, mode):
+        hw, phi, c = self._setup(default_mismatch)
+
+        def run(cc):
+            return mr.estimate_sindr_mc(hw, phi, 1.0, A0, NOISE, 9, 24, mode,
+                                        np.random.default_rng(13), c=cc, batch=4)
+
+        (stacked,) = run(c[1:2])
+        assert stacked == run(c[1])
+        (ones,) = run(np.ones((1, hw.m)))
+        assert ones == run(None)
+
+    @pytest.mark.parametrize("shape", [(15,), (2, 17), (1, 2, 16), (0, 16)])
+    def test_bad_calibration_shape_rejected(self, default_mismatch, shape):
+        hw, phi, _ = self._setup(default_mismatch)
+        with pytest.raises(ValueError, match="c must be"):
+            mr.estimate_sindr_mc(hw, phi, 1.0, A0, NOISE, 4, 24, "surrogate",
+                                 np.random.default_rng(0), c=np.ones(shape))
+
+    @pytest.mark.parametrize("mode", ["surrogate", "physical"])
+    def test_rank_deficient_draw_raises_for_a_stack(self, default_mismatch, mode):
+        hw, _, c = self._setup(default_mismatch)
+        with pytest.raises(np.linalg.LinAlgError, match="draw 1 of 4"):
+            mr.estimate_sindr_mc(hw, np.ones(3), 1.0, A0, NOISE, 4, 32, mode,
+                                 _EqualRowsRng(6), c=c)

@@ -193,6 +193,67 @@ class TestScenarios:
             assert any(np.array_equal(single.y, full.level(n).y)
                        for n in range(full.x.shape[1]))
 
+    def test_one_monte_carlo_call_per_hardware_draw(self, tmp_path, monkeypatch):
+        # the four methods of one hardware draw are scored on the same
+        # channel draws: one estimate_sindr_mc call with a (4, M) stack
+        seen = {"estimate": [], "linear": [], "calibrate": [], "slp": []}
+        estimate, linear, calibrate, slp = (cli.estimate_sindr_mc, cli.linear_calibration,
+                                            cli.calibrate, cli.slp_solve)
+
+        def spy_estimate(*args, c=None, **kwargs):
+            seen["estimate"].append(np.array(c))
+            return estimate(*args, c=c, **kwargs)
+
+        def spy_linear(*args, **kwargs):
+            seen["linear"].append(linear(*args, **kwargs))
+            return seen["linear"][-1]
+
+        def spy_calibrate(*args, **kwargs):
+            seen["calibrate"].append(calibrate(*args, **kwargs))
+            return seen["calibrate"][-1]
+
+        def spy_slp(*args, **kwargs):
+            seen["slp"].append(slp(*args, **kwargs))
+            return seen["slp"][-1]
+
+        monkeypatch.setattr(cli, "estimate_sindr_mc", spy_estimate)
+        monkeypatch.setattr(cli, "slp_solve", spy_slp)
+        monkeypatch.setattr(cli, "linear_calibration", spy_linear)
+        monkeypatch.setattr(cli, "calibrate", spy_calibrate)
+        n_hardware, m = 3, 8
+        path, _ = _write_config(
+            tmp_path, scenario="cal_rate_vs_snr",
+            sweep={"param": "snr_db", "values": [15.0]}, m=m, k=2,
+            mc={"n_hardware": n_hardware, "n_channels": 20, "n_symbols": 8},
+            params={"ibo_db": 10.0, "order": 3, "n_levels": 5})
+        table = cli.run_scenario(cli.load_config(str(path)))
+
+        assert [r["method"] for r in table] == ["none", "linear_rc", "poly_nrc", "perfect_nrc"]
+        assert len(seen["estimate"]) == n_hardware
+        for c, c_lin, res, res_p in zip(seen["estimate"], seen["linear"], seen["calibrate"],
+                                        seen["slp"]):
+            assert c.shape == (4, m)
+            assert np.array_equal(c[0], np.ones(m))
+            # linear_rc is c_lin rescaled to the power budget: same phases
+            assert np.allclose(np.angle(c[1] / c_lin), 0.0, atol=1e-12)
+            assert np.array_equal(c[2], res.c)
+            # perfect_nrc takes the SLP amplitudes with calibration phases
+            assert np.allclose(np.abs(c[3]), np.abs(res_p.c), rtol=1e-14, atol=0.0)
+
+    def test_physical_calibration_reruns_identical(self, tmp_path):
+        path, _ = _write_config(
+            tmp_path, scenario="cal_rate_vs_snr", mode="physical",
+            sweep={"param": "snr_db", "values": [15.0]}, m=8, k=2,
+            mc={"n_hardware": 2, "n_channels": 6, "n_symbols": 16},
+            params={"ibo_db": 10.0, "order": 3, "n_levels": 5})
+        cfg = cli.load_config(str(path))
+        out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
+        cli.emit_csv(cli.run_scenario(cfg), str(out1))
+        cli.emit_csv(cli.run_scenario(cfg), str(out2))
+        assert out1.read_bytes() == out2.read_bytes()
+        assert [line.split(",")[3] for line in out1.read_text().splitlines()[1:]] == [
+            "none", "linear_rc", "poly_nrc", "perfect_nrc"]
+
     def test_order_zero_reduces_to_linear(self, tmp_path):
         path, _ = _write_config(
             tmp_path, scenario="cal_rate_vs_order",

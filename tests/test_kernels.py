@@ -108,3 +108,18 @@ def test_zf_core_ignores_column_scale():
     w = _kernels.zf_apply(h_ul, 2.0)
     w_scaled = _kernels.zf_apply(h_ul * d, 2.0)
     assert np.max(np.abs(w_scaled * d - w)) <= 1e-12 * np.max(np.abs(w))
+
+
+def test_effective_channels_stack_matches_rows():
+    # a (C, M) stack of gain vectors shares one Gram matrix per draw and
+    # gives each row's channels as a call with that row alone
+    rng = np.random.default_rng(8)
+    hw = mr.draw_system_hardware(rng, 20, 4, mr.HardwareMismatch.uniform(0.05, np.pi / 6), 1.0)
+    h = rng.standard_normal((5, 4, 20)) + 1j * rng.standard_normal((5, 4, 20))
+    g = rng.lognormal(0.0, 0.2, (3, 20)) * np.exp(1j * rng.uniform(-0.5, 0.5, (3, 20)))
+    args = (hw.bs_rx, hw.ue_tx_gain, hw.ue_rx)
+    h_eq = _kernels.effective_channels(h, *args, g, 0.7)
+    assert h_eq.shape == (3, 5, 4, 4)
+    for row, got in zip(g, h_eq):
+        want = _kernels.effective_channels(h, *args, row, 0.7)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
