@@ -30,6 +30,14 @@ def _block_draws(k: int, m: int, rows: int = 1) -> int:
     2 ``_BLOCK_ENTRIES`` of them whatever ``rows`` is."""
     return max(1, 2 * _BLOCK_ENTRIES // ((1 + rows) * k * m))
 
+
+def _precoder_draws(k: int, m: int) -> int:
+    """Channel draws per ``zf_apply`` call in physical mode: 16 at M=64,
+    K=8.  ``zf_apply`` holds about five M x K complex arrays per draw; the
+    block is sized for eight, within one ``_BLOCK_ENTRIES``, because a
+    longer block saves little time and raises peak memory."""
+    return max(1, _BLOCK_ENTRIES // (8 * k * m))
+
 __all__ = [
     "SindrBreakdown",
     "RateDecomposition",
@@ -271,7 +279,11 @@ def estimate_sindr_mc(
     Channels are drawn ``batch`` draws per generator call.  Surrogate mode
     then works through each batch in blocks sized by ``_block_draws``, so
     no complex (batch, K, M) array is allocated beside the draw, and forms
-    one uplink Gram matrix per draw for all rows.  Raises ValueError for
+    one uplink Gram matrix per draw for all rows.  Physical mode builds the
+    precoders of ``_precoder_draws`` draws per ``zf_apply`` call and then
+    streams the symbols draw by draw; each draw forms the symbol Gram
+    matrix s^H s once and fits every row by the normal equations
+    (s^H s) fit = s^H y.  Raises ValueError for
     ``n_channels`` or ``batch`` < 1 or a ``c`` that is not (M,) or (C, M)
     with C >= 1, and LinAlgError for a rank-deficient channel draw.
     """
@@ -294,6 +306,7 @@ def estimate_sindr_mc(
     beta = beta_zf_closed(hw, phi)
     row_scale = np.sqrt(phi**2)[:, None]
     block = _block_draws(k, m, n_c)
+    pblock = _precoder_draws(k, m)
 
     # one zf_bussgang call per row: lambda of one element depends on the
     # other elements of its call
@@ -332,10 +345,14 @@ def estimate_sindr_mc(
         else:
             h = _channels(z, row_scale)
             del z
-            for t in range(nb):
-                h_eq[:, t], resid = _physical_heq(hw, h[t], beta, rho_t, n_symbols, c_rows,
-                                                  rng, done + t, n_channels)
-                sum_resid += resid
+            for lo in range(0, nb, pblock):
+                w = _kernels.zf_apply(
+                    _kernels.uplink(h[lo:lo + pblock], hw.bs_rx, hw.ue_tx_gain), beta,
+                    first=done + lo, total=n_channels)
+                for t in range(len(w)):
+                    h_eq[:, lo + t], resid = _physical_heq(hw, h[lo + t], w[t], rho_t,
+                                                           n_symbols, c_rows, rng)
+                    sum_resid += resid
         if shift is None:
             shift = h_eq[:, 0].copy()
         # summed over the whole batch, so the order of additions does not
@@ -379,28 +396,29 @@ def _channels(z, row_scale):
     return h
 
 
-def _physical_heq(hw, h, beta, rho_t, n_symbols, c_rows, rng, draw, n_draws):
+def _normal_fit(s, y):
+    """Least-squares fit of y on the full-column-rank symbols s by the
+    normal equations (s^H s) fit = s^H y.  y is (N, K) or a (C, N, K)
+    stack that shares one Gram matrix s^H s."""
+    s_h = s.conj().T
+    return np.linalg.solve(s_h @ s, s_h @ y)
+
+
+def _physical_heq(hw, h, w, rho_t, n_symbols, c_rows, rng):
     """LS estimates of the effective channel, (C, K, K), and residual powers,
-    (C, K), for one draw, number ``draw`` of ``n_draws``: one precoder and
-    one symbol block, then one SSPA pass and fit per calibration row."""
-    # W per draw, not per batch: a batch of M x K precoders and its
-    # temporaries outweigh the per-draw symbol buffers and raise peak memory
-    w = _kernels.zf_apply(_kernels.uplink(h, hw.bs_rx, hw.ue_tx_gain)[None], beta,
-                          first=draw, total=n_draws)[0]
+    (C, K), for one draw h with precoder w: one symbol block, then one SSPA
+    pass per calibration row and one fit of all rows."""
     k = hw.k
     s = math.sqrt(rho_t / 2.0) * (
         rng.standard_normal((n_symbols, k)) + 1j * rng.standard_normal((n_symbols, k))
     )
     uh_t = (hw.ue_rx[:, None] * h).T
-    h_eq = np.empty((len(c_rows), k, k), dtype=np.complex128)
-    resid = np.empty((len(c_rows), k), dtype=np.float64)
-    for j, c_vec in enumerate(c_rows):
-        x_hat = sspa_apply(hw, s @ (c_vec[:, None] * w).T)
-        y = x_hat @ uh_t  # noiseless; noise handled analytically
-        fit, *_ = np.linalg.lstsq(s, y, rcond=None)
-        # sspa_apply already carries sqrt(a0); strip it from the channel
-        # estimate so the moments match the a0-factored closed-form terms,
-        # and report the residual as received distortion power (a0 included)
-        h_eq[j] = fit.T / math.sqrt(hw.a0)
-        resid[j] = np.mean(np.abs(y - s @ fit) ** 2, axis=0)
+    # noiseless; noise handled analytically
+    y = np.stack([sspa_apply(hw, s @ (c_vec[:, None] * w).T) @ uh_t for c_vec in c_rows])
+    fit = _normal_fit(s, y)
+    # sspa_apply already carries sqrt(a0); strip it from the channel estimate
+    # so the moments match the a0-factored closed-form terms, and report the
+    # residual as received distortion power (a0 included)
+    h_eq = np.swapaxes(fit, -1, -2) / math.sqrt(hw.a0)
+    resid = np.mean(np.abs(y - s @ fit) ** 2, axis=1)
     return h_eq, resid

@@ -20,6 +20,7 @@ import numpy as np
 
 from .analysis import (
     _block_draws,
+    _precoder_draws,
     estimate_sindr_mc,
     rate_from_sindr,
     sindr_zf_closed_all,
@@ -425,6 +426,12 @@ def selftest() -> int:
                            c=c_stack)
     check("identity-hardware stack [1, e^{j pi/3}] meets the same bounds in both rows",
           all(identity_ok(row) for row in mc))
+    # physical mode fits H_eq from 16 symbols sent through amplifiers that
+    # stay linear (a_sat 1e9), over two precoder blocks and one more draw
+    n_draws = 2 * _precoder_draws(8, 64) + 1
+    mc = estimate_sindr_mc(ideal, np.ones(8), 1.0, 1.0, 1.0, n_draws, 16, "physical", rng)
+    check("identity-hardware physical H_eq over 2 precoder blocks meets the same bounds",
+          identity_ok(mc))
 
     model = TrueMismatch(hw)
     sigma_x = hw.sigma_x(1.0)

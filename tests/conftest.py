@@ -69,13 +69,13 @@ def slp_bisection_oracle(model, sigma_x, rho_t, c_max, outer=80, inner=100):
     the common gain g0, with a per-antenna monotone root find for
     phi_m^{-1}(g0).  phi_m(c) = c |t_m / r_m| mu(A_m / (c sigma_m)) is
     evaluated by ``mu_scipy``, not by the library."""
-    c_max = np.asarray(c_max, dtype=np.float64)
-    sigma_x = np.asarray(sigma_x, dtype=np.float64)
     ratio = np.abs(model.hw.t / model.hw.bs_rx)
     a_sat = model.hw.a_sat
+    c_max, sigma_x = (np.broadcast_to(np.asarray(v, dtype=np.float64), ratio.shape)
+                      for v in (c_max, sigma_x))
 
-    def phi_at(c):
-        return c * ratio * mu_scipy(a_sat / np.maximum(c * sigma_x, 1e-300))
+    def phi_at(c, idx=slice(None)):
+        return c * ratio[idx] * mu_scipy(a_sat[idx] / np.maximum(c * sigma_x[idx], 1e-300))
 
     hi_g = float(np.min(phi_at(c_max)))
     lo_g = 0.0
@@ -83,14 +83,19 @@ def slp_bisection_oracle(model, sigma_x, rho_t, c_max, outer=80, inner=100):
         mid = 0.5 * (lo_g + hi_g)
         lo = np.zeros_like(c_max)
         hi = c_max.copy()
+        # antennas whose bracket still moves; one that stops has reached its
+        # own fixed point, and every later halving would repeat that one
+        moving = np.arange(len(lo))
         for _ in range(inner):
-            c = 0.5 * (lo + hi)
-            below = phi_at(c) < mid
-            new_lo = np.where(below, c, lo)
-            new_hi = np.where(below, hi, c)
-            if np.array_equal(new_lo, lo) and np.array_equal(new_hi, hi):
-                break  # a fixed point: every later halving would repeat this one
-            lo, hi = new_lo, new_hi
+            c = 0.5 * (lo[moving] + hi[moving])
+            below = phi_at(c, moving) < mid
+            new_lo = np.where(below, c, lo[moving])
+            new_hi = np.where(below, hi[moving], c)
+            still = (new_lo != lo[moving]) | (new_hi != hi[moving])
+            lo[moving], hi[moving] = new_lo, new_hi
+            moving = moving[still]
+            if moving.size == 0:
+                break
         step = (lo_g, mid) if float(np.sum((hi * sigma_x) ** 2)) > rho_t else (mid, hi_g)
         if step == (lo_g, hi_g):
             break  # mid rounds to an end: every later halving would repeat this one
@@ -405,6 +410,49 @@ def ref_effective_channels(
     Returns (B, K, K).
     """
     return u[:, None] * ref_zf_apply(_kernels.uplink(h, r, b), beta, h * g)
+
+
+# ---------------------------------------------------------------------------
+# Reference: physical-mode Monte Carlo one draw at a time, with one ZF call
+# and one SVD least-squares fit per draw and row, and two-pass moments
+# ---------------------------------------------------------------------------
+
+
+def ref_physical_terms(hw, phi, rho_t, a0, n_channels, n_symbols, c_rows, rng, batch):
+    """(ES, SI, MUI, NLD) per row and UE, shape (C, K, 4), drawing channels
+    and symbols in the order of physical ``estimate_sindr_mc``."""
+    m, k = hw.m, hw.k
+    beta = mr.beta_zf_closed(hw, phi)
+    row_scale = np.asarray(phi, dtype=np.float64)[:, None]
+    h_eq, resid = [], []
+    done = 0
+    while done < n_channels:
+        nb = min(batch, n_channels - done)
+        z = rng.standard_normal((2, nb, k, m))
+        for t in range(nb):
+            h = row_scale * (z[0, t] + 1j * z[1, t]) / math.sqrt(2.0)
+            w = _kernels.zf_apply(_kernels.uplink(h, hw.bs_rx, hw.ue_tx_gain)[None], beta,
+                                  first=done + t, total=n_channels)[0]
+            s = math.sqrt(rho_t / 2.0) * (rng.standard_normal((n_symbols, k))
+                                          + 1j * rng.standard_normal((n_symbols, k)))
+            rows_eq, rows_res = [], []
+            for c_vec in c_rows:
+                y = sspa_apply(hw, s @ (c_vec[:, None] * w).T) @ (hw.ue_rx[:, None] * h).T
+                fit = np.linalg.lstsq(s, y, rcond=None)[0]
+                rows_eq.append(fit.T / math.sqrt(hw.a0))
+                rows_res.append(np.mean(np.abs(y - s @ fit) ** 2, axis=0))
+            h_eq.append(rows_eq)
+            resid.append(rows_res)
+        done += nb
+    h_eq = np.array(h_eq)  # (draws, C, K, K)
+    mean_h = h_eq.mean(axis=0)
+    var_h = np.mean(np.abs(h_eq - mean_h) ** 2, axis=0)
+    diag = np.arange(k)
+    es = a0 * rho_t * np.abs(mean_h[:, diag, diag]) ** 2
+    si = a0 * rho_t * var_h[:, diag, diag]
+    second = var_h + np.abs(mean_h) ** 2
+    mui = a0 * rho_t * (second.sum(axis=-1) - second[:, diag, diag])
+    return np.stack([es, si, mui, np.mean(resid, axis=0)], axis=-1)
 
 
 @pytest.fixture(scope="session")

@@ -329,6 +329,9 @@ def test_criterion_7_slp_optimizer():
 def test_criterion_8_end_to_end_calibration():
     """Figs. 6-7 trends: method ordering at IBO 10 dB; convergence at 25 dB."""
     def experiment(ibo, seed, n_hw=50):
+        # one training set per hardware draw, shared by linear_rc and
+        # poly_nrc, and every method scored on the same 400 channel draws,
+        # as in cli._calibration_point
         rho = 10.0 ** 1.8 / A0  # transmit SNR 18 dB
         rates = {kk: [] for kk in ("none", "linear_rc", "poly_nrc", "perfect_nrc")}
         for child in np.random.SeedSequence(seed).spawn(n_hw):
@@ -336,31 +339,26 @@ def test_criterion_8_end_to_end_calibration():
             hw = mr.draw_system_hardware(rng, 32, 4, MIS,
                                          mr.a_sat_for_ibo(ibo, rho, 32))
             omega = mr.draw_inter_antenna_channel(rng, 32)
-            phi = np.ones(4)
             plan = mr.PilotPlan.for_hardware(hw, 7, 10)
             sigma_x = hw.sigma_x(rho)
             c_max = plan.sigma_max / sigma_x
-            rates["none"].append(mean_rate_mc(hw, phi, rho, A0, NOISE, None, rng, 400))
-            recs = mr.simulate_ota_training(hw, plan, omega, 1.0, "surrogate", rng)
+            training = mr.simulate_ota_training(hw, plan, omega, 1.0, "surrogate", rng)
             op = float(np.mean(sigma_x))
             lvl = int(np.argmin([abs(plan.amplitude(0, n) - op)
                                  for n in range(plan.n_levels)]))
-            c_lin = scale_to_power(
-                linear_calibration(recs.level(lvl), 1.0),
-                sigma_x, rho, c_max)
-            rates["linear_rc"].append(mean_rate_mc(hw, phi, rho, A0, NOISE, c_lin,
-                                                   rng, 400))
-            res = mr.calibrate(
-                hw, plan, mr.simulate_ota_training(hw, plan, omega, 1.0, "surrogate", rng),
-                5, rho)
-            rates["poly_nrc"].append(mean_rate_mc(hw, phi, rho, A0, NOISE, res.c,
-                                                  rng, 400))
+            c_lin = scale_to_power(linear_calibration(training.level(lvl), 1.0),
+                                   sigma_x, rho, c_max)
+            c_poly = mr.calibrate(hw, plan, training, 5, rho).c
             tm = mr.TrueMismatch(hw)
             rp = mr.slp_solve(tm, sigma_x, rho, c_max, strict=False)
             amps = np.abs(rp.c)
             c_perf = amps * np.exp(1j * calibration_phases(tm, amps, sigma_x))
-            rates["perfect_nrc"].append(mean_rate_mc(hw, phi, rho, A0, NOISE, c_perf,
-                                                     rng, 400))
+            scored = mr.estimate_sindr_mc(hw, np.ones(4), rho, A0, NOISE, 400, 1,
+                                          "surrogate", rng,
+                                          c=np.stack([np.ones(32), c_lin, c_poly, c_perf]))
+            for name, breakdowns in zip(rates, scored):
+                rates[name].append(np.mean([mr.rate_from_sindr(b.sindr)
+                                            for b in breakdowns]))
         return {kk: np.array(v) for kk, v in rates.items()}
 
     r10 = experiment(10.0, 42)

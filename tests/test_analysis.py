@@ -8,6 +8,7 @@ import pytest
 
 import mimo_recal as mr
 from mimo_recal import _kernels, analysis
+from tests.conftest import ref_physical_terms
 
 
 A0 = 10.0
@@ -318,6 +319,46 @@ class TestEstimateSindrMc:
         with pytest.raises(np.linalg.LinAlgError, match="draw 200 of 300"):
             mr.estimate_sindr_mc(hw, np.ones(8), 1.0, A0, NOISE, 300, 1, "surrogate",
                                  _EqualRowsRng(6, draw=200))
+
+    def test_physical_rank_deficient_draw_in_later_precoder_block(self, default_mismatch):
+        # 16 draws per precoder block at M=64, K=8, so draw 20 sits in the second
+        assert analysis._precoder_draws(8, 64) == 16
+        hw = _draw(64, 8, 10.0, 1.0, default_mismatch, 5)
+        with pytest.raises(np.linalg.LinAlgError, match="draw 20 of 40"):
+            mr.estimate_sindr_mc(hw, np.ones(8), 1.0, A0, NOISE, 40, 12, "physical",
+                                 _EqualRowsRng(6, draw=20))
+
+    def test_physical_blocks_match_per_draw_lstsq(self, default_mismatch):
+        # 40 draws in batches of 24 and precoder blocks of 16: blocks [0, 16),
+        # [16, 24) and [24, 40) cross both boundaries, with drawn path loss
+        # and a three-row stack of calibration vectors
+        m, k = 64, 8
+        assert analysis._precoder_draws(k, m) == 16
+        rng = np.random.default_rng(14)
+        hw = _draw(m, k, 8.0, 1.0, default_mismatch, 14)
+        phi = mr.draw_ue_pathloss(rng, k, mr.CellGeometry())
+        c = np.stack([np.ones(m)] + [rng.lognormal(0.0, 0.3, m)
+                                     * np.exp(1j * rng.uniform(-0.5, 0.5, m))
+                                     for _ in range(2)])
+        got = mr.estimate_sindr_mc(hw, phi, 1.0, A0, NOISE, 40, 20, "physical",
+                                   np.random.default_rng(15), c=c, batch=24)
+        want = ref_physical_terms(hw, phi, 1.0, A0, 40, 20, c, np.random.default_rng(15),
+                                  batch=24)
+        terms = np.array([[[b.es, b.si, b.mui, b.nld] for b in row] for row in got])
+        assert np.max(np.abs(terms / want - 1.0)) <= 1e-12
+
+    @pytest.mark.parametrize("n, seed", [(256, 0), (256, 1), (9, 2), (9, 3)])
+    def test_normal_fit_matches_lstsq(self, n, seed):
+        # the physical-mode fit against the SVD solve, on symbols scaled as
+        # there; with N = K + 1 the symbols are least well conditioned
+        k = 8
+        rng = np.random.default_rng(seed)
+        s = 0.7 * (rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k)))
+        y = s @ (rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k)))
+        y += 0.1 * (rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k)))
+        want = np.linalg.lstsq(s, y, rcond=None)[0]
+        err = np.max(np.abs(analysis._normal_fit(s, y) - want)) / np.max(np.abs(want))
+        assert err <= (1e-12 if n > k + 1 else 1e-11)
 
     def test_blocks_and_batches_match_one_block(self, default_mismatch, monkeypatch):
         # 37 draws in batches of 10 and blocks of 3: both boundaries are crossed,
