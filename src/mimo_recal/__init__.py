@@ -15,6 +15,7 @@ from .numerics import (
     erfcx,
     exp_integral_ei,
     exp_integral_ei_scaled,
+    sinc,
 )
 from .hardware import (
     BussgangPair,
@@ -29,15 +30,7 @@ from .hardware import (
     sspa_apply,
 )
 from .channel import CellGeometry, ChannelRealization, draw_channel, draw_ue_pathloss, uplink_channel
-from .precoding import (
-    DownlinkOutcome,
-    Precoder,
-    apply_calibration,
-    beta_zf_closed,
-    beta_zf_empirical,
-    transmit_downlink,
-    zf_precoder,
-)
+from .precoding import beta_zf_closed, beta_zf_empirical, transmit_block, zf_precoder
 from .analysis import (
     RateDecomposition,
     SindrBreakdown,
@@ -48,6 +41,7 @@ from .analysis import (
     sindr_zf_closed,
     sindr_zf_closed_all,
     sinr_linear_mismatch,
+    zf_bussgang,
 )
 from .calibration import (
     CalibrationError,
@@ -56,16 +50,13 @@ from .calibration import (
     PolyMismatch,
     TrainingSet,
     TrueMismatch,
-    assemble_psi_matrix,
     calibrate,
     calibration_phases,
     draw_inter_antenna_channel,
-    estimate_poly_coeffs,
     estimate_poly_coeffs_anchored,
     estimate_poly_coeffs_from_records,
     linear_calibration,
     measured_level_shapes,
-    orth_poly_psi,
     psi_vector,
     simulate_ota_training,
     slp_solve,

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .hardware import SystemHardware, sspa_apply
+from .hardware import SystemHardware
 from .numerics import bussgang_lambda, bussgang_mu, sinc
-from .precoding import beta_zf_closed
+from .precoding import beta_zf_closed, transmit_block
 
 # complex channel entries (1 MiB) per block of surrogate Monte-Carlo draws
 _BLOCK_ENTRIES = 1 << 16
@@ -66,8 +66,10 @@ class SindrBreakdown:
     @classmethod
     def from_terms(cls, es, si, mui, nld, noise) -> "SindrBreakdown":
         es, si, mui, nld, noise = (float(v) for v in (es, si, mui, nld, noise))
-        if min(es, si, mui, nld, noise) < 0:
-            raise ValueError("power terms must be non-negative")
+        # a NaN term fails both comparisons
+        if not all(0 <= v < math.inf for v in (es, si, mui, nld, noise)):
+            raise ValueError(f"power terms must be finite and non-negative, got es={es}, "
+                             f"si={si}, mui={mui}, nld={nld}, noise={noise}")
         return cls(es=es, si=si, mui=mui, nld=nld, noise=noise,
                    sindr=es / (si + mui + nld + noise))
 
@@ -285,7 +287,8 @@ def estimate_sindr_mc(
     matrix s^H s once and fits every row by the normal equations
     (s^H s) fit = s^H y.  Raises ValueError for
     ``n_channels`` or ``batch`` < 1 or a ``c`` that is not (M,) or (C, M)
-    with C >= 1, and LinAlgError for a rank-deficient channel draw.
+    with C >= 1 or with a row that is not finite or is all zero, and
+    LinAlgError for a rank-deficient channel draw.
     """
     if mode not in ("surrogate", "physical"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -301,6 +304,10 @@ def estimate_sindr_mc(
         raise ValueError(f"c must be (M,) or (C, M) with M = {m} and C >= 1, "
                          f"got shape {c_arr.shape}")
     c_rows = c_arr.reshape(-1, m)
+    bad = ~np.all(np.isfinite(c_rows), axis=1) | np.all(c_rows == 0, axis=1)
+    if bad.any():
+        raise ValueError(f"calibration row {int(np.flatnonzero(bad)[0])} must be finite "
+                         "and not all zero")
     n_c = c_rows.shape[0]
     phi = np.asarray(phi, dtype=np.float64)
     beta = beta_zf_closed(hw, phi)
@@ -406,17 +413,16 @@ def _normal_fit(s, y):
 
 def _physical_heq(hw, h, w, rho_t, n_symbols, c_rows, rng):
     """LS estimates of the effective channel, (C, K, K), and residual powers,
-    (C, K), for one draw h with precoder w: one symbol block, then one SSPA
-    pass per calibration row and one fit of all rows."""
+    (C, K), for one draw h with precoder w: one symbol block, then one
+    ``transmit_block`` per calibration row and one fit of all rows."""
     k = hw.k
     s = math.sqrt(rho_t / 2.0) * (
         rng.standard_normal((n_symbols, k)) + 1j * rng.standard_normal((n_symbols, k))
     )
-    uh_t = (hw.ue_rx[:, None] * h).T
     # noiseless; noise handled analytically
-    y = np.stack([sspa_apply(hw, s @ (c_vec[:, None] * w).T) @ uh_t for c_vec in c_rows])
+    y = np.stack([transmit_block(hw, h, c_vec[:, None] * w, s) for c_vec in c_rows])
     fit = _normal_fit(s, y)
-    # sspa_apply already carries sqrt(a0); strip it from the channel estimate
+    # the received block already carries sqrt(a0); strip it from the channel estimate
     # so the moments match the a0-factored closed-form terms, and report the
     # residual as received distortion power (a0 included)
     h_eq = np.swapaxes(fit, -1, -2) / math.sqrt(hw.a0)

@@ -32,13 +32,12 @@ __all__ = [
     "PolyMismatch",
     "TrueMismatch",
     "CalibrationResult",
-    "orth_poly_psi",
     "psi_vector",
     "draw_inter_antenna_channel",
     "simulate_ota_training",
-    "assemble_psi_matrix",
-    "estimate_poly_coeffs",
     "estimate_poly_coeffs_from_records",
+    "measured_level_shapes",
+    "estimate_poly_coeffs_anchored",
     "linear_calibration",
     "slp_solve",
     "calibration_phases",
@@ -77,17 +76,6 @@ def _psi_coeff_table(order: int) -> np.ndarray:
             table[w, l] = float(sign * num) / float(den)
     table.flags.writeable = False
     return table
-
-
-def orth_poly_psi(order: int, z) -> float | np.ndarray:
-    """The orthogonal basis polynomial psi_order evaluated at z >= 0."""
-    if order < 0:
-        raise ValueError("order must be non-negative")
-    coeffs = _psi_coeff_table(order)[order]
-    z_arr = np.asarray(z, dtype=np.float64)
-    powers = z_arr[..., None] ** np.arange(order + 1)
-    out = powers @ coeffs
-    return float(out) if np.isscalar(z) or z_arr.ndim == 0 else out
 
 
 def psi_vector(order: int, z) -> np.ndarray:
@@ -149,9 +137,6 @@ class PilotPlan:
 
     def amplitude(self, antenna: int, level: int) -> float:
         return math.sqrt(self.levels[level]) * float(self.sigma_max[antenna])
-
-    def power(self, antenna: int, level: int) -> float:
-        return float(self.levels[level]) * float(self.sigma_max[antenna]) ** 2
 
 
 @dataclass(frozen=True)
@@ -273,25 +258,6 @@ def _ratio_products(training: TrainingSet) -> np.ndarray:
     return training.y * training.x[None]
 
 
-def assemble_psi_matrix(training: TrainingSet, plan: PilotPlan, order: int) -> np.ndarray:
-    """Stack the homogeneous equations Psi tau = 0 for all unordered pairs.
-
-    Rows: M(M-1)/2 * N * Q, ordered by pair (m < i), level and symbol;
-    columns: M * (order+1), block-sparse so that the pair (m, i) touches only
-    the blocks of antennas m and i, with +ybar^{(m)} psi_n and -ybar^{(i)} psi_n.
-    """
-    _check_levels(training, plan)
-    m, n_levels, q = training.x.shape
-    z = _ratio_products(training)
-    lo, hi = np.triu_indices(m, 1)
-    pair = np.arange(len(lo))
-    psi_n = _level_basis(order, plan)  # shared normalised power
-    psi = np.zeros((len(lo), n_levels, q, m, order + 1), dtype=np.complex128)
-    psi[pair, :, :, lo] = z[hi, lo][..., None] * psi_n[:, None, :]
-    psi[pair, :, :, hi] = -(z[lo, hi][..., None] * psi_n[:, None, :])
-    return psi.reshape(len(lo) * n_levels * q, m * (order + 1))
-
-
 @dataclass(frozen=True)
 class PolyMismatch:
     """Per-antenna polynomial mismatch functions mu_m(sigma).
@@ -319,14 +285,6 @@ class PolyMismatch:
     def m(self) -> int:
         return self.tau.shape[0]
 
-    def mu(self, antenna: int, sigma):
-        """Complex mismatch value at transmit amplitude ``sigma``."""
-        z = (np.asarray(sigma, dtype=np.float64) / self.sigma_ref[antenna]) ** 2
-        return psi_vector(self.order, z) @ self.tau[antenna]
-
-    def mu_abs(self, antenna: int, sigma):
-        return np.abs(self.mu(antenna, sigma))
-
     def mu_all(self, sigma: np.ndarray) -> np.ndarray:
         """Per-antenna values at per-antenna amplitudes; sigma has shape
         (..., M), and leading axes broadcast."""
@@ -346,15 +304,6 @@ class TrueMismatch:
     @property
     def m(self) -> int:
         return self.hw.m
-
-    def mu(self, antenna: int, sigma):
-        sigma = np.asarray(sigma, dtype=np.float64)
-        ratio = self.hw.t[antenna] / self.hw.bs_rx[antenna]
-        arg = self.hw.a_sat[antenna] / np.maximum(sigma, 1e-300)
-        return ratio * bussgang_mu(arg)
-
-    def mu_abs(self, antenna: int, sigma):
-        return np.abs(self.mu(antenna, sigma))
 
     def mu_all(self, sigma: np.ndarray) -> np.ndarray:
         sigma = np.asarray(sigma, dtype=np.float64)
@@ -384,25 +333,6 @@ def _solve_pinned_ls(gram: np.ndarray, order: int) -> np.ndarray:
         )
     tau_c = -np.linalg.solve(gs, (g21 / scale)) / scale
     return np.concatenate([[1.0 + 0j], tau_c])
-
-
-def estimate_poly_coeffs(psi_matrix: np.ndarray, order: int,
-                         sigma_ref=None) -> PolyMismatch:
-    """LS estimate of the polynomial coefficients with tau_{1,0} pinned to 1.
-
-    Rows of the stacked system are equilibrated to unit norm before the
-    normal equations are formed.
-    """
-    p = order + 1
-    n_cols = psi_matrix.shape[1]
-    if n_cols % p:
-        raise ValueError("psi matrix width must be a multiple of order+1")
-    norms = np.linalg.norm(psi_matrix, axis=1)
-    norms[norms == 0] = 1.0
-    scaled = psi_matrix / norms[:, None]
-    gram = np.conj(scaled).T @ scaled
-    tau = _solve_pinned_ls(gram, order)
-    return PolyMismatch(tau=tau.reshape(n_cols // p, p), order=order, sigma_ref=sigma_ref)
 
 
 def _pair_ratio_gram(training: TrainingSet, plan: PilotPlan, order: int) -> np.ndarray:
@@ -435,8 +365,11 @@ def _pair_ratio_gram(training: TrainingSet, plan: PilotPlan, order: int) -> np.n
 
 def estimate_poly_coeffs_from_records(training: TrainingSet, plan: PilotPlan,
                                       order: int) -> PolyMismatch:
-    """Same estimate as ``estimate_poly_coeffs`` without materialising Psi:
-    the normal equations are formed directly from the training tensors."""
+    """Pair-ratio LS estimate with tau[0, 0] pinned to 1: the least-squares
+    solution of Psi tau = 0 over the row-equilibrated pair-ratio equations,
+    from their Gram matrix (``_pair_ratio_gram``) without materialising Psi.
+    Cannot resolve the common compression shape of a homogeneous amplifier
+    population; ``estimate_poly_coeffs_anchored`` pins that gauge."""
     if plan.n_levels < order + 2:
         raise CalibrationError(
             f"need at least order+2 = {order + 2} power levels: the pinning removes "
@@ -694,25 +627,19 @@ def calibrate(
     eps: float = 1e-6,
     rho_step: float = 0.5,
     strict: bool = False,
-    anchor_gauge: bool = True,
 ) -> CalibrationResult:
     """Calibration from one OTA training set: polynomial fit, SLP
     amplitudes, phases.  ``training`` comes from ``simulate_ota_training``
-    with the same hardware and plan.
+    with the same hardware and plan; the fit is
+    ``estimate_poly_coeffs_anchored``.
 
-    ``anchor_gauge`` selects the gauge-pinned estimator (recommended); with
-    it off, the pipeline uses the plain pair-ratio LS, which cannot resolve
-    the common compression shape of a homogeneous amplifier population.
     ``strict`` forwards to the SLP concavity gate; estimated models keep it
     off because the backtracking line search preserves the solver guarantees
     under the small boundary wiggles a fitted polynomial carries.
     """
     if training.m != hw.m:
         raise ValueError(f"training set has {training.m} antennas, the hardware {hw.m}")
-    if anchor_gauge:
-        poly = estimate_poly_coeffs_anchored(training, plan, order)
-    else:
-        poly = estimate_poly_coeffs_from_records(training, plan, order)
+    poly = estimate_poly_coeffs_anchored(training, plan, order)
     sigma_x = hw.sigma_x(rho_t)
     c_max = plan.sigma_max / sigma_x
     res = slp_solve(poly, sigma_x, rho_t, c_max, eps=eps, rho_step=rho_step, strict=strict)

@@ -397,8 +397,7 @@ def selftest() -> int:
 
     ch = draw_channel(rng, 16, np.ones(4))
     h_ul = uplink_channel(ch, hw)
-    prec = zf_precoder(h_ul, 1.0)
-    resid = np.linalg.norm(h_ul.T @ prec.w - np.eye(4))
+    resid = np.linalg.norm(h_ul.T @ zf_precoder(h_ul, 1.0) - np.eye(4))
     check("ZF inversion residual < 1e-10", resid < 1e-10)
 
     ideal = draw_system_hardware(rng, 64, 8, HardwareMismatch.none(), 1e9,

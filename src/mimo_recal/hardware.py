@@ -124,7 +124,12 @@ class SystemHardware:
         return len(self.ue_rx)
 
     def sigma_x(self, rho_t: float) -> np.ndarray:
-        """Per-antenna transmit rms under ZF, sigma_x,m = |r_m| sqrt(rho_t/tr{RR*})."""
+        """Per-antenna transmit rms under ZF, sigma_x,m = |r_m| sqrt(rho_t/tr{RR*}).
+
+        Raises ValueError unless ``rho_t`` is finite and positive; the closed
+        forms and both Monte-Carlo modes take their operating point here."""
+        if not 0 < rho_t < math.inf:
+            raise ValueError(f"rho_t must be finite and positive, got {rho_t}")
         r2 = np.abs(self.bs_rx) ** 2
         return np.sqrt(r2 * rho_t / r2.sum())
 

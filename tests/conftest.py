@@ -19,7 +19,12 @@ from mimo_recal import _kernels
 from mimo_recal.calibration import (
     CalibrationError,
     PilotPlan,
+    PolyMismatch,
     TrainingSet,
+    _check_levels,
+    _level_basis,
+    _ratio_products,
+    _solve_pinned_ls,
     psi_vector,
 )
 from mimo_recal.hardware import HpaModel, SystemHardware, bussgang_decompose, sspa_apply
@@ -125,22 +130,11 @@ def gauge_fit_error(poly, true_model, plan, n_grid=50):
     """Max relative deviation of the fitted mismatch functions from the true
     ones over [0, sigma_max], after removing the single unobservable global
     complex scale (fitted by least squares over the grid)."""
-    grid = np.linspace(1e-3, 1.0, n_grid)
-    num = 0.0 + 0.0j
-    den = 0.0
-    per_antenna = []
-    for m in range(poly.m):
-        s = grid * plan.sigma_max[m]
-        fh = poly.mu(m, s)
-        ft = true_model.mu(m, s)
-        per_antenna.append((s, fh, ft))
-        num += np.vdot(fh, ft)
-        den += float(np.vdot(fh, fh).real)
-    kappa = num / den
-    worst = 0.0
-    for s, fh, ft in per_antenna:
-        worst = max(worst, float(np.max(np.abs(fh * kappa - ft) / np.abs(ft))))
-    return worst
+    s = np.linspace(1e-3, 1.0, n_grid)[:, None] * plan.sigma_max  # (n_grid, M)
+    fh = poly.mu_all(s)
+    ft = true_model.mu_all(s)
+    kappa = np.vdot(fh, ft) / float(np.vdot(fh, fh).real)
+    return float(np.max(np.abs(fh * kappa - ft) / np.abs(ft)))
 
 
 def mean_rate_mc(hw, phi, rho_t, a0, noise_var, c, rng, n_channels=200):
@@ -362,6 +356,51 @@ def ref_linear_calibration(records: Iterable[TrainingRecord], c0: complex) -> np
         raise CalibrationError("singular Ybar_2 system in linear calibration") from exc
     f = np.concatenate([[1.0 + 0j], f_tail])
     return c0 / f
+
+
+# ---------------------------------------------------------------------------
+# Reference: the pair-ratio LS from the dense stacked system Psi, the oracle
+# for estimate_poly_coeffs_from_records, which forms the same normal
+# equations from the training tensors without materialising Psi
+# ---------------------------------------------------------------------------
+
+
+def assemble_psi_matrix(training: TrainingSet, plan: PilotPlan, order: int) -> np.ndarray:
+    """Stack the homogeneous equations Psi tau = 0 for all unordered pairs.
+
+    Rows: M(M-1)/2 * N * Q, ordered by pair (m < i), level and symbol;
+    columns: M * (order+1), block-sparse so that the pair (m, i) touches only
+    the blocks of antennas m and i, with +ybar^{(m)} psi_n and -ybar^{(i)} psi_n.
+    """
+    _check_levels(training, plan)
+    m, n_levels, q = training.x.shape
+    z = _ratio_products(training)
+    lo, hi = np.triu_indices(m, 1)
+    pair = np.arange(len(lo))
+    psi_n = _level_basis(order, plan)  # shared normalised power
+    psi = np.zeros((len(lo), n_levels, q, m, order + 1), dtype=np.complex128)
+    psi[pair, :, :, lo] = z[hi, lo][..., None] * psi_n[:, None, :]
+    psi[pair, :, :, hi] = -(z[lo, hi][..., None] * psi_n[:, None, :])
+    return psi.reshape(len(lo) * n_levels * q, m * (order + 1))
+
+
+def estimate_poly_coeffs(psi_matrix: np.ndarray, order: int,
+                         sigma_ref=None) -> PolyMismatch:
+    """LS estimate of the polynomial coefficients with tau_{1,0} pinned to 1.
+
+    Rows of the stacked system are equilibrated to unit norm before the
+    normal equations are formed.
+    """
+    p = order + 1
+    n_cols = psi_matrix.shape[1]
+    if n_cols % p:
+        raise ValueError("psi matrix width must be a multiple of order+1")
+    norms = np.linalg.norm(psi_matrix, axis=1)
+    norms[norms == 0] = 1.0
+    scaled = psi_matrix / norms[:, None]
+    gram = np.conj(scaled).T @ scaled
+    tau = _solve_pinned_ls(gram, order)
+    return PolyMismatch(tau=tau.reshape(n_cols // p, p), order=order, sigma_ref=sigma_ref)
 
 
 # ---------------------------------------------------------------------------

@@ -288,6 +288,20 @@ class TestEstimateSindrMc:
         s_big = spread(1000, 24)
         assert s_big < s_small / 1.4
 
+    def test_common_phase_leaves_sindr(self, default_mismatch):
+        rho = 1.0
+        a_sat = mr.a_sat_for_ibo(10.0, rho, 16)
+        hw = mr.draw_system_hardware(np.random.default_rng(12), 16, 4,
+                                     default_mismatch, a_sat)
+        phi = np.ones(4)
+        base = mr.estimate_sindr_mc(hw, phi, rho, 10.0, 1.0, 500, 1, "surrogate",
+                                    np.random.default_rng(13))
+        rot = mr.estimate_sindr_mc(hw, phi, rho, 10.0, 1.0, 500, 1, "surrogate",
+                                   np.random.default_rng(13),
+                                   c=np.exp(0.4j) * np.ones(16))
+        for a, b in zip(base, rot):
+            assert b.sindr == pytest.approx(a.sindr, rel=1e-9)
+
     def test_invalid_mode(self, default_mismatch):
         hw = _draw(8, 2, 10.0, 1.0, default_mismatch, 4)
         with pytest.raises(ValueError):
@@ -432,6 +446,38 @@ class TestEstimateSindrMc:
                                  np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("rho_t", [0.0, -1.0, math.nan])
+class TestBadTransmitPower:
+    """A transmit power that is not finite and positive raises ValueError
+    wherever it enters, instead of NaN terms or a math domain error."""
+
+    def test_closed_form(self, default_mismatch, rho_t):
+        hw = _draw(16, 4, 10.0, 1.0, default_mismatch, 4)
+        with pytest.raises(ValueError, match="rho_t"):
+            mr.sindr_zf_closed_all(hw, np.ones(4), rho_t, A0, NOISE)
+
+    @pytest.mark.parametrize("mode", ["surrogate", "physical"])
+    def test_monte_carlo(self, default_mismatch, rho_t, mode):
+        hw = _draw(16, 4, 10.0, 1.0, default_mismatch, 4)
+        with pytest.raises(ValueError, match="rho_t"):
+            mr.estimate_sindr_mc(hw, np.ones(4), rho_t, A0, NOISE, 4, 8, mode,
+                                 np.random.default_rng(0))
+
+    def test_rate_decomposition(self, default_mismatch, rho_t):
+        hw = _draw(16, 4, 10.0, 1.0, default_mismatch, 4)
+        with pytest.raises(ValueError, match="rho_t"):
+            mr.avg_rate_decomposition(hw, np.ones(4), rho_t, A0, NOISE)
+
+
+@pytest.mark.parametrize("term", ["es", "si", "mui", "nld", "noise"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+def test_breakdown_rejects_bad_terms(term, value):
+    terms = dict(es=1.0, si=0.1, mui=0.1, nld=0.1, noise=1.0)
+    terms[term] = value
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        mr.SindrBreakdown.from_terms(**terms)
+
+
 class TestEstimateSindrMcStack:
     """A (C, M) stack of calibration vectors scored on one set of draws."""
 
@@ -489,6 +535,19 @@ class TestEstimateSindrMcStack:
         with pytest.raises(ValueError, match="c must be"):
             mr.estimate_sindr_mc(hw, phi, 1.0, A0, NOISE, 4, 24, "surrogate",
                                  np.random.default_rng(0), c=np.ones(shape))
+
+    @pytest.mark.parametrize("mode", ["surrogate", "physical"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_calibration_row_rejected(self, default_mismatch, mode, bad):
+        # a non-finite entry gave NaN terms with no error; the row is named
+        hw, phi, c = self._setup(default_mismatch)
+        c[1, 5] = bad
+        with pytest.raises(ValueError, match="calibration row 1 must be finite"):
+            mr.estimate_sindr_mc(hw, phi, 1.0, A0, NOISE, 4, 24, mode,
+                                 np.random.default_rng(0), c=c)
+        with pytest.raises(ValueError, match="calibration row 0 must be finite"):
+            mr.estimate_sindr_mc(hw, phi, 1.0, A0, NOISE, 4, 24, mode,
+                                 np.random.default_rng(0), c=c[1])
 
     @pytest.mark.parametrize("mode", ["surrogate", "physical"])
     def test_rank_deficient_draw_raises_for_a_stack(self, default_mismatch, mode):

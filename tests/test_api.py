@@ -1,0 +1,39 @@
+"""The public surface: each module's ``__all__`` names live objects, the
+package re-exports every one of them, and removed names stay removed."""
+
+import importlib
+
+import pytest
+
+import mimo_recal as mr
+
+MODULES = ("numerics", "hardware", "channel", "precoding", "analysis", "calibration")
+
+# superseded by transmit_block, mu_all / mu_abs_all, psi_vector and
+# estimate_poly_coeffs_from_records
+REMOVED = ("transmit_downlink", "DownlinkOutcome", "apply_calibration", "Precoder",
+           "orth_poly_psi", "assemble_psi_matrix", "estimate_poly_coeffs")
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_all_names_exist_and_are_reexported(module):
+    mod = importlib.import_module(f"mimo_recal.{module}")
+    for name in mod.__all__:
+        obj = getattr(mod, name)  # a stale entry raises AttributeError here
+        assert getattr(mr, name) is obj, f"mimo_recal does not re-export {module}.{name}"
+
+
+def test_package_exports_only_module_names():
+    exported = {name for module in MODULES
+                for name in importlib.import_module(f"mimo_recal.{module}").__all__}
+    public = {name for name, obj in vars(mr).items()
+              if not name.startswith("_") and not isinstance(obj, type(mr))}
+    assert public == exported
+
+
+@pytest.mark.parametrize("name", REMOVED)
+def test_removed_names_are_gone(name):
+    assert not hasattr(mr, name)
+    for module in MODULES:
+        assert not hasattr(importlib.import_module(f"mimo_recal.{module}"), name)
+

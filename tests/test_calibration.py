@@ -20,6 +20,8 @@ from mimo_recal.calibration import (
     psi_vector,
 )
 from tests.conftest import (
+    assemble_psi_matrix,
+    estimate_poly_coeffs,
     gauge_fit_error,
     ref_assemble_psi_matrix,
     ref_linear_calibration,
@@ -43,15 +45,15 @@ def _setup(m, k, seed, ibo=10.0, rho=1.0, delta2=0.05, n_levels=7, n_symbols=10,
 
 class TestOrthPoly:
     def test_order_zero_constant(self):
-        assert mr.orth_poly_psi(0, 0.0) == 2.0
-        assert mr.orth_poly_psi(0, 7.3) == 2.0
+        assert psi_vector(0, 0.0)[0] == 2.0
+        assert psi_vector(0, 7.3)[0] == 2.0
 
     def test_order_one_linear(self):
         for s in (0.0, 0.5, 2.0):
-            assert mr.orth_poly_psi(1, s) == pytest.approx(12.0 * s - 6.0, rel=1e-14)
+            assert psi_vector(1, s)[1] == pytest.approx(12.0 * s - 6.0, rel=1e-14)
 
     def test_order_two_constant_term(self):
-        assert mr.orth_poly_psi(2, 0.0) == pytest.approx(12.0, rel=1e-14)
+        assert psi_vector(2, 0.0)[2] == pytest.approx(12.0, rel=1e-14)
 
     def test_exact_rational_coefficients(self):
         # integer-factorial oracle at exactly representable dyadic nodes
@@ -66,9 +68,9 @@ class TestOrthPoly:
                     * Fraction(z) ** l
                     for l in range(order + 1)))
                 if ref == 0.0:
-                    assert abs(mr.orth_poly_psi(order, z)) < 1e-9
+                    assert abs(psi_vector(order, z)[order]) < 1e-9
                 else:
-                    assert mr.orth_poly_psi(order, z) == pytest.approx(ref, rel=1e-10)
+                    assert psi_vector(order, z)[order] == pytest.approx(ref, rel=1e-10)
 
     def test_coefficient_table_cached_read_only(self):
         table = _psi_coeff_table(5)
@@ -78,9 +80,9 @@ class TestOrthPoly:
 
     def test_overflow_guard(self):
         with pytest.raises(ValueError):
-            mr.orth_poly_psi(21, 0.5)
+            psi_vector(21, 0.5)
         with pytest.raises(ValueError):
-            mr.orth_poly_psi(-1, 0.5)
+            psi_vector(-1, 0.5)
 
 
 class TestPilotPlan:
@@ -201,7 +203,7 @@ class TestTensorMatchesRecordReference:
         assert _close(measured_level_shapes(ts, plan), ref_measured_level_shapes(recs, plan))
         for order in (0, 1, 3):
             psi = ref_assemble_psi_matrix(recs, plan, order)
-            assert _close(mr.assemble_psi_matrix(ts, plan, order), psi)
+            assert _close(assemble_psi_matrix(ts, plan, order), psi)
             # the Gram matrix the pair-ratio LS solves, from the row-equilibrated Psi
             norms = np.linalg.norm(psi, axis=1)
             norms[norms == 0] = 1.0
@@ -222,7 +224,7 @@ class TestAssembleAndEstimate:
         y[0, 1, 0] = y12
         y[1, 0, 0] = y21
         recs = mr.TrainingSet(x=np.array([x1, x2])[:, None], y=y)
-        psi = mr.assemble_psi_matrix(recs, plan, order=1)
+        psi = assemble_psi_matrix(recs, plan, order=1)
         assert psi.shape == (1, 4)
         psi_vals = psi_vector(1, float(plan.levels[0]))
         ybar_1 = y21[0] * x1[0]
@@ -236,7 +238,7 @@ class TestAssembleAndEstimate:
         hw, omega, plan, _ = _setup(6, 2, 11, n_levels=4, n_symbols=3)
         recs = mr.simulate_ota_training(hw, plan, omega, 0.0, "surrogate",
                                         np.random.default_rng(12))
-        psi = mr.assemble_psi_matrix(recs, plan, order=2)
+        psi = assemble_psi_matrix(recs, plan, order=2)
         assert psi.shape == (6 * 5 // 2 * 4 * 3, 6 * 3)
 
     def test_ground_truth_in_null_space(self):
@@ -246,7 +248,7 @@ class TestAssembleAndEstimate:
                + 1j * rng.standard_normal((6, order + 1)))
         tau /= tau[0, 0]
         recs = synth_poly_training(hw, plan, omega, tau, order, rng)
-        psi = mr.assemble_psi_matrix(recs, plan, order)
+        psi = assemble_psi_matrix(recs, plan, order)
         resid = np.linalg.norm(psi @ tau.ravel())
         assert resid <= 1e-10 * np.linalg.norm(psi) * np.linalg.norm(tau)
 
@@ -257,8 +259,8 @@ class TestAssembleAndEstimate:
                + 1j * rng.standard_normal((8, order + 1)))
         tau /= tau[0, 0]
         recs = synth_poly_training(hw, plan, omega, tau, order, rng)
-        psi = mr.assemble_psi_matrix(recs, plan, order)
-        est = mr.estimate_poly_coeffs(psi, order, sigma_ref=plan.sigma_max)
+        psi = assemble_psi_matrix(recs, plan, order)
+        est = estimate_poly_coeffs(psi, order, sigma_ref=plan.sigma_max)
         assert np.max(np.abs(est.tau - tau)) <= 1e-8 * np.max(np.abs(tau))
         est2 = mr.estimate_poly_coeffs_from_records(recs, plan, order)
         assert np.max(np.abs(est2.tau - tau)) <= 1e-8 * np.max(np.abs(tau))
@@ -330,18 +332,18 @@ class TestMuHatFit:
         recs = mr.simulate_ota_training(hw, plan, omega, 0.0, "surrogate",
                                         np.random.default_rng(21))
         poly = estimate_poly_coeffs_anchored(recs, plan, 5)
-        for m in range(8):
-            grid = np.linspace(1e-3, 1.0, 50) * plan.sigma_max[m]
-            phases = np.unwrap(np.angle(poly.mu(m, grid)))
-            assert np.max(np.abs(np.diff(phases))) < math.pi / 2
+        grid = np.linspace(1e-3, 1.0, 50)[:, None] * plan.sigma_max
+        phases = np.unwrap(np.angle(poly.mu_all(grid)), axis=0)
+        assert np.max(np.abs(np.diff(phases, axis=0))) < math.pi / 2
 
     def test_real_coefficients_zero_phase(self):
         tau = np.zeros((2, 3), dtype=complex)
         tau[:, 0] = 1.0
         tau[0, 0] = 1.0
         poly = mr.PolyMismatch(tau=tau, order=2, sigma_ref=np.ones(2))
-        val = poly.mu(0, 0.5)
-        assert poly.mu_abs(0, 0.5) == pytest.approx(abs(val))
+        sigma = np.full(2, 0.5)
+        val = poly.mu_all(sigma)[0]
+        assert poly.mu_abs_all(sigma)[0] == pytest.approx(abs(val))
         assert np.angle(val) == pytest.approx(0.0, abs=1e-15)
 
 
@@ -411,12 +413,6 @@ class TestSlpSolve:
 
             def mu_abs_all(self, sigma):
                 return self.gains
-
-            def mu(self, m, sigma):
-                return complex(self.gains[m])
-
-            def mu_abs(self, m, sigma):
-                return self.gains[m]
 
         gains = np.array([1.0, 0.5, 2.0, 1.5])
         sigma_x = np.full(4, 0.5)
@@ -500,7 +496,7 @@ class TestPhases:
         c_abs = np.full(8, 0.7)
         phases = mr.calibration_phases(model, c_abs, sigma_x)
         c = c_abs * np.exp(1j * phases)
-        rotated = np.array([c[m] * model.mu(m, c_abs[m] * sigma_x[m]) for m in range(8)])
+        rotated = c * model.mu_all(c_abs * sigma_x)
         assert np.max(np.abs(np.angle(rotated))) <= 1e-10
 
     def test_amplitude_decoupling(self, default_mismatch):
@@ -532,8 +528,7 @@ class TestCalibrate:
         assert res.converged
         model = mr.TrueMismatch(hw)
         sigma_x = hw.sigma_x(1.0)
-        vals = np.array([res.c[m] * model.mu(m, abs(res.c[m]) * sigma_x[m])
-                         for m in range(8)])
+        vals = res.c * model.mu_all(np.abs(res.c) * sigma_x)
         spread = (np.abs(vals).max() - np.abs(vals).min()) / res.g0
         assert spread <= 1e-3
 

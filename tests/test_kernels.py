@@ -44,7 +44,7 @@ def test_effective_channels_match_single_draw_precoder(n_draws, k, m, seed):
     assert h_eq.shape == (n_draws, k, k)
     for t in range(n_draws):
         h_ul = mr.uplink_channel(mr.ChannelRealization(h=h[t], phi=phi), hw)
-        w = mr.zf_precoder(h_ul, beta).w
+        w = mr.zf_precoder(h_ul, beta)
         # the textbook formula, with an explicit inverse, as an independent oracle
         w_ref = np.conj(h_ul) @ np.linalg.inv(h_ul.T @ np.conj(h_ul)) / math.sqrt(beta)
         assert np.max(np.abs(w - w_ref)) <= 1e-12 * np.max(np.abs(w_ref))

@@ -1,4 +1,4 @@
-"""ZF precoder, normalisation scalar, downlink transmit chain, calibration hook."""
+"""ZF precoder, normalisation scalar and the downlink transmit chain."""
 
 import math
 
@@ -20,21 +20,21 @@ class TestZfPrecoder:
     def test_inversion_residual(self, default_mismatch):
         hw, phi, ch = _system(16, 4, default_mismatch, 10.0, 0)
         h_ul = mr.uplink_channel(ch, hw)
-        prec = mr.zf_precoder(h_ul, beta=1.0)
-        resid = np.linalg.norm(h_ul.T @ prec.w - np.eye(4))
+        w = mr.zf_precoder(h_ul, beta=1.0)
+        resid = np.linalg.norm(h_ul.T @ w - np.eye(4))
         assert resid <= 1e-10
 
     def test_square_case_exact_inverse(self):
         rng = np.random.default_rng(1)
         h_ul = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-        prec = mr.zf_precoder(h_ul, beta=4.0)
-        assert np.allclose(h_ul.T @ prec.w, np.eye(5) / 2.0, atol=1e-10)
+        w = mr.zf_precoder(h_ul, beta=4.0)
+        assert np.allclose(h_ul.T @ w, np.eye(5) / 2.0, atol=1e-10)
 
     def test_homogeneity(self):
         rng = np.random.default_rng(2)
         h_ul = rng.standard_normal((12, 3)) + 1j * rng.standard_normal((12, 3))
-        w1 = mr.zf_precoder(h_ul, beta=1.0).w
-        w2 = mr.zf_precoder(3.0 * h_ul, beta=1.0).w
+        w1 = mr.zf_precoder(h_ul, beta=1.0)
+        w2 = mr.zf_precoder(3.0 * h_ul, beta=1.0)
         assert np.allclose(w2, w1 / 3.0, atol=1e-12)
 
     def test_rank_deficiency_reported(self):
@@ -118,6 +118,12 @@ class TestBetaZf:
             mr.beta_zf_closed(hw, np.ones(3))
 
 
+def _symbols(rng, n, k, rho_t=1.0):
+    """n i.i.d. CN(0, rho_t) symbols per UE, shape (n, k)."""
+    return math.sqrt(rho_t / 2.0) * (rng.standard_normal((n, k))
+                                     + 1j * rng.standard_normal((n, k)))
+
+
 class TestTransmitDownlink:
     def test_ideal_noiseless_inversion(self):
         # no mismatch, linear regime, no noise: y_k = sqrt(a0) s_k / sqrt(beta)
@@ -126,28 +132,22 @@ class TestTransmitDownlink:
         phi = np.ones(4)
         ch = mr.draw_channel(np.random.default_rng(1), 16, phi**2)
         beta = mr.beta_zf_closed(hw, phi)
-        prec = mr.zf_precoder(mr.uplink_channel(ch, hw), beta)
-        outs = list(mr.transmit_downlink(prec, hw, ch, rho_t=1.0, n_symbols=32,
-                                         mode="physical", noise_var=0.0,
-                                         rng=np.random.default_rng(2)))
-        assert len(outs) == 32
-        for out in outs:
-            expected = math.sqrt(hw.a0) * out.s / math.sqrt(beta)
-            assert np.allclose(out.y, expected, rtol=1e-8)
+        w = mr.zf_precoder(mr.uplink_channel(ch, hw), beta)
+        s = _symbols(np.random.default_rng(2), 32, 4)
+        y = mr.transmit_block(hw, ch.h, w, s)
+        assert y.shape == (32, 4)
+        assert np.allclose(y, math.sqrt(hw.a0) * s / math.sqrt(beta), rtol=1e-8)
 
     def _empirical_rms(self, hw, phi, n_draws, n_sym, seed):
+        # rms of the pre-amplifier antenna samples x = s W^T over the draws
         beta = mr.beta_zf_closed(hw, phi)
         acc = np.zeros(hw.m)
-        n = 0
         rng = np.random.default_rng(seed)
         for _ in range(n_draws):
             ch = mr.draw_channel(rng, hw.m, phi**2)
-            prec = mr.zf_precoder(mr.uplink_channel(ch, hw), beta)
-            for out in mr.transmit_downlink(prec, hw, ch, 1.0, n_sym, "surrogate",
-                                            0.0, rng):
-                acc += np.abs(out.x_b) ** 2
-                n += 1
-        return np.sqrt(acc / n)
+            w = mr.zf_precoder(mr.uplink_channel(ch, hw), beta)
+            acc += np.sum(np.abs(_symbols(rng, n_sym, hw.k) @ w.T) ** 2, axis=0)
+        return np.sqrt(acc / (n_draws * n_sym))
 
     def test_per_antenna_rms_matches_closed_form(self):
         # sigma_x,m is an ensemble quantity; with constant |r_m| the formula
@@ -174,23 +174,26 @@ class TestTransmitDownlink:
         assert np.mean(rel) < 0.06
 
     def test_surrogate_physical_power_agreement(self, default_mismatch):
-        # soft-limiter hardware at IBO 10 dB: received power agrees within 3%
-        # (channel draws paired across the two modes)
+        # soft-limiter hardware at IBO 10 dB: the received power of the
+        # sample-level chain agrees within 3% with its Bussgang expectation
+        # a0 |u_k|^2 (rho_t ||(h_k o g) W||^2 + sum_m |h_km|^2 sigma_d,m^2)
         rho = 1.0
         a_sat = mr.a_sat_for_ibo(10.0, rho, 16)
         hw, phi, ch = _system(16, 4, default_mismatch, a_sat, 5)
         beta = mr.beta_zf_closed(hw, phi)
+        pair = mr.bussgang_decompose(hw, hw.sigma_x(rho))
+        u2 = np.abs(hw.ue_rx) ** 2
         power = {"surrogate": np.zeros(4), "physical": np.zeros(4)}
-        n = 0
         ch_rng = np.random.default_rng(6)
         for seed in range(150):
             ch_i = mr.draw_channel(ch_rng, 16, phi**2)
-            prec = mr.zf_precoder(mr.uplink_channel(ch_i, hw), beta)
-            for mode in power:
-                rng = np.random.default_rng((7, seed))
-                for out in mr.transmit_downlink(prec, hw, ch_i, rho, 200, mode, 0.0, rng):
-                    power[mode] += np.abs(out.y) ** 2
-            n += 200
+            w = mr.zf_precoder(mr.uplink_channel(ch_i, hw), beta)
+            s = _symbols(np.random.default_rng((7, seed)), 200, 4, rho)
+            power["physical"] += np.mean(np.abs(mr.transmit_block(hw, ch_i.h, w, s)) ** 2,
+                                         axis=0)
+            linear = np.sum(np.abs((ch_i.h * pair.g) @ w) ** 2, axis=1)
+            power["surrogate"] += hw.a0 * u2 * (rho * linear
+                                                + np.abs(ch_i.h) ** 2 @ pair.sigma_d2)
         rel = np.abs(power["surrogate"] - power["physical"]) / power["physical"]
         assert np.max(rel) < 0.03
 
@@ -209,65 +212,43 @@ class TestTransmitDownlink:
                    for b in bs)
 
     def test_parameter_validation(self, default_mismatch):
+        # the chain's operating point rejects a bad rho_t, the precoder a bad beta
         hw, phi, ch = _system(8, 2, default_mismatch, 1.0, 10)
-        prec = mr.zf_precoder(mr.uplink_channel(ch, hw), 1.0)
-        with pytest.raises(ValueError):
-            list(mr.transmit_downlink(prec, hw, ch, -1.0, 4, "surrogate", 0.0,
-                                      np.random.default_rng(0)))
-        with pytest.raises(ValueError):
-            list(mr.transmit_downlink(prec, hw, ch, 1.0, 4, "bogus", 0.0,
-                                      np.random.default_rng(0)))
+        for rho_t in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="rho_t"):
+                hw.sigma_x(rho_t)
+        h_ul = mr.uplink_channel(ch, hw)
+        for beta in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match="beta"):
+                mr.zf_precoder(h_ul, beta)
+        with pytest.raises(ValueError, match="M >= K"):
+            mr.zf_precoder(h_ul.T, 1.0)
 
     def test_surrogate_one_bussgang_call(self, default_mismatch, monkeypatch):
-        # the Bussgang pairs of all M antennas come from one vector call
-        from mimo_recal import hardware
+        # the Bussgang pairs of all M antennas come from one vector call, in
+        # the closed form and in surrogate Monte Carlo
+        from mimo_recal import analysis
 
-        hw, phi, ch = _system(16, 4, default_mismatch, 1.0, 17)
-        prec = mr.zf_precoder(mr.uplink_channel(ch, hw), mr.beta_zf_closed(hw, phi))
-        mu = hardware.bussgang_mu
+        hw, phi, _ = _system(16, 4, default_mismatch, 1.0, 17)
+        mu = analysis.bussgang_mu
         shapes = []
-        monkeypatch.setattr(hardware, "bussgang_mu", lambda x: shapes.append(np.shape(x)) or mu(x))
-        list(mr.transmit_downlink(prec, hw, ch, 1.0, 8, "surrogate", 0.0,
-                                  np.random.default_rng(18)))
+        monkeypatch.setattr(analysis, "bussgang_mu", lambda x: shapes.append(np.shape(x)) or mu(x))
+        mr.sindr_zf_closed_all(hw, phi, 1.0, 10.0, 1.0)
+        assert shapes == [(16,)]
+        shapes.clear()
+        mr.estimate_sindr_mc(hw, phi, 1.0, 10.0, 1.0, 8, 1, "surrogate",
+                             np.random.default_rng(18))
         assert shapes == [(16,)]
 
 
 class TestApplyCalibration:
-    def test_unit_vector_identity(self, default_mismatch):
-        hw, phi, ch = _system(8, 2, default_mismatch, 1.0, 11)
-        prec = mr.zf_precoder(mr.uplink_channel(ch, hw), 1.0)
-        cal = mr.apply_calibration(prec, np.ones(8, dtype=complex))
-        assert np.array_equal(cal.w, prec.w)
-        assert cal.mode == "calibrated"
-
-    def test_common_phase_leaves_sindr(self, default_mismatch):
-        rho = 1.0
-        a_sat = mr.a_sat_for_ibo(10.0, rho, 16)
-        hw = mr.draw_system_hardware(np.random.default_rng(12), 16, 4,
-                                     default_mismatch, a_sat)
-        phi = np.ones(4)
-        base = mr.estimate_sindr_mc(hw, phi, rho, 10.0, 1.0, 500, 1, "surrogate",
-                                    np.random.default_rng(13))
-        rot = mr.estimate_sindr_mc(hw, phi, rho, 10.0, 1.0, 500, 1, "surrogate",
-                                   np.random.default_rng(13),
-                                   c=np.exp(0.4j) * np.ones(16))
-        for a, b in zip(base, rot):
-            assert b.sindr == pytest.approx(a.sindr, rel=1e-9)
-
-    def test_renormalised_power_preserved(self, default_mismatch):
-        hw, phi, ch = _system(8, 2, default_mismatch, 1.0, 14)
-        prec = mr.zf_precoder(mr.uplink_channel(ch, hw), 1.0)
-        rng = np.random.default_rng(15)
-        c = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        cal = mr.apply_calibration(prec, c, renormalize=True)
-        assert np.sum(np.abs(cal.w) ** 2) == pytest.approx(np.sum(np.abs(prec.w) ** 2),
-                                                           rel=1e-10)
-
     def test_zero_vector_rejected(self, default_mismatch):
-        hw, phi, ch = _system(8, 2, default_mismatch, 1.0, 16)
-        prec = mr.zf_precoder(mr.uplink_channel(ch, hw), 1.0)
-        with pytest.raises(ValueError):
-            mr.apply_calibration(prec, np.zeros(8, dtype=complex))
+        # diag(c) W with c = 0 sends nothing; both Monte-Carlo modes refuse it
+        hw, phi, _ = _system(8, 2, default_mismatch, 1.0, 16)
+        for mode in ("surrogate", "physical"):
+            with pytest.raises(ValueError, match="calibration row 0"):
+                mr.estimate_sindr_mc(hw, phi, 1.0, 10.0, 1.0, 4, 8, mode,
+                                     np.random.default_rng(0), c=np.zeros(8, dtype=complex))
 
 
 def test_zero_noise_interference_floor(default_mismatch):
@@ -276,13 +257,11 @@ def test_zero_noise_interference_floor(default_mismatch):
                                  mr.HardwareMismatch.none(), 1e9, ue_pilot_amp=1e-9)
     phi = np.ones(4)
     ch = mr.draw_channel(np.random.default_rng(21), 16, phi**2)
-    prec = mr.zf_precoder(mr.uplink_channel(ch, hw), mr.beta_zf_closed(hw, phi))
-    outs = list(mr.transmit_downlink(prec, hw, ch, 1.0, 64, "physical", 0.0,
-                                     np.random.default_rng(22)))
-    sig = np.mean([np.abs(o.y) ** 2 for o in outs])
-    cross = []
-    for o in outs:
-        # reconstruct what UE k receives from symbol i != k via the effective channel
-        y_pred = math.sqrt(hw.a0) * o.s / math.sqrt(prec.beta)
-        cross.append(np.abs(o.y - y_pred) ** 2)
+    beta = mr.beta_zf_closed(hw, phi)
+    w = mr.zf_precoder(mr.uplink_channel(ch, hw), beta)
+    s = _symbols(np.random.default_rng(22), 64, 4)
+    y = mr.transmit_block(hw, ch.h, w, s)
+    sig = np.mean(np.abs(y) ** 2)
+    # what each UE receives beyond its own symbol through the effective channel
+    cross = np.abs(y - math.sqrt(hw.a0) * s / math.sqrt(beta)) ** 2
     assert np.mean(cross) <= 1e-20 * sig
