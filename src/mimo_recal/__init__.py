@@ -38,12 +38,12 @@ from .analysis import (
     estimate_sindr_mc,
     rate_from_sindr,
     sindr_large_ibo,
-    sindr_zf_closed,
     sindr_zf_closed_all,
     sinr_linear_mismatch,
     zf_bussgang,
 )
 from .calibration import (
+    CALIBRATION_METHODS,
     CalibrationError,
     CalibrationResult,
     PilotPlan,
@@ -52,6 +52,7 @@ from .calibration import (
     TrueMismatch,
     calibrate,
     calibration_phases,
+    calibration_stack,
     draw_inter_antenna_channel,
     estimate_poly_coeffs_anchored,
     estimate_poly_coeffs_from_records,

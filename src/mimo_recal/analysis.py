@@ -43,7 +43,6 @@ __all__ = [
     "RateDecomposition",
     "sinr_linear_mismatch",
     "zf_bussgang",
-    "sindr_zf_closed",
     "sindr_zf_closed_all",
     "rate_from_sindr",
     "avg_rate_decomposition",
@@ -135,6 +134,9 @@ def zf_bussgang(hw: SystemHardware, rho_t: float, c=None) -> tuple[np.ndarray, n
 
 
 def _closed_terms(hw: SystemHardware, phi, rho_t, a0, noise_var):
+    """Closed-form SINDR breakdown of every UE, and the trace statistics of
+    the ZF Bussgang pair it rests on: tr{RR^*}, tr{GR^*}, sum_m |g_m - alpha
+    r_m|^2 with alpha = mean(g/r), and tr{sigma_d^2}."""
     phi = np.asarray(phi, dtype=np.float64)
     m, k = hw.m, hw.k
     r = hw.bs_rx
@@ -156,22 +158,15 @@ def _closed_terms(hw: SystemHardware, phi, rho_t, a0, noise_var):
     mui_sum = np.sum(1.0 / (b2 * phi**2)) - 1.0 / (b2 * phi**2)
     mui = a0 * rho_t * phi**2 * u2 * t_delta * (m - k) / (m**2 * s_b) * mui_sum
     nld = a0 * u2 * phi**2 * tr_sig
-    return es, si, mui, nld, np.full(k, float(noise_var))
-
-
-def sindr_zf_closed(hw: SystemHardware, phi, rho_t: float, a0: float, noise_var: float,
-                    k: int) -> SindrBreakdown:
-    """Closed-form SINDR terms for UE ``k`` under nonlinear reciprocity mismatch."""
-    es, si, mui, nld, noise = _closed_terms(hw, phi, rho_t, a0, noise_var)
-    return SindrBreakdown.from_terms(es[k], si[k], mui[k], nld[k], noise[k])
+    breakdowns = [SindrBreakdown.from_terms(es[i], si[i], mui[i], nld[i], noise_var)
+                  for i in range(k)]
+    return breakdowns, (tr_rr, tr_gr, t_delta, tr_sig)
 
 
 def sindr_zf_closed_all(hw: SystemHardware, phi, rho_t: float, a0: float,
                         noise_var: float) -> list[SindrBreakdown]:
     """Closed-form SINDR breakdown for every UE."""
-    es, si, mui, nld, noise = _closed_terms(hw, phi, rho_t, a0, noise_var)
-    return [SindrBreakdown.from_terms(es[i], si[i], mui[i], nld[i], noise[i])
-            for i in range(hw.k)]
+    return _closed_terms(hw, phi, rho_t, a0, noise_var)[0]
 
 
 def avg_rate_decomposition(hw: SystemHardware, phi, rho_t: float, a0: float,
@@ -185,25 +180,18 @@ def avg_rate_decomposition(hw: SystemHardware, phi, rho_t: float, a0: float,
     """
     phi = np.asarray(phi, dtype=np.float64)
     m, k = hw.m, hw.k
-    gammas = np.array([s.sindr for s in sindr_zf_closed_all(hw, phi, rho_t, a0, noise_var)])
-    if np.min(gammas) < 1.0:
+    breakdowns, (tr_rr, tr_gr, t_delta, tr_sig) = _closed_terms(hw, phi, rho_t, a0,
+                                                                 noise_var)
+    if min(b.sindr for b in breakdowns) < 1.0:
         warnings.warn("avg_rate_decomposition: min SINDR < 1, decomposition accuracy degrades",
                       RuntimeWarning)
 
     tr_phi_inv2 = float(np.sum(1.0 / phi**2))
     r_ideal = math.log2((m - k) / tr_phi_inv2 * rho_t * a0 / noise_var)
 
-    g, sig2 = zf_bussgang(hw, rho_t)
-    r = hw.bs_rx
-    tr_rr = float(np.sum(np.abs(r) ** 2))
-    tr_gr = complex(np.sum(g * np.conj(r)))
-    alpha = complex(np.mean(g / r))
-    eps2 = float(np.sum(np.abs(g - alpha * r) ** 2)) / m
-    tr_sig = float(np.sum(sig2))
-
     u2 = np.abs(hw.ue_rx) ** 2
     sigma_eq2 = a0 * phi**2 * tr_sig + noise_var / u2
-    num = (m - k) / m * rho_t * a0 * phi**2 * eps2 + sigma_eq2
+    num = (m - k) / m * rho_t * a0 * phi**2 * (t_delta / m) + sigma_eq2
     den = noise_var * abs(tr_gr) ** 2 / (m * tr_rr)
     d_bs = float(np.mean(np.log2(num / den)))
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import functools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Literal
 
 import numpy as np
@@ -42,10 +42,15 @@ __all__ = [
     "slp_solve",
     "calibration_phases",
     "calibrate",
+    "calibration_stack",
     "training_overhead",
+    "CALIBRATION_METHODS",
 ]
 
 MAX_PSI_ORDER = 20
+
+# the rows of ``calibration_stack``, in order
+CALIBRATION_METHODS = ("none", "linear_rc", "poly_nrc", "perfect_nrc")
 
 
 class CalibrationError(RuntimeError):
@@ -102,23 +107,23 @@ class PilotPlan:
     n_levels: int
     n_symbols: int
     sigma_max: np.ndarray
-    levels: np.ndarray
 
     def __post_init__(self):
         if self.n_levels < 1 or self.n_symbols < 1:
             raise ValueError("need n_levels >= 1 and n_symbols >= 1")
-        if len(self.levels) != self.n_levels:
-            raise ValueError("levels must have n_levels entries")
-        if np.any(np.diff(self.levels) <= 0):
-            raise ValueError("levels must be strictly increasing")
-        if np.any(np.asarray(self.sigma_max) <= 0):
+        sigma_max = np.atleast_1d(np.asarray(self.sigma_max, dtype=np.float64))
+        if np.any(sigma_max <= 0):
             raise ValueError("sigma_max entries must be positive")
+        object.__setattr__(self, "sigma_max", sigma_max)
 
-    @classmethod
-    def make(cls, n_levels: int, n_symbols: int, sigma_max) -> "PilotPlan":
-        sigma_max = np.atleast_1d(np.asarray(sigma_max, dtype=np.float64))
-        fracs = (np.arange(1, n_levels + 1) / n_levels) ** 2
-        return cls(n_levels=n_levels, n_symbols=n_symbols, sigma_max=sigma_max, levels=fracs)
+    @property
+    def levels(self) -> np.ndarray:
+        return (np.arange(1, self.n_levels + 1) / self.n_levels) ** 2
+
+    @property
+    def amplitudes(self) -> np.ndarray:
+        """Pilot amplitude of antenna m at level n, shape (M, N)."""
+        return np.sqrt(self.levels)[None, :] * self.sigma_max[:, None]
 
     @classmethod
     def for_hardware(cls, hw: SystemHardware, n_levels: int, n_symbols: int,
@@ -133,10 +138,7 @@ class PilotPlan:
         """
         base = float(np.exp(np.mean(np.log(hw.a_sat))))
         sigma_max = np.full(hw.m, base * 10.0 ** (-ibo_min_db / 10.0))
-        return cls.make(n_levels, n_symbols, sigma_max)
-
-    def amplitude(self, antenna: int, level: int) -> float:
-        return math.sqrt(self.levels[level]) * float(self.sigma_max[antenna])
+        return cls(n_levels, n_symbols, sigma_max)
 
 
 @dataclass(frozen=True)
@@ -211,9 +213,12 @@ def simulate_ota_training(
         raise ValueError("omega must have zero diagonal")
     if mode not in ("physical", "surrogate"):
         raise ValueError(f"unknown mode {mode!r}")
+    # a NaN fails the comparison
+    if not 0 <= noise_var < math.inf:
+        raise ValueError(f"noise_var must be finite and non-negative, got {noise_var}")
 
     n_levels, q = plan.n_levels, plan.n_symbols
-    amps = np.sqrt(plan.levels)[None, :] * plan.sigma_max[:, None]  # (M, N)
+    amps = plan.amplitudes
     x = np.empty((m, n_levels, q), dtype=np.complex128)
     # noise goes into y in draw order; the signal is added in one broadcast
     y = np.zeros((m, m, n_levels, q), dtype=np.complex128)
@@ -281,10 +286,6 @@ class PolyMismatch:
         if np.any(np.asarray(self.sigma_ref) <= 0):
             raise ValueError("sigma_ref entries must be positive")
 
-    @property
-    def m(self) -> int:
-        return self.tau.shape[0]
-
     def mu_all(self, sigma: np.ndarray) -> np.ndarray:
         """Per-antenna values at per-antenna amplitudes; sigma has shape
         (..., M), and leading axes broadcast."""
@@ -300,10 +301,6 @@ class TrueMismatch:
     """Ground-truth mismatch functions mu_m(sigma) = t_m mu(A_m/sigma) / r_m."""
 
     hw: SystemHardware
-
-    @property
-    def m(self) -> int:
-        return self.hw.m
 
     def mu_all(self, sigma: np.ndarray) -> np.ndarray:
         sigma = np.asarray(sigma, dtype=np.float64)
@@ -510,14 +507,17 @@ def _check_concave_increasing(model, sigma_x, c_max, strict: bool):
         warnings.warn(msg, RuntimeWarning)
 
 
+# stop once an accepted step moves |c| by less than this on average
+_SLP_TOL = 1e-6
+_SLP_BACKTRACK = 0.5
+_SLP_MAX_ITER = 500
+
+
 def slp_solve(
     model,
     sigma_x: np.ndarray,
     rho_t: float,
     c_max: np.ndarray,
-    eps: float = 1e-6,
-    rho_step: float = 0.5,
-    max_iter: int = 500,
     strict: bool = True,
     monitor: Callable[[int, np.ndarray, float], None] | None = None,
 ) -> CalibrationResult:
@@ -526,9 +526,10 @@ def slp_solve(
     Maximises g0 subject to g0 <= phi_m(|c_m|) = |c_m| * |mu_m(|c_m| sigma_x,m)|,
     the total power constraint sum |c_m|^2 sigma_x,m^2 <= rho_t and the
     per-antenna caps |c_m| <= c_max,m.  Each iteration linearises phi, solves
-    the closed-form subproblem and backtracks with ratio ``rho_step`` so the
-    minimum of phi never decreases and the next linearisation stays feasible.
-    ``model.mu_abs_all`` takes amplitudes of shape (..., M), as
+    the closed-form subproblem and backtracks so the minimum of phi never
+    decreases and the next linearisation stays feasible.  ``strict`` makes a
+    model that is not concave increasing on the grid an error instead of a
+    warning.  ``model.mu_abs_all`` takes amplitudes of shape (..., M), as
     ``PolyMismatch`` and ``TrueMismatch`` do.
     """
     sigma_x = np.asarray(sigma_x, dtype=np.float64)
@@ -560,7 +561,7 @@ def slp_solve(
     min_phi = float(np.min(phi))
     iterations = 0
     converged = False
-    for it in range(1, max_iter + 1):
+    for it in range(1, _SLP_MAX_ITER + 1):
         iterations = it
         if np.any(slope <= 0):
             raise CalibrationError("phi slope non-positive; model not increasing")
@@ -586,7 +587,7 @@ def slp_solve(
             if float(np.min(phi_c)) >= min_phi - 1e-12 and next_point_feasible(cand, phi_c, slope_c):
                 accepted = (cand, phi_c, slope_c)
                 break
-            step *= rho_step
+            step *= _SLP_BACKTRACK
         if accepted is None:
             break
         cand, phi, slope = accepted
@@ -595,12 +596,12 @@ def slp_solve(
         min_phi = max(min_phi, float(np.min(phi)))
         if monitor is not None:
             monitor(it, c.copy(), min_phi)
-        if move < eps:
+        if move < _SLP_TOL:
             converged = True
             break
 
     if not converged:
-        warnings.warn(f"SLP did not converge within {max_iter} iterations", RuntimeWarning)
+        warnings.warn(f"SLP did not converge within {_SLP_MAX_ITER} iterations", RuntimeWarning)
     power = float(np.sum(c**2 * sigma_x**2))
     if power > rho_t + 1e-9 or np.any(c > c_max + 1e-9):
         raise CalibrationError("SLP terminated at an infeasible point")
@@ -618,33 +619,56 @@ def calibration_phases(model, c_abs: np.ndarray, sigma_x: np.ndarray) -> np.ndar
     return -np.arctan2(vals.imag, vals.real)
 
 
-def calibrate(
-    hw: SystemHardware,
-    plan: PilotPlan,
-    training: TrainingSet,
-    order: int,
-    rho_t: float,
-    eps: float = 1e-6,
-    rho_step: float = 0.5,
-    strict: bool = False,
-) -> CalibrationResult:
+def _maxmin_calibration(model, sigma_x: np.ndarray, rho_t: float,
+                        c_max: np.ndarray) -> CalibrationResult:
+    """SLP amplitudes of ``model`` with its calibration phases.  The
+    concavity gate only warns: the backtracking line search keeps the solver
+    guarantees under the small boundary wiggles a fitted polynomial carries."""
+    res = slp_solve(model, sigma_x, rho_t, c_max, strict=False)
+    c_abs = np.abs(res.c)
+    return replace(res, c=c_abs * np.exp(1j * calibration_phases(model, c_abs, sigma_x)))
+
+
+def calibrate(hw: SystemHardware, plan: PilotPlan, training: TrainingSet, order: int,
+              rho_t: float) -> CalibrationResult:
     """Calibration from one OTA training set: polynomial fit, SLP
     amplitudes, phases.  ``training`` comes from ``simulate_ota_training``
     with the same hardware and plan; the fit is
-    ``estimate_poly_coeffs_anchored``.
-
-    ``strict`` forwards to the SLP concavity gate; estimated models keep it
-    off because the backtracking line search preserves the solver guarantees
-    under the small boundary wiggles a fitted polynomial carries.
+    ``estimate_poly_coeffs_anchored``.  ``order`` is at least 1: the order-0
+    calibration is the ``linear_rc`` row of ``calibration_stack``.
     """
+    if order < 1:
+        raise ValueError(f"order must be >= 1, got {order}; the order-0 calibration "
+                         "is the linear_rc row of calibration_stack")
     if training.m != hw.m:
         raise ValueError(f"training set has {training.m} antennas, the hardware {hw.m}")
     poly = estimate_poly_coeffs_anchored(training, plan, order)
     sigma_x = hw.sigma_x(rho_t)
+    res = _maxmin_calibration(poly, sigma_x, rho_t, plan.sigma_max / sigma_x)
+    return replace(res, overhead=training_overhead(hw.m, plan))
+
+
+def calibration_stack(hw: SystemHardware, plan: PilotPlan, training: TrainingSet,
+                      order: int, rho_t: float) -> np.ndarray:
+    """The calibration vectors of ``CALIBRATION_METHODS`` from one OTA
+    training set, as a (4, M) stack in that order; draws nothing.
+
+    ``none`` is ones.  ``linear_rc`` is ``linear_calibration`` at the pilot
+    level nearest the mean operating amplitude, rescaled to the power budget
+    ``rho_t`` and then capped at c_max = sigma_max / sigma_x.  ``poly_nrc``
+    is ``calibrate(...).c``, and the ``linear_rc`` row at ``order`` 0.
+    ``perfect_nrc`` applies the max-min and phase steps of ``calibrate`` to
+    ``TrueMismatch(hw)``.
+    """
+    if training.m != hw.m:
+        raise ValueError(f"training set has {training.m} antennas, the hardware {hw.m}")
+    sigma_x = hw.sigma_x(rho_t)
     c_max = plan.sigma_max / sigma_x
-    res = slp_solve(poly, sigma_x, rho_t, c_max, eps=eps, rho_step=rho_step, strict=strict)
-    c_abs = np.abs(res.c)
-    phases = calibration_phases(poly, c_abs, sigma_x)
-    c = c_abs * np.exp(1j * phases)
-    return CalibrationResult(c=c, g0=res.g0, iterations=res.iterations,
-                             converged=res.converged, overhead=training_overhead(hw.m, plan))
+    # picked on antenna 0's amplitudes: ``for_hardware`` plans share one grid
+    level = int(np.argmin(np.abs(plan.amplitudes[0] - float(np.mean(sigma_x)))))
+    c = linear_calibration(training.level(level), 1.0)
+    c = c * math.sqrt(rho_t / float(np.sum(np.abs(c) ** 2 * sigma_x**2)))
+    c_lin = np.minimum(np.abs(c), c_max) * np.exp(1j * np.angle(c))
+    c_poly = c_lin if order == 0 else calibrate(hw, plan, training, order, rho_t).c
+    c_perf = _maxmin_calibration(TrueMismatch(hw), sigma_x, rho_t, c_max).c
+    return np.stack([np.ones(hw.m, dtype=np.complex128), c_lin, c_poly, c_perf])

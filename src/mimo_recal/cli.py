@@ -27,12 +27,11 @@ from .analysis import (
     sinr_linear_mismatch,
 )
 from .calibration import (
+    CALIBRATION_METHODS,
     PilotPlan,
     TrueMismatch,
-    calibrate,
-    calibration_phases,
+    calibration_stack,
     draw_inter_antenna_channel,
-    linear_calibration,
     simulate_ota_training,
     slp_solve,
 )
@@ -63,7 +62,6 @@ DEFAULT_PARAMS = {
     "n_symbols_train": 10,
     "train_noise_var": 0.0,
     "pathloss": "unit",  # "unit" or "drawn"
-    "cal_c0": 1.0,
 }
 
 
@@ -107,6 +105,13 @@ class ExperimentConfig:
         for key in self.params:
             if key not in DEFAULT_PARAMS:
                 raise ConfigError(f"params.{key}: unknown parameter")
+        if self.param("pathloss") not in ("unit", "drawn"):
+            raise ConfigError(f"params.pathloss: unknown value {self.param('pathloss')!r} "
+                              "(allowed: unit, drawn)")
+        noise = self.param("train_noise_var")
+        # a NaN fails the comparison
+        if not (isinstance(noise, (int, float)) and 0 <= noise < math.inf):
+            raise ConfigError(f"params.train_noise_var: must be finite and >= 0, got {noise!r}")
 
     def param(self, name: str):
         return self.params.get(name, DEFAULT_PARAMS[name])
@@ -194,15 +199,6 @@ def _mean_rate(breakdowns) -> float:
     return float(np.mean([rate_from_sindr(b.sindr) for b in breakdowns]))
 
 
-def _scale_to_power(c: np.ndarray, sigma_x: np.ndarray, rho_t: float,
-                    c_max: np.ndarray) -> np.ndarray:
-    """Rescale a coefficient vector to the full power budget, then cap."""
-    c = np.asarray(c, dtype=np.complex128)
-    c = c * math.sqrt(rho_t / float(np.sum(np.abs(c) ** 2 * sigma_x**2)))
-    amp = np.minimum(np.abs(c), c_max)
-    return amp * np.exp(1j * np.angle(c))
-
-
 def _analysis_point(cfg: ExperimentConfig, sweep_value, seed_seq) -> list[dict]:
     """rate_vs_snr / rate_vs_ibo / loss_vs_mismatch point."""
     p = _point_setup(cfg, sweep_value)
@@ -241,49 +237,26 @@ def _analysis_point(cfg: ExperimentConfig, sweep_value, seed_seq) -> list[dict]:
 def _calibration_point(cfg: ExperimentConfig, sweep_value, seed_seq) -> list[dict]:
     p = _point_setup(cfg, sweep_value)
     order = int(p["order"])
-    n_levels = int(p["n_levels"])
-    if n_levels < order + 2:
-        n_levels = order + 2  # identifiability floor for the polynomial fit
+    # identifiability floor for the polynomial fit
+    n_levels = max(int(p["n_levels"]), order + 2)
     mismatch = HardwareMismatch.uniform(p["delta2"], p["theta"])
     a_sat = a_sat_for_ibo(p["ibo_db"], p["rho_t"], cfg.m)
 
-    rates = {"none": [], "linear_rc": [], "poly_nrc": [], "perfect_nrc": []}
+    rates = {name: [] for name in CALIBRATION_METHODS}
     for child in seed_seq.spawn(cfg.n_hardware):
         rng = np.random.default_rng(child)
         phi = _draw_phi(rng, cfg, p)
         hw = draw_system_hardware(rng, cfg.m, cfg.k, mismatch, a_sat)
         omega = draw_inter_antenna_channel(rng, cfg.m)
         plan = PilotPlan.for_hardware(hw, n_levels, int(p["n_symbols_train"]))
-        sigma_x = hw.sigma_x(p["rho_t"])
-        c_max = plan.sigma_max / sigma_x
-
         # one training set per hardware draw, shared by linear_rc and poly_nrc
         training = simulate_ota_training(hw, plan, omega, p["train_noise_var"], cfg.mode, rng)
-        # conventional single-power calibration uses the pilot level closest
-        # to the data-phase operating amplitude
-        op_amp = float(np.mean(sigma_x))
-        level = int(np.argmin([abs(plan.amplitude(0, n) - op_amp) for n in range(plan.n_levels)]))
-        c_lin = linear_calibration(training.level(level), p["cal_c0"])
-        stack = {"none": np.ones(cfg.m, dtype=np.complex128),
-                 "linear_rc": _scale_to_power(c_lin, sigma_x, p["rho_t"], c_max)}
-        # order 0 is the conventional single-power calibration
-        if not (cfg.scenario == "cal_rate_vs_order" and order == 0):
-            stack["poly_nrc"] = calibrate(hw, plan, training, order, p["rho_t"],
-                                          strict=False).c
-
-        true_model = TrueMismatch(hw)
-        res_p = slp_solve(true_model, sigma_x, p["rho_t"], c_max, strict=False)
-        amps = np.abs(res_p.c)
-        stack["perfect_nrc"] = amps * np.exp(1j * calibration_phases(true_model, amps, sigma_x))
-
+        stack = calibration_stack(hw, plan, training, order, p["rho_t"])
         # every method is scored on the same channel draws
         scored = estimate_sindr_mc(hw, phi, p["rho_t"], p["a0"], p["noise_var"],
-                                   cfg.n_channels, cfg.n_symbols, cfg.mode, rng,
-                                   c=np.stack(list(stack.values())))
-        for name, breakdowns in zip(stack, scored):
+                                   cfg.n_channels, cfg.n_symbols, cfg.mode, rng, c=stack)
+        for name, breakdowns in zip(CALIBRATION_METHODS, scored):
             rates[name].append(_mean_rate(breakdowns))
-        if "poly_nrc" not in stack:
-            rates["poly_nrc"].append(rates["linear_rc"][-1])
 
     return [_row(cfg, sweep_value, name, vals) for name, vals in rates.items()]
 
@@ -438,6 +411,16 @@ def selftest() -> int:
     power = float(np.sum(np.abs(res.c) ** 2 * sigma_x**2))
     check("SLP power constraint within 1e-9", power <= 1.0 + 1e-9)
     check("SLP converged", res.converged)
+
+    # noiseless OTA training -> polynomial fit -> SLP + phases, every row
+    plan = PilotPlan.for_hardware(hw, 7, 4)
+    training = simulate_ota_training(hw, plan, draw_inter_antenna_channel(rng, 16), 0.0,
+                                     "surrogate", rng)
+    stack = calibration_stack(hw, plan, training, 5, 1.0)
+    amps = np.abs(stack[1:])
+    check("calibration stack finite, power within 1e-9 and caps met in every row",
+          bool(np.all(np.isfinite(stack)) and np.all(amps**2 @ sigma_x**2 <= 1.0 + 1e-9)
+               and np.all(amps <= plan.sigma_max / sigma_x + 1e-9)))
 
     print(f"{sum(checks)}/{len(checks)} checks passed")
     return 0 if all(checks) else 1

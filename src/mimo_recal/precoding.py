@@ -30,15 +30,14 @@ def zf_precoder(h_ul: np.ndarray, beta: float) -> np.ndarray:
     return _kernels.zf_apply(h_ul[None], beta)[0]
 
 
-def beta_zf_closed(hw: SystemHardware, phi, m: int | None = None, k: int | None = None) -> float:
+def beta_zf_closed(hw: SystemHardware, phi) -> float:
     """Closed-form beta_ZF = M tr{(B Phi^2 B^*)^{-1}} / (tr{RR^*} (M-K)).
 
     ``phi`` follows the path-loss amplitude convention of the closed-form
     layer (channel row mean-square phi^2).
     """
     phi = np.asarray(phi, dtype=np.float64)
-    m = hw.m if m is None else m
-    k = hw.k if k is None else k
+    m, k = hw.m, hw.k
     if m <= k + 1:
         raise ValueError("closed-form beta needs M > K + 1")
     tr_b_phi2_inv = float(np.sum(1.0 / (np.abs(hw.ue_tx_gain) ** 2 * phi**2)))

@@ -116,7 +116,7 @@ def synth_poly_training(hw, plan, omega, tau, order, rng):
     y = np.zeros((m, m, n_levels, q), dtype=np.complex128)
     for tx in range(m):
         for n in range(n_levels):
-            amp = plan.amplitude(tx, n)
+            amp = plan.amplitudes[tx, n]
             x[tx, n] = amp * np.exp(2j * np.pi * rng.uniform(size=q))
             mu = psi_vector(order, float(plan.levels[n])) @ tau[tx]
             out = hw.bs_rx[tx] * mu * x[tx, n]
@@ -141,13 +141,6 @@ def mean_rate_mc(hw, phi, rho_t, a0, noise_var, c, rng, n_channels=200):
     bs = mr.estimate_sindr_mc(hw, phi, rho_t, a0, noise_var, n_channels, 1,
                               "surrogate", rng, c=c)
     return float(np.mean([mr.rate_from_sindr(b.sindr) for b in bs]))
-
-
-def scale_to_power(c, sigma_x, rho_t, c_max):
-    c = np.asarray(c, dtype=np.complex128)
-    c = c * np.sqrt(rho_t / float(np.sum(np.abs(c) ** 2 * sigma_x**2)))
-    amp = np.minimum(np.abs(c), c_max)
-    return amp * np.exp(1j * np.angle(c))
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +206,7 @@ def ref_simulate_ota_training(
     for tx in range(m):
         hpa = HpaModel(a0, hw.t[tx], hw.a_sat[tx], hw.v)
         for n in range(plan.n_levels):
-            amp = plan.amplitude(tx, n)
+            amp = plan.amplitudes[tx, n]
             x = amp * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, size=q))
             if mode == "physical":
                 out = sspa_apply(hpa, x) / math.sqrt(a0)

@@ -18,17 +18,11 @@ import numpy as np
 import pytest
 
 import mimo_recal as mr
-from mimo_recal.calibration import (
-    calibration_phases,
-    estimate_poly_coeffs_anchored,
-    linear_calibration,
-    psi_vector,
-)
+from mimo_recal.calibration import estimate_poly_coeffs_anchored
 from tests.conftest import (
     gauge_fit_error,
     mc_bussgang,
     mean_rate_mc,
-    scale_to_power,
     slp_bisection_oracle,
     synth_poly_training,
 )
@@ -243,24 +237,15 @@ def test_criterion_6_polynomial_estimation():
                                            mr.a_sat_for_ibo(10.0, rho, 8))
             omega_i = mr.draw_inter_antenna_channel(rng_i, 8)
             plan_i = mr.PilotPlan.for_hardware(hw_i, 10, q)
-            sigma_x = hw_i.sigma_x(rho)
-            c_max = plan_i.sigma_max / sigma_x
             recs_i = mr.simulate_ota_training(hw_i, plan_i, omega_i, 4.0,
                                               "surrogate", rng_i)
             kid = child.spawn(1)[0]
             for o in orders:
+                # order 0 is the conventional single-power calibration
                 if o == 0:
-                    op = float(np.mean(sigma_x))
-                    lvl = int(np.argmin([abs(plan_i.amplitude(0, n) - op)
-                                         for n in range(plan_i.n_levels)]))
-                    c = scale_to_power(
-                        linear_calibration(recs_i.level(lvl), 1.0),
-                        sigma_x, rho, c_max)
+                    c = mr.calibration_stack(hw_i, plan_i, recs_i, 0, rho)[1]
                 else:
-                    poly = estimate_poly_coeffs_anchored(recs_i, plan_i, o)
-                    res = mr.slp_solve(poly, sigma_x, rho, c_max, strict=False)
-                    amps = np.abs(res.c)
-                    c = amps * np.exp(1j * calibration_phases(poly, amps, sigma_x))
+                    c = mr.calibrate(hw_i, plan_i, recs_i, o, rho).c
                 out[o].append(mean_rate_mc(hw_i, np.ones(2), rho, A0, NOISE, c,
                                            np.random.default_rng(kid)))
         trend[q] = {o: np.array(v) for o, v in out.items()}
@@ -335,31 +320,19 @@ def test_criterion_8_end_to_end_calibration():
     def experiment(ibo, seed, n_hw=50):
         # one training set per hardware draw, shared by linear_rc and
         # poly_nrc, and every method scored on the same 400 channel draws,
-        # as in cli._calibration_point
+        # as in the calibration scenarios of the CLI
         rho = 10.0 ** 1.8 / A0  # transmit SNR 18 dB
-        rates = {kk: [] for kk in ("none", "linear_rc", "poly_nrc", "perfect_nrc")}
+        rates = {kk: [] for kk in mr.CALIBRATION_METHODS}
         for child in np.random.SeedSequence(seed).spawn(n_hw):
             rng = np.random.default_rng(child)
             hw = mr.draw_system_hardware(rng, 32, 4, MIS,
                                          mr.a_sat_for_ibo(ibo, rho, 32))
             omega = mr.draw_inter_antenna_channel(rng, 32)
             plan = mr.PilotPlan.for_hardware(hw, 7, 10)
-            sigma_x = hw.sigma_x(rho)
-            c_max = plan.sigma_max / sigma_x
             training = mr.simulate_ota_training(hw, plan, omega, 1.0, "surrogate", rng)
-            op = float(np.mean(sigma_x))
-            lvl = int(np.argmin([abs(plan.amplitude(0, n) - op)
-                                 for n in range(plan.n_levels)]))
-            c_lin = scale_to_power(linear_calibration(training.level(lvl), 1.0),
-                                   sigma_x, rho, c_max)
-            c_poly = mr.calibrate(hw, plan, training, 5, rho).c
-            tm = mr.TrueMismatch(hw)
-            rp = mr.slp_solve(tm, sigma_x, rho, c_max, strict=False)
-            amps = np.abs(rp.c)
-            c_perf = amps * np.exp(1j * calibration_phases(tm, amps, sigma_x))
             scored = mr.estimate_sindr_mc(hw, np.ones(4), rho, A0, NOISE, 400, 1,
                                           "surrogate", rng,
-                                          c=np.stack([np.ones(32), c_lin, c_poly, c_perf]))
+                                          c=mr.calibration_stack(hw, plan, training, 5, rho))
             for name, breakdowns in zip(rates, scored):
                 rates[name].append(np.mean([mr.rate_from_sindr(b.sindr)
                                             for b in breakdowns]))

@@ -72,7 +72,7 @@ class TestSindrClosed:
     def test_reduces_to_ideal(self):
         hw = mr.draw_system_hardware(np.random.default_rng(0), 64, 8,
                                      mr.HardwareMismatch.none(), 1e9, ue_pilot_amp=1e-9)
-        b = mr.sindr_zf_closed(hw, np.ones(8), 1.0, A0, NOISE, k=0)
+        b = mr.sindr_zf_closed_all(hw, np.ones(8), 1.0, A0, NOISE)[0]
         assert b.si == pytest.approx(0.0, abs=1e-20)
         assert b.mui == pytest.approx(0.0, abs=1e-20)
         assert b.nld < 1e-12
@@ -87,7 +87,7 @@ class TestSindrClosed:
         hw = mr.SystemHardware(
             a0=A0, t=(2.0 + 1.0j) * r, a_sat=np.full(16, 1e9),
             bs_rx=r, ue_tx_gain=base.ue_tx_gain, ue_rx=base.ue_rx, v=1.0)
-        b = mr.sindr_zf_closed(hw, np.ones(4), 1.0, A0, NOISE, k=0)
+        b = mr.sindr_zf_closed_all(hw, np.ones(4), 1.0, A0, NOISE)[0]
         assert b.si == pytest.approx(0.0, abs=1e-18 * b.es)
         assert b.mui == pytest.approx(0.0, abs=1e-18 * b.es)
 

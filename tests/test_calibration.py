@@ -27,7 +27,6 @@ from tests.conftest import (
     ref_linear_calibration,
     ref_measured_level_shapes,
     ref_simulate_ota_training,
-    scale_to_power,
     slp_bisection_oracle,
     synth_poly_training,
 )
@@ -87,22 +86,24 @@ class TestOrthPoly:
 
 class TestPilotPlan:
     def test_levels_increasing_and_counts(self):
-        plan = mr.PilotPlan.make(5, 10, np.ones(4))
+        plan = mr.PilotPlan(5, 10, np.ones(4))
         assert plan.n_levels == 5 and plan.n_symbols == 10
         assert np.all(np.diff(plan.levels) > 0)
-        assert plan.amplitude(0, 4) == pytest.approx(1.0)
-        assert plan.amplitude(0, 0) == pytest.approx(0.2)
+        assert np.array_equal(plan.levels, (np.arange(1, 6) / 5) ** 2)
+        assert plan.amplitudes.shape == (4, 5)
+        assert plan.amplitudes[0, 4] == pytest.approx(1.0)
+        assert plan.amplitudes[0, 0] == pytest.approx(0.2)
 
     def test_invalid(self):
         with pytest.raises(ValueError):
-            mr.PilotPlan.make(0, 10, np.ones(2))
+            mr.PilotPlan(0, 10, np.ones(2))
         with pytest.raises(ValueError):
-            mr.PilotPlan.make(3, 0, np.ones(2))
+            mr.PilotPlan(3, 0, np.ones(2))
         with pytest.raises(ValueError):
-            mr.PilotPlan.make(3, 5, np.zeros(2))
+            mr.PilotPlan(3, 5, np.zeros(2))
 
     def test_overhead(self):
-        plan = mr.PilotPlan.make(5, 10, np.ones(16))
+        plan = mr.PilotPlan(5, 10, np.ones(16))
         assert mr.training_overhead(16, plan) == 16 * 5 * 10
 
 
@@ -127,9 +128,9 @@ class TestSimulateOta:
                 if i == m:
                     continue
                 for n in range(plan.n_levels):
-                    g_m = mr.bussgang_decompose(hw, plan.amplitude(m, n)).g[m]
+                    g_m = mr.bussgang_decompose(hw, plan.amplitudes[m, n]).g[m]
                     ratio = recs.y[m, i, n] / (g_m * recs.x[m, n])
-                    g_i = mr.bussgang_decompose(hw, plan.amplitude(i, n)).g[i]
+                    g_i = mr.bussgang_decompose(hw, plan.amplitudes[i, n]).g[i]
                     ratio_sym = recs.y[i, m, n] / (g_i * recs.x[i, n])
                     # y_{m,i}/(g_m x_m) = a0 r_i w_{mi}; the symmetric pair shares w
                     assert np.allclose(ratio / hw.bs_rx[i], ratio_sym / hw.bs_rx[m],
@@ -141,7 +142,7 @@ class TestSimulateOta:
                                         np.random.default_rng(6))
         for tx in range(4):
             for n in range(plan.n_levels):
-                amp = plan.amplitude(tx, n)
+                amp = plan.amplitudes[tx, n]
                 assert np.allclose(np.abs(recs.x[tx, n]), amp, rtol=1e-12)
                 rms = math.sqrt(float(np.mean(np.abs(recs.x[tx, n]) ** 2)))
                 assert rms == pytest.approx(amp, rel=1e-3)
@@ -153,6 +154,12 @@ class TestSimulateOta:
         with pytest.raises(ValueError):
             mr.simulate_ota_training(hw, plan, bad, 0.0, "surrogate",
                                      np.random.default_rng(8))
+
+    @pytest.mark.parametrize("noise_var", [-1.0, math.nan, math.inf])
+    def test_bad_noise_var_rejected(self, noise_var):
+        hw, omega, plan, rng = _setup(4, 2, 7)
+        with pytest.raises(ValueError, match="noise_var"):
+            mr.simulate_ota_training(hw, plan, omega, noise_var, "surrogate", rng)
 
     def test_record_count(self):
         hw, omega, plan, _ = _setup(5, 2, 9)
@@ -219,7 +226,7 @@ class TestAssembleAndEstimate:
         x2 = np.array([0.3 - 1.0j])
         y21 = np.array([0.7 + 0.2j])   # received at antenna 1 (tx 2)
         y12 = np.array([-0.4 + 0.9j])  # received at antenna 2 (tx 1)
-        plan = mr.PilotPlan.make(1, 1, np.array([abs(x1[0]), abs(x2[0])]))
+        plan = mr.PilotPlan(1, 1, np.array([abs(x1[0]), abs(x2[0])]))
         y = np.zeros((2, 2, 1, 1), dtype=complex)
         y[0, 1, 0] = y12
         y[1, 0, 0] = y21
@@ -352,7 +359,7 @@ class TestLinearCalibration:
         hw = mr.draw_system_hardware(np.random.default_rng(0), 4, 2,
                                      mr.HardwareMismatch.none(), 1e9, ue_pilot_amp=1e-9)
         omega = mr.draw_inter_antenna_channel(np.random.default_rng(1), 4)
-        plan = mr.PilotPlan.make(1, 8, np.full(4, 0.01))
+        plan = mr.PilotPlan(1, 8, np.full(4, 0.01))
         recs = mr.simulate_ota_training(hw, plan, omega, 0.0, "surrogate",
                                         np.random.default_rng(2))
         c = mr.linear_calibration(recs, c0=2.0)
@@ -360,11 +367,11 @@ class TestLinearCalibration:
 
     def test_two_antenna_ratio(self):
         hw, omega, plan0, _ = _setup(2, 1, 3, ibo=60.0)
-        plan = mr.PilotPlan.make(1, 6, plan0.sigma_max * 1e-3)
+        plan = mr.PilotPlan(1, 6, plan0.sigma_max * 1e-3)
         recs = mr.simulate_ota_training(hw, plan, omega, 0.0, "surrogate",
                                         np.random.default_rng(4))
         c = mr.linear_calibration(recs, c0=1.0)
-        g = [mr.bussgang_decompose(hw, plan.amplitude(m, 0)).g[m]
+        g = [mr.bussgang_decompose(hw, plan.amplitudes[m, 0]).g[m]
              for m in range(2)]
         f_ratio = (g[1] / hw.bs_rx[1]) / (g[0] / hw.bs_rx[0])
         assert c[0] / c[1] == pytest.approx(f_ratio, rel=1e-10)
@@ -372,7 +379,7 @@ class TestLinearCalibration:
     def test_equalisation_linear_regime(self):
         # deep back-off: c_m t_m / r_m is a common constant after calibration
         hw, omega, plan0, _ = _setup(8, 2, 5, ibo=60.0)
-        plan = mr.PilotPlan.make(1, 6, plan0.sigma_max * 1e-6)
+        plan = mr.PilotPlan(1, 6, plan0.sigma_max * 1e-6)
         recs = mr.simulate_ota_training(hw, plan, omega, 0.0, "surrogate",
                                         np.random.default_rng(6))
         c = mr.linear_calibration(recs, c0=1.0)
@@ -553,6 +560,60 @@ class TestCalibrate:
                                         np.random.default_rng(37))
         shapes = measured_level_shapes(recs, plan)
         for m in range(6):
-            g = np.array([mr.bussgang_decompose(hw, plan.amplitude(m, n)).g[m]
+            g = np.array([mr.bussgang_decompose(hw, plan.amplitudes[m, n]).g[m]
                           for n in range(6)])
             assert np.allclose(shapes[m], g / g[-1], rtol=1e-9)
+
+
+class TestCalibrationStack:
+    @staticmethod
+    def _stack(order, rho, seed):
+        hw, omega, plan, _ = _setup(8, 2, seed, rho=rho, n_levels=7, n_symbols=10)
+        training = mr.simulate_ota_training(hw, plan, omega, 0.1, "surrogate",
+                                            np.random.default_rng(seed + 1))
+        return hw, plan, training, mr.calibration_stack(hw, plan, training, order, rho)
+
+    @pytest.mark.parametrize("rho, seed", [(1.0, 40), (3.0, 42)])
+    def test_rows(self, rho, seed):
+        hw, plan, training, stack = self._stack(5, rho, seed)
+        assert mr.CALIBRATION_METHODS == ("none", "linear_rc", "poly_nrc", "perfect_nrc")
+        assert stack.shape == (len(mr.CALIBRATION_METHODS), 8)
+        assert np.array_equal(stack[0], np.ones(8))
+
+        sigma_x = hw.sigma_x(rho)
+        c_max = plan.sigma_max / sigma_x
+        for row in stack[1:]:
+            assert np.all(np.isfinite(row))
+            assert float(np.sum(np.abs(row) ** 2 * sigma_x**2)) <= rho + 1e-9
+            assert np.all(np.abs(row) <= c_max + 1e-9)
+
+        # linear_rc: the phases of the single-level calibration at the pilot
+        # level nearest the mean operating amplitude
+        op = float(np.mean(sigma_x))
+        level = min(range(plan.n_levels),
+                    key=lambda n: abs(math.sqrt(plan.levels[n]) * plan.sigma_max[0] - op))
+        c_lin = mr.linear_calibration(training.level(level), 1.0)
+        assert np.allclose(np.angle(stack[1] / c_lin), 0.0, atol=1e-12)
+
+        assert np.array_equal(stack[2], mr.calibrate(hw, plan, training, 5, rho).c)
+
+        true_model = mr.TrueMismatch(hw)
+        res = mr.slp_solve(true_model, sigma_x, rho, c_max, strict=False)
+        assert np.allclose(np.abs(stack[3]), np.abs(res.c), rtol=1e-14, atol=0.0)
+        assert np.allclose(
+            np.angle(stack[3]),
+            mr.calibration_phases(true_model, np.abs(res.c), sigma_x), atol=1e-12)
+
+    def test_order_zero_is_linear(self):
+        hw, plan, training, stack = self._stack(0, 1.0, 44)
+        assert np.array_equal(stack[2], stack[1])
+        # the order-0 rule lives only here: calibrate refuses order 0
+        for order in (0, -1):
+            with pytest.raises(ValueError, match="calibration_stack"):
+                mr.calibrate(hw, plan, training, order, 1.0)
+
+    def test_antenna_count_checked(self):
+        hw, plan, training, _ = self._stack(0, 1.0, 46)
+        other, _, _, _ = _setup(6, 2, 47)
+        with pytest.raises(ValueError, match="antennas"):
+            mr.calibration_stack(other, plan, training, 0, 1.0)

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from mimo_recal import cli
+from mimo_recal import calibration, cli
 
 
 def _write_config(tmp_path, **overrides):
@@ -58,6 +58,25 @@ class TestConfig:
         path, _ = _write_config(tmp_path, mc=mc)
         with pytest.raises(cli.ConfigError, match=field):
             cli.load_config(str(path))
+
+    @pytest.mark.parametrize("value", ["drwan", "Drawn", None, 1])
+    def test_unknown_pathloss_rejected(self, tmp_path, value):
+        # any value but "drawn" used to run silently with unit path loss
+        path, _ = _write_config(tmp_path, params={"pathloss": value})
+        with pytest.raises(cli.ConfigError, match="params.pathloss.*unit, drawn"):
+            cli.load_config(str(path))
+
+    @pytest.mark.parametrize("value", [-1.0, math.nan, math.inf, "1.0"])
+    def test_bad_train_noise_var_rejected(self, tmp_path, value):
+        path, _ = _write_config(tmp_path, scenario="cal_rate_vs_snr")
+        cfg = cli.load_config(str(path))
+        with pytest.raises(cli.ConfigError, match="params.train_noise_var"):
+            cli.apply_override(cfg, "params.train_noise_var", json.dumps(value))
+        path, _ = _write_config(tmp_path, params={"train_noise_var": value})
+        with pytest.raises(cli.ConfigError, match="params.train_noise_var"):
+            cli.load_config(str(path))
+        assert cli.apply_override(cfg, "params.train_noise_var", "0").param(
+            "train_noise_var") == 0
 
     def test_physical_symbols_must_exceed_k(self, tmp_path):
         # n_symbols <= k leaves the physical least-squares fit no residual
@@ -159,8 +178,8 @@ class TestScenarios:
         # linear_rc and poly_nrc calibrate from the same OTA pilots, and the
         # training is simulated once per hardware draw
         seen = {"simulated": [], "linear": [], "calibrate": []}
-        simulate, linear, calibrate = (cli.simulate_ota_training, cli.linear_calibration,
-                                       cli.calibrate)
+        simulate, linear, calibrate = (cli.simulate_ota_training,
+                                       calibration.linear_calibration, calibration.calibrate)
 
         def spy_simulate(*args, **kwargs):
             seen["simulated"].append(simulate(*args, **kwargs))
@@ -175,8 +194,8 @@ class TestScenarios:
             return calibrate(hw, plan, training, *args, **kwargs)
 
         monkeypatch.setattr(cli, "simulate_ota_training", spy_simulate)
-        monkeypatch.setattr(cli, "linear_calibration", spy_linear)
-        monkeypatch.setattr(cli, "calibrate", spy_calibrate)
+        monkeypatch.setattr(calibration, "linear_calibration", spy_linear)
+        monkeypatch.setattr(calibration, "calibrate", spy_calibrate)
         n_hardware = 3
         path, _ = _write_config(
             tmp_path, scenario="cal_rate_vs_snr",
@@ -185,9 +204,12 @@ class TestScenarios:
             params={"ibo_db": 10.0, "order": 3, "n_levels": 5})
         cli.run_scenario(cli.load_config(str(path)))
 
-        assert len(seen["simulated"]) == n_hardware
-        assert len(seen["linear"]) == len(seen["calibrate"]) == n_hardware
-        for full, single, used in zip(seen["simulated"], seen["linear"], seen["calibrate"]):
+        assert len(seen["simulated"]) == len(seen["calibrate"]) == n_hardware
+        # two linear calibrations per draw: the linear_rc row, then the
+        # top-level scale of calibrate's anchored fit
+        assert len(seen["linear"]) == 2 * n_hardware
+        for full, single, used in zip(seen["simulated"], seen["linear"][0::2],
+                                      seen["calibrate"]):
             assert used is full
             assert single.x.shape[1] == 1 and np.shares_memory(single.y, full.y)
             assert any(np.array_equal(single.y, full.level(n).y)
@@ -197,8 +219,9 @@ class TestScenarios:
         # the four methods of one hardware draw are scored on the same
         # channel draws: one estimate_sindr_mc call with a (4, M) stack
         seen = {"estimate": [], "linear": [], "calibrate": [], "slp": []}
-        estimate, linear, calibrate, slp = (cli.estimate_sindr_mc, cli.linear_calibration,
-                                            cli.calibrate, cli.slp_solve)
+        estimate, linear, calibrate, slp = (cli.estimate_sindr_mc,
+                                            calibration.linear_calibration,
+                                            calibration.calibrate, calibration.slp_solve)
 
         def spy_estimate(*args, c=None, **kwargs):
             seen["estimate"].append(np.array(c))
@@ -217,9 +240,9 @@ class TestScenarios:
             return seen["slp"][-1]
 
         monkeypatch.setattr(cli, "estimate_sindr_mc", spy_estimate)
-        monkeypatch.setattr(cli, "slp_solve", spy_slp)
-        monkeypatch.setattr(cli, "linear_calibration", spy_linear)
-        monkeypatch.setattr(cli, "calibrate", spy_calibrate)
+        monkeypatch.setattr(calibration, "slp_solve", spy_slp)
+        monkeypatch.setattr(calibration, "linear_calibration", spy_linear)
+        monkeypatch.setattr(calibration, "calibrate", spy_calibrate)
         n_hardware, m = 3, 8
         path, _ = _write_config(
             tmp_path, scenario="cal_rate_vs_snr",
@@ -230,8 +253,11 @@ class TestScenarios:
 
         assert [r["method"] for r in table] == ["none", "linear_rc", "poly_nrc", "perfect_nrc"]
         assert len(seen["estimate"]) == n_hardware
-        for c, c_lin, res, res_p in zip(seen["estimate"], seen["linear"], seen["calibrate"],
-                                        seen["slp"]):
+        # two SLP solves per draw: the fitted polynomial model inside
+        # calibrate, then the true mismatch functions
+        assert len(seen["slp"]) == 2 * n_hardware
+        for c, c_lin, res, res_p in zip(seen["estimate"], seen["linear"][0::2],
+                                        seen["calibrate"], seen["slp"][1::2]):
             assert c.shape == (4, m)
             assert np.array_equal(c[0], np.ones(m))
             # linear_rc is c_lin rescaled to the power budget: same phases
