@@ -19,15 +19,16 @@ from .hardware import SystemHardware
 from .numerics import bussgang_lambda, bussgang_mu, sinc
 from .precoding import beta_zf_closed, transmit_block
 
-# complex channel entries (1 MiB) per block of surrogate Monte-Carlo draws
+# complex channel entries (1 MiB) in the Monte-Carlo channel buffer
 _BLOCK_ENTRIES = 1 << 16
 
 
 def _block_draws(k: int, m: int, rows: int = 1) -> int:
-    """Channel draws in one surrogate Monte-Carlo block that scores ``rows``
+    """Channel draws in one Monte-Carlo block that scores ``rows``
     calibration vectors.  The stacked product of ``effective_channels``
     takes (1 + rows) K x M complex entries per draw, and a block holds
-    2 ``_BLOCK_ENTRIES`` of them whatever ``rows`` is."""
+    2 ``_BLOCK_ENTRIES`` of them whatever ``rows`` is; the channel buffer
+    holds the ``rows`` = 1 block."""
     return max(1, 2 * _BLOCK_ENTRIES // ((1 + rows) * k * m))
 
 
@@ -246,7 +247,6 @@ def estimate_sindr_mc(
     mode: str,
     rng: np.random.Generator,
     c=None,
-    batch: int = 512,
 ) -> list:
     """Monte-Carlo SINDR per UE with hardware held fixed.
 
@@ -266,24 +266,25 @@ def estimate_sindr_mc(
     one-row stack does.  Each row's Bussgang pair comes from its own
     ``zf_bussgang`` call, so rows do not perturb each other.
 
-    Channels are drawn ``batch`` draws per generator call.  Surrogate mode
-    then works through each batch in blocks sized by ``_block_draws``, so
-    no complex (batch, K, M) array is allocated beside the draw, and forms
-    one uplink Gram matrix per draw for all rows.  Physical mode builds the
-    precoders of ``_precoder_draws`` draws per ``zf_apply`` call and then
-    streams the symbols draw by draw; each draw forms the symbol Gram
-    matrix s^H s once and fits every row by the normal equations
-    (s^H s) fit = s^H y.  Raises ValueError for
-    ``n_channels`` or ``batch`` < 1 or a ``c`` that is not (M,) or (C, M)
+    Each call allocates one complex (B, K, M) channel buffer of about 1 MiB,
+    B = ``_block_draws(K, M)``, whatever ``n_channels`` and C are.  Each
+    block of draws is one generator call into the buffer's float view (real
+    and imaginary parts interleaved) and one in-place scaling by
+    |phi_k|/sqrt(2).  Surrogate mode works through a block in sub-blocks of
+    ``_block_draws(K, M, C)`` draws and forms one uplink Gram matrix per
+    draw for all rows.  Physical mode builds the precoders of
+    ``_precoder_draws`` draws per ``zf_apply`` call and then streams the
+    symbols draw by draw; each draw forms the symbol Gram matrix s^H s once
+    and fits every row by the normal equations (s^H s) fit = s^H y.  Raises
+    ValueError for ``n_channels`` < 1 or a ``c`` that is not (M,) or (C, M)
     with C >= 1 or with a row that is not finite or is all zero, and
     LinAlgError for a rank-deficient channel draw.
     """
     if mode not in ("surrogate", "physical"):
         raise ValueError(f"unknown mode {mode!r}")
     m, k = hw.m, hw.k
-    if n_channels < 1 or batch < 1:
-        raise ValueError(f"n_channels and batch must be at least 1, got {n_channels} "
-                         f"and {batch}")
+    if n_channels < 1:
+        raise ValueError(f"n_channels must be at least 1, got {n_channels}")
     if mode == "physical" and n_symbols <= k:
         raise ValueError(f"physical mode needs n_symbols > K = {k} for a least-squares "
                          f"fit with a residual, got {n_symbols}")
@@ -299,15 +300,20 @@ def estimate_sindr_mc(
     n_c = c_rows.shape[0]
     phi = np.asarray(phi, dtype=np.float64)
     beta = beta_zf_closed(hw, phi)
-    row_scale = np.sqrt(phi**2)[:, None]
+    draws = _block_draws(k, m)
     block = _block_draws(k, m, n_c)
     pblock = _precoder_draws(k, m)
 
     # one zf_bussgang call per row: lambda of one element depends on the
     # other elements of its call
-    pairs = [zf_bussgang(hw, rho_t, row) for row in c_rows]
-    g_eff = np.stack([g * row for (g, _), row in zip(pairs, c_rows)])
-    u2 = np.abs(hw.ue_rx) ** 2
+    g, sig2 = map(np.stack, zip(*(zf_bussgang(hw, rho_t, row) for row in c_rows)))
+    g_eff = g * c_rows
+
+    # the block length does not depend on C, so every row of a stack sees
+    # the draws, and the additions, of its single-vector call
+    buf = np.empty((min(draws, n_channels), k, m), dtype=np.complex128)
+    buf_f = buf.view(np.float64)
+    row_scale = (np.abs(phi) / math.sqrt(2.0))[:, None]
 
     # moments of the deviations from the first draw: SI is a variance about
     # 800x below ES at M=256, K=20, and raw sums would amplify their rounding
@@ -315,31 +321,22 @@ def estimate_sindr_mc(
     shift = None
     sum_d = np.zeros((n_c, k, k), dtype=np.complex128)
     sum_d2 = np.zeros((n_c, k, k), dtype=np.float64)
-    sum_nld = np.zeros((n_c, k), dtype=np.float64)
+    sum_sq = np.zeros((k, 2 * m), dtype=np.float64)
     sum_resid = np.zeros((n_c, k), dtype=np.float64)
     done = 0
     while done < n_channels:
-        nb = min(batch, n_channels - done)
-        z = rng.standard_normal((2, nb, k, m))
+        nb = min(draws, n_channels - done)
+        h, h_f = buf[:nb], buf_f[:nb]
+        rng.standard_normal(out=h_f)
+        h_f *= row_scale
         h_eq = np.empty((n_c, nb, k, k), dtype=np.complex128)
         if mode == "surrogate":
-            # channels, effective channels and the NLD term are built one
-            # cache-sized block of draws at a time
             for lo in range(0, nb, block):
-                h = _channels(z[:, lo:lo + block], row_scale)
                 h_eq[:, lo:lo + block] = _kernels.effective_channels(
-                    h, hw.bs_rx, hw.ue_tx_gain, hw.ue_rx, g_eff, beta, done + lo, n_channels)
-                # NLD: a0 |u_k|^2 sum_m |h_km|^2 sigma_d,m^2 per draw; the
-                # block's arrays go before the next block's are made
-                h2 = np.abs(h) ** 2
-                del h
-                for i, (_, sig2) in enumerate(pairs):
-                    sum_nld[i] += u2 * np.einsum("bkm,m->k", h2, sig2)
-                del h2
-            del z
+                    h[lo:lo + block], hw.bs_rx, hw.ue_tx_gain, hw.ue_rx, g_eff, beta,
+                    done + lo, n_channels)
+            sum_sq += (h_f ** 2).sum(axis=0)
         else:
-            h = _channels(z, row_scale)
-            del z
             for lo in range(0, nb, pblock):
                 w = _kernels.zf_apply(
                     _kernels.uplink(h[lo:lo + pblock], hw.bs_rx, hw.ue_tx_gain), beta,
@@ -350,8 +347,7 @@ def estimate_sindr_mc(
                     sum_resid += resid
         if shift is None:
             shift = h_eq[:, 0].copy()
-        # summed over the whole batch, so the order of additions does not
-        # depend on the block length
+        # summed per block, so the additions do not depend on the sub-block length
         h_eq -= shift[:, None]
         sum_d += h_eq.sum(axis=1)
         sum_d2 += (np.abs(h_eq) ** 2).sum(axis=1)
@@ -362,7 +358,10 @@ def estimate_sindr_mc(
     mean_h = shift + mean_d
     mean_h2 = var_h + np.abs(mean_h) ** 2
     if mode == "surrogate":
-        nld = a0 * sum_nld / n_channels
+        # NLD: a0 |u_k|^2 sum_m E|h_km|^2 sigma_d,m^2, with |h_km|^2 the sum
+        # of the interleaved squares re^2 + im^2; one reduction per row
+        h2 = sum_sq.reshape(k, m, 2).sum(axis=-1)
+        nld = a0 * np.abs(hw.ue_rx) ** 2 * np.sum(sig2[:, None] * h2, axis=-1) / n_channels
     else:
         # symbols were streamed noiselessly, so the LS residual is the
         # distortion power alone (noise enters analytically below)
@@ -377,18 +376,6 @@ def estimate_sindr_mc(
             terms.append(SindrBreakdown.from_terms(es, si, mui, nld[j, i], noise_var))
         out.append(terms)
     return out if c_arr.ndim == 2 else out[0]
-
-
-def _channels(z, row_scale):
-    """Channel draws sqrt(phi^2) (z_re + 1j z_im) / sqrt(2) from a (2, n, K, M)
-    block of standard normals, which is scaled in place."""
-    # numpy divides a complex array by a real scalar through its reciprocal,
-    # so scaling by 1/sqrt(2) keeps the bits of the complex-array form
-    z *= 1.0 / math.sqrt(2.0)
-    h = np.empty(z.shape[1:], dtype=np.complex128)
-    np.multiply(z[0], row_scale, out=h.real)
-    np.multiply(z[1], row_scale, out=h.imag)
-    return h
 
 
 def _normal_fit(s, y):

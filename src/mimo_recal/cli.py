@@ -69,6 +69,16 @@ class ConfigError(ValueError):
     pass
 
 
+def _check_param(name: str, value, where: str) -> None:
+    """The value check of one model parameter, set in params or swept."""
+    if name == "pathloss" and value not in ("unit", "drawn"):
+        raise ConfigError(f"{where}: unknown value {value!r} (allowed: unit, drawn)")
+    # a NaN fails the comparison
+    if name == "train_noise_var" and not (isinstance(value, (int, float))
+                                          and 0 <= value < math.inf):
+        raise ConfigError(f"{where}: must be finite and >= 0, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One experiment: a scenario, the system size, one sweep axis, Monte-Carlo
@@ -105,13 +115,16 @@ class ExperimentConfig:
         for key in self.params:
             if key not in DEFAULT_PARAMS:
                 raise ConfigError(f"params.{key}: unknown parameter")
-        if self.param("pathloss") not in ("unit", "drawn"):
-            raise ConfigError(f"params.pathloss: unknown value {self.param('pathloss')!r} "
-                              "(allowed: unit, drawn)")
-        noise = self.param("train_noise_var")
-        # a NaN fails the comparison
-        if not (isinstance(noise, (int, float)) and 0 <= noise < math.inf):
-            raise ConfigError(f"params.train_noise_var: must be finite and >= 0, got {noise!r}")
+        # a sweep over a name that no parameter has would write one value at
+        # every point
+        if self.sweep_param not in DEFAULT_PARAMS:
+            raise ConfigError(f"sweep.param: unknown parameter {self.sweep_param!r}")
+        if not all(isinstance(v, (int, float)) for v in self.sweep_values):
+            raise ConfigError(f"sweep.values: must be numbers, got {list(self.sweep_values)}")
+        for name in ("pathloss", "train_noise_var"):
+            _check_param(name, self.param(name), f"params.{name}")
+        for value in self.sweep_values:
+            _check_param(self.sweep_param, value, f"sweep.values ({self.sweep_param})")
 
     def param(self, name: str):
         return self.params.get(name, DEFAULT_PARAMS[name])

@@ -450,19 +450,20 @@ def ref_effective_channels(
 # ---------------------------------------------------------------------------
 
 
-def ref_physical_terms(hw, phi, rho_t, a0, n_channels, n_symbols, c_rows, rng, batch):
+def ref_physical_terms(hw, phi, rho_t, a0, n_channels, n_symbols, c_rows, rng, block):
     """(ES, SI, MUI, NLD) per row and UE, shape (C, K, 4), drawing channels
-    and symbols in the order of physical ``estimate_sindr_mc``."""
+    and symbols in the order of physical ``estimate_sindr_mc``: ``block``
+    channel draws per generator call, real and imaginary parts interleaved."""
     m, k = hw.m, hw.k
     beta = mr.beta_zf_closed(hw, phi)
     row_scale = np.asarray(phi, dtype=np.float64)[:, None]
     h_eq, resid = [], []
     done = 0
     while done < n_channels:
-        nb = min(batch, n_channels - done)
-        z = rng.standard_normal((2, nb, k, m))
+        nb = min(block, n_channels - done)
+        z = rng.standard_normal((nb, k, 2 * m))
         for t in range(nb):
-            h = row_scale * (z[0, t] + 1j * z[1, t]) / math.sqrt(2.0)
+            h = row_scale * (z[t, :, 0::2] + 1j * z[t, :, 1::2]) / math.sqrt(2.0)
             w = _kernels.zf_apply(_kernels.uplink(h, hw.bs_rx, hw.ue_tx_gain)[None], beta,
                                   first=done + t, total=n_channels)[0]
             s = math.sqrt(rho_t / 2.0) * (rng.standard_normal((n_symbols, k))

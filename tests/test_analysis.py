@@ -16,18 +16,25 @@ NOISE = 1.0
 
 
 class _EqualRowsRng:
-    """Generator stand-in: every channel batch it draws gives draw ``draw``
-    two equal rows, so that draw's uplink Gram matrix is singular."""
+    """Generator stand-in: draw ``draw`` of the whole run, counted across the
+    channel blocks it fills, gets two equal rows, so that draw's uplink Gram
+    matrix is singular."""
 
     def __init__(self, seed, draw=1):
         self._rng = np.random.default_rng(seed)
         self._draw = draw
+        self._first = 0  # run index of the next channel block's first draw
 
-    def standard_normal(self, size):
-        z = self._rng.standard_normal(size)
-        if z.ndim >= 3:  # (..., draws, K, M) channel entries; symbols are 2-D
-            z[..., self._draw, 1, :] = z[..., self._draw, 0, :]
-        return z
+    def standard_normal(self, size=None, out=None):
+        if out is None:  # symbols
+            return self._rng.standard_normal(size)
+        # a (draws, K, 2M) float view of a channel block
+        self._rng.standard_normal(out=out)
+        i = self._draw - self._first
+        if 0 <= i < len(out):
+            out[i, 1] = out[i, 0]
+        self._first += len(out)
+        return out
 
 
 def _draw(m, k, ibo, rho, mismatch, seed):
@@ -342,12 +349,14 @@ class TestEstimateSindrMc:
             mr.estimate_sindr_mc(hw, np.ones(8), 1.0, A0, NOISE, 40, 12, "physical",
                                  _EqualRowsRng(6, draw=20))
 
-    def test_physical_blocks_match_per_draw_lstsq(self, default_mismatch):
-        # 40 draws in batches of 24 and precoder blocks of 16: blocks [0, 16),
-        # [16, 24) and [24, 40) cross both boundaries, with drawn path loss
-        # and a three-row stack of calibration vectors
+    def test_physical_blocks_match_per_draw_lstsq(self, default_mismatch, monkeypatch):
+        # 40 draws in channel blocks of 25 and precoder blocks of 3: the
+        # channel-block boundary cuts the precoder block [24, 27) to one draw
+        # and both last blocks are partial, with drawn path loss and a
+        # three-row stack of calibration vectors
         m, k = 64, 8
-        assert analysis._precoder_draws(k, m) == 16
+        monkeypatch.setattr(analysis, "_BLOCK_ENTRIES", 25 * k * m)
+        assert (analysis._block_draws(k, m), analysis._precoder_draws(k, m)) == (25, 3)
         rng = np.random.default_rng(14)
         hw = _draw(m, k, 8.0, 1.0, default_mismatch, 14)
         phi = mr.draw_ue_pathloss(rng, k, mr.CellGeometry())
@@ -355,9 +364,9 @@ class TestEstimateSindrMc:
                                      * np.exp(1j * rng.uniform(-0.5, 0.5, m))
                                      for _ in range(2)])
         got = mr.estimate_sindr_mc(hw, phi, 1.0, A0, NOISE, 40, 20, "physical",
-                                   np.random.default_rng(15), c=c, batch=24)
+                                   np.random.default_rng(15), c=c)
         want = ref_physical_terms(hw, phi, 1.0, A0, 40, 20, c, np.random.default_rng(15),
-                                  batch=24)
+                                  block=25)
         terms = np.array([[[b.es, b.si, b.mui, b.nld] for b in row] for row in got])
         assert np.max(np.abs(terms / want - 1.0)) <= 1e-12
 
@@ -375,15 +384,15 @@ class TestEstimateSindrMc:
         assert err <= (1e-12 if n > k + 1 else 1e-11)
 
     def test_blocks_and_batches_match_one_block(self, default_mismatch, monkeypatch):
-        # 37 draws in batches of 10 and blocks of 3: both boundaries are crossed,
-        # and the last batch and block are partial
+        # 37 draws in channel blocks of 3: the generator call and the kernel
+        # call cross block boundaries, and the last block is partial
         hw = _draw(16, 3, 10.0, 1.0, default_mismatch, 7)
         phi = np.array([0.5, 1.0, 2.0])
 
         def run(block_entries):
             monkeypatch.setattr(analysis, "_BLOCK_ENTRIES", block_entries)
             return mr.estimate_sindr_mc(hw, phi, 1.0, A0, NOISE, 37, 1, "surrogate",
-                                        np.random.default_rng(8), batch=10)
+                                        np.random.default_rng(8))
 
         blocked, whole = run(3 * 3 * 16), run(10**9)
         for b, w in zip(blocked, whole):
@@ -414,28 +423,59 @@ class TestEstimateSindrMc:
         si = np.array([b.si for b in out])
         assert np.max(np.abs(si / two_pass - 1.0)) <= 1e-13
 
-    def test_surrogate_peak_memory_is_the_draw(self, default_mismatch):
-        # the paper-scale batch: the (2, 500, 20, 256) normal draw is 41 MB and
-        # the streamed blocks must add at most a quarter of it
-        m, k, n = 256, 20, 500
-        hw = _draw(m, k, 10.0, 1.0, default_mismatch, 9)
-        draw_bytes = 2 * n * k * m * 8
-        tracemalloc.start()
-        try:
-            mr.estimate_sindr_mc(hw, np.ones(k), 1.0, A0, NOISE, n, 1, "surrogate",
-                                 np.random.default_rng(10))
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.25 * draw_bytes
+    def test_surrogate_peak_memory_is_one_block(self, default_mismatch):
+        # one channel buffer of about 1 MiB per call: at paper scale the whole
+        # run once drew a 41 MB (2, 500, 20, 256) normal array, and now the
+        # traced peak neither passes 5 MiB nor grows with the draws
+        def peak(m, k, n, c=None):
+            hw = _draw(m, k, 10.0, 1.0, default_mismatch, 9)
+            tracemalloc.start()
+            try:
+                mr.estimate_sindr_mc(hw, np.ones(k), 1.0, A0, NOISE, n, 1, "surrogate",
+                                     np.random.default_rng(10), c=c)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
 
-    @pytest.mark.parametrize("n_channels, batch", [(0, 512), (10, 0)])
-    def test_no_channel_draws_rejected(self, default_mismatch, n_channels, batch):
-        # n_channels = 0 gave NaN terms and batch = 0 never returned
+        mib = 2**20
+        paper = peak(256, 20, 500)
+        assert paper <= 5 * mib
+        assert abs(peak(256, 20, 2000) - paper) <= 0.25 * mib
+        rng = np.random.default_rng(11)
+        stack = rng.lognormal(0.0, 0.3, (4, 64)) * np.exp(1j * rng.uniform(-0.5, 0.5, (4, 64)))
+        assert peak(64, 8, 500, stack) <= 5 * mib
+
+    def test_channel_draws_have_row_power_and_are_circular(self, default_mismatch,
+                                                           monkeypatch):
+        # the draws the kernel receives: mean |h_km|^2 = phi_k^2 and a zero
+        # pseudo-variance E[h_km^2], which a wrong scale on the interleaved
+        # view or a wrong pairing of real and imaginary parts would break
+        m, k, n = 64, 8, 2000
+        rng = np.random.default_rng(16)
+        hw = _draw(m, k, 10.0, 1.0, default_mismatch, 16)
+        phi = mr.draw_ue_pathloss(rng, k, mr.CellGeometry())
+        seen = []
+        kernel = _kernels.effective_channels
+
+        def recording(h, *args, **kwargs):
+            seen.append(h.copy())  # the buffer is refilled by the next block
+            return kernel(h, *args, **kwargs)
+
+        monkeypatch.setattr(_kernels, "effective_channels", recording)
+        mr.estimate_sindr_mc(hw, phi, 1.0, A0, NOISE, n, 1, "surrogate",
+                             np.random.default_rng(17))
+        h = np.concatenate(seen)
+        assert h.shape == (n, k, m)
+        power = np.mean(np.abs(h) ** 2, axis=(0, 2))
+        assert np.max(np.abs(power / phi**2 - 1.0)) <= 0.02
+        assert np.all(np.abs(np.mean(h**2, axis=(0, 2))) <= 0.02 * phi**2)
+
+    def test_no_channel_draws_rejected(self, default_mismatch):
+        # n_channels = 0 gave NaN terms
         hw = _draw(8, 2, 10.0, 1.0, default_mismatch, 4)
-        with pytest.raises(ValueError, match="n_channels and batch"):
-            mr.estimate_sindr_mc(hw, np.ones(2), 1.0, A0, NOISE, n_channels, 1, "surrogate",
-                                 np.random.default_rng(0), batch=batch)
+        with pytest.raises(ValueError, match="n_channels"):
+            mr.estimate_sindr_mc(hw, np.ones(2), 1.0, A0, NOISE, 0, 1, "surrogate",
+                                 np.random.default_rng(0))
 
     @pytest.mark.parametrize("n_symbols", [2, 4])
     def test_physical_fit_without_residual_rejected(self, default_mismatch, n_symbols):
@@ -492,37 +532,36 @@ class TestEstimateSindrMcStack:
                                      for _ in range(2)])
         return hw, phi, c
 
-    @pytest.mark.parametrize("mode, n_channels, batch", [("surrogate", 37, 10),
+    @pytest.mark.parametrize("mode, n_channels, draws", [("surrogate", 37, 10),
                                                           ("physical", 7, 3)])
     def test_rows_match_single_calls(self, default_mismatch, monkeypatch, mode, n_channels,
-                                     batch):
-        # blocks of 3 draws for one vector and 1 for the three-row stack, so
-        # the stack crosses 37 block and 4 batch boundaries
-        monkeypatch.setattr(analysis, "_BLOCK_ENTRIES", 3 * 3 * 16)
+                                     draws):
+        # channel blocks of ``draws`` whatever the rows; the three-row stack
+        # works through them in kernel sub-blocks of half that, one vector in
+        # whole blocks, and the last block is partial
+        monkeypatch.setattr(analysis, "_BLOCK_ENTRIES", draws * 3 * 16)
         hw, phi, c = self._setup(default_mismatch)
+        assert analysis._block_draws(hw.k, hw.m, len(c)) == draws // 2
 
         def run(cc):
             return mr.estimate_sindr_mc(hw, phi, 1.0, A0, NOISE, n_channels, 24, mode,
-                                        np.random.default_rng(12), c=cc, batch=batch)
+                                        np.random.default_rng(12), c=cc)
 
         stacked = run(c)
         assert len(stacked) == len(c)
         for row, got in zip(c, stacked):
             want = run(row)
             assert len(got) == len(want) == hw.k
-            for g, w in zip(got, want):
-                assert (g.es, g.si, g.mui) == (w.es, w.si, w.mui)
-                # the NLD einsum is summed per block, and the block length
-                # follows the number of rows
-                assert g.nld == pytest.approx(w.nld, rel=1e-14, abs=0.0)
+            assert got == want
 
     @pytest.mark.parametrize("mode", ["surrogate", "physical"])
-    def test_one_row_stack_is_the_vector_call(self, default_mismatch, mode):
+    def test_one_row_stack_is_the_vector_call(self, default_mismatch, monkeypatch, mode):
+        monkeypatch.setattr(analysis, "_BLOCK_ENTRIES", 4 * 3 * 16)  # blocks of 4 draws
         hw, phi, c = self._setup(default_mismatch)
 
         def run(cc):
             return mr.estimate_sindr_mc(hw, phi, 1.0, A0, NOISE, 9, 24, mode,
-                                        np.random.default_rng(13), c=cc, batch=4)
+                                        np.random.default_rng(13), c=cc)
 
         (stacked,) = run(c[1:2])
         assert stacked == run(c[1])

@@ -78,6 +78,30 @@ class TestConfig:
         assert cli.apply_override(cfg, "params.train_noise_var", "0").param(
             "train_noise_var") == 0
 
+    @pytest.mark.parametrize("param", ["snr_dB", "m", "rho_t"])
+    def test_unknown_sweep_param_rejected(self, tmp_path, param):
+        # a sweep over "snr_dB" wrote the same rate at every point
+        path, _ = _write_config(tmp_path, sweep={"param": param, "values": [0.0, 20.0]})
+        with pytest.raises(cli.ConfigError, match="sweep.param"):
+            cli.load_config(str(path))
+        cfg = cli.load_config(str(_write_config(tmp_path)[0]))
+        with pytest.raises(cli.ConfigError, match="sweep.param"):
+            cli.apply_override(cfg, "sweep.param", param)
+
+    @pytest.mark.parametrize("param, values", [
+        ("train_noise_var", [0.0, -1.0]), ("train_noise_var", [math.nan]),
+        ("train_noise_var", [math.inf]), ("pathloss", [1.0]), ("pathloss", ["drawn"]),
+    ])
+    def test_swept_values_checked_as_params(self, tmp_path, param, values):
+        # swept values used to skip the params checks and fail only at run time
+        path, _ = _write_config(tmp_path, scenario="cal_rate_vs_snr",
+                                sweep={"param": param, "values": values})
+        with pytest.raises(cli.ConfigError, match="sweep.values"):
+            cli.load_config(str(path))
+        path, _ = _write_config(tmp_path, scenario="cal_rate_vs_snr",
+                                sweep={"param": "train_noise_var", "values": [0.0, 0.01]})
+        assert cli.load_config(str(path)).sweep_values == (0.0, 0.01)
+
     def test_physical_symbols_must_exceed_k(self, tmp_path):
         # n_symbols <= k leaves the physical least-squares fit no residual
         mc = {"n_hardware": 3, "n_channels": 100, "n_symbols": 2}
