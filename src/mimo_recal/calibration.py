@@ -292,9 +292,6 @@ class PolyMismatch:
         z = (np.asarray(sigma, dtype=np.float64) / self.sigma_ref) ** 2
         return np.einsum("...mp,mp->...m", psi_vector(self.order, z), self.tau)
 
-    def mu_abs_all(self, sigma: np.ndarray) -> np.ndarray:
-        return np.abs(self.mu_all(sigma))
-
 
 @dataclass(frozen=True)
 class TrueMismatch:
@@ -307,9 +304,6 @@ class TrueMismatch:
         ratio = self.hw.t / self.hw.bs_rx
         arg = self.hw.a_sat / np.maximum(sigma, 1e-300)
         return ratio * bussgang_mu(arg)
-
-    def mu_abs_all(self, sigma: np.ndarray) -> np.ndarray:
-        return np.abs(self.mu_all(sigma))
 
 
 def _solve_pinned_ls(gram: np.ndarray, order: int) -> np.ndarray:
@@ -477,7 +471,7 @@ class CalibrationResult:
 
 
 def _phi_all(model, c_abs: np.ndarray, sigma_x: np.ndarray) -> np.ndarray:
-    return c_abs * model.mu_abs_all(c_abs * sigma_x)
+    return c_abs * np.abs(model.mu_all(c_abs * sigma_x))
 
 
 def _phi_grid(model, sigma_x, c_max, n_grid=65):
@@ -529,7 +523,7 @@ def slp_solve(
     the closed-form subproblem and backtracks so the minimum of phi never
     decreases and the next linearisation stays feasible.  ``strict`` makes a
     model that is not concave increasing on the grid an error instead of a
-    warning.  ``model.mu_abs_all`` takes amplitudes of shape (..., M), as
+    warning.  ``model.mu_all`` takes amplitudes of shape (..., M), as
     ``PolyMismatch`` and ``TrueMismatch`` do.
     """
     sigma_x = np.asarray(sigma_x, dtype=np.float64)

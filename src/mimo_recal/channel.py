@@ -1,10 +1,11 @@
 """Propagation channel generation and effective uplink assembly.
 
 Convention: ``draw_channel`` takes the per-row mean-square power directly
-(E{|h_km|^2} = phi_k as passed).  The closed-form analysis layer follows the
-paper's amplitude convention, where a path-loss value phi corresponds to a row
-mean-square of phi^2; callers bridging the two square the path loss before
-drawing (see ``analysis.estimate_sindr_mc``).
+(E{|h_km|^2} = phi_k as passed).  The analysis layer follows the paper's
+amplitude convention, where a path-loss value phi corresponds to a row
+mean-square of phi^2; a caller of ``draw_channel`` with such a phi squares it
+first.  ``analysis.estimate_sindr_mc`` draws into its own buffer instead and
+scales row k by |phi_k|/sqrt(2).
 """
 
 from __future__ import annotations

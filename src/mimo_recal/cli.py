@@ -14,7 +14,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -69,6 +69,17 @@ class ConfigError(ValueError):
     pass
 
 
+# every config key and the ExperimentConfig field it sets; params.<name> sets
+# one entry of params.  The file nests the dotted keys as sweep, mc and params
+# objects, and --set takes them as written here.
+CONFIG_KEYS = {
+    "scenario": "scenario", "m": "m", "k": "k", "seed": "seed", "mode": "mode",
+    "output_path": "output_path", "sweep.param": "sweep_param",
+    "sweep.values": "sweep_values", "mc.n_hardware": "n_hardware",
+    "mc.n_channels": "n_channels", "mc.n_symbols": "n_symbols",
+}
+
+
 def _check_param(name: str, value, where: str) -> None:
     """The value check of one model parameter, set in params or swept."""
     if name == "pathloss" and value not in ("unit", "drawn"):
@@ -98,14 +109,27 @@ class ExperimentConfig:
     output_path: str = "results.csv"
 
     def __post_init__(self):
+        for key in ("m", "k", "seed", "mc.n_hardware", "mc.n_channels", "mc.n_symbols"):
+            value = getattr(self, CONFIG_KEYS[key])
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ConfigError(f"{key}: must be an integer, got {value!r}")
+        if not isinstance(self.params, dict):
+            raise ConfigError(f"params: must be an object, got {self.params!r}")
+        if not isinstance(self.output_path, str):
+            raise ConfigError(f"output_path: must be a string, got {self.output_path!r}")
+        values = self.sweep_values
+        if not (isinstance(values, (list, tuple)) and values and all(
+                isinstance(v, (int, float)) and not isinstance(v, bool) for v in values)):
+            raise ConfigError(f"sweep.values: must be a non-empty list of numbers, got {values!r}")
+        object.__setattr__(self, "sweep_values", tuple(values))
         if self.scenario not in SCENARIOS:
             raise ConfigError(f"scenario: unknown value {self.scenario!r}")
         if not self.m > self.k >= 1:
             raise ConfigError(f"m/k: need m > k >= 1, got {self.m}/{self.k}")
+        if self.seed < 0:
+            raise ConfigError(f"seed: must be >= 0, got {self.seed}")
         if self.mode not in ("surrogate", "physical"):
             raise ConfigError(f"mode: unknown value {self.mode!r}")
-        if len(self.sweep_values) < 1:
-            raise ConfigError("sweep_values: at least one point required")
         for name in ("n_hardware", "n_channels"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"mc.{name}: need at least 1, got {getattr(self, name)}")
@@ -119,8 +143,6 @@ class ExperimentConfig:
         # every point
         if self.sweep_param not in DEFAULT_PARAMS:
             raise ConfigError(f"sweep.param: unknown parameter {self.sweep_param!r}")
-        if not all(isinstance(v, (int, float)) for v in self.sweep_values):
-            raise ConfigError(f"sweep.values: must be numbers, got {list(self.sweep_values)}")
         for name in ("pathloss", "train_noise_var"):
             _check_param(name, self.param(name), f"params.{name}")
         for value in self.sweep_values:
@@ -129,64 +151,57 @@ class ExperimentConfig:
     def param(self, name: str):
         return self.params.get(name, DEFAULT_PARAMS[name])
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "ExperimentConfig":
-        data = dict(data)
-        sweep = data.pop("sweep", None)
-        if sweep is not None:
-            data["sweep_param"] = sweep["param"]
-            data["sweep_values"] = tuple(sweep["values"])
-        mc = data.pop("mc", None)
-        if mc is not None:
-            data["n_hardware"] = int(mc.get("n_hardware", 20))
-            data["n_channels"] = int(mc.get("n_channels", 1000))
-            data["n_symbols"] = int(mc.get("n_symbols", 256))
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigError(f"unknown config fields: {sorted(unknown)}")
-        if "sweep_values" in data:
-            data["sweep_values"] = tuple(data["sweep_values"])
-        return cls(**data)
 
-
-def load_config(path: str) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return ExperimentConfig.from_dict(json.load(fh))
-
-
-def apply_override(cfg: ExperimentConfig, key: str, value: str) -> ExperimentConfig:
-    """Apply one --set override; dotted keys reach params/mc entries."""
-
-    def parse(text: str):
-        try:
-            return json.loads(text)
-        except json.JSONDecodeError:
-            return text
-
+def _set(fields: dict, key: str, value) -> None:
+    """Set one dotted config key in ``fields``, the ExperimentConfig keywords."""
     if key.startswith("params."):
-        params = dict(cfg.params)
-        params[key.split(".", 1)[1]] = parse(value)
-        return replace(cfg, params=params)
-    if key.startswith("sweep."):
-        sub = key.split(".", 1)[1]
-        if sub == "param":
-            return replace(cfg, sweep_param=value)
-        if sub == "values":
-            return replace(cfg, sweep_values=tuple(np.atleast_1d(parse(value)).tolist()))
-        raise ConfigError(f"unknown sweep field {sub!r}")
-    if key.startswith("mc."):
-        sub = {"n_hardware": "n_hardware", "n_channels": "n_channels",
-               "n_symbols": "n_symbols"}.get(key.split(".", 1)[1])
-        if sub is None:
-            raise ConfigError(f"unknown mc field {key!r}")
-        return replace(cfg, **{sub: int(parse(value))})
-    if key not in cfg.__dataclass_fields__:
-        raise ConfigError(f"unknown config field {key!r}")
-    val = parse(value)
-    if key == "sweep_values":
-        val = tuple(np.atleast_1d(val).tolist())
-    return replace(cfg, **{key: val})
+        fields["params"] = {**fields.get("params", {}), key[len("params."):]: value}
+    elif key in CONFIG_KEYS:
+        fields[CONFIG_KEYS[key]] = value
+    else:
+        raise ConfigError(f"{key}: unknown key (allowed: {', '.join(CONFIG_KEYS)}, "
+                          f"params.<name>)")
+
+
+def _parse(text: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        return text
+
+
+def load_config(path: str, sets=()) -> ExperimentConfig:
+    """The config of a JSON file with ``KEY=VALUE`` overrides, validated once:
+    the file's sweep, mc and params objects are flattened to dotted keys, and
+    one setter takes them and then the overrides (a value text that is not
+    JSON is a string)."""
+    with open(path, "r", encoding="utf-8") as fh:
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path}: must hold a JSON object")
+    fields: dict = {}
+    for key, value in data.items():
+        if key in ("sweep", "mc", "params"):
+            if not isinstance(value, dict):
+                raise ConfigError(f"{key}: must be an object, got {value!r}")
+            for sub, item in value.items():
+                _set(fields, f"{key}.{sub}", item)
+        elif "." in key:
+            raise ConfigError(f"{key}: unknown key (the file nests it as an object)")
+        else:
+            _set(fields, key, value)
+    for text in sets:
+        key, sep, value = text.partition("=")
+        if not sep:
+            raise ConfigError(f"--set expects KEY=VALUE, got {text!r}")
+        _set(fields, key, _parse(value))
+    if "scenario" not in fields:
+        raise ConfigError("scenario: missing")
+    # swept values mean nothing without their parameter, and the reverse
+    for key, other in (("sweep.param", "sweep_values"), ("sweep.values", "sweep_param")):
+        if other in fields and CONFIG_KEYS[key] not in fields:
+            raise ConfigError(f"{key}: missing (a sweep sets sweep.param and sweep.values)")
+    return ExperimentConfig(**fields)
 
 
 # ---------------------------------------------------------------------------
@@ -288,48 +303,34 @@ def _row(cfg: ExperimentConfig, sweep_value, method: str, samples) -> dict:
     }
 
 
-def _run_point(args) -> tuple[int, list[dict]]:
-    cfg_dict, index = args
-    cfg = ExperimentConfig.from_dict(cfg_dict)
+def _run_point(cfg: ExperimentConfig, index: int) -> list[dict]:
     sweep_value = cfg.sweep_values[index]
     # one deterministic stream per sweep point regardless of worker layout
     seed_seq = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(index,))
     if cfg.scenario in ("rate_vs_snr", "rate_vs_ibo", "loss_vs_mismatch"):
-        rows = _analysis_point(cfg, sweep_value, seed_seq)
-    else:
-        rows = _calibration_point(cfg, sweep_value, seed_seq)
-    return index, rows
-
-
-def _cfg_to_dict(cfg: ExperimentConfig) -> dict:
-    return {
-        "scenario": cfg.scenario, "m": cfg.m, "k": cfg.k, "seed": cfg.seed,
-        "mode": cfg.mode, "sweep_param": cfg.sweep_param,
-        "sweep_values": tuple(cfg.sweep_values), "n_hardware": cfg.n_hardware,
-        "n_channels": cfg.n_channels, "n_symbols": cfg.n_symbols,
-        "params": dict(cfg.params), "output_path": cfg.output_path,
-    }
+        return _analysis_point(cfg, sweep_value, seed_seq)
+    return _calibration_point(cfg, sweep_value, seed_seq)
 
 
 def run_scenario(cfg: ExperimentConfig) -> list[dict]:
-    """Run every sweep point and return rows sorted by sweep index."""
-    jobs = [(_cfg_to_dict(cfg), i) for i in range(len(cfg.sweep_values))]
-    workers = os.environ.get("MIMO_RECAL_THREADS", "")
-    max_workers = int(workers) if workers.strip() else min(len(jobs), os.cpu_count() or 1)
-    results: dict[int, list[dict]] = {}
-    if max_workers <= 1 or len(jobs) == 1:
-        for job in jobs:
-            idx, rows = _run_point(job)
-            results[idx] = rows
-            print(f"done point {idx + 1}/{len(jobs)}", file=sys.stderr)
+    """Rows of every sweep point in sweep order; a point gets the config itself."""
+    n = len(cfg.sweep_values)
+    workers = os.environ.get("MIMO_RECAL_THREADS", "").strip()
+    if workers and not (workers.isdecimal() and int(workers) >= 1):
+        raise ConfigError(f"MIMO_RECAL_THREADS: need an integer >= 1, got {workers!r}")
+    max_workers = int(workers) if workers else min(n, os.cpu_count() or 1)
+    out: list[dict] = []
+
+    def collect(points):  # map and pool.map both keep the sweep order
+        for i, rows in enumerate(points, 1):
+            out.extend(rows)
+            print(f"done point {i}/{n}", file=sys.stderr)
+
+    if max_workers <= 1 or n == 1:
+        collect(map(_run_point, [cfg] * n, range(n)))
     else:
         with ProcessPoolExecutor(max_workers=max_workers) as pool:
-            for idx, rows in pool.map(_run_point, jobs):
-                results[idx] = rows
-                print(f"done point {idx + 1}/{len(jobs)}", file=sys.stderr)
-    out = []
-    for i in range(len(jobs)):
-        out.extend(results[i])
+            collect(pool.map(_run_point, [cfg] * n, range(n)))
     return out
 
 
@@ -463,15 +464,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "selftest":
         return selftest()
-    cfg = load_config(args.config)
-    for override in args.set:
-        if "=" not in override:
-            raise ConfigError(f"--set expects KEY=VALUE, got {override!r}")
-        cfg = apply_override(cfg, *override.split("=", 1))
+    # --seed N and --paper-scale are the overrides seed=N and m=256, k=20
+    sets = list(args.set)
     if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
+        sets.append(f"seed={args.seed}")
     if args.paper_scale:
-        cfg = replace(cfg, m=256, k=20)
+        sets += ["m=256", "k=20"]
+    cfg = load_config(args.config, sets)
     table = run_scenario(cfg)
     emit_csv(table, cfg.output_path)
     print(f"wrote {len(table)} rows to {cfg.output_path}", file=sys.stderr)

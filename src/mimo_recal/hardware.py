@@ -1,15 +1,15 @@
 """RF-chain models: BS and UE gains held as arrays, and the BS amplifier.
 
-The BS transmit chains carry a smooth envelope-limiting amplifier (SSPA)
+The BS transmit chains carry the soft envelope limiter (SSPA)
 
-    f(x) = sqrt(a0) * t * x / (1 + (|x|/A_sat)^(2v))^(1/(2v)),
+    f(x) = sqrt(a0) * t * x / sqrt(1 + (|x|/A_sat)^2),
 
 whose Bussgang decomposition for complex Gaussian input with rms sigma_x is
-g = t*mu(A_sat/sigma_x), sigma_d^2 = |t|^2 * lambda(A_sat, sigma_x).  The
-closed forms for mu/lambda are exact for smoothness v = 1 (the soft envelope
-limiter); ``sspa_apply`` supports any v for sample-level simulation.  Both
-take one amplifier (``HpaModel``) or the whole BS (``SystemHardware``), whose
-per-antenna arrays broadcast over the antenna axis.
+g = t*mu(A_sat/sigma_x), sigma_d^2 = |t|^2 * lambda(A_sat, sigma_x), with the
+closed forms for mu/lambda.  ``sspa_apply`` (sample level) and
+``bussgang_decompose`` take one amplifier (``HpaModel``) or the whole BS
+(``SystemHardware``), whose per-antenna arrays broadcast over the antenna
+axis.
 """
 
 from __future__ import annotations
@@ -34,23 +34,19 @@ __all__ = [
     "a_sat_for_ibo",
 ]
 
-# Lemma-level closed forms (mu, lambda) are exact at this smoothness order.
-SOFT_LIMITER_V = 1.0
-
 
 @dataclass(frozen=True)
 class HpaModel:
-    """One amplifier: small-signal power gain a0, complex gain vibration t,
-    saturation amplitude a_sat and smoothness order v."""
+    """One amplifier: small-signal power gain a0, complex gain vibration t and
+    saturation amplitude a_sat."""
 
     a0: float
     t: complex
     a_sat: float
-    v: float = SOFT_LIMITER_V
 
     def __post_init__(self):
-        if self.a0 <= 0 or self.a_sat <= 0 or self.v <= 0:
-            raise ValueError("HpaModel requires a0 > 0, a_sat > 0, v > 0")
+        if self.a0 <= 0 or self.a_sat <= 0:
+            raise ValueError("HpaModel requires a0 > 0, a_sat > 0")
 
 
 @dataclass(frozen=True)
@@ -95,7 +91,7 @@ class SystemHardware:
     """All drawn RF-chain gains for one realization: per BS antenna the
     transmit gain t, saturation level a_sat and receive gain r (length M),
     per UE the transmit gain b and receive gain u (length K), and the BS
-    amplifiers' common small-signal power gain a0 and smoothness v."""
+    amplifiers' common small-signal power gain a0."""
 
     a0: float
     t: np.ndarray
@@ -103,15 +99,14 @@ class SystemHardware:
     bs_rx: np.ndarray  # r, length M
     ue_tx_gain: np.ndarray  # b_k = B_k(ue_pilot_amp), length K
     ue_rx: np.ndarray  # u, length K
-    v: float = SOFT_LIMITER_V
 
     def __post_init__(self):
         if not len(self.t) == len(self.a_sat) == len(self.bs_rx):
             raise ValueError("t, a_sat and bs_rx must have the same length")
         if len(self.ue_tx_gain) != len(self.ue_rx):
             raise ValueError("ue_tx_gain and ue_rx must have the same length")
-        if not (self.a0 > 0 and np.all(np.asarray(self.a_sat) > 0) and self.v > 0):
-            raise ValueError("SystemHardware requires a0 > 0, a_sat > 0, v > 0")
+        if not (self.a0 > 0 and np.all(np.asarray(self.a_sat) > 0)):
+            raise ValueError("SystemHardware requires a0 > 0, a_sat > 0")
         if np.any(self.bs_rx == 0):
             raise ValueError("receive chains must be live (no zero entries in r)")
 
@@ -140,10 +135,8 @@ def draw_system_hardware(
     k: int,
     dists: HardwareMismatch,
     a_sat_base: float,
-    v: float = SOFT_LIMITER_V,
     ue_pilot_amp: float = 0.1,
     a0: float = 10.0,
-    b_sat_base: float = 1.0,
 ) -> SystemHardware:
     """Draw one hardware realization: A_sat,m = a_sat_base * a_m with a_m
     log-normal, complex gains per role, and b_k = B_k(ue_pilot_amp)."""
@@ -154,21 +147,22 @@ def draw_system_hardware(
     r = draw_complex_gain(rng, dists.r, size=m)
     u = draw_complex_gain(rng, dists.u, size=k)
     v_k = draw_complex_gain(rng, dists.v, size=k)
-    # b_k = v_k / (1 + (amp/B_sat)^(2v))^(1/(2v)): UE SSPA gain at the pilot amplitude
-    comp = (1.0 + (ue_pilot_amp / b_sat_base) ** (2 * v)) ** (1.0 / (2 * v))
+    # b_k = v_k / sqrt(1 + amp^2): UE soft-limiter gain at the pilot amplitude,
+    # with the UE saturation amplitude as the unit of amp
+    comp = (1.0 + ue_pilot_amp**2) ** 0.5
     return SystemHardware(a0=a0, t=t, a_sat=a_sat_base * a_m, bs_rx=r, ue_tx_gain=v_k / comp,
-                          ue_rx=u, v=v)
+                          ue_rx=u)
 
 
 def sspa_apply(hpa: HpaModel | SystemHardware, x):
-    """Sample-level SSPA transfer sqrt(a0)*t*x / (1 + (|x|/a_sat)^(2v))^(1/(2v)).
+    """Sample-level SSPA transfer sqrt(a0)*t*x / sqrt(1 + (|x|/a_sat)^2).
 
     ``hpa`` is one amplifier, or the BS hardware: then t and a_sat are
     per-antenna arrays that broadcast over the last (antenna) axis of ``x``.
     """
     x = np.asarray(x, dtype=np.complex128)
     mag = np.abs(x)
-    den = (1.0 + (mag / hpa.a_sat) ** (2.0 * hpa.v)) ** (1.0 / (2.0 * hpa.v))
+    den = np.sqrt(1.0 + (mag / hpa.a_sat) ** 2)
     out = math.sqrt(hpa.a0) * hpa.t * x / den
     return complex(out) if out.ndim == 0 else out
 

@@ -31,7 +31,7 @@ from mimo_recal.hardware import HpaModel, SystemHardware, bussgang_decompose, ss
 
 
 def soft_limiter(x, a_sat):
-    """The envelope soft limiter (unit-gain SSPA with smoothness 1)."""
+    """The envelope soft limiter (the unit-gain SSPA)."""
     return x / np.sqrt(1.0 + (np.abs(x) / a_sat) ** 2)
 
 
@@ -204,7 +204,7 @@ def ref_simulate_ota_training(
     a0 = hw.a0
     records: list[TrainingRecord] = []
     for tx in range(m):
-        hpa = HpaModel(a0, hw.t[tx], hw.a_sat[tx], hw.v)
+        hpa = HpaModel(a0, hw.t[tx], hw.a_sat[tx])
         for n in range(plan.n_levels):
             amp = plan.amplitudes[tx, n]
             x = amp * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, size=q))

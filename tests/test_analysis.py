@@ -93,7 +93,7 @@ class TestSindrClosed:
         r = np.exp(1j * rng.uniform(-1, 1, 16)) * rng.lognormal(0, 0.2, 16)
         hw = mr.SystemHardware(
             a0=A0, t=(2.0 + 1.0j) * r, a_sat=np.full(16, 1e9),
-            bs_rx=r, ue_tx_gain=base.ue_tx_gain, ue_rx=base.ue_rx, v=1.0)
+            bs_rx=r, ue_tx_gain=base.ue_tx_gain, ue_rx=base.ue_rx)
         b = mr.sindr_zf_closed_all(hw, np.ones(4), 1.0, A0, NOISE)[0]
         assert b.si == pytest.approx(0.0, abs=1e-18 * b.es)
         assert b.mui == pytest.approx(0.0, abs=1e-18 * b.es)
@@ -104,7 +104,7 @@ class TestSindrClosed:
         rot = mr.SystemHardware(
             a0=hw.a0, t=hw.t * np.exp(0.8j), a_sat=hw.a_sat,
             bs_rx=hw.bs_rx * np.exp(-0.3j), ue_tx_gain=hw.ue_tx_gain,
-            ue_rx=hw.ue_rx, v=hw.v)
+            ue_rx=hw.ue_rx)
         rotated = mr.sindr_zf_closed_all(rot, np.ones(4), 1.0, A0, NOISE)
         for a, b in zip(base, rotated):
             assert b.sindr == pytest.approx(a.sindr, rel=1e-10)

@@ -9,7 +9,7 @@ import mimo_recal as mr
 
 MODULES = ("numerics", "hardware", "channel", "precoding", "analysis", "calibration")
 
-# superseded by transmit_block, mu_all / mu_abs_all, psi_vector,
+# superseded by transmit_block, mu_all, psi_vector,
 # estimate_poly_coeffs_from_records and sindr_zf_closed_all
 REMOVED = ("transmit_downlink", "DownlinkOutcome", "apply_calibration", "Precoder",
            "orth_poly_psi", "assemble_psi_matrix", "estimate_poly_coeffs", "sindr_zf_closed")

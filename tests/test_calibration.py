@@ -350,7 +350,6 @@ class TestMuHatFit:
         poly = mr.PolyMismatch(tau=tau, order=2, sigma_ref=np.ones(2))
         sigma = np.full(2, 0.5)
         val = poly.mu_all(sigma)[0]
-        assert poly.mu_abs_all(sigma)[0] == pytest.approx(abs(val))
         assert np.angle(val) == pytest.approx(0.0, abs=1e-15)
 
 
@@ -418,9 +417,6 @@ class TestSlpSolve:
             def mu_all(self, sigma):
                 return self.gains.astype(complex)
 
-            def mu_abs_all(self, sigma):
-                return self.gains
-
         gains = np.array([1.0, 0.5, 2.0, 1.5])
         sigma_x = np.full(4, 0.5)
         c_max = np.full(4, 10.0)
@@ -475,11 +471,8 @@ class TestSlpSolve:
 
     def test_concavity_gate(self):
         class BadModel:
-            def mu_abs_all(self, sigma):
-                return 1.0 + np.cos(8.0 * np.asarray(sigma)) ** 2
-
             def mu_all(self, sigma):
-                return self.mu_abs_all(sigma).astype(complex)
+                return (1.0 + np.cos(8.0 * np.asarray(sigma)) ** 2).astype(complex)
 
         with pytest.raises(CalibrationError):
             mr.slp_solve(BadModel(), np.ones(4), 1.0, np.ones(4), strict=True)

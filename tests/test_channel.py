@@ -73,7 +73,7 @@ class TestUplinkChannel:
         doubled = mr.SystemHardware(
             a0=hw.a0, t=hw.t, a_sat=hw.a_sat,
             bs_rx=hw.bs_rx * np.where(np.arange(8) == 2, 2.0, 1.0),
-            ue_tx_gain=hw.ue_tx_gain, ue_rx=hw.ue_rx, v=hw.v)
+            ue_tx_gain=hw.ue_tx_gain, ue_rx=hw.ue_rx)
         h2 = mr.uplink_channel(ch, doubled)
         assert np.allclose(h2[2], 2.0 * h1[2])
         assert np.allclose(h2[[0, 1, 3]], h1[[0, 1, 3]])

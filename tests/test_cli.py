@@ -3,8 +3,11 @@
 import json
 import math
 import os
+import pickle
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -69,14 +72,13 @@ class TestConfig:
     @pytest.mark.parametrize("value", [-1.0, math.nan, math.inf, "1.0"])
     def test_bad_train_noise_var_rejected(self, tmp_path, value):
         path, _ = _write_config(tmp_path, scenario="cal_rate_vs_snr")
-        cfg = cli.load_config(str(path))
         with pytest.raises(cli.ConfigError, match="params.train_noise_var"):
-            cli.apply_override(cfg, "params.train_noise_var", json.dumps(value))
+            cli.load_config(str(path), [f"params.train_noise_var={json.dumps(value)}"])
+        assert cli.load_config(str(path), ["params.train_noise_var=0"]).param(
+            "train_noise_var") == 0
         path, _ = _write_config(tmp_path, params={"train_noise_var": value})
         with pytest.raises(cli.ConfigError, match="params.train_noise_var"):
             cli.load_config(str(path))
-        assert cli.apply_override(cfg, "params.train_noise_var", "0").param(
-            "train_noise_var") == 0
 
     @pytest.mark.parametrize("param", ["snr_dB", "m", "rho_t"])
     def test_unknown_sweep_param_rejected(self, tmp_path, param):
@@ -84,9 +86,9 @@ class TestConfig:
         path, _ = _write_config(tmp_path, sweep={"param": param, "values": [0.0, 20.0]})
         with pytest.raises(cli.ConfigError, match="sweep.param"):
             cli.load_config(str(path))
-        cfg = cli.load_config(str(_write_config(tmp_path)[0]))
+        path, _ = _write_config(tmp_path)
         with pytest.raises(cli.ConfigError, match="sweep.param"):
-            cli.apply_override(cfg, "sweep.param", param)
+            cli.load_config(str(path), [f"sweep.param={param}"])
 
     @pytest.mark.parametrize("param, values", [
         ("train_noise_var", [0.0, -1.0]), ("train_noise_var", [math.nan]),
@@ -113,15 +115,69 @@ class TestConfig:
 
     def test_overrides(self, tmp_path):
         path, _ = _write_config(tmp_path)
-        cfg = cli.load_config(str(path))
-        cfg = cli.apply_override(cfg, "params.ibo_db", "25")
-        assert cfg.param("ibo_db") == 25
-        cfg = cli.apply_override(cfg, "mc.n_hardware", "7")
-        assert cfg.n_hardware == 7
-        cfg = cli.apply_override(cfg, "sweep.values", "[5, 15]")
+        cfg = cli.load_config(str(path), ["params.ibo_db=25", "mc.n_hardware=7",
+                                          "sweep.values=[5, 15]", "params.pathloss=drawn"])
+        assert cfg.param("ibo_db") == 25 and cfg.param("pathloss") == "drawn"
+        assert cfg.n_hardware == 7 and cfg.n_channels == 100
         assert cfg.sweep_values == (5, 15)
-        with pytest.raises(cli.ConfigError):
-            cli.apply_override(cfg, "nonsense", "1")
+        with pytest.raises(cli.ConfigError, match="^nonsense: unknown key"):
+            cli.load_config(str(path), ["nonsense=1"])
+        with pytest.raises(cli.ConfigError, match="--set expects KEY=VALUE"):
+            cli.load_config(str(path), ["mc.n_hardware"])
+
+    @pytest.mark.parametrize("entries, sets, key", [
+        ({"n_channels": 5, "mc": {"n_hardware": 3}}, [], "n_channels"),
+        ({"mc": {"n_chanels": 5}}, [], "mc.n_chanels"),
+        ({}, ["mc.n_chanels=5"], "mc.n_chanels"),
+        ({"sweep": {"param": "snr_db", "values": [0.0], "step": 5}}, [], "sweep.step"),
+        ({"mc.n_channels": 5}, [], "mc.n_channels"),
+        ({}, ["mc.n_channels=7.9"], "mc.n_channels"),
+        ({}, ["n_channels=7.9"], "n_channels"),
+        ({}, ["mc.n_hardware=true"], "mc.n_hardware"),
+        ({}, ["params=5"], "params"),
+        ({"params": None}, [], "params"),
+        ({"sweep": [1, 2]}, [], "sweep"),
+        ({"mc": 5}, [], "mc"),
+        ({"m": "64"}, [], "m"),
+        ({"sweep": {"values": [0.0, 10.0]}}, [], "sweep.param"),
+        ({"sweep": {"param": "snr_db"}}, [], "sweep.values"),
+        ({}, ["sweep.values=5"], "sweep.values"),
+        ({"seed": 1.5}, [], "seed"),
+        ({"seed": -1}, [], "seed"),
+        ({"output_path": 3}, [], "output_path"),
+    ])
+    def test_bad_entry_names_its_key(self, tmp_path, entries, sets, key):
+        # each of these used to run with a silently dropped or truncated
+        # value, or to fail with a bare TypeError or KeyError
+        path, _ = _write_config(tmp_path, **entries)
+        with pytest.raises(cli.ConfigError, match=f"^{re.escape(key)}:"):
+            cli.load_config(str(path), sets)
+
+    @pytest.mark.parametrize("flat, value", [
+        ("sweep_param", "snr_db"), ("sweep_values", [0.0]), ("n_hardware", 3),
+        ("n_channels", 5), ("n_symbols", 16)])
+    def test_flat_spellings_rejected(self, tmp_path, flat, value):
+        path, _ = _write_config(tmp_path, **{flat: value})
+        with pytest.raises(cli.ConfigError, match=f"^{flat}: unknown key"):
+            cli.load_config(str(path))
+        path, _ = _write_config(tmp_path)
+        with pytest.raises(cli.ConfigError, match=f"^{flat}: unknown key"):
+            cli.load_config(str(path), [f"{flat}={json.dumps(value)}"])
+
+    def test_sweep_overrides_in_any_order(self, tmp_path):
+        # -5 is no train_noise_var: validating after each override rejected
+        # sweep.param when it came before sweep.values
+        path, _ = _write_config(tmp_path, scenario="cal_rate_vs_snr",
+                                sweep={"param": "snr_db", "values": [-5.0, 10.0]})
+        sets = ["sweep.param=train_noise_var", "sweep.values=[0, 0.01]"]
+        cfg = cli.load_config(str(path), sets)
+        assert cli.load_config(str(path), sets[::-1]) == cfg
+        assert (cfg.sweep_param, cfg.sweep_values) == ("train_noise_var", (0, 0.01))
+
+    def test_config_pickles(self, tmp_path):
+        # sweep workers receive the config itself
+        cfg = cli.load_config(str(_write_config(tmp_path)[0]))
+        assert pickle.loads(pickle.dumps(cfg)) == cfg
 
 
 class TestCsv:
@@ -335,6 +391,23 @@ class TestEntryPoint:
     def test_selftest_passes(self):
         assert cli.selftest() == 0
 
+    def test_module_run_matches_in_process(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("MIMO_RECAL_THREADS", "1")
+        path, _ = _write_config(tmp_path)
+        args = ["run", "--config", str(path), "--set", "mc.n_channels=20",
+                "--set", "sweep.values=[0,10]"]
+        here, there = tmp_path / "here.csv", tmp_path / "there.csv"
+        assert cli.main([*args, "--set", f"output_path={here}"]) == 0
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-m", "mimo_recal.cli", *args,
+                               "--set", f"output_path={there}"],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert there.read_bytes() == here.read_bytes()
+        assert len(here.read_text().splitlines()) == 1 + 2 * 4
+
     def test_console_script_help(self):
         proc = subprocess.run([sys.executable, "-m", "mimo_recal.cli", "--help"],
                               capture_output=True, text=True)
@@ -349,3 +422,21 @@ def test_thread_env_respected(tmp_path, monkeypatch):
     cfg = cli.load_config(str(path))
     table = cli.run_scenario(cfg)
     assert len(table) == 8
+
+
+def test_process_pool_matches_serial(tmp_path, monkeypatch):
+    path, _ = _write_config(tmp_path, sweep={"param": "snr_db", "values": [0.0, 10.0, 20.0]})
+    cfg = cli.load_config(str(path))
+    for threads in ("1", "2"):
+        monkeypatch.setenv("MIMO_RECAL_THREADS", threads)
+        cli.emit_csv(cli.run_scenario(cfg), str(tmp_path / f"{threads}.csv"))
+    assert (tmp_path / "1.csv").read_bytes() == (tmp_path / "2.csv").read_bytes()
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "two", "1.5"])
+def test_bad_thread_env_rejected(tmp_path, monkeypatch, value):
+    # int() raised a bare ValueError, and 0 or below ran serially
+    monkeypatch.setenv("MIMO_RECAL_THREADS", value)
+    cfg = cli.load_config(str(_write_config(tmp_path)[0]))
+    with pytest.raises(cli.ConfigError, match="MIMO_RECAL_THREADS"):
+        cli.run_scenario(cfg)

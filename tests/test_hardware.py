@@ -10,29 +10,29 @@ from hypothesis import strategies as st
 import mimo_recal as mr
 
 
-def _random_hardware(rng, m, v=1.0):
+def _random_hardware(rng, m):
     """BS hardware with random transmit gains and saturation levels."""
     t = rng.lognormal(0.0, 0.2, m) * np.exp(1j * rng.uniform(-0.5, 0.5, m))
     return mr.SystemHardware(a0=10.0, t=t, a_sat=rng.lognormal(0.0, 0.5, m),
                              bs_rx=np.ones(m, complex), ue_tx_gain=np.ones(1, complex),
-                             ue_rx=np.ones(1, complex), v=v)
+                             ue_rx=np.ones(1, complex))
 
 
 def _antenna(hw, i):
     """Antenna i of the BS hardware as one amplifier."""
-    return mr.HpaModel(a0=hw.a0, t=hw.t[i], a_sat=hw.a_sat[i], v=hw.v)
+    return mr.HpaModel(a0=hw.a0, t=hw.t[i], a_sat=hw.a_sat[i])
 
 
 class TestSystemHardware:
     def _fields(self, **over):
         fields = dict(a0=10.0, t=np.ones(4, complex), a_sat=np.full(4, 2.0),
                       bs_rx=np.ones(4, complex), ue_tx_gain=np.ones(2, complex),
-                      ue_rx=np.ones(2, complex), v=1.0)
+                      ue_rx=np.ones(2, complex))
         return {**fields, **over}
 
     def test_valid(self):
         hw = mr.SystemHardware(**self._fields())
-        assert (hw.m, hw.k, hw.a0, hw.v) == (4, 2, 10.0, 1.0)
+        assert (hw.m, hw.k, hw.a0) == (4, 2, 10.0)
 
     @pytest.mark.parametrize("name,value", [
         ("t", np.ones(3, complex)), ("a_sat", np.full(5, 2.0)), ("bs_rx", np.ones(3, complex)),
@@ -43,9 +43,9 @@ class TestSystemHardware:
 
     @pytest.mark.parametrize("name,value", [
         ("a0", 0.0), ("a0", -1.0), ("a_sat", np.array([2.0, 2.0, 0.0, 2.0])),
-        ("a_sat", np.array([2.0, -1.0, 2.0, 2.0])), ("v", 0.0), ("v", -1.0)])
+        ("a_sat", np.array([2.0, -1.0, 2.0, 2.0]))])
     def test_non_positive_rejected(self, name, value):
-        with pytest.raises(ValueError, match="a0 > 0, a_sat > 0, v > 0"):
+        with pytest.raises(ValueError, match="a0 > 0, a_sat > 0"):
             mr.SystemHardware(**self._fields(**{name: value}))
 
 
@@ -80,57 +80,49 @@ class TestDrawSystemHardware:
         # b_k evaluates the UE amplifier gain at the pilot amplitude
         rng = np.random.default_rng(3)
         hw = mr.draw_system_hardware(rng, 8, 2, mr.HardwareMismatch.none(), 2.0,
-                                     ue_pilot_amp=1.0, b_sat_base=1.0, v=1.0)
+                                     ue_pilot_amp=1.0)
         assert np.allclose(np.abs(hw.ue_tx_gain), 1.0 / math.sqrt(2.0))
 
 
 class TestSspaApply:
     def test_zero(self):
-        hpa = mr.HpaModel(a0=10.0, t=1.0 + 0j, a_sat=1.0, v=2.0)
+        hpa = mr.HpaModel(a0=10.0, t=1.0 + 0j, a_sat=1.0)
         assert mr.sspa_apply(hpa, 0.0) == 0.0
 
     def test_small_signal_linearity(self):
-        hpa = mr.HpaModel(a0=10.0, t=0.8 + 0.1j, a_sat=2.0, v=2.0)
+        hpa = mr.HpaModel(a0=10.0, t=0.8 + 0.1j, a_sat=2.0)
         x = 2e-6 * np.exp(0.7j)
         expected = math.sqrt(10.0) * hpa.t * x
         assert abs(mr.sspa_apply(hpa, x) - expected) / abs(expected) < 1e-9
 
     def test_saturation_point(self):
-        # |x| = a_sat, v = 1: output amplitude sqrt(a0)|t| a_sat / sqrt(2)
-        hpa = mr.HpaModel(a0=4.0, t=1.2 * np.exp(0.3j), a_sat=1.5, v=1.0)
+        # |x| = a_sat: output amplitude sqrt(a0)|t| a_sat / sqrt(2)
+        hpa = mr.HpaModel(a0=4.0, t=1.2 * np.exp(0.3j), a_sat=1.5)
         out = mr.sspa_apply(hpa, 1.5 + 0.0j)
         assert abs(out) == pytest.approx(2.0 * 1.2 * 1.5 / math.sqrt(2.0), rel=1e-12)
 
     def test_phase_preserved(self):
-        hpa = mr.HpaModel(a0=1.0, t=1.0 + 0j, a_sat=1.0, v=1.0)
+        hpa = mr.HpaModel(a0=1.0, t=1.0 + 0j, a_sat=1.0)
         x = 3.0 * np.exp(1.1j)
         assert np.angle(mr.sspa_apply(hpa, x)) == pytest.approx(1.1, abs=1e-12)
 
     def test_bounded_output(self):
-        hpa = mr.HpaModel(a0=1.0, t=1.0 + 0j, a_sat=1.0, v=1.0)
+        hpa = mr.HpaModel(a0=1.0, t=1.0 + 0j, a_sat=1.0)
         x = np.linspace(0, 1e4, 100) * np.exp(0.2j)
         assert np.all(np.abs(mr.sspa_apply(hpa, x)) < hpa.a_sat)
 
     @given(st.floats(min_value=0.0, max_value=100.0), st.floats(min_value=0.0, max_value=100.0))
     @settings(max_examples=50, deadline=None)
     def test_amplitude_monotone(self, r1, r2):
-        hpa = mr.HpaModel(a0=2.0, t=1.0 + 0.5j, a_sat=1.3, v=3.0)
+        hpa = mr.HpaModel(a0=2.0, t=1.0 + 0.5j, a_sat=1.3)
         lo, hi = sorted((r1, r2))
         assert abs(mr.sspa_apply(hpa, lo)) <= abs(mr.sspa_apply(hpa, hi)) + 1e-12
-
-    def test_high_smoothness_approaches_hard_limiter(self):
-        # v >= 8: within 1% of the hard envelope limiter away from the knee
-        hpa = mr.HpaModel(a0=1.0, t=1.0 + 0j, a_sat=1.0, v=8.0)
-        r = np.concatenate([np.linspace(0.01, 0.8, 50), np.linspace(1.2, 5.0, 50)])
-        hard = np.minimum(r, 1.0)
-        out = np.abs(mr.sspa_apply(hpa, r))
-        assert np.max(np.abs(out - hard) / hard) < 0.01
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(1, 40), m=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
     def test_whole_hardware_matches_per_antenna(self, n, m, seed):
         rng = np.random.default_rng(seed)
-        hw = _random_hardware(rng, m, v=rng.uniform(0.5, 4.0))
+        hw = _random_hardware(rng, m)
         x = rng.lognormal(0.0, 1.0, (n, m)) * np.exp(2j * np.pi * rng.uniform(size=(n, m)))
         out = mr.sspa_apply(hw, x)
         ref = np.stack([mr.sspa_apply(_antenna(hw, i), x[:, i]) for i in range(m)], axis=1)
@@ -140,23 +132,23 @@ class TestSspaApply:
 class TestBussgangDecompose:
     def test_linear_regime(self):
         # 1 - mu(x) = 1/x^2 + O(1/x^4): |g - t| ~ |t|/x^2
-        hpa = mr.HpaModel(a0=10.0, t=0.9 + 0.2j, a_sat=40.0, v=1.0)
+        hpa = mr.HpaModel(a0=10.0, t=0.9 + 0.2j, a_sat=40.0)
         pair = mr.bussgang_decompose(hpa, 1.0)
         assert abs(pair.g - hpa.t) < 1e-3
         assert pair.sigma_d2 < 1e-6  # lambda ~ sigma^6/(2 a_sat^4)
         deep = mr.bussgang_decompose(mr.HpaModel(a0=10.0, t=0.9 + 0.2j,
-                                                 a_sat=2000.0, v=1.0), 1.0)
+                                                 a_sat=2000.0), 1.0)
         assert abs(deep.g - hpa.t) < 1e-5
 
     def test_unit_drive(self):
-        hpa = mr.HpaModel(a0=1.0, t=1.0 + 0j, a_sat=1.0, v=1.0)
+        hpa = mr.HpaModel(a0=1.0, t=1.0 + 0j, a_sat=1.0)
         pair = mr.bussgang_decompose(hpa, 1.0)
         assert pair.g == pytest.approx(mr.bussgang_mu(1.0), rel=1e-12)
         assert pair.sigma_d2 == pytest.approx(mr.bussgang_lambda(1.0, 1.0), rel=1e-12)
 
     def test_mc_regression_recovery(self):
-        # sample-level SSPA (v=1) regressed over 1e6 Gaussian samples
-        hpa = mr.HpaModel(a0=9.0, t=1.1 - 0.3j, a_sat=1.7, v=1.0)
+        # sample-level SSPA regressed over 1e6 Gaussian samples
+        hpa = mr.HpaModel(a0=9.0, t=1.1 - 0.3j, a_sat=1.7)
         sigma = 1.3
         pair = mr.bussgang_decompose(hpa, sigma)
         rng = np.random.default_rng(5)
@@ -167,7 +159,7 @@ class TestBussgangDecompose:
         assert abs(g_hat - pair.g) < 1e-3
 
     def test_mc_distortion_variance(self):
-        hpa = mr.HpaModel(a0=1.0, t=0.8 + 0.4j, a_sat=1.2, v=1.0)
+        hpa = mr.HpaModel(a0=1.0, t=0.8 + 0.4j, a_sat=1.2)
         sigma = 1.0
         pair = mr.bussgang_decompose(hpa, sigma)
         rng = np.random.default_rng(6)
@@ -182,7 +174,7 @@ class TestBussgangDecompose:
         assert total / count == pytest.approx(pair.sigma_d2, rel=0.03)
 
     def test_domain_error(self):
-        hpa = mr.HpaModel(a0=1.0, t=1.0 + 0j, a_sat=1.0, v=1.0)
+        hpa = mr.HpaModel(a0=1.0, t=1.0 + 0j, a_sat=1.0)
         with pytest.raises(ValueError):
             mr.bussgang_decompose(hpa, 0.0)
 
