@@ -11,10 +11,6 @@ from .numerics import (
     bussgang_lambda,
     bussgang_mu,
     draw_complex_gain,
-    erfc,
-    erfcx,
-    exp_integral_ei,
-    exp_integral_ei_scaled,
     sinc,
 )
 from .hardware import (
@@ -29,7 +25,7 @@ from .hardware import (
     sigma_from_ibo,
     sspa_apply,
 )
-from .channel import CellGeometry, ChannelRealization, draw_channel, draw_ue_pathloss, uplink_channel
+from .channel import CellGeometry, draw_channels, draw_ue_pathloss, uplink_channel
 from .precoding import beta_zf_closed, beta_zf_empirical, transmit_block, zf_precoder
 from .analysis import (
     RateDecomposition,
@@ -40,7 +36,6 @@ from .analysis import (
     sindr_large_ibo,
     sindr_zf_closed_all,
     sinr_linear_mismatch,
-    zf_bussgang,
 )
 from .calibration import (
     CALIBRATION_METHODS,

@@ -1,9 +1,6 @@
 """Closed-form SINDR/rate expressions and their Monte-Carlo counterparts.
 
-Path-loss convention: every ``phi`` argument below is the large-scale
-amplitude gain (zeta * d^-xi), and the channel row mean-square is phi^2.  The
-Monte-Carlo estimators therefore draw channels with row power phi**2, which
-keeps the closed forms and the simulation on the same footing.
+Every ``phi`` argument is the path-loss amplitude gain of ``channel``.
 """
 
 from __future__ import annotations
@@ -15,8 +12,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .hardware import SystemHardware
-from .numerics import bussgang_lambda, bussgang_mu, sinc
+from .channel import draw_channels
+from .hardware import SystemHardware, bussgang_decompose
+# bussgang_mu is not called here: perfbench/tests/test_tracer.py checks that
+# the tracer rebinds this module's name for it
+from .numerics import bussgang_mu, sinc  # noqa: F401
 from .precoding import beta_zf_closed, transmit_block
 
 # complex channel entries (1 MiB) in the Monte-Carlo channel buffer
@@ -43,7 +43,6 @@ __all__ = [
     "SindrBreakdown",
     "RateDecomposition",
     "sinr_linear_mismatch",
-    "zf_bussgang",
     "sindr_zf_closed_all",
     "rate_from_sindr",
     "avg_rate_decomposition",
@@ -120,20 +119,6 @@ def sinr_linear_mismatch(
     return num / den
 
 
-def zf_bussgang(hw: SystemHardware, rho_t: float, c=None) -> tuple[np.ndarray, np.ndarray]:
-    """Per-antenna Bussgang pair under ZF: linear scales g_ZF,m = t_m mu(A_sat,m / sigma_x,m)
-    and distortion variances sigma_ZF,m^2 = |t_m|^2 lambda(A_sat,m, sigma_x,m).
-
-    With a calibration vector ``c`` the operating rms becomes |c_m| sigma_x,m
-    (the rms the amplifier actually sees once diag(c) scales the precoder).
-    """
-    sigma = hw.sigma_x(rho_t)
-    if c is not None:
-        sigma = np.maximum(np.abs(np.asarray(c)), 1e-300) * sigma
-    g = hw.t * bussgang_mu(hw.a_sat / sigma)
-    return g, np.abs(hw.t) ** 2 * bussgang_lambda(hw.a_sat, sigma)
-
-
 def _closed_terms(hw: SystemHardware, phi, rho_t, a0, noise_var):
     """Closed-form SINDR breakdown of every UE, and the trace statistics of
     the ZF Bussgang pair it rests on: tr{RR^*}, tr{GR^*}, sum_m |g_m - alpha
@@ -143,7 +128,8 @@ def _closed_terms(hw: SystemHardware, phi, rho_t, a0, noise_var):
     r = hw.bs_rx
     b = hw.ue_tx_gain
     u = hw.ue_rx
-    g, sig2 = zf_bussgang(hw, rho_t)
+    pair = bussgang_decompose(hw, hw.sigma_x(rho_t))
+    g, sig2 = pair.g, pair.sigma_d2
 
     tr_rr = float(np.sum(np.abs(r) ** 2))
     s_b = float(np.sum(1.0 / (np.abs(b) ** 2 * phi**2)))
@@ -264,21 +250,21 @@ def estimate_sindr_mc(
     symbols) and returns one list of ``SindrBreakdown`` per row, in row
     order.  One vector is the C = 1 case and consumes the generator as a
     one-row stack does.  Each row's Bussgang pair comes from its own
-    ``zf_bussgang`` call, so rows do not perturb each other.
+    ``bussgang_decompose`` call at the rms |c_m| sigma_x,m that diag(c)
+    gives each amplifier, so rows do not perturb each other.
 
     Each call allocates one complex (B, K, M) channel buffer of about 1 MiB,
-    B = ``_block_draws(K, M)``, whatever ``n_channels`` and C are.  Each
-    block of draws is one generator call into the buffer's float view (real
-    and imaginary parts interleaved) and one in-place scaling by
-    |phi_k|/sqrt(2).  Surrogate mode works through a block in sub-blocks of
-    ``_block_draws(K, M, C)`` draws and forms one uplink Gram matrix per
-    draw for all rows.  Physical mode builds the precoders of
-    ``_precoder_draws`` draws per ``zf_apply`` call and then streams the
-    symbols draw by draw; each draw forms the symbol Gram matrix s^H s once
-    and fits every row by the normal equations (s^H s) fit = s^H y.  Raises
-    ValueError for ``n_channels`` < 1 or a ``c`` that is not (M,) or (C, M)
-    with C >= 1 or with a row that is not finite or is all zero, and
-    LinAlgError for a rank-deficient channel draw.
+    B = ``_block_draws(K, M)``, whatever ``n_channels`` and C are, and
+    ``draw_channels`` fills it once per block.  Surrogate mode works through
+    a block in sub-blocks of ``_block_draws(K, M, C)`` draws and forms one
+    uplink Gram matrix per draw for all rows.  Physical mode builds the
+    precoders of ``_precoder_draws`` draws per ``zf_apply`` call and then
+    streams the symbols draw by draw; each draw forms the symbol Gram matrix
+    s^H s once and fits every row by the normal equations (s^H s) fit =
+    s^H y.  Raises ValueError for ``n_channels`` < 1, a ``phi`` that ``draw_channels``
+    rejects, or a ``c`` that is not (M,) or (C, M) with C >= 1 or with a row
+    that is not finite or is all zero, and LinAlgError for a rank-deficient
+    channel draw.
     """
     if mode not in ("surrogate", "physical"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -298,22 +284,22 @@ def estimate_sindr_mc(
         raise ValueError(f"calibration row {int(np.flatnonzero(bad)[0])} must be finite "
                          "and not all zero")
     n_c = c_rows.shape[0]
-    phi = np.asarray(phi, dtype=np.float64)
     beta = beta_zf_closed(hw, phi)
     draws = _block_draws(k, m)
     block = _block_draws(k, m, n_c)
     pblock = _precoder_draws(k, m)
 
-    # one zf_bussgang call per row: lambda of one element depends on the
-    # other elements of its call
-    g, sig2 = map(np.stack, zip(*(zf_bussgang(hw, rho_t, row) for row in c_rows)))
-    g_eff = g * c_rows
+    # one call per row: lambda of one element depends on the other elements
+    # of its call
+    sigma = hw.sigma_x(rho_t)
+    pairs = [bussgang_decompose(hw, np.maximum(np.abs(row), 1e-300) * sigma)
+             for row in c_rows]
+    sig2 = np.stack([pair.sigma_d2 for pair in pairs])
+    g_eff = np.stack([pair.g for pair in pairs]) * c_rows
 
     # the block length does not depend on C, so every row of a stack sees
     # the draws, and the additions, of its single-vector call
     buf = np.empty((min(draws, n_channels), k, m), dtype=np.complex128)
-    buf_f = buf.view(np.float64)
-    row_scale = (np.abs(phi) / math.sqrt(2.0))[:, None]
 
     # moments of the deviations from the first draw: SI is a variance about
     # 800x below ES at M=256, K=20, and raw sums would amplify their rounding
@@ -326,16 +312,14 @@ def estimate_sindr_mc(
     done = 0
     while done < n_channels:
         nb = min(draws, n_channels - done)
-        h, h_f = buf[:nb], buf_f[:nb]
-        rng.standard_normal(out=h_f)
-        h_f *= row_scale
+        h = draw_channels(rng, phi, buf[:nb])
         h_eq = np.empty((n_c, nb, k, k), dtype=np.complex128)
         if mode == "surrogate":
             for lo in range(0, nb, block):
                 h_eq[:, lo:lo + block] = _kernels.effective_channels(
                     h[lo:lo + block], hw.bs_rx, hw.ue_tx_gain, hw.ue_rx, g_eff, beta,
                     done + lo, n_channels)
-            sum_sq += (h_f ** 2).sum(axis=0)
+            sum_sq += (h.view(np.float64) ** 2).sum(axis=0)
         else:
             for lo in range(0, nb, pblock):
                 w = _kernels.zf_apply(

@@ -1,15 +1,11 @@
 """Propagation channel generation and effective uplink assembly.
 
-Convention: ``draw_channel`` takes the per-row mean-square power directly
-(E{|h_km|^2} = phi_k as passed).  The analysis layer follows the paper's
-amplitude convention, where a path-loss value phi corresponds to a row
-mean-square of phi^2; a caller of ``draw_channel`` with such a phi squares it
-first.  ``analysis.estimate_sindr_mc`` draws into its own buffer instead and
-scales row k by |phi_k|/sqrt(2).
+Path loss phi_k is an amplitude gain: channel row k has mean-square phi_k^2.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,9 +15,8 @@ from .hardware import SystemHardware
 
 __all__ = [
     "CellGeometry",
-    "ChannelRealization",
     "draw_ue_pathloss",
-    "draw_channel",
+    "draw_channels",
     "uplink_channel",
 ]
 
@@ -43,20 +38,6 @@ class CellGeometry:
             raise ValueError("need zeta > 0 and xi >= 0")
 
 
-@dataclass(frozen=True)
-class ChannelRealization:
-    """Propagation matrix H (K x M) with per-row mean-square profile ``phi``."""
-
-    h: np.ndarray
-    phi: np.ndarray
-
-    def __post_init__(self):
-        if np.any(np.asarray(self.phi) <= 0):
-            raise ValueError("phi entries must be positive")
-        if self.h.shape[0] != len(self.phi):
-            raise ValueError("h must have one row per phi entry")
-
-
 def draw_ue_pathloss(rng: np.random.Generator, k: int, geom: CellGeometry) -> np.ndarray:
     """Path-loss gains phi_k = zeta * d^(-xi) for K UEs placed area-uniformly
     on the annulus [min_dist, radius]."""
@@ -67,21 +48,25 @@ def draw_ue_pathloss(rng: np.random.Generator, k: int, geom: CellGeometry) -> np
     return geom.zeta * d ** (-geom.xi)
 
 
-def draw_channel(rng: np.random.Generator, m: int, phi) -> ChannelRealization:
-    """Rayleigh channel with E{|h_km|^2} = phi_k: h = diag(sqrt(phi)) H_r."""
+def draw_channels(rng: np.random.Generator, phi, out: np.ndarray) -> np.ndarray:
+    """Fill the complex (..., K, M) array ``out`` with Rayleigh channels,
+    E{|h_km|^2} = phi_k^2, and return it: one generator call into its float
+    view (real and imaginary parts interleaved), scaled by phi_k/sqrt(2).
+    Raises ValueError unless ``phi`` is K finite positive entries."""
     phi = np.asarray(phi, dtype=np.float64)
-    if phi.ndim != 1:
-        raise ValueError("phi must be a vector")
-    if np.any(phi <= 0):
-        raise ValueError("phi entries must be positive")
-    k = len(phi)
-    h_r = (rng.standard_normal((k, m)) + 1j * rng.standard_normal((k, m))) / np.sqrt(2.0)
-    return ChannelRealization(h=np.sqrt(phi)[:, None] * h_r, phi=phi)
+    # a NaN fails the comparison
+    if phi.shape != out.shape[-2:-1] or not np.all((phi > 0) & (phi < math.inf)):
+        raise ValueError(f"phi must hold K = {out.shape[-2]} finite positive entries, "
+                         f"got {phi}")
+    out_f = out.view(np.float64)
+    rng.standard_normal(out=out_f)
+    out_f *= (phi / math.sqrt(2.0))[:, None]
+    return out
 
 
-def uplink_channel(ch: ChannelRealization, hw: SystemHardware) -> np.ndarray:
-    """Effective uplink H_UL = R H^T B, shape M x K."""
-    k, m = ch.h.shape
+def uplink_channel(h: np.ndarray, hw: SystemHardware) -> np.ndarray:
+    """Effective uplink H_UL = R H^T B of the K x M channel h, shape M x K."""
+    k, m = h.shape
     if m != hw.m or k != hw.k:
         raise ValueError(f"dimension mismatch: channel {k}x{m} vs hardware M={hw.m}, K={hw.k}")
-    return _kernels.uplink(ch.h, hw.bs_rx, hw.ue_tx_gain)
+    return _kernels.uplink(h, hw.bs_rx, hw.ue_tx_gain)

@@ -35,7 +35,7 @@ from .calibration import (
     simulate_ota_training,
     slp_solve,
 )
-from .channel import CellGeometry, draw_ue_pathloss
+from .channel import CellGeometry, draw_channels, draw_ue_pathloss, uplink_channel
 from .hardware import HardwareMismatch, a_sat_for_ibo, draw_system_hardware
 
 SCENARIOS = (
@@ -81,13 +81,20 @@ CONFIG_KEYS = {
 
 
 def _check_param(name: str, value, where: str) -> None:
-    """The value check of one model parameter, set in params or swept."""
-    if name == "pathloss" and value not in ("unit", "drawn"):
-        raise ConfigError(f"{where}: unknown value {value!r} (allowed: unit, drawn)")
+    """The value check of one model parameter, set in params or swept: the
+    type of its default (an integer, a finite number or a pathloss name)."""
+    default = DEFAULT_PARAMS[name]
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if isinstance(default, str):
+        if value not in ("unit", "drawn"):
+            raise ConfigError(f"{where}: unknown value {value!r} (allowed: unit, drawn)")
+    elif isinstance(default, int) and not (number and isinstance(value, int)):
+        raise ConfigError(f"{where}: must be an integer, got {value!r}")
     # a NaN fails the comparison
-    if name == "train_noise_var" and not (isinstance(value, (int, float))
-                                          and 0 <= value < math.inf):
-        raise ConfigError(f"{where}: must be finite and >= 0, got {value!r}")
+    elif not (number and -math.inf < value < math.inf):
+        raise ConfigError(f"{where}: must be a finite number, got {value!r}")
+    elif name == "train_noise_var" and value < 0:
+        raise ConfigError(f"{where}: must be >= 0, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -143,8 +150,8 @@ class ExperimentConfig:
         # every point
         if self.sweep_param not in DEFAULT_PARAMS:
             raise ConfigError(f"sweep.param: unknown parameter {self.sweep_param!r}")
-        for name in ("pathloss", "train_noise_var"):
-            _check_param(name, self.param(name), f"params.{name}")
+        for name, value in self.params.items():
+            _check_param(name, value, f"params.{name}")
         for value in self.sweep_values:
             _check_param(self.sweep_param, value, f"sweep.values ({self.sweep_param})")
 
@@ -238,7 +245,7 @@ def _analysis_point(cfg: ExperimentConfig, sweep_value, seed_seq) -> list[dict]:
     for child in seed_seq.spawn(cfg.n_hardware):
         rng = np.random.default_rng(child)
         phi = _draw_phi(rng, cfg, p)
-        hw = draw_system_hardware(rng, cfg.m, cfg.k, mismatch, a_sat)
+        hw = draw_system_hardware(rng, cfg.m, cfg.k, mismatch, a_sat, a0=p["a0"])
         tr_phi_inv2 = float(np.sum(1.0 / phi**2))
         closed.append(_mean_rate(sindr_zf_closed_all(hw, phi, p["rho_t"], p["a0"], p["noise_var"])))
         ideal.append(math.log2(1.0 + (cfg.m - cfg.k) / tr_phi_inv2 * p["rho_t"] * p["a0"] / p["noise_var"]))
@@ -264,9 +271,9 @@ def _analysis_point(cfg: ExperimentConfig, sweep_value, seed_seq) -> list[dict]:
 
 def _calibration_point(cfg: ExperimentConfig, sweep_value, seed_seq) -> list[dict]:
     p = _point_setup(cfg, sweep_value)
-    order = int(p["order"])
+    order = p["order"]
     # identifiability floor for the polynomial fit
-    n_levels = max(int(p["n_levels"]), order + 2)
+    n_levels = max(p["n_levels"], order + 2)
     mismatch = HardwareMismatch.uniform(p["delta2"], p["theta"])
     a_sat = a_sat_for_ibo(p["ibo_db"], p["rho_t"], cfg.m)
 
@@ -274,9 +281,9 @@ def _calibration_point(cfg: ExperimentConfig, sweep_value, seed_seq) -> list[dic
     for child in seed_seq.spawn(cfg.n_hardware):
         rng = np.random.default_rng(child)
         phi = _draw_phi(rng, cfg, p)
-        hw = draw_system_hardware(rng, cfg.m, cfg.k, mismatch, a_sat)
+        hw = draw_system_hardware(rng, cfg.m, cfg.k, mismatch, a_sat, a0=p["a0"])
         omega = draw_inter_antenna_channel(rng, cfg.m)
-        plan = PilotPlan.for_hardware(hw, n_levels, int(p["n_symbols_train"]))
+        plan = PilotPlan.for_hardware(hw, n_levels, p["n_symbols_train"])
         # one training set per hardware draw, shared by linear_rc and poly_nrc
         training = simulate_ota_training(hw, plan, omega, p["train_noise_var"], cfg.mode, rng)
         stack = calibration_stack(hw, plan, training, order, p["rho_t"])
@@ -364,7 +371,8 @@ def emit_csv(table: list[dict], path: str) -> None:
 
 def selftest() -> int:
     """Quick oracle suite; prints one line per check, returns a shell status."""
-    from .numerics import bussgang_mu, erfc, exp_integral_ei
+    from ._kernels import e1_scaled, erfc
+    from .numerics import bussgang_mu
     from .precoding import beta_zf_closed, zf_precoder
 
     checks = []
@@ -374,16 +382,14 @@ def selftest() -> int:
         print(f"{'PASS' if ok else 'FAIL'}  {name}")
 
     check("erfc(1) matches quadrature constant", abs(erfc(1.0) - 0.15729920705028513) < 1e-12)
-    check("Ei(-1) matches series constant", abs(exp_integral_ei(-1.0) + 0.21938393439552026) < 1e-10)
+    check("E1(1) = -Ei(-1) matches series constant",
+          abs(math.exp(-1.0) * e1_scaled(1.0) - 0.21938393439552026) < 1e-10)
     check("mu(1) matches soft-limiter value", abs(bussgang_mu(1.0) - 0.6210639219293438) < 1e-9)
 
     rng = np.random.default_rng(0)
     mis = HardwareMismatch.uniform(0.05, math.pi / 6)
     hw = draw_system_hardware(rng, 16, 4, mis, a_sat_for_ibo(10.0, 1.0, 16))
-    from .channel import draw_channel, uplink_channel
-
-    ch = draw_channel(rng, 16, np.ones(4))
-    h_ul = uplink_channel(ch, hw)
+    h_ul = uplink_channel(draw_channels(rng, np.ones(4), np.empty((4, 16), complex)), hw)
     resid = np.linalg.norm(h_ul.T @ zf_precoder(h_ul, 1.0) - np.eye(4))
     check("ZF inversion residual < 1e-10", resid < 1e-10)
 

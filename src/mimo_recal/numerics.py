@@ -1,8 +1,9 @@
-"""Special functions and random-variate primitives shared by all modules.
+"""The Bussgang curves and random-variate primitives shared by all modules.
 
-All math is 64-bit.  These wrappers check the domain and keep scalars scalar;
-the elementwise kernels behind them live in ``_kernels`` and run on numpy and
-the standard library's ``math.erfc``.
+All math is 64-bit.  ``bussgang_mu`` and ``bussgang_lambda`` are the
+library's special-function entry points: they check the domain and keep
+scalars scalar, and the elementwise kernels behind them live in ``_kernels``
+and run on numpy and the standard library's ``math.erfc``.
 """
 
 from __future__ import annotations
@@ -16,10 +17,6 @@ from . import _kernels
 
 __all__ = [
     "MismatchDistribution",
-    "erfc",
-    "erfcx",
-    "exp_integral_ei",
-    "exp_integral_ei_scaled",
     "bussgang_mu",
     "bussgang_lambda",
     "draw_complex_gain",
@@ -45,53 +42,13 @@ class MismatchDistribution:
             raise ValueError(f"phase_bound must lie in [0, pi], got {self.phase_bound}")
 
 
-def _as_float_array(x):
-    return np.asarray(x, dtype=np.float64)
-
-
-def erfcx(x):
-    """Scaled complementary error function erfc(x)*exp(x^2) for x >= 0."""
-    arr = _as_float_array(x)
-    if np.any(arr < 0):
-        raise ValueError("erfcx is only implemented for x >= 0")
-    out = _kernels.erfcx(arr)
-    return float(out) if np.isscalar(x) or arr.ndim == 0 else out
-
-
-def erfc(x):
-    """Complementary error function, valid for any real x."""
-    arr = _as_float_array(x)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("erfc requires finite input")
-    out = _kernels.erfc(arr)
-    return float(out) if np.isscalar(x) or arr.ndim == 0 else out
-
-
-def exp_integral_ei(x):
-    """Exponential integral Ei(x) for x < 0."""
-    arr = _as_float_array(x)
-    if np.any(arr >= 0):
-        raise ValueError("exp_integral_ei is defined for x < 0 only")
-    out = -_kernels.e1_scaled(-arr) * np.exp(arr)
-    return float(out) if np.isscalar(x) or arr.ndim == 0 else out
-
-
-def exp_integral_ei_scaled(x):
-    """Scaled form exp(-x)*Ei(x) for x < 0, safe for very negative x."""
-    arr = _as_float_array(x)
-    if np.any(arr >= 0):
-        raise ValueError("exp_integral_ei_scaled is defined for x < 0 only")
-    out = -_kernels.e1_scaled(-arr)
-    return float(out) if np.isscalar(x) or arr.ndim == 0 else out
-
-
 def bussgang_mu(x):
     """Bussgang linear gain of the smooth envelope limiter.
 
     ``x`` is the saturation-to-rms ratio A_sat/sigma_x; the result lies in
     [0, 1) and is monotone increasing.
     """
-    arr = _as_float_array(x)
+    arr = np.asarray(x, dtype=np.float64)
     if np.any(arr < 0):
         raise ValueError("bussgang_mu requires x >= 0")
     out = _kernels.mu(arr)
@@ -100,8 +57,8 @@ def bussgang_mu(x):
 
 def bussgang_lambda(a_sat, sigma_x):
     """Distortion variance per unit squared gain-vibration, lambda(A_sat, sigma)."""
-    a = _as_float_array(a_sat)
-    s = _as_float_array(sigma_x)
+    a = np.asarray(a_sat, dtype=np.float64)
+    s = np.asarray(sigma_x, dtype=np.float64)
     if np.any(a <= 0) or np.any(s <= 0):
         raise ValueError("bussgang_lambda requires positive arguments")
     out = _kernels.lam(a, s)

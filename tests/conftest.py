@@ -7,7 +7,9 @@ generators for the calibration estimators.
 """
 
 import math
+import os
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Iterable, Literal
 
 import numpy as np
@@ -28,6 +30,19 @@ from mimo_recal.calibration import (
     psi_vector,
 )
 from mimo_recal.hardware import HpaModel, SystemHardware, bussgang_decompose, sspa_apply
+
+
+def package_env() -> dict:
+    """The environment with the package's source directory first on
+    PYTHONPATH, for a test that starts a fresh interpreter."""
+    src = str(Path(mr.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def one_channel(rng, m, phi):
+    """One K x M channel draw at path-loss amplitudes phi."""
+    return mr.draw_channels(rng, phi, np.empty((len(phi), m), dtype=np.complex128))
 
 
 def soft_limiter(x, a_sat):

@@ -189,8 +189,9 @@ def test_criterion_5_beta_zf():
     phi = np.random.default_rng(51).uniform(0.5, 2.0, k)
     closed = mr.beta_zf_closed(hw, phi)
     rng = np.random.default_rng(52)
+    h = np.empty((k, m), dtype=np.complex128)
     emp = mr.beta_zf_empirical(
-        mr.uplink_channel(mr.draw_channel(rng, m, phi**2), hw) for _ in range(10_000))
+        mr.uplink_channel(mr.draw_channels(rng, phi, h), hw) for _ in range(10_000))
     rel = abs(emp - closed) / closed
     ok = exact_ok and rel <= 0.02
     _line(5, "beta_ZF", ok,

@@ -470,6 +470,31 @@ class TestEstimateSindrMc:
         assert np.max(np.abs(power / phi**2 - 1.0)) <= 0.02
         assert np.all(np.abs(np.mean(h**2, axis=(0, 2))) <= 0.02 * phi**2)
 
+    def test_generator_state_is_that_of_the_channel_draws(self, default_mismatch):
+        # surrogate mode draws nothing but the channels: one draw_channels
+        # call per block of _block_draws(K, M) draws (here 128, 128 and 44)
+        m, k, n = 64, 8, 300
+        hw = _draw(m, k, 10.0, 1.0, default_mismatch, 18)
+        phi = mr.draw_ue_pathloss(np.random.default_rng(19), k, mr.CellGeometry())
+        rng = np.random.default_rng(20)
+        mr.estimate_sindr_mc(hw, phi, 1.0, A0, NOISE, n, 1, "surrogate", rng)
+        ref = np.random.default_rng(20)
+        block = analysis._block_draws(k, m)
+        for lo in range(0, n, block):
+            mr.draw_channels(ref, phi, np.empty((min(block, n - lo), k, m), complex))
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("mode", ["surrogate", "physical"])
+    @pytest.mark.parametrize("bad", [-1.0, 0.0, math.nan])
+    def test_bad_path_loss_rejected(self, default_mismatch, mode, bad):
+        # a negative entry ran on |phi|, and NaN was reported as a
+        # rank-deficient uplink Gram matrix; beta divides by phi before the
+        # first draw checks it
+        hw = _draw(8, 2, 10.0, 1.0, default_mismatch, 21)
+        with np.errstate(divide="ignore"), pytest.raises(ValueError, match="phi"):
+            mr.estimate_sindr_mc(hw, np.array([1.0, bad]), 1.0, A0, NOISE, 4, 8, mode,
+                                 np.random.default_rng(0))
+
     def test_no_channel_draws_rejected(self, default_mismatch):
         # n_channels = 0 gave NaN terms
         hw = _draw(8, 2, 10.0, 1.0, default_mismatch, 4)

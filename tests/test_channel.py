@@ -5,6 +5,7 @@ import pytest
 import scipy.stats
 
 import mimo_recal as mr
+from tests.conftest import one_channel
 
 
 class TestPathloss:
@@ -39,69 +40,88 @@ class TestPathloss:
 
 class TestDrawChannel:
     def test_row_power(self):
-        ch = mr.draw_channel(np.random.default_rng(0), 500, np.ones(2000))
-        assert np.mean(np.abs(ch.h) ** 2) == pytest.approx(1.0, rel=0.02)
+        # a batch of draws with a path-loss spread of 1e4 in power, filled in
+        # place: each row's mean-square is phi_k^2 and its pseudo-variance
+        # E[h^2] vanishes
+        phi = np.array([0.01, 0.1, 1.0, 3.0])
+        out = np.empty((500, 4, 64), dtype=np.complex128)
+        h = mr.draw_channels(np.random.default_rng(0), phi, out)
+        assert h is out
+        power = np.mean(np.abs(h) ** 2, axis=(0, 2))
+        assert np.max(np.abs(power / phi**2 - 1.0)) <= 0.02
+        assert np.all(np.abs(np.mean(h**2, axis=(0, 2))) <= 0.02 * phi**2)
 
     def test_deterministic(self):
-        a = mr.draw_channel(np.random.default_rng(5), 8, np.ones(3))
-        b = mr.draw_channel(np.random.default_rng(5), 8, np.ones(3))
-        assert np.array_equal(a.h, b.h)
+        a = one_channel(np.random.default_rng(5), 8, np.ones(3))
+        b = one_channel(np.random.default_rng(5), 8, np.ones(3))
+        assert np.array_equal(a, b)
 
     def test_scalar_row_power(self):
-        # 200,000 UE rows of one antenna each, row power 4
-        h = mr.draw_channel(np.random.default_rng(9), 1, np.full(200_000, 4.0)).h
+        # 200,000 UE rows of one antenna each, amplitude 2: row power 4
+        h = one_channel(np.random.default_rng(9), 1, np.full(200_000, 2.0))
         assert h.shape == (200_000, 1)
         assert np.mean(np.abs(h) ** 2) == pytest.approx(4.0, rel=0.02)
 
+    def test_one_generator_call_into_the_float_view(self):
+        # re/im interleaved from one standard_normal stream, scaled by phi/sqrt(2)
+        phi = np.array([0.5, 2.0])
+        h = mr.draw_channels(np.random.default_rng(13), phi, np.empty((3, 2, 5), complex))
+        z = np.random.default_rng(13).standard_normal((3, 2, 10))
+        ref = phi[:, None] * (z[..., 0::2] + 1j * z[..., 1::2]) / np.sqrt(2.0)
+        assert np.array_equal(h, ref)
+
     def test_invalid_phi(self):
-        with pytest.raises(ValueError):
-            mr.draw_channel(np.random.default_rng(0), 4, np.array([1.0, -1.0]))
+        # a negative entry once ran on |phi|; phi must be K finite positive amplitudes
+        for phi in ([1.0, -1.0], [1.0, 0.0], [np.nan, 1.0], [np.inf, 1.0], [1.0],
+                    [1.0, 1.0, 1.0], [[1.0, 1.0]]):
+            with pytest.raises(ValueError, match="phi"):
+                mr.draw_channels(np.random.default_rng(0), phi, np.empty((2, 4), complex))
 
 
 class TestUplinkChannel:
     def test_identity_hardware(self, default_mismatch):
         hw = mr.draw_system_hardware(np.random.default_rng(1), 8, 3,
                                      mr.HardwareMismatch.none(), 1.0, ue_pilot_amp=1e-9)
-        ch = mr.draw_channel(np.random.default_rng(2), 8, np.ones(3))
-        h_ul = mr.uplink_channel(ch, hw)
-        assert np.allclose(h_ul, ch.h.T, atol=1e-12)
+        h = one_channel(np.random.default_rng(2), 8, np.ones(3))
+        h_ul = mr.uplink_channel(h, hw)
+        assert np.allclose(h_ul, h.T, atol=1e-12)
 
     def test_row_scaling_linearity(self, default_mismatch):
         hw = mr.draw_system_hardware(np.random.default_rng(3), 8, 3, default_mismatch, 1.0)
-        ch = mr.draw_channel(np.random.default_rng(4), 8, np.ones(3))
-        h1 = mr.uplink_channel(ch, hw)
+        h = one_channel(np.random.default_rng(4), 8, np.ones(3))
+        h1 = mr.uplink_channel(h, hw)
         doubled = mr.SystemHardware(
             a0=hw.a0, t=hw.t, a_sat=hw.a_sat,
             bs_rx=hw.bs_rx * np.where(np.arange(8) == 2, 2.0, 1.0),
             ue_tx_gain=hw.ue_tx_gain, ue_rx=hw.ue_rx)
-        h2 = mr.uplink_channel(ch, doubled)
+        h2 = mr.uplink_channel(h, doubled)
         assert np.allclose(h2[2], 2.0 * h1[2])
         assert np.allclose(h2[[0, 1, 3]], h1[[0, 1, 3]])
 
     def test_elementwise_triple_product(self, default_mismatch):
         hw = mr.draw_system_hardware(np.random.default_rng(5), 16, 4, default_mismatch, 1.0)
-        ch = mr.draw_channel(np.random.default_rng(6), 16, np.full(4, 0.7))
-        h_ul = mr.uplink_channel(ch, hw)
+        h = one_channel(np.random.default_rng(6), 16, np.full(4, 0.7))
+        h_ul = mr.uplink_channel(h, hw)
         brute = np.empty_like(h_ul)
         for m in range(16):
             for k in range(4):
-                brute[m, k] = hw.bs_rx[m] * ch.h[k, m] * hw.ue_tx_gain[k]
+                brute[m, k] = hw.bs_rx[m] * h[k, m] * hw.ue_tx_gain[k]
         assert np.max(np.abs(h_ul - brute)) <= 1e-14
 
     def test_shared_propagation_matrix(self, default_mismatch):
         # reciprocity: the uplink assembly references the same H object used
         # downstream, only the RF matrices differ
         hw = mr.draw_system_hardware(np.random.default_rng(7), 8, 2, default_mismatch, 1.0)
-        ch = mr.draw_channel(np.random.default_rng(8), 8, np.ones(2))
-        h_ul = mr.uplink_channel(ch, hw)
+        h = one_channel(np.random.default_rng(8), 8, np.ones(2))
+        h_ul = mr.uplink_channel(h, hw)
         recovered = h_ul / hw.bs_rx[:, None] / hw.ue_tx_gain[None, :]
-        assert np.allclose(recovered, ch.h.T, atol=1e-12)
+        assert np.allclose(recovered, h.T, atol=1e-12)
 
     def test_dimension_mismatch(self, default_mismatch):
         hw = mr.draw_system_hardware(np.random.default_rng(9), 8, 2, default_mismatch, 1.0)
-        ch = mr.draw_channel(np.random.default_rng(10), 7, np.ones(2))
+        h = one_channel(np.random.default_rng(10), 7, np.ones(2))
         with pytest.raises(ValueError):
-            mr.uplink_channel(ch, hw)
+            mr.uplink_channel(h, hw)
 
 
 def test_gram_inverse_diagonal_approximation(default_mismatch):
@@ -113,8 +133,7 @@ def test_gram_inverse_diagonal_approximation(default_mismatch):
         for seed in range(20):
             rng = np.random.default_rng((m, seed))
             hw = mr.draw_system_hardware(rng, m, k, default_mismatch, 1e6)
-            ch = mr.draw_channel(rng, m, np.ones(k))
-            h_ul = mr.uplink_channel(ch, hw)
+            h_ul = mr.uplink_channel(one_channel(rng, m, np.ones(k)), hw)
             inv = np.linalg.inv(h_ul.T @ np.conj(h_ul))
             off = inv - np.diag(np.diag(inv))
             acc += np.linalg.norm(off) / np.linalg.norm(np.diag(np.diag(inv)))

@@ -7,12 +7,12 @@ import pickle
 import re
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mimo_recal import calibration, cli
+from tests.conftest import package_env
 
 
 def _write_config(tmp_path, **overrides):
@@ -103,6 +103,35 @@ class TestConfig:
         path, _ = _write_config(tmp_path, scenario="cal_rate_vs_snr",
                                 sweep={"param": "train_noise_var", "values": [0.0, 0.01]})
         assert cli.load_config(str(path)).sweep_values == (0.0, 0.01)
+
+    @pytest.mark.parametrize("entries, sets, key", [
+        ({"scenario": "cal_rate_vs_order", "sweep": {"param": "order", "values": [2.7]}}, [],
+         "sweep.values"),
+        ({"sweep": {"param": "n_levels", "values": [7, 7.5]}}, [], "sweep.values"),
+        ({}, ['params.ibo_db="8"'], "params.ibo_db"),
+        ({}, ["params.n_levels=true"], "params.n_levels"),
+        ({}, ["params.order=3.0"], "params.order"),
+        ({}, ["params.n_symbols_train=null"], "params.n_symbols_train"),
+        ({}, ["params.snr_db=NaN"], "params.snr_db"),
+        ({}, ["params.a0_db=-Infinity"], "params.a0_db"),
+        ({}, ["params.delta2=[0.05]"], "params.delta2"),
+        ({"sweep": {"param": "theta", "values": [0.5, math.inf]}}, [], "sweep.values"),
+    ])
+    def test_param_type_follows_its_default(self, tmp_path, entries, sets, key):
+        # order 2.7 ran order 2 under the label 2.7, a string ibo_db failed in
+        # the worker with a bare TypeError, and n_levels=true ran as 1
+        path, _ = _write_config(tmp_path, **entries)
+        with pytest.raises(cli.ConfigError, match=f"^{re.escape(key)}"):
+            cli.load_config(str(path), sets)
+
+    def test_param_types_accepted(self, tmp_path):
+        # an integer is a number; an integer parameter takes integers
+        path, _ = _write_config(tmp_path, scenario="cal_rate_vs_order",
+                                sweep={"param": "order", "values": [2, 3]})
+        cfg = cli.load_config(str(path), ["params.ibo_db=8", "params.n_levels=6",
+                                          "params.theta=0.5"])
+        assert cfg.sweep_values == (2, 3)
+        assert (cfg.param("ibo_db"), cfg.param("n_levels"), cfg.param("theta")) == (8, 6, 0.5)
 
     def test_physical_symbols_must_exceed_k(self, tmp_path):
         # n_symbols <= k leaves the physical least-squares fit no residual
@@ -360,6 +389,23 @@ class TestScenarios:
         assert [line.split(",")[3] for line in out1.read_text().splitlines()[1:]] == [
             "none", "linear_rc", "poly_nrc", "perfect_nrc"]
 
+    @pytest.mark.parametrize("scenario", ["rate_vs_snr", "cal_rate_vs_snr"])
+    def test_physical_rates_do_not_depend_on_a0(self, tmp_path, scenario):
+        # rho_t = SNR noise_var / a0 and the amplifiers carry a0, so every
+        # rate sees a0 only through rounding; physical mode once drew the
+        # hardware with a0 = 10 whatever a0_db said
+        rows = []
+        for a0_db in (10.0, 20.0):
+            path, _ = _write_config(
+                tmp_path, scenario=scenario, mode="physical",
+                sweep={"param": "snr_db", "values": [20.0]}, m=8, k=2,
+                mc={"n_hardware": 2, "n_channels": 10, "n_symbols": 16},
+                params={"ibo_db": 3.0, "a0_db": a0_db, "order": 3, "n_levels": 5})
+            rows.append(cli.run_scenario(cli.load_config(str(path))))
+        for low, high in zip(*rows):
+            assert low["method"] == high["method"]
+            assert high["rate_mean"] == pytest.approx(low["rate_mean"], rel=1e-12)
+
     def test_order_zero_reduces_to_linear(self, tmp_path):
         path, _ = _write_config(
             tmp_path, scenario="cal_rate_vs_order",
@@ -398,19 +444,16 @@ class TestEntryPoint:
                 "--set", "sweep.values=[0,10]"]
         here, there = tmp_path / "here.csv", tmp_path / "there.csv"
         assert cli.main([*args, "--set", f"output_path={here}"]) == 0
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")]))}
         proc = subprocess.run([sys.executable, "-m", "mimo_recal.cli", *args,
                                "--set", f"output_path={there}"],
-                              capture_output=True, text=True, env=env)
+                              capture_output=True, text=True, env=package_env())
         assert proc.returncode == 0, proc.stderr
         assert there.read_bytes() == here.read_bytes()
         assert len(here.read_text().splitlines()) == 1 + 2 * 4
 
     def test_console_script_help(self):
         proc = subprocess.run([sys.executable, "-m", "mimo_recal.cli", "--help"],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True, env=package_env())
         # argparse prints usage and exits 0 for --help via SystemExit
         assert proc.returncode == 0
         assert "mimo-recal" in proc.stdout

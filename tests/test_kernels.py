@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import mimo_recal as mr
 from mimo_recal import _kernels
 
-from tests.conftest import ref_effective_channels
+from tests.conftest import package_env, ref_effective_channels
 
 
 def test_cli_import_loads_neither_scipy_nor_numba():
@@ -23,7 +23,8 @@ def test_cli_import_loads_neither_scipy_nor_numba():
 
     code = ("import sys, mimo_recal.cli;"
             "print(sorted({m.split('.')[0] for m in sys.modules} & {'scipy', 'numba'}))")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=package_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 
@@ -43,7 +44,7 @@ def test_effective_channels_match_single_draw_precoder(n_draws, k, m, seed):
     h_eq = _kernels.effective_channels(h, hw.bs_rx, hw.ue_tx_gain, hw.ue_rx, g, beta)
     assert h_eq.shape == (n_draws, k, k)
     for t in range(n_draws):
-        h_ul = mr.uplink_channel(mr.ChannelRealization(h=h[t], phi=phi), hw)
+        h_ul = mr.uplink_channel(h[t], hw)
         w = mr.zf_precoder(h_ul, beta)
         # the textbook formula, with an explicit inverse, as an independent oracle
         w_ref = np.conj(h_ul) @ np.linalg.inv(h_ul.T @ np.conj(h_ul)) / math.sqrt(beta)

@@ -6,20 +6,20 @@ import numpy as np
 import pytest
 
 import mimo_recal as mr
+from tests.conftest import one_channel
 
 
 def _system(m, k, mismatch, a_sat, seed, rho=1.0):
     rng = np.random.default_rng(seed)
     hw = mr.draw_system_hardware(rng, m, k, mismatch, a_sat)
     phi = np.ones(k)
-    ch = mr.draw_channel(rng, m, phi**2)
-    return hw, phi, ch
+    return hw, phi, one_channel(rng, m, phi)
 
 
 class TestZfPrecoder:
     def test_inversion_residual(self, default_mismatch):
-        hw, phi, ch = _system(16, 4, default_mismatch, 10.0, 0)
-        h_ul = mr.uplink_channel(ch, hw)
+        hw, phi, h = _system(16, 4, default_mismatch, 10.0, 0)
+        h_ul = mr.uplink_channel(h, hw)
         w = mr.zf_precoder(h_ul, beta=1.0)
         resid = np.linalg.norm(h_ul.T @ w - np.eye(4))
         assert resid <= 1e-10
@@ -73,7 +73,7 @@ class TestBetaZf:
         def samples(n):
             rng = np.random.default_rng(3)
             for _ in range(n):
-                yield mr.uplink_channel(mr.draw_channel(rng, 64, phi**2), hw)
+                yield mr.uplink_channel(one_channel(rng, 64, phi), hw)
 
         assert mr.beta_zf_empirical(samples(2000)) == pytest.approx(closed, rel=0.02)
 
@@ -87,7 +87,7 @@ class TestBetaZf:
         def samples(n):
             rng = np.random.default_rng(3)
             for _ in range(n):
-                yield mr.uplink_channel(mr.draw_channel(rng, 64, phi**2), hw)
+                yield mr.uplink_channel(one_channel(rng, 64, phi), hw)
 
         assert mr.beta_zf_empirical(samples(2000)) == pytest.approx(closed, rel=0.05)
 
@@ -130,11 +130,11 @@ class TestTransmitDownlink:
         hw = mr.draw_system_hardware(np.random.default_rng(0), 16, 4,
                                      mr.HardwareMismatch.none(), 1e6, ue_pilot_amp=1e-9)
         phi = np.ones(4)
-        ch = mr.draw_channel(np.random.default_rng(1), 16, phi**2)
+        h = one_channel(np.random.default_rng(1), 16, phi)
         beta = mr.beta_zf_closed(hw, phi)
-        w = mr.zf_precoder(mr.uplink_channel(ch, hw), beta)
+        w = mr.zf_precoder(mr.uplink_channel(h, hw), beta)
         s = _symbols(np.random.default_rng(2), 32, 4)
-        y = mr.transmit_block(hw, ch.h, w, s)
+        y = mr.transmit_block(hw, h, w, s)
         assert y.shape == (32, 4)
         assert np.allclose(y, math.sqrt(hw.a0) * s / math.sqrt(beta), rtol=1e-8)
 
@@ -144,8 +144,7 @@ class TestTransmitDownlink:
         acc = np.zeros(hw.m)
         rng = np.random.default_rng(seed)
         for _ in range(n_draws):
-            ch = mr.draw_channel(rng, hw.m, phi**2)
-            w = mr.zf_precoder(mr.uplink_channel(ch, hw), beta)
+            w = mr.zf_precoder(mr.uplink_channel(one_channel(rng, hw.m, phi), hw), beta)
             acc += np.sum(np.abs(_symbols(rng, n_sym, hw.k) @ w.T) ** 2, axis=0)
         return np.sqrt(acc / (n_draws * n_sym))
 
@@ -179,21 +178,21 @@ class TestTransmitDownlink:
         # a0 |u_k|^2 (rho_t ||(h_k o g) W||^2 + sum_m |h_km|^2 sigma_d,m^2)
         rho = 1.0
         a_sat = mr.a_sat_for_ibo(10.0, rho, 16)
-        hw, phi, ch = _system(16, 4, default_mismatch, a_sat, 5)
+        hw, phi, _ = _system(16, 4, default_mismatch, a_sat, 5)
         beta = mr.beta_zf_closed(hw, phi)
         pair = mr.bussgang_decompose(hw, hw.sigma_x(rho))
         u2 = np.abs(hw.ue_rx) ** 2
         power = {"surrogate": np.zeros(4), "physical": np.zeros(4)}
         ch_rng = np.random.default_rng(6)
         for seed in range(150):
-            ch_i = mr.draw_channel(ch_rng, 16, phi**2)
-            w = mr.zf_precoder(mr.uplink_channel(ch_i, hw), beta)
+            h = one_channel(ch_rng, 16, phi)
+            w = mr.zf_precoder(mr.uplink_channel(h, hw), beta)
             s = _symbols(np.random.default_rng((7, seed)), 200, 4, rho)
-            power["physical"] += np.mean(np.abs(mr.transmit_block(hw, ch_i.h, w, s)) ** 2,
+            power["physical"] += np.mean(np.abs(mr.transmit_block(hw, h, w, s)) ** 2,
                                          axis=0)
-            linear = np.sum(np.abs((ch_i.h * pair.g) @ w) ** 2, axis=1)
+            linear = np.sum(np.abs((h * pair.g) @ w) ** 2, axis=1)
             power["surrogate"] += hw.a0 * u2 * (rho * linear
-                                                + np.abs(ch_i.h) ** 2 @ pair.sigma_d2)
+                                                + np.abs(h) ** 2 @ pair.sigma_d2)
         rel = np.abs(power["surrogate"] - power["physical"]) / power["physical"]
         assert np.max(rel) < 0.03
 
@@ -213,11 +212,11 @@ class TestTransmitDownlink:
 
     def test_parameter_validation(self, default_mismatch):
         # the chain's operating point rejects a bad rho_t, the precoder a bad beta
-        hw, phi, ch = _system(8, 2, default_mismatch, 1.0, 10)
+        hw, phi, h = _system(8, 2, default_mismatch, 1.0, 10)
         for rho_t in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="rho_t"):
                 hw.sigma_x(rho_t)
-        h_ul = mr.uplink_channel(ch, hw)
+        h_ul = mr.uplink_channel(h, hw)
         for beta in (0.0, -1.0, math.nan):
             with pytest.raises(ValueError, match="beta"):
                 mr.zf_precoder(h_ul, beta)
@@ -227,12 +226,12 @@ class TestTransmitDownlink:
     def test_surrogate_one_bussgang_call(self, default_mismatch, monkeypatch):
         # the Bussgang pairs of all M antennas come from one vector call, in
         # the closed form and in surrogate Monte Carlo
-        from mimo_recal import analysis
+        from mimo_recal import hardware
 
         hw, phi, _ = _system(16, 4, default_mismatch, 1.0, 17)
-        mu = analysis.bussgang_mu
+        mu = hardware.bussgang_mu
         shapes = []
-        monkeypatch.setattr(analysis, "bussgang_mu", lambda x: shapes.append(np.shape(x)) or mu(x))
+        monkeypatch.setattr(hardware, "bussgang_mu", lambda x: shapes.append(np.shape(x)) or mu(x))
         mr.sindr_zf_closed_all(hw, phi, 1.0, 10.0, 1.0)
         assert shapes == [(16,)]
         shapes.clear()
@@ -256,11 +255,11 @@ def test_zero_noise_interference_floor(default_mismatch):
     hw = mr.draw_system_hardware(np.random.default_rng(20), 16, 4,
                                  mr.HardwareMismatch.none(), 1e9, ue_pilot_amp=1e-9)
     phi = np.ones(4)
-    ch = mr.draw_channel(np.random.default_rng(21), 16, phi**2)
+    h = one_channel(np.random.default_rng(21), 16, phi)
     beta = mr.beta_zf_closed(hw, phi)
-    w = mr.zf_precoder(mr.uplink_channel(ch, hw), beta)
+    w = mr.zf_precoder(mr.uplink_channel(h, hw), beta)
     s = _symbols(np.random.default_rng(22), 64, 4)
-    y = mr.transmit_block(hw, ch.h, w, s)
+    y = mr.transmit_block(hw, h, w, s)
     sig = np.mean(np.abs(y) ** 2)
     # what each UE receives beyond its own symbol through the effective channel
     cross = np.abs(y - math.sqrt(hw.a0) * s / math.sqrt(beta)) ** 2
