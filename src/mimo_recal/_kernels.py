@@ -144,29 +144,63 @@ def uplink(h: np.ndarray, r: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.swapaxes(h, -1, -2) * (r[:, None] * b)
 
 
+def _equilibrate(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(S gram S, s) with S = diag(s) = diag(gram)^{-1/2}."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = 1.0 / np.sqrt(np.real(np.diagonal(gram, axis1=-2, axis2=-1)))
+        return s[..., :, None] * gram * s[..., None, :], s
+
+
+def _cond(scaled: np.ndarray) -> np.ndarray:
+    """Condition numbers of a batch of Hermitian matrices, inf where not finite."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        finite = np.isfinite(scaled).all(axis=(-2, -1))
+        cond = np.full(finite.shape, np.inf)
+        # a Hermitian matrix's singular values are |eigenvalues|
+        lam = np.abs(np.linalg.eigvalsh(scaled[finite]))
+        cond[finite] = lam.max(axis=-1) / lam.min(axis=-1)
+    return cond
+
+
 def equilibrated_gram(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(S gram S, s, cond) for a (..., K, K) batch of Gram matrices, with
     S = diag(s) = diag(gram)^{-1/2} and cond that of S gram S (inf when not
     finite).  The unit diagonal removes each UE's path loss, so cond only
     measures how nearly collinear the channels are; a draw is rank-deficient
     when cond exceeds ``ZF_COND_MAX``."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        s = 1.0 / np.sqrt(np.real(np.diagonal(gram, axis1=-2, axis2=-1)))
-        scaled = s[..., :, None] * gram * s[..., None, :]
-        finite = np.isfinite(scaled).all(axis=(-2, -1))
-        cond = np.full(finite.shape, np.inf)
-        # the Gram matrix is Hermitian, so its singular values are |eigenvalues|
-        lam = np.abs(np.linalg.eigvalsh(scaled[finite]))
-        cond[finite] = lam.max(axis=-1) / lam.min(axis=-1)
-    return scaled, s, cond
+    scaled, s = _equilibrate(gram)
+    return scaled, s, _cond(scaled)
+
+
+def _well_conditioned(scaled: np.ndarray) -> bool:
+    """True when every unit-diagonal matrix E of the batch provably has
+    cond(E) <= ZF_COND_MAX / 100, from its Cholesky factor L alone.  The K
+    eigenvalues of E are positive and sum to K, so lambda_max < K and, by
+    AM-GM over the other K - 1, lambda_min > det(E)/e, with det(E) = prod
+    diag(L)^2: cond(E) < K e / det(E).  The factor 100 covers the rounding
+    of L and of ``eigvalsh``; a failed factorisation certifies nothing."""
+    try:
+        chol = np.linalg.cholesky(scaled)
+    except np.linalg.LinAlgError:
+        return False
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        det = np.prod(np.real(np.diagonal(chol, axis1=-2, axis2=-1)) ** 2, axis=-1)
+        bound = scaled.shape[-1] * math.e / det
+    # a NaN bound fails the comparison
+    return bool(np.all(bound <= ZF_COND_MAX / 100))
 
 
 def _full_rank_gram(gram: np.ndarray, first: int,
                     total: int | None) -> tuple[np.ndarray, np.ndarray]:
     """``equilibrated_gram`` of a batch that must have full rank: (S gram S, s).
-    The first rank-deficient draw raises LinAlgError naming it draw
-    ``first + i`` of ``total`` (or of B)."""
-    scaled, s, cond = equilibrated_gram(gram)
+    A batch that ``_well_conditioned`` certifies skips the eigenvalues; any
+    other gets the exact cond of ``equilibrated_gram``, and its first
+    rank-deficient draw raises LinAlgError naming it draw ``first + i`` of
+    ``total`` (or of B)."""
+    scaled, s = _equilibrate(gram)
+    if _well_conditioned(scaled):
+        return scaled, s
+    cond = _cond(scaled)
     bad = np.flatnonzero(~(cond <= ZF_COND_MAX))
     if bad.size:
         i = int(bad[0])

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .channel import draw_channels
+from .channel import _check_phi, draw_channels
 from .hardware import SystemHardware, bussgang_decompose
 # bussgang_mu is not called here: perfbench/tests/test_tracer.py checks that
 # the tracer rebinds this module's name for it
@@ -122,9 +122,10 @@ def sinr_linear_mismatch(
 def _closed_terms(hw: SystemHardware, phi, rho_t, a0, noise_var):
     """Closed-form SINDR breakdown of every UE, and the trace statistics of
     the ZF Bussgang pair it rests on: tr{RR^*}, tr{GR^*}, sum_m |g_m - alpha
-    r_m|^2 with alpha = mean(g/r), and tr{sigma_d^2}."""
-    phi = np.asarray(phi, dtype=np.float64)
+    r_m|^2 with alpha = mean(g/r), and tr{sigma_d^2}.  Raises ValueError
+    unless ``phi`` is K finite positive entries."""
     m, k = hw.m, hw.k
+    phi = _check_phi(phi, k)
     r = hw.bs_rx
     b = hw.ue_tx_gain
     u = hw.ue_rx
@@ -261,10 +262,10 @@ def estimate_sindr_mc(
     precoders of ``_precoder_draws`` draws per ``zf_apply`` call and then
     streams the symbols draw by draw; each draw forms the symbol Gram matrix
     s^H s once and fits every row by the normal equations (s^H s) fit =
-    s^H y.  Raises ValueError for ``n_channels`` < 1, a ``phi`` that ``draw_channels``
-    rejects, or a ``c`` that is not (M,) or (C, M) with C >= 1 or with a row
-    that is not finite or is all zero, and LinAlgError for a rank-deficient
-    channel draw.
+    s^H y.  Raises ValueError for ``n_channels`` < 1, a ``phi`` that is not K
+    finite positive entries, or a ``c`` that is not (M,) or (C, M) with C >= 1
+    or with a row that is not finite or is all zero, and LinAlgError for a
+    rank-deficient channel draw.
     """
     if mode not in ("surrogate", "physical"):
         raise ValueError(f"unknown mode {mode!r}")

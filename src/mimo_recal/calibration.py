@@ -203,6 +203,7 @@ def simulate_ota_training(
 
     Random draws run per (tx, level): Q pilot phases, then the receive noise
     of the M-1 other antennas (real parts, then imaginary parts, per rx).
+    Without noise that order is one (M, N, Q) draw of the phases.
     """
     m = hw.m
     if omega.shape != (m, m):
@@ -219,22 +220,27 @@ def simulate_ota_training(
 
     n_levels, q = plan.n_levels, plan.n_symbols
     amps = plan.amplitudes
-    x = np.empty((m, n_levels, q), dtype=np.complex128)
-    # noise goes into y in draw order; the signal is added in one broadcast
+    # noise goes into y in draw order; the signal is added one transmitter at
+    # a time, so no (M, M, N, Q) temporary is built
     y = np.zeros((m, m, n_levels, q), dtype=np.complex128)
-    scale = math.sqrt(noise_var / 2.0)
-    for tx in range(m):
-        others = np.arange(m) != tx
-        for n in range(n_levels):
-            x[tx, n] = amps[tx, n] * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, size=q))
-            if noise_var > 0:
+    if noise_var == 0:
+        x = amps[:, :, None] * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, (m, n_levels, q)))
+    else:
+        x = np.empty((m, n_levels, q), dtype=np.complex128)
+        scale = math.sqrt(noise_var / 2.0)
+        for tx in range(m):
+            others = np.arange(m) != tx
+            for n in range(n_levels):
+                x[tx, n] = amps[tx, n] * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, size=q))
                 re, im = rng.standard_normal((m - 1, 2, q)).transpose(1, 0, 2)
                 y[tx, others, n] = scale * (re + 1j * im)
     if mode == "physical":
         out = np.moveaxis(sspa_apply(hw, np.moveaxis(x, 0, -1)), -1, 0) / math.sqrt(hw.a0)
     else:
         out = (hw.t[:, None] * bussgang_mu(hw.a_sat[:, None] / amps))[:, :, None] * x
-    y += _unfused_product(hw.a0 * hw.bs_rx[None, :], omega)[:, :, None, None] * out[:, None]
+    pair = _unfused_product(hw.a0 * hw.bs_rx[None, :], omega)
+    for tx in range(m):
+        y[tx] += pair[tx, :, None, None] * out[tx]
     return TrainingSet(x=x, y=y)
 
 
@@ -382,7 +388,11 @@ def measured_level_shapes(training: TrainingSet, plan: PilotPlan) -> np.ndarray:
     equations of the polynomial LS cancel out.)
     """
     _check_levels(training, plan)
-    prof = np.mean(training.y / training.x[:, None], axis=-1)  # (tx, rx, n)
+    m = training.m
+    # one transmitter at a time, so no (M, M, N, Q) temporary is built
+    prof = np.empty((m, m, plan.n_levels), dtype=np.complex128)  # (tx, rx, n)
+    for tx in range(m):
+        prof[tx] = np.mean(training.y[tx] / training.x[tx], axis=-1)
     top = prof[:, :, -1]
     denom = np.sum(np.abs(top) ** 2, axis=1)
     dead = np.flatnonzero(denom == 0)

@@ -48,16 +48,22 @@ def draw_ue_pathloss(rng: np.random.Generator, k: int, geom: CellGeometry) -> np
     return geom.zeta * d ** (-geom.xi)
 
 
+def _check_phi(phi, k: int) -> np.ndarray:
+    """``phi`` as a float64 array; raises ValueError unless it holds K
+    finite positive path-loss amplitudes."""
+    phi = np.asarray(phi, dtype=np.float64)
+    # a NaN fails the comparison
+    if phi.shape != (k,) or not np.all((phi > 0) & (phi < math.inf)):
+        raise ValueError(f"phi must hold K = {k} finite positive entries, got {phi}")
+    return phi
+
+
 def draw_channels(rng: np.random.Generator, phi, out: np.ndarray) -> np.ndarray:
     """Fill the complex (..., K, M) array ``out`` with Rayleigh channels,
     E{|h_km|^2} = phi_k^2, and return it: one generator call into its float
     view (real and imaginary parts interleaved), scaled by phi_k/sqrt(2).
     Raises ValueError unless ``phi`` is K finite positive entries."""
-    phi = np.asarray(phi, dtype=np.float64)
-    # a NaN fails the comparison
-    if phi.shape != out.shape[-2:-1] or not np.all((phi > 0) & (phi < math.inf)):
-        raise ValueError(f"phi must hold K = {out.shape[-2]} finite positive entries, "
-                         f"got {phi}")
+    phi = _check_phi(phi, out.shape[-2])
     out_f = out.view(np.float64)
     rng.standard_normal(out=out_f)
     out_f *= (phi / math.sqrt(2.0))[:, None]

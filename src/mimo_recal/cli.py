@@ -13,7 +13,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -284,9 +283,11 @@ def _calibration_point(cfg: ExperimentConfig, sweep_value, seed_seq) -> list[dic
         hw = draw_system_hardware(rng, cfg.m, cfg.k, mismatch, a_sat, a0=p["a0"])
         omega = draw_inter_antenna_channel(rng, cfg.m)
         plan = PilotPlan.for_hardware(hw, n_levels, p["n_symbols_train"])
-        # one training set per hardware draw, shared by linear_rc and poly_nrc
-        training = simulate_ota_training(hw, plan, omega, p["train_noise_var"], cfg.mode, rng)
-        stack = calibration_stack(hw, plan, training, order, p["rho_t"])
+        # one training set per hardware draw, shared by linear_rc and poly_nrc,
+        # and freed before the Monte Carlo
+        stack = calibration_stack(
+            hw, plan, simulate_ota_training(hw, plan, omega, p["train_noise_var"], cfg.mode, rng),
+            order, p["rho_t"])
         # every method is scored on the same channel draws
         scored = estimate_sindr_mc(hw, phi, p["rho_t"], p["a0"], p["noise_var"],
                                    cfg.n_channels, cfg.n_symbols, cfg.mode, rng, c=stack)
@@ -336,6 +337,9 @@ def run_scenario(cfg: ExperimentConfig) -> list[dict]:
     if max_workers <= 1 or n == 1:
         collect(map(_run_point, [cfg] * n, range(n)))
     else:
+        # imported here, so that a single-worker run does not load the pool module
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=max_workers) as pool:
             collect(pool.map(_run_point, [cfg] * n, range(n)))
     return out

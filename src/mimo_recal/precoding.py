@@ -8,6 +8,7 @@ from typing import Iterable
 import numpy as np
 
 from . import _kernels
+from .channel import _check_phi
 from .hardware import SystemHardware, sspa_apply
 
 __all__ = [
@@ -34,10 +35,11 @@ def beta_zf_closed(hw: SystemHardware, phi) -> float:
     """Closed-form beta_ZF = M tr{(B Phi^2 B^*)^{-1}} / (tr{RR^*} (M-K)).
 
     ``phi`` follows the path-loss amplitude convention of the closed-form
-    layer (channel row mean-square phi^2).
+    layer (channel row mean-square phi^2), and must be K finite positive
+    entries (ValueError).
     """
-    phi = np.asarray(phi, dtype=np.float64)
     m, k = hw.m, hw.k
+    phi = _check_phi(phi, k)
     if m <= k + 1:
         raise ValueError("closed-form beta needs M > K + 1")
     tr_b_phi2_inv = float(np.sum(1.0 / (np.abs(hw.ue_tx_gain) ** 2 * phi**2)))

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -488,10 +489,11 @@ class TestEstimateSindrMc:
     @pytest.mark.parametrize("bad", [-1.0, 0.0, math.nan])
     def test_bad_path_loss_rejected(self, default_mismatch, mode, bad):
         # a negative entry ran on |phi|, and NaN was reported as a
-        # rank-deficient uplink Gram matrix; beta divides by phi before the
-        # first draw checks it
+        # rank-deficient uplink Gram matrix; beta checks phi before it
+        # divides by it, so nothing warns on the way
         hw = _draw(8, 2, 10.0, 1.0, default_mismatch, 21)
-        with np.errstate(divide="ignore"), pytest.raises(ValueError, match="phi"):
+        with warnings.catch_warnings(), pytest.raises(ValueError, match="phi"):
+            warnings.simplefilter("error")
             mr.estimate_sindr_mc(hw, np.array([1.0, bad]), 1.0, A0, NOISE, 4, 8, mode,
                                  np.random.default_rng(0))
 
@@ -532,6 +534,34 @@ class TestBadTransmitPower:
         hw = _draw(16, 4, 10.0, 1.0, default_mismatch, 4)
         with pytest.raises(ValueError, match="rho_t"):
             mr.avg_rate_decomposition(hw, np.ones(4), rho_t, A0, NOISE)
+
+
+@pytest.mark.parametrize("phi", [[1.0, -1.0], [1.0, 0.0], [1.0, math.nan]])
+class TestBadPathLoss:
+    """A path-loss amplitude that is not finite and positive raises the
+    ValueError of ``draw_channels`` in the closed forms too: [1, -1] gave
+    the SINDR of [1, 1], and [1, 0] or [1, NaN] warned of a division by
+    zero and then failed on the power terms."""
+
+    MESSAGE = r"phi must hold K = 2 finite positive entries"
+
+    @staticmethod
+    def _raises(fn, *args):
+        with warnings.catch_warnings(), pytest.raises(ValueError, match=TestBadPathLoss.MESSAGE):
+            warnings.simplefilter("error")
+            fn(*args)
+
+    def test_closed_form(self, default_mismatch, phi):
+        hw = _draw(8, 2, 10.0, 1.0, default_mismatch, 4)
+        self._raises(mr.sindr_zf_closed_all, hw, phi, 1.0, A0, NOISE)
+
+    def test_rate_decomposition(self, default_mismatch, phi):
+        hw = _draw(8, 2, 10.0, 1.0, default_mismatch, 4)
+        self._raises(mr.avg_rate_decomposition, hw, phi, 1.0, A0, NOISE)
+
+    def test_beta(self, default_mismatch, phi):
+        hw = _draw(8, 2, 10.0, 1.0, default_mismatch, 4)
+        self._raises(mr.beta_zf_closed, hw, phi)
 
 
 @pytest.mark.parametrize("term", ["es", "si", "mui", "nld", "noise"])

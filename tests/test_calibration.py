@@ -193,16 +193,17 @@ class TestTensorMatchesRecordReference:
         omega = mr.draw_inter_antenna_channel(rng, m)
         plan = mr.PilotPlan.for_hardware(hw, n_levels, q)
         noise_var = 1.0 if noisy else 0.0
-        ts = mr.simulate_ota_training(hw, plan, omega, noise_var, mode,
-                                      np.random.default_rng(seed))
-        recs = ref_simulate_ota_training(hw, plan, omega, noise_var, mode,
-                                         np.random.default_rng(seed))
+        rng_ts, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        ts = mr.simulate_ota_training(hw, plan, omega, noise_var, mode, rng_ts)
+        recs = ref_simulate_ota_training(hw, plan, omega, noise_var, mode, rng_ref)
 
         assert len(recs) == m * (m - 1) * n_levels
         for rec in recs:
             assert np.array_equal(ts.x[rec.tx_antenna, rec.level], rec.x)
             assert np.array_equal(ts.y[rec.tx_antenna, rec.rx_antenna, rec.level], rec.y)
         assert not np.any(ts.y[np.arange(m), np.arange(m)])
+        # the noiseless phases come from one draw, and use up the same stream
+        assert rng_ts.bit_generator.state == rng_ref.bit_generator.state
 
         for n in range(n_levels):
             assert _close(mr.linear_calibration(ts.level(n), 1.0),
@@ -216,6 +217,39 @@ class TestTensorMatchesRecordReference:
             norms[norms == 0] = 1.0
             scaled = psi / norms[:, None]
             assert _close(_pair_ratio_gram(ts, plan, order), np.conj(scaled).T @ scaled)
+
+
+@pytest.mark.parametrize("mode", ["surrogate", "physical"])
+def test_noiseless_training_at_benchmark_size(mode):
+    # M=64, N=7, Q=10, the calibration benchmark's round, against the
+    # per-pair loop bit for bit
+    hw, omega, plan, _ = _setup(64, 8, 23)
+    ts = mr.simulate_ota_training(hw, plan, omega, 0.0, mode, np.random.default_rng(5))
+    recs = ref_simulate_ota_training(hw, plan, omega, 0.0, mode, np.random.default_rng(5))
+    x = np.empty_like(ts.x)
+    y = np.zeros_like(ts.y)
+    for rec in recs:
+        x[rec.tx_antenna, rec.level] = rec.x
+        y[rec.tx_antenna, rec.rx_antenna, rec.level] = rec.y
+    assert np.array_equal(ts.x, x) and np.array_equal(ts.y, y)
+
+
+@settings(max_examples=30, deadline=None)
+@given(m=st.integers(2, 12), n_levels=st.integers(1, 7), q=st.integers(1, 12),
+       noisy=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_level_shapes_match_one_shot_profile(m, n_levels, q, noisy, seed):
+    # the level-by-level profiles are the one-shot mean over (M, M, N, Q)
+    # bit for bit
+    rng = np.random.default_rng(seed)
+    hw = mr.draw_system_hardware(rng, m, 1, mr.HardwareMismatch.uniform(0.05, 0.5),
+                                 mr.a_sat_for_ibo(10.0, 1.0, m))
+    plan = mr.PilotPlan.for_hardware(hw, n_levels, q)
+    ts = mr.simulate_ota_training(hw, plan, mr.draw_inter_antenna_channel(rng, m),
+                                  1.0 if noisy else 0.0, "surrogate", rng)
+    prof = np.mean(ts.y / ts.x[:, None], axis=-1)
+    top = prof[:, :, -1]
+    want = np.einsum("mi,min->mn", np.conj(top), prof) / np.sum(np.abs(top) ** 2, axis=1)[:, None]
+    assert np.array_equal(measured_level_shapes(ts, plan), want)
 
 
 class TestAssembleAndEstimate:

@@ -29,6 +29,120 @@ def test_cli_import_loads_neither_scipy_nor_numba():
     assert proc.stdout.strip() == "[]"
 
 
+def test_cli_import_loads_no_process_pool():
+    # a single-worker run never starts a pool, so it should not pay for importing one
+    import subprocess
+    import sys
+
+    code = ("import sys, mimo_recal.cli;"
+            "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=package_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def _gram_of_cond(cond, d, rng):
+    """A 4 x 4 Gram matrix D E D whose equilibrated E has condition number
+    ``cond``: a 2 x 2 unit-diagonal block with eigenvalues 1 +- rho, next to
+    a well-conditioned one, and the diagonal scale D = diag(d)."""
+    rho = (cond - 1.0) / (cond + 1.0) * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
+    e = np.eye(4, dtype=np.complex128)
+    e[0, 1], e[1, 0] = rho, np.conj(rho)
+    e[2, 3], e[3, 2] = 0.3 + 0.2j, 0.3 - 0.2j
+    return d[:, None] * e * d[None, :]
+
+
+def _eigvalsh_rule(gram, first, total):
+    """The message of the first draw whose exact equilibrated cond exceeds
+    ``ZF_COND_MAX``, or None."""
+    cond = _kernels.equilibrated_gram(gram)[2]
+    bad = np.flatnonzero(~(cond <= _kernels.ZF_COND_MAX))
+    if not bad.size:
+        return None
+    i = int(bad[0])
+    return (f"rank-deficient uplink Gram matrix in draw {first + i} of {total} "
+            f"(cond={cond[i]:.3g})")
+
+
+CONDS = (1.0, 10.0, 1e3, 1e6, 1e9, 1e10, 1e11, 0.99e12, 1e12, 1.01e12, 1e13, 1e14, 1e16)
+
+
+def test_rank_test_decides_as_eigvalsh():
+    # the Cholesky certificate may only skip eigenvalues: every batch passes
+    # or raises as the exact rule does, with its message, from cond 1 to 1e16
+    rng = np.random.default_rng(17)
+    d = np.array([1e-3, 1.0, 30.0, 2e2])
+    single = [_gram_of_cond(c, d, rng)[None] for c in CONDS]
+    conds = [_kernels.equilibrated_gram(g)[2][0] for g in single]
+    # the draws next to the threshold are built on the side they test
+    assert conds[CONDS.index(0.99e12)] <= _kernels.ZF_COND_MAX < conds[CONDS.index(1.01e12)]
+    assert 0.9e11 < conds[CONDS.index(1e11)] < 1.1e11 and conds[CONDS.index(1e13)] > 9e12
+    nan = _gram_of_cond(10.0, d, rng)
+    nan[2, 1] = np.nan
+    # random channels with one column drifting onto another
+    h = rng.standard_normal((9, 12, 4)) + 1j * rng.standard_normal((9, 12, 4))
+    h[:, :, 3] = h[:, :, 0] + np.logspace(0, -8, 9)[:, None] * h[:, :, 3]
+    drift = np.swapaxes(h.conj(), -1, -2) @ h
+    batches = single + [nan[None], drift, drift[:4]]
+    # a batch of good draws with one bad draw late in it, and the same draws
+    # as a later batch of a longer run
+    good = np.stack([_gram_of_cond(c, d, rng) for c in (1.0, 1e3, 1e6, 1e9, 1e11)])
+    for bad in (1.01e12, 1e16):
+        batches.append(np.concatenate([good, _gram_of_cond(bad, d, rng)[None], good]))
+    batches.append(np.concatenate([good, nan[None]]))
+    decided = set()
+    for gram in batches:
+        for first, total in ((0, len(gram)), (12, 36)):
+            want = _eigvalsh_rule(gram, first, total)
+            decided.add(want is None)
+            if want is None:
+                scaled, s = _kernels._full_rank_gram(gram, first, total)
+                ref_scaled, ref_s, _ = _kernels.equilibrated_gram(gram)
+                assert np.array_equal(scaled, ref_scaled) and np.array_equal(s, ref_s)
+            else:
+                with pytest.raises(np.linalg.LinAlgError) as err:
+                    _kernels._full_rank_gram(gram, first, total)
+                assert str(err.value) == want
+    assert decided == {True, False}
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(1, 8), log_cond=st.floats(0.0, 16.0), seed=st.integers(0, 2**32 - 1))
+def test_certificate_bounds_exact_cond(k, log_cond, seed):
+    # a certified batch has exact cond <= ZF_COND_MAX / 100: equilibrated
+    # Gram matrices with eigenvalues spread over 10^log_cond
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((3, k, k)) + 1j * rng.standard_normal((3, k, k)))
+    lam = 10.0 ** -(log_cond * rng.uniform(0.0, 1.0, (3, k)))
+    gram = (q * lam[:, None, :]) @ np.swapaxes(q.conj(), -1, -2)
+    scaled, _, cond = _kernels.equilibrated_gram(gram)
+    if _kernels._well_conditioned(scaled):
+        assert np.all(cond <= _kernels.ZF_COND_MAX / 100)
+
+
+def test_well_conditioned_batch_skips_eigvalsh(monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape)
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    rng = np.random.default_rng(3)
+    hw = mr.draw_system_hardware(rng, 64, 8, mr.HardwareMismatch.uniform(0.05, np.pi / 6), 1.0)
+    h = rng.standard_normal((12, 8, 64)) + 1j * rng.standard_normal((12, 8, 64))
+    _kernels.effective_channels(h, hw.bs_rx, hw.ue_tx_gain, hw.ue_rx, np.ones(64), 1.0)
+    _kernels.zf_apply(_kernels.uplink(h, hw.bs_rx, hw.ue_tx_gain), 1.0)
+    assert calls == []
+    # a batch the certificate cannot clear takes the exact rule once
+    d = np.ones(4)
+    gram = np.stack([_gram_of_cond(1.0, d, rng), _gram_of_cond(1e11, d, rng)])
+    _kernels._full_rank_gram(gram, 0, None)
+    assert calls == [(2, 4, 4)]
+
+
 @settings(max_examples=60, deadline=None)
 @given(n_draws=st.integers(1, 8), k=st.integers(1, 6), m=st.integers(3, 40),
        seed=st.integers(0, 2**32 - 1))
