@@ -50,7 +50,6 @@ from .calibration import (
     calibration_stack,
     draw_inter_antenna_channel,
     estimate_poly_coeffs_anchored,
-    estimate_poly_coeffs_from_records,
     linear_calibration,
     measured_level_shapes,
     psi_vector,

@@ -35,7 +35,6 @@ __all__ = [
     "psi_vector",
     "draw_inter_antenna_channel",
     "simulate_ota_training",
-    "estimate_poly_coeffs_from_records",
     "measured_level_shapes",
     "estimate_poly_coeffs_anchored",
     "linear_calibration",
@@ -131,10 +130,10 @@ class PilotPlan:
         """Common per-antenna amplitude cap at ``ibo_min_db`` below the
         (geometric-mean) saturation level.
 
-        The cap is deliberately common across antennas: the pair-ratio
-        training can only identify the mismatch functions when the normalised
-        curves differ between antennas, which the per-antenna saturation
-        spread provides exactly when sigma_max does not track A_sat,m.
+        The cap is common across antennas, so all antennas share one
+        amplitude grid: ``calibration_stack`` picks its linear-calibration
+        level on antenna 0's amplitudes, and the SLP keeps every
+        |c_m| sigma_x,m inside the same trained range [0, sigma_max].
         """
         base = float(np.exp(np.mean(np.log(hw.a_sat))))
         sigma_max = np.full(hw.m, base * 10.0 ** (-ibo_min_db / 10.0))
@@ -251,24 +250,6 @@ def _unfused_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a.real * b.real - a.imag * b.imag) + 1j * (a.real * b.imag + a.imag * b.real)
 
 
-def _check_levels(training: TrainingSet, plan: PilotPlan) -> None:
-    if training.x.shape[1] != plan.n_levels:
-        raise ValueError(f"training set has {training.x.shape[1]} levels, "
-                         f"the pilot plan {plan.n_levels}")
-
-
-def _level_basis(order: int, plan: PilotPlan) -> np.ndarray:
-    """psi_vector at each pilot level, shape (N, order+1).  Evaluated level by
-    level: a batched matmul rounds differently from the single-level one."""
-    return np.stack([psi_vector(order, level) for level in plan.levels])
-
-
-def _ratio_products(training: TrainingSet) -> np.ndarray:
-    """z[t, r] = y_{t->r} * x_r, the per-symbol side of antenna r in the
-    reciprocity identity mu_m (x_m . y_{i->m}) = mu_i (x_i . y_{m->i})."""
-    return training.y * training.x[None]
-
-
 @dataclass(frozen=True)
 class PolyMismatch:
     """Per-antenna polynomial mismatch functions mu_m(sigma).
@@ -312,71 +293,6 @@ class TrueMismatch:
         return ratio * bussgang_mu(arg)
 
 
-def _solve_pinned_ls(gram: np.ndarray, order: int) -> np.ndarray:
-    """Solve the pinned least-squares problem from the full Gram matrix of Psi."""
-    g22 = gram[1:, 1:]
-    g21 = gram[1:, 0]
-    scale = np.sqrt(np.abs(np.diag(g22)))
-    if np.any(scale == 0):
-        dead = np.flatnonzero(scale == 0) + 1
-        raise CalibrationError(f"rank-deficient system, empty columns {dead.tolist()}")
-    gs = g22 / scale[:, None] / scale[None, :]
-    eigvals, vecs = np.linalg.eigh(gs)
-    if eigvals[0] < 1e-10 * eigvals[-1]:
-        bad = np.flatnonzero(np.abs(vecs[:, 0]) > 0.1) + 1
-        raise CalibrationError(
-            "rank-deficient polynomial system (need N >= order+2 power levels); "
-            f"deficient columns include {bad.tolist()}"
-        )
-    tau_c = -np.linalg.solve(gs, (g21 / scale)) / scale
-    return np.concatenate([[1.0 + 0j], tau_c])
-
-
-def _pair_ratio_gram(training: TrainingSet, plan: PilotPlan, order: int) -> np.ndarray:
-    """Gram matrix Psi^H Psi of the row-equilibrated pair-ratio system.
-
-    Each row of Psi (one pair, level and symbol) is scaled to unit norm
-    first; the row magnitudes are set by the received-signal products, which
-    vary by orders of magnitude across pairs and power levels, so unweighted
-    LS is numerically unusable.  Equilibration leaves noiseless solutions
-    unchanged.
-    """
-    _check_levels(training, plan)
-    m = training.m
-    p = order + 1
-    z = _ratio_products(training)
-    psi_n = _level_basis(order, plan)
-    outer = psi_n[:, :, None] * psi_n[:, None, :]  # (N, P, P)
-    a = np.abs(z) ** 2
-    norm2 = (a + a.transpose(1, 0, 2, 3)) * np.sum(psi_n**2, axis=1)[:, None]
-    norm2[norm2 == 0] = 1.0
-    w2 = 1.0 / norm2  # symmetric in the pair
-    # block (m, i): -sum w2 conj(ybar^{(m)}) ybar^{(i)} psi_n psi_n^T; block
-    # (m, m): sum over partners of w2 |ybar^{(m)}|^2 psi_n psi_n^T
-    cross = np.sum(w2 * np.conj(z.transpose(1, 0, 2, 3)) * z, axis=-1)
-    gram = -np.einsum("min,npr->mpir", cross, outer)
-    idx = np.arange(m)
-    gram[idx, :, idx, :] += np.einsum("mn,npr->mpr", np.sum(w2 * a, axis=(0, 3)), outer)
-    return gram.reshape(m * p, m * p)
-
-
-def estimate_poly_coeffs_from_records(training: TrainingSet, plan: PilotPlan,
-                                      order: int) -> PolyMismatch:
-    """Pair-ratio LS estimate with tau[0, 0] pinned to 1: the least-squares
-    solution of Psi tau = 0 over the row-equilibrated pair-ratio equations,
-    from their Gram matrix (``_pair_ratio_gram``) without materialising Psi.
-    Cannot resolve the common compression shape of a homogeneous amplifier
-    population; ``estimate_poly_coeffs_anchored`` pins that gauge."""
-    if plan.n_levels < order + 2:
-        raise CalibrationError(
-            f"need at least order+2 = {order + 2} power levels: the pinning removes "
-            "only the global scale, one extra level resolves the per-level scale family"
-        )
-    tau = _solve_pinned_ls(_pair_ratio_gram(training, plan, order), order)
-    return PolyMismatch(tau=tau.reshape(training.m, order + 1), order=order,
-                        sigma_ref=plan.sigma_max.copy())
-
-
 def measured_level_shapes(training: TrainingSet, plan: PilotPlan) -> np.ndarray:
     """Per-antenna transmit-gain profiles across the power levels.
 
@@ -384,10 +300,13 @@ def measured_level_shapes(training: TrainingSet, plan: PilotPlan) -> np.ndarray:
     the transmitter's gain g_m, so y/x averaged per level measures g_m's
     level profile up to one per-pair constant.  Combining the receivers by
     least squares returns, for every antenna, the complex profile normalised
-    to 1 at the top level.  (This is the observable that the pair-ratio
-    equations of the polynomial LS cancel out.)
+    to 1 at the top level.  This is the observable that the paper's
+    pair-ratio equations cancel out, which leaves them unable to resolve
+    a homogeneous amplifier population.
     """
-    _check_levels(training, plan)
+    if training.x.shape[1] != plan.n_levels:
+        raise ValueError(f"training set has {training.x.shape[1]} levels, "
+                         f"the pilot plan {plan.n_levels}")
     m = training.m
     # one transmitter at a time, so no (M, M, N, Q) temporary is built
     prof = np.empty((m, m, plan.n_levels), dtype=np.complex128)  # (tx, rx, n)
@@ -405,10 +324,11 @@ def estimate_poly_coeffs_anchored(training: TrainingSet, plan: PilotPlan,
                                   order: int) -> PolyMismatch:
     """Polynomial mismatch estimate with the common-shape gauge pinned.
 
-    The pair-ratio LS determines the mismatch functions only up to a common
-    per-level factor, a family that becomes (near-)degenerate when the
-    antennas' normalised curves are scaled copies of one shape - exactly the
-    situation for a homogeneous amplifier population.  This estimator instead
+    The paper's pair-ratio LS determines the mismatch functions only up to a
+    common per-level factor, a family that becomes (near-)degenerate when
+    the antennas' normalised curves are scaled copies of one shape - exactly
+    the situation for a homogeneous amplifier population, where it reports a
+    rank-deficient system on noiseless training.  This estimator instead
     combines the two identifiable observables directly: the measured
     per-antenna level profiles (see ``measured_level_shapes``) and the
     cross-antenna scale at the top power level from the single-level
@@ -418,7 +338,7 @@ def estimate_poly_coeffs_anchored(training: TrainingSet, plan: PilotPlan,
     if plan.n_levels < order + 2:
         raise CalibrationError(f"need at least order+2 = {order + 2} power levels")
     shapes = measured_level_shapes(training, plan)
-    top_scale = 1.0 / linear_calibration(training.level(plan.n_levels - 1), 1.0)
+    top_scale = 1.0 / linear_calibration(training.level(plan.n_levels - 1))
     values = shapes * top_scale[:, None]
     # precision-weighted refit: the level-n profile noise scales like 1/amp_n,
     # so weight nodes by the level amplitude (exact data is unaffected)
@@ -435,14 +355,14 @@ def estimate_poly_coeffs_anchored(training: TrainingSet, plan: PilotPlan,
 # ---------------------------------------------------------------------------
 
 
-def linear_calibration(training: TrainingSet, c0: complex) -> np.ndarray:
+def linear_calibration(training: TrainingSet) -> np.ndarray:
     """Single-power-level reciprocity calibration (Rogalin-style LS).
 
     ``training`` holds one power level (see ``TrainingSet.level``).  Returns
-    c_m = c0 / f_m with f estimated from the cross-correlation matrix Ybar.
+    c_m = 1 / f_m with f estimated from the cross-correlation matrix Ybar,
+    normalised to f_0 = 1; a common complex scale of c is a common phase and
+    gain that callers rescale to their power budget.
     """
-    if c0 == 0:
-        raise ValueError("c0 must be non-zero")
     if training.x.shape[1] != 1:
         raise ValueError("linear calibration expects a single power level; "
                          "pass TrainingSet.level(n)")
@@ -461,7 +381,7 @@ def linear_calibration(training: TrainingSet, c0: complex) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise CalibrationError("singular Ybar_2 system in linear calibration") from exc
     f = np.concatenate([[1.0 + 0j], f_tail])
-    return c0 / f
+    return 1.0 / f
 
 
 # ---------------------------------------------------------------------------
@@ -670,7 +590,7 @@ def calibration_stack(hw: SystemHardware, plan: PilotPlan, training: TrainingSet
     c_max = plan.sigma_max / sigma_x
     # picked on antenna 0's amplitudes: ``for_hardware`` plans share one grid
     level = int(np.argmin(np.abs(plan.amplitudes[0] - float(np.mean(sigma_x)))))
-    c = linear_calibration(training.level(level), 1.0)
+    c = linear_calibration(training.level(level))
     c = c * math.sqrt(rho_t / float(np.sum(np.abs(c) ** 2 * sigma_x**2)))
     c_lin = np.minimum(np.abs(c), c_max) * np.exp(1j * np.angle(c))
     c_poly = c_lin if order == 0 else calibrate(hw, plan, training, order, rho_t).c

@@ -27,6 +27,7 @@ from .analysis import (
 )
 from .calibration import (
     CALIBRATION_METHODS,
+    MAX_PSI_ORDER,
     PilotPlan,
     TrueMismatch,
     calibration_stack,
@@ -64,6 +65,18 @@ DEFAULT_PARAMS = {
 }
 
 
+# the allowed range of each bounded model parameter, as text and as a test
+_PARAM_RANGES = {
+    "noise_var": ("> 0", lambda v: v > 0),
+    "order": (f"in [0, {MAX_PSI_ORDER}]", lambda v: 0 <= v <= MAX_PSI_ORDER),
+    "n_levels": (">= 1", lambda v: v >= 1),
+    "n_symbols_train": (">= 1", lambda v: v >= 1),
+    "delta2": (">= 0", lambda v: v >= 0),
+    "train_noise_var": (">= 0", lambda v: v >= 0),
+    "theta": ("in [0, pi]", lambda v: 0 <= v <= math.pi),
+}
+
+
 class ConfigError(ValueError):
     pass
 
@@ -81,7 +94,8 @@ CONFIG_KEYS = {
 
 def _check_param(name: str, value, where: str) -> None:
     """The value check of one model parameter, set in params or swept: the
-    type of its default (an integer, a finite number or a pathloss name)."""
+    type of its default (an integer, a finite number or a pathloss name),
+    then its range in ``_PARAM_RANGES``."""
     default = DEFAULT_PARAMS[name]
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
     if isinstance(default, str):
@@ -92,8 +106,8 @@ def _check_param(name: str, value, where: str) -> None:
     # a NaN fails the comparison
     elif not (number and -math.inf < value < math.inf):
         raise ConfigError(f"{where}: must be a finite number, got {value!r}")
-    elif name == "train_noise_var" and value < 0:
-        raise ConfigError(f"{where}: must be >= 0, got {value!r}")
+    elif name in _PARAM_RANGES and not _PARAM_RANGES[name][1](value):
+        raise ConfigError(f"{where}: must be {_PARAM_RANGES[name][0]}, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -23,10 +23,6 @@ from mimo_recal.calibration import (
     PilotPlan,
     PolyMismatch,
     TrainingSet,
-    _check_levels,
-    _level_basis,
-    _ratio_products,
-    _solve_pinned_ls,
     psi_vector,
 )
 from mimo_recal.hardware import HpaModel, SystemHardware, bussgang_decompose, sspa_apply
@@ -246,49 +242,6 @@ def _records_by_key(records: Iterable[TrainingRecord]) -> dict[tuple[int, int, i
     return table
 
 
-def _pair_row_blocks(table, plan, order, m, i, n):
-    """Row coefficients for the unordered pair (m, i) at level n.
-
-    The reciprocity identity mu_m * (x_m . y_{i->m}) = mu_i * (x_i . y_{m->i})
-    holds per symbol, so each symbol q yields one row with +ybar^{(m)} psi_n
-    on antenna m's block and -ybar^{(i)} psi_n on antenna i's block.
-    """
-    rec_to_m = table.get((i, m, n))  # transmitted by i, received at m
-    rec_to_i = table.get((m, i, n))  # transmitted by m, received at i
-    if rec_to_m is None or rec_to_i is None:
-        raise CalibrationError(f"missing training records for pair ({m},{i}) at level {n}")
-    # the pilot of antenna m lives in the record where m transmits (rec_to_i.x)
-    ybar_m = rec_to_m.y * rec_to_i.x
-    ybar_i = rec_to_i.y * rec_to_m.x
-    psi_n = psi_vector(order, float(plan.levels[n]))  # shared normalised power
-    return ybar_m[:, None] * psi_n[None, :], ybar_i[:, None] * psi_n[None, :]
-
-
-def ref_assemble_psi_matrix(records: Iterable[TrainingRecord], plan: PilotPlan, order: int) -> np.ndarray:
-    """Stack the homogeneous equations Psi tau = 0 for all unordered pairs.
-
-    Rows: M(M-1)/2 * N * Q; columns: M * (order+1), block-sparse so that the
-    pair (m, i) touches only the blocks of antennas m and i with opposite
-    signs.
-    """
-    table = _records_by_key(records)
-    m_count = max(max(t, r) for t, r, _ in table.keys()) + 1
-    p = order + 1
-    q = plan.n_symbols
-    n_rows = m_count * (m_count - 1) // 2 * plan.n_levels * q
-    psi = np.zeros((n_rows, m_count * p), dtype=np.complex128)
-    row = 0
-    for m in range(m_count):
-        for i in range(m + 1, m_count):
-            for n in range(plan.n_levels):
-                block_m, block_i = _pair_row_blocks(table, plan, order, m, i, n)
-                psi[row:row + q, m * p:(m + 1) * p] = block_m
-                psi[row:row + q, i * p:(i + 1) * p] = -block_i
-                row += q
-    return psi
-
-
-
 def ref_measured_level_shapes(records: Iterable[TrainingRecord], plan: PilotPlan) -> np.ndarray:
     """Per-antenna transmit-gain profiles across the power levels.
 
@@ -318,15 +271,13 @@ def ref_measured_level_shapes(records: Iterable[TrainingRecord], plan: PilotPlan
 
 
 
-def ref_linear_calibration(records: Iterable[TrainingRecord], c0: complex) -> np.ndarray:
+def ref_linear_calibration(records: Iterable[TrainingRecord]) -> np.ndarray:
     """Single-power-level reciprocity calibration (Rogalin-style LS).
 
     ``records`` must contain both directions for every antenna pair at one
-    common power level.  Returns c_m = c0 / f_m with f estimated from the
-    cross-correlation matrix Ybar.
+    common power level.  Returns c_m = 1 / f_m with f estimated from the
+    cross-correlation matrix Ybar, normalised to f_0 = 1.
     """
-    if c0 == 0:
-        raise ValueError("c0 must be non-zero")
     recs = list(records)
     levels = {r.level for r in recs}
     if len(levels) != 1:
@@ -363,29 +314,32 @@ def ref_linear_calibration(records: Iterable[TrainingRecord], c0: complex) -> np
     except np.linalg.LinAlgError as exc:
         raise CalibrationError("singular Ybar_2 system in linear calibration") from exc
     f = np.concatenate([[1.0 + 0j], f_tail])
-    return c0 / f
+    return 1.0 / f
 
 
 # ---------------------------------------------------------------------------
-# Reference: the pair-ratio LS from the dense stacked system Psi, the oracle
-# for estimate_poly_coeffs_from_records, which forms the same normal
-# equations from the training tensors without materialising Psi
+# Reference: the paper's pair-ratio LS from the dense stacked system Psi.
+# The library fits with estimate_poly_coeffs_anchored instead: on the
+# training the pipeline produces, the pair-ratio system is rank-deficient
+# without noise and far off with it.  It recovers exactly polynomial
+# synthetic data, which criterion 6(a) checks.
 # ---------------------------------------------------------------------------
 
 
 def assemble_psi_matrix(training: TrainingSet, plan: PilotPlan, order: int) -> np.ndarray:
     """Stack the homogeneous equations Psi tau = 0 for all unordered pairs.
 
-    Rows: M(M-1)/2 * N * Q, ordered by pair (m < i), level and symbol;
-    columns: M * (order+1), block-sparse so that the pair (m, i) touches only
-    the blocks of antennas m and i, with +ybar^{(m)} psi_n and -ybar^{(i)} psi_n.
+    The reciprocity identity mu_m (x_m . y_{i->m}) = mu_i (x_i . y_{m->i})
+    holds per symbol.  Rows: M(M-1)/2 * N * Q, ordered by pair (m < i), level
+    and symbol; columns: M * (order+1), block-sparse so that the pair (m, i)
+    touches only the blocks of antennas m and i, with +ybar^{(m)} psi_n and
+    -ybar^{(i)} psi_n.
     """
-    _check_levels(training, plan)
     m, n_levels, q = training.x.shape
-    z = _ratio_products(training)
+    z = training.y * training.x[None]  # z[t, r] = y_{t->r} * x_r
     lo, hi = np.triu_indices(m, 1)
     pair = np.arange(len(lo))
-    psi_n = _level_basis(order, plan)  # shared normalised power
+    psi_n = psi_vector(order, plan.levels)  # (N, order+1), shared normalised power
     psi = np.zeros((len(lo), n_levels, q, m, order + 1), dtype=np.complex128)
     psi[pair, :, :, lo] = z[hi, lo][..., None] * psi_n[:, None, :]
     psi[pair, :, :, hi] = -(z[lo, hi][..., None] * psi_n[:, None, :])
@@ -397,7 +351,9 @@ def estimate_poly_coeffs(psi_matrix: np.ndarray, order: int,
     """LS estimate of the polynomial coefficients with tau_{1,0} pinned to 1.
 
     Rows of the stacked system are equilibrated to unit norm before the
-    normal equations are formed.
+    normal equations are formed: the row magnitudes follow the received
+    signal products, which span orders of magnitude across pairs and levels.
+    A (near-)singular pinned system raises ``CalibrationError``.
     """
     p = order + 1
     n_cols = psi_matrix.shape[1]
@@ -407,7 +363,18 @@ def estimate_poly_coeffs(psi_matrix: np.ndarray, order: int,
     norms[norms == 0] = 1.0
     scaled = psi_matrix / norms[:, None]
     gram = np.conj(scaled).T @ scaled
-    tau = _solve_pinned_ls(gram, order)
+    g22 = gram[1:, 1:]
+    scale = np.sqrt(np.abs(np.diag(g22)))
+    if np.any(scale == 0):
+        dead = np.flatnonzero(scale == 0) + 1
+        raise CalibrationError(f"rank-deficient system, empty columns {dead.tolist()}")
+    gs = g22 / scale[:, None] / scale[None, :]
+    eigvals = np.linalg.eigvalsh(gs)
+    if eigvals[0] < 1e-10 * eigvals[-1]:
+        raise CalibrationError("rank-deficient polynomial system "
+                               "(need N >= order+2 power levels)")
+    tau_c = -np.linalg.solve(gs, gram[1:, 0] / scale) / scale
+    tau = np.concatenate([[1.0 + 0j], tau_c])
     return PolyMismatch(tau=tau.reshape(n_cols // p, p), order=order, sigma_ref=sigma_ref)
 
 

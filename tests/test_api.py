@@ -10,11 +10,15 @@ import mimo_recal as mr
 MODULES = ("numerics", "hardware", "channel", "precoding", "analysis", "calibration")
 
 # superseded by transmit_block, mu_all, psi_vector,
-# estimate_poly_coeffs_from_records, sindr_zf_closed_all, draw_channels (which
+# estimate_poly_coeffs_anchored, sindr_zf_closed_all, draw_channels (which
 # takes the amplitude phi and fills an array), bussgang_decompose and the
-# _kernels special functions behind bussgang_mu/bussgang_lambda
+# _kernels special functions behind bussgang_mu/bussgang_lambda.  The paper's
+# pair-ratio LS (assemble_psi_matrix, estimate_poly_coeffs,
+# estimate_poly_coeffs_from_records) is kept only as the dense test reference
+# in tests/conftest.py.
 REMOVED = ("transmit_downlink", "DownlinkOutcome", "apply_calibration", "Precoder",
-           "orth_poly_psi", "assemble_psi_matrix", "estimate_poly_coeffs", "sindr_zf_closed",
+           "orth_poly_psi", "assemble_psi_matrix", "estimate_poly_coeffs",
+           "estimate_poly_coeffs_from_records", "sindr_zf_closed",
            "ChannelRealization", "draw_channel", "zf_bussgang", "erfc", "erfcx",
            "exp_integral_ei", "exp_integral_ei_scaled")
 

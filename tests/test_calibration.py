@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 import mimo_recal as mr
 from mimo_recal.calibration import (
     CalibrationError,
-    _pair_ratio_gram,
     _phi_all,
     _phi_grid,
     _psi_coeff_table,
@@ -23,7 +22,6 @@ from tests.conftest import (
     assemble_psi_matrix,
     estimate_poly_coeffs,
     gauge_fit_error,
-    ref_assemble_psi_matrix,
     ref_linear_calibration,
     ref_measured_level_shapes,
     ref_simulate_ota_training,
@@ -206,17 +204,9 @@ class TestTensorMatchesRecordReference:
         assert rng_ts.bit_generator.state == rng_ref.bit_generator.state
 
         for n in range(n_levels):
-            assert _close(mr.linear_calibration(ts.level(n), 1.0),
-                          ref_linear_calibration([r for r in recs if r.level == n], 1.0))
+            assert _close(mr.linear_calibration(ts.level(n)),
+                          ref_linear_calibration([r for r in recs if r.level == n]))
         assert _close(measured_level_shapes(ts, plan), ref_measured_level_shapes(recs, plan))
-        for order in (0, 1, 3):
-            psi = ref_assemble_psi_matrix(recs, plan, order)
-            assert _close(assemble_psi_matrix(ts, plan, order), psi)
-            # the Gram matrix the pair-ratio LS solves, from the row-equilibrated Psi
-            norms = np.linalg.norm(psi, axis=1)
-            norms[norms == 0] = 1.0
-            scaled = psi / norms[:, None]
-            assert _close(_pair_ratio_gram(ts, plan, order), np.conj(scaled).T @ scaled)
 
 
 @pytest.mark.parametrize("mode", ["surrogate", "physical"])
@@ -250,6 +240,13 @@ def test_level_shapes_match_one_shot_profile(m, n_levels, q, noisy, seed):
     top = prof[:, :, -1]
     want = np.einsum("mi,min->mn", np.conj(top), prof) / np.sum(np.abs(top) ** 2, axis=1)[:, None]
     assert np.array_equal(measured_level_shapes(ts, plan), want)
+
+
+def test_level_shapes_reject_a_plan_with_other_levels():
+    hw, omega, plan, rng = _setup(4, 2, 7, n_levels=3)
+    ts = mr.simulate_ota_training(hw, plan, omega, 0.0, "surrogate", rng)
+    with pytest.raises(ValueError, match="3 levels, the pilot plan 4"):
+        measured_level_shapes(ts, mr.PilotPlan(4, plan.n_symbols, plan.sigma_max))
 
 
 class TestAssembleAndEstimate:
@@ -303,12 +300,10 @@ class TestAssembleAndEstimate:
         psi = assemble_psi_matrix(recs, plan, order)
         est = estimate_poly_coeffs(psi, order, sigma_ref=plan.sigma_max)
         assert np.max(np.abs(est.tau - tau)) <= 1e-8 * np.max(np.abs(tau))
-        est2 = mr.estimate_poly_coeffs_from_records(recs, plan, order)
-        assert np.max(np.abs(est2.tau - tau)) <= 1e-8 * np.max(np.abs(tau))
 
     def test_identical_antennas_equal_blocks(self):
         # all mu_m equal: the pair-ratio system is exactly degenerate along
-        # the per-level scale family, which the plain LS reports; the
+        # the per-level scale family, which the paper's LS reports; the
         # gauge-anchored estimator is well posed and returns equal blocks
         hw, omega, plan, rng = _setup(6, 2, 15, n_levels=8, n_symbols=2)
         order = 3
@@ -317,7 +312,7 @@ class TestAssembleAndEstimate:
         tau /= tau[0, 0]
         recs = synth_poly_training(hw, plan, omega, tau, order, rng)
         with pytest.raises(CalibrationError):
-            mr.estimate_poly_coeffs_from_records(recs, plan, order)
+            estimate_poly_coeffs(assemble_psi_matrix(recs, plan, order), order)
         est = estimate_poly_coeffs_anchored(recs, plan, order)
         for m in range(1, 6):
             assert np.allclose(est.tau[m], est.tau[0], atol=1e-8)
@@ -327,7 +322,7 @@ class TestAssembleAndEstimate:
         hw, omega, plan, rng = _setup(6, 2, 16, n_levels=4, n_symbols=2)
         recs = mr.simulate_ota_training(hw, plan, omega, 0.0, "surrogate", rng)
         with pytest.raises(CalibrationError):
-            mr.estimate_poly_coeffs_from_records(recs, plan, order=3)
+            estimate_poly_coeffs(assemble_psi_matrix(recs, plan, 3), 3)
 
     def test_snr_trend(self):
         # coefficient error decreases monotonically with training SNR
@@ -351,7 +346,7 @@ class TestAssembleAndEstimate:
                                     rng.standard_normal(plan.n_symbols)
                                     + 1j * rng.standard_normal(plan.n_symbols))
                 noisy = mr.TrainingSet(x=recs.x, y=y)
-                est = mr.estimate_poly_coeffs_from_records(noisy, plan, order)
+                est = estimate_poly_coeffs(assemble_psi_matrix(noisy, plan, order), order)
                 acc += float(np.linalg.norm(est.tau - tau) / np.linalg.norm(tau))
             errs.append(acc / 40)
         assert errs[0] > errs[1] > errs[2]
@@ -395,15 +390,15 @@ class TestLinearCalibration:
         plan = mr.PilotPlan(1, 8, np.full(4, 0.01))
         recs = mr.simulate_ota_training(hw, plan, omega, 0.0, "surrogate",
                                         np.random.default_rng(2))
-        c = mr.linear_calibration(recs, c0=2.0)
-        assert np.allclose(c, 2.0, rtol=1e-9)
+        c = mr.linear_calibration(recs)
+        assert np.allclose(c, 1.0, rtol=1e-9)
 
     def test_two_antenna_ratio(self):
         hw, omega, plan0, _ = _setup(2, 1, 3, ibo=60.0)
         plan = mr.PilotPlan(1, 6, plan0.sigma_max * 1e-3)
         recs = mr.simulate_ota_training(hw, plan, omega, 0.0, "surrogate",
                                         np.random.default_rng(4))
-        c = mr.linear_calibration(recs, c0=1.0)
+        c = mr.linear_calibration(recs)
         g = [mr.bussgang_decompose(hw, plan.amplitudes[m, 0]).g[m]
              for m in range(2)]
         f_ratio = (g[1] / hw.bs_rx[1]) / (g[0] / hw.bs_rx[0])
@@ -415,7 +410,7 @@ class TestLinearCalibration:
         plan = mr.PilotPlan(1, 6, plan0.sigma_max * 1e-6)
         recs = mr.simulate_ota_training(hw, plan, omega, 0.0, "surrogate",
                                         np.random.default_rng(6))
-        c = mr.linear_calibration(recs, c0=1.0)
+        c = mr.linear_calibration(recs)
         products = c * hw.t / hw.bs_rx
         assert np.max(np.abs(products - products[0])) <= 1e-8 * np.abs(products[0])
 
@@ -423,10 +418,7 @@ class TestLinearCalibration:
         hw, omega, plan, rng = _setup(4, 2, 7, n_levels=2)
         recs = mr.simulate_ota_training(hw, plan, omega, 0.0, "surrogate", rng)
         with pytest.raises(ValueError):
-            mr.linear_calibration(recs, 1.0)  # two levels mixed
-        single = recs.level(0)
-        with pytest.raises(ValueError):
-            mr.linear_calibration(single, 0.0)
+            mr.linear_calibration(recs)  # two levels mixed
 
 
 class TestSlpSolve:
@@ -619,7 +611,7 @@ class TestCalibrationStack:
         op = float(np.mean(sigma_x))
         level = min(range(plan.n_levels),
                     key=lambda n: abs(math.sqrt(plan.levels[n]) * plan.sigma_max[0] - op))
-        c_lin = mr.linear_calibration(training.level(level), 1.0)
+        c_lin = mr.linear_calibration(training.level(level))
         assert np.allclose(np.angle(stack[1] / c_lin), 0.0, atol=1e-12)
 
         assert np.array_equal(stack[2], mr.calibrate(hw, plan, training, 5, rho).c)

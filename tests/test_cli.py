@@ -174,10 +174,23 @@ class TestConfig:
         ({"seed": 1.5}, [], "seed"),
         ({"seed": -1}, [], "seed"),
         ({"output_path": 3}, [], "output_path"),
+        ({}, ["params.noise_var=0"], "params.noise_var"),
+        ({}, ["params.noise_var=-1"], "params.noise_var"),
+        ({}, ["params.order=25"], "params.order"),
+        ({}, ["params.order=-1"], "params.order"),
+        ({}, ["params.n_levels=0"], "params.n_levels"),
+        ({}, ["params.n_symbols_train=0"], "params.n_symbols_train"),
+        ({}, ["params.delta2=-0.1"], "params.delta2"),
+        ({}, ["params.theta=7"], "params.theta"),
+        ({}, ["params.theta=-0.5"], "params.theta"),
+        ({"scenario": "cal_rate_vs_order", "sweep": {"param": "order", "values": [3, 21]}},
+         [], "sweep.values (order)"),
+        ({"sweep": {"param": "noise_var", "values": [1.0, 0.0]}}, [], "sweep.values (noise_var)"),
     ])
     def test_bad_entry_names_its_key(self, tmp_path, entries, sets, key):
         # each of these used to run with a silently dropped or truncated
-        # value, or to fail with a bare TypeError or KeyError
+        # value, to fail with a bare TypeError or KeyError, or to fail only
+        # mid-run with an error that did not name the key
         path, _ = _write_config(tmp_path, **entries)
         with pytest.raises(cli.ConfigError, match=f"^{re.escape(key)}:"):
             cli.load_config(str(path), sets)
@@ -294,9 +307,9 @@ class TestScenarios:
             seen["simulated"].append(simulate(*args, **kwargs))
             return seen["simulated"][-1]
 
-        def spy_linear(training, c0):
+        def spy_linear(training):
             seen["linear"].append(training)
-            return linear(training, c0)
+            return linear(training)
 
         def spy_calibrate(hw, plan, training, *args, **kwargs):
             seen["calibrate"].append(training)
