@@ -376,15 +376,21 @@ def _physical_heq(hw, h, w, rho_t, n_symbols, c_rows, rng):
     (C, K), for one draw h with precoder w: one symbol block, then one
     ``transmit_block`` per calibration row and one fit of all rows."""
     k = hw.k
-    s = math.sqrt(rho_t / 2.0) * (
-        rng.standard_normal((n_symbols, k)) + 1j * rng.standard_normal((n_symbols, k))
-    )
+    # one (2, N, K) draw is the stream of an (N, K) real part, then imaginary part
+    re_im = rng.standard_normal((2, n_symbols, k))
+    s = np.empty((n_symbols, k), dtype=np.complex128)
+    s.real, s.imag = re_im
+    s *= math.sqrt(rho_t / 2.0)
     # noiseless; noise handled analytically
-    y = np.stack([transmit_block(hw, h, c_vec[:, None] * w, s) for c_vec in c_rows])
+    y = np.empty((len(c_rows),) + s.shape, dtype=np.complex128)
+    for j, c_vec in enumerate(c_rows):
+        y[j] = transmit_block(hw, h, c_vec[:, None] * w, s)
     fit = _normal_fit(s, y)
     # the received block already carries sqrt(a0); strip it from the channel estimate
     # so the moments match the a0-factored closed-form terms, and report the
     # residual as received distortion power (a0 included)
     h_eq = np.swapaxes(fit, -1, -2) / math.sqrt(hw.a0)
-    resid = np.mean(np.abs(y - s @ fit) ** 2, axis=1)
+    # residual power from the float view: re^2, im^2 summed over symbols, paired per UE
+    err = np.subtract(y, s @ fit, out=y).view(np.float64).reshape(len(y), n_symbols, 2 * k)
+    resid = np.einsum("cnj,cnj->cj", err, err).reshape(len(y), k, 2).sum(axis=-1) / n_symbols
     return h_eq, resid

@@ -158,13 +158,31 @@ def sspa_apply(hpa: HpaModel | SystemHardware, x):
     """Sample-level SSPA transfer sqrt(a0)*t*x / sqrt(1 + (|x|/a_sat)^2).
 
     ``hpa`` is one amplifier, or the BS hardware: then t and a_sat are
-    per-antenna arrays that broadcast over the last (antenna) axis of ``x``.
+    per-antenna arrays over the last axis of ``x``, which must have length M
+    (ValueError otherwise); ``x`` is not modified.
+
+    The output is the complex gain sqrt(a0)*t*x times the real envelope
+    factor r = 1/sqrt(1 + |x|^2/a_sat^2), with |x|^2 formed as re^2 + im^2.
+    That skips the ``hypot`` of ``np.abs`` and numpy's complex division by a
+    real array, which multiplies both parts by the reciprocal of the divisor,
+    as r does here.
     """
     x = np.asarray(x, dtype=np.complex128)
-    mag = np.abs(x)
-    den = np.sqrt(1.0 + (mag / hpa.a_sat) ** 2)
-    out = math.sqrt(hpa.a0) * hpa.t * x / den
-    return complex(out) if out.ndim == 0 else out
+    if isinstance(hpa, SystemHardware) and (x.ndim == 0 or x.shape[-1] != hpa.m):
+        raise ValueError(f"x must have the M = {hpa.m} antennas on its last axis, "
+                         f"got shape {x.shape}")
+    if x.ndim == 0:
+        return complex(math.sqrt(hpa.a0) * hpa.t * x / np.sqrt(1.0 + (np.abs(x) / hpa.a_sat) ** 2))
+    env = x.real * x.real
+    env += x.imag * x.imag
+    env *= 1.0 / np.square(hpa.a_sat)
+    env += 1.0
+    np.sqrt(env, out=env)
+    np.reciprocal(env, out=env)
+    out = x * (math.sqrt(hpa.a0) * hpa.t)
+    # r promoted to complex: (re r - im 0, re 0 + im r), each part times r
+    out *= env
+    return out
 
 
 def bussgang_decompose(hpa: HpaModel | SystemHardware, sigma_x) -> BussgangPair:

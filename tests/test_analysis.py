@@ -485,6 +485,27 @@ class TestEstimateSindrMc:
             mr.draw_channels(ref, phi, np.empty((min(block, n - lo), k, m), complex))
         assert rng.bit_generator.state == ref.bit_generator.state
 
+    @pytest.mark.parametrize("n_rows", [None, 3])
+    def test_physical_generator_state_is_that_of_channels_and_symbols(self, default_mismatch,
+                                                                      n_rows):
+        # physical mode draws one channel block per _block_draws(K, M) draws,
+        # then per draw the real and the imaginary parts of its (N, K) symbols
+        m, k, n, n_sym = 64, 8, 150, 12
+        hw = _draw(m, k, 10.0, 1.0, default_mismatch, 18)
+        phi = mr.draw_ue_pathloss(np.random.default_rng(19), k, mr.CellGeometry())
+        c = None if n_rows is None else np.random.default_rng(22).uniform(0.5, 1.5, (n_rows, m))
+        rng = np.random.default_rng(20)
+        mr.estimate_sindr_mc(hw, phi, 1.0, A0, NOISE, n, n_sym, "physical", rng, c)
+        ref = np.random.default_rng(20)
+        block = analysis._block_draws(k, m)
+        for lo in range(0, n, block):
+            nb = min(block, n - lo)
+            mr.draw_channels(ref, phi, np.empty((nb, k, m), complex))
+            for _ in range(nb):
+                ref.standard_normal((n_sym, k))
+                ref.standard_normal((n_sym, k))
+        assert rng.bit_generator.state == ref.bit_generator.state
+
     @pytest.mark.parametrize("mode", ["surrogate", "physical"])
     @pytest.mark.parametrize("bad", [-1.0, 0.0, math.nan])
     def test_bad_path_loss_rejected(self, default_mismatch, mode, bad):

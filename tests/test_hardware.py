@@ -128,6 +128,49 @@ class TestSspaApply:
         ref = np.stack([mr.sspa_apply(_antenna(hw, i), x[:, i]) for i in range(m)], axis=1)
         assert np.max(np.abs(out - ref) / np.abs(ref)) <= 1e-14
 
+    @pytest.mark.parametrize("shape", [(5, 1), (5, 5), ()], ids=["one-antenna", "m-plus-1", "0-d"])
+    def test_whole_hardware_needs_m_antennas_on_last_axis(self, shape):
+        # an (N, 1) stream or a scalar was broadcast into all M amplifiers
+        hw = _random_hardware(np.random.default_rng(0), 4)
+        with pytest.raises(ValueError, match="M = 4"):
+            mr.sspa_apply(hw, np.ones(shape, complex))
+
+    def test_single_amplifier_keeps_any_shape(self):
+        hpa = mr.HpaModel(a0=2.0, t=0.9 + 0.1j, a_sat=1.3)
+        out = mr.sspa_apply(hpa, 0.5 + 0.2j)
+        assert type(out) is complex
+        assert type(mr.sspa_apply(hpa, np.complex128(0.5 + 0.2j))) is complex
+        block = mr.sspa_apply(hpa, np.full((2, 3, 7), 0.5 + 0.2j))
+        assert block.shape == (2, 3, 7)
+        assert block[1, 2, 6] == pytest.approx(out, rel=2e-15)
+
+    def test_zero_maps_to_zero(self):
+        hw = _random_hardware(np.random.default_rng(1), 6)
+        out = mr.sspa_apply(hw, np.zeros((3, 6), complex))
+        assert out.shape == (3, 6) and np.all(out == 0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 6), m=st.integers(1, 6))
+    def test_matches_textbook_transfer(self, data, n, m):
+        # the envelope factor is formed from re^2 + im^2 and multiplied into
+        # both parts, in place; |x|/A spans the linear to the deeply saturated
+        # regime
+        def floats(lo, hi, size):
+            return np.array(data.draw(st.lists(st.floats(lo, hi), min_size=size,
+                                               max_size=size)))
+
+        t = floats(0.1, 10.0, m) * np.exp(1j * floats(-math.pi, math.pi, m))
+        a_sat = floats(1e-3, 1e3, m)
+        hw = mr.SystemHardware(a0=10.0, t=t, a_sat=a_sat, bs_rx=np.ones(m, complex),
+                               ue_tx_gain=np.ones(1, complex), ue_rx=np.ones(1, complex))
+        ratio = floats(1e-6, 1e6, n * m).reshape(n, m)
+        x = ratio * a_sat * np.exp(1j * floats(-math.pi, math.pi, n * m).reshape(n, m))
+        before = x.copy()
+        out = mr.sspa_apply(hw, x)
+        ref = math.sqrt(hw.a0) * t * x / np.sqrt(1.0 + (np.abs(x) / a_sat) ** 2)
+        assert np.array_equal(x, before)
+        assert np.max(np.abs(out - ref) / np.abs(ref)) <= 2e-15
+
 
 class TestBussgangDecompose:
     def test_linear_regime(self):
