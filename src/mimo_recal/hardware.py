@@ -159,7 +159,8 @@ def sspa_apply(hpa: HpaModel | SystemHardware, x):
 
     ``hpa`` is one amplifier, or the BS hardware: then t and a_sat are
     per-antenna arrays over the last axis of ``x``, which must have length M
-    (ValueError otherwise); ``x`` is not modified.
+    (ValueError otherwise); ``x`` is not modified. One amplifier takes any
+    shape, and a 0-d ``x`` comes back as a Python complex.
 
     The output is the complex gain sqrt(a0)*t*x times the real envelope
     factor r = 1/sqrt(1 + |x|^2/a_sat^2), with |x|^2 formed as re^2 + im^2.
@@ -171,8 +172,8 @@ def sspa_apply(hpa: HpaModel | SystemHardware, x):
     if isinstance(hpa, SystemHardware) and (x.ndim == 0 or x.shape[-1] != hpa.m):
         raise ValueError(f"x must have the M = {hpa.m} antennas on its last axis, "
                          f"got shape {x.shape}")
-    if x.ndim == 0:
-        return complex(math.sqrt(hpa.a0) * hpa.t * x / np.sqrt(1.0 + (np.abs(x) / hpa.a_sat) ** 2))
+    scalar = x.ndim == 0
+    x = np.atleast_1d(x)
     env = x.real * x.real
     env += x.imag * x.imag
     env *= 1.0 / np.square(hpa.a_sat)
@@ -182,7 +183,7 @@ def sspa_apply(hpa: HpaModel | SystemHardware, x):
     out = x * (math.sqrt(hpa.a0) * hpa.t)
     # r promoted to complex: (re r - im 0, re 0 + im r), each part times r
     out *= env
-    return out
+    return complex(out[0]) if scalar else out
 
 
 def bussgang_decompose(hpa: HpaModel | SystemHardware, sigma_x) -> BussgangPair:

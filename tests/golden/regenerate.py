@@ -1,27 +1,16 @@
 #!/usr/bin/env python3
-"""Regenerate the golden CSVs that ``tests/test_golden.py`` compares against,
-or check that they regenerate byte for byte.
+"""Regenerate the golden CSVs that ``tests/test_golden.py`` compares against.
 
     PYTHONPATH=src python3 tests/golden/regenerate.py
-    PYTHONPATH=src python3 tests/golden/regenerate.py --check
 
 Runs every ``tests/golden/*.json`` config through ``cli.run_scenario`` with
 one worker and writes ``<name>.csv`` next to it.  A regenerated CSV is new
 test data: say in CHANGES.md which files moved and why.
-
-``--check`` writes every CSV into a temporary directory instead, compares
-each with the committed one byte for byte, prints ``identical`` or
-``differs`` per file and exits 1 on any difference; it writes nothing under
-``tests/golden/``.  The golden test allows 1e-7 relative; this is the check
-for a change that claims byte-identical output.
 """
 
 from __future__ import annotations
 
-import argparse
-import filecmp
 import os
-import tempfile
 from pathlib import Path
 
 from mimo_recal import cli
@@ -29,34 +18,14 @@ from mimo_recal import cli
 HERE = Path(__file__).resolve().parent
 
 
-def _run(config: Path, csv: Path) -> None:
-    cfg = cli.load_config(str(config), [f"output_path={csv}"])
-    cli.emit_csv(cli.run_scenario(cfg), cfg.output_path)
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--check", action="store_true",
-                        help="compare fresh CSVs with the committed ones, write nothing here")
-    args = parser.parse_args(argv)
+def main() -> int:
     os.environ["MIMO_RECAL_THREADS"] = "1"
-    configs = sorted(HERE.glob("*.json"))
-    if not args.check:
-        for config in configs:
-            _run(config, config.with_suffix(".csv"))
-            print(f"wrote {config.with_suffix('.csv').name}")
-        return 0
-    differs = 0
-    with tempfile.TemporaryDirectory() as tmp:
-        for config in configs:
-            golden = config.with_suffix(".csv")
-            fresh = Path(tmp) / golden.name
-            _run(config, fresh)
-            same = golden.is_file() and filecmp.cmp(golden, fresh, shallow=False)
-            differs += not same
-            print(f"{'identical' if same else 'differs'}  {golden.name}")
-    print(f"{len(configs) - differs}/{len(configs)} identical")
-    return 1 if differs else 0
+    for config in sorted(HERE.glob("*.json")):
+        csv = config.with_suffix(".csv")
+        cfg = cli.load_config(str(config), [f"output_path={csv}"])
+        cli.emit_csv(cli.run_scenario(cfg), cfg.output_path)
+        print(f"wrote {csv.name}")
+    return 0
 
 
 if __name__ == "__main__":
