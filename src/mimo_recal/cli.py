@@ -3,7 +3,10 @@
 ``mimo-recal run --config cfg.json [--paper-scale] [--seed N] [--set k=v]...``
 reproduces the simulation studies at configurable scale; ``mimo-recal
 selftest`` runs a quick oracle suite.  Data goes to the CSV only; progress and
-warnings go to stderr.  MIMO_RECAL_THREADS caps the worker pool.
+warnings go to stderr.  MIMO_RECAL_THREADS caps the worker pool.  Hardware
+draw h of every sweep point reads one SFC64 stream, spawned as child h of the
+config seed, so the points of a sweep share their hardware and channels and
+no output depends on the worker layout.
 """
 
 from __future__ import annotations
@@ -243,11 +246,17 @@ def _draw_phi(rng, cfg, p):
     return np.ones(cfg.k)
 
 
+def _hardware_streams(seed: int, n_hardware: int) -> list[np.random.Generator]:
+    """One SFC64 generator per hardware draw, child h of ``seed``'s sequence."""
+    return [np.random.Generator(np.random.SFC64(child))
+            for child in np.random.SeedSequence(seed).spawn(n_hardware)]
+
+
 def _mean_rate(breakdowns) -> float:
     return float(np.mean([rate_from_sindr(b.sindr) for b in breakdowns]))
 
 
-def _analysis_point(cfg: ExperimentConfig, sweep_value, seed_seq) -> list[dict]:
+def _analysis_point(cfg: ExperimentConfig, sweep_value) -> list[dict]:
     """rate_vs_snr / rate_vs_ibo / loss_vs_mismatch point."""
     p = _point_setup(cfg, sweep_value)
     mismatch = HardwareMismatch.uniform(p["delta2"], p["theta"])
@@ -255,8 +264,7 @@ def _analysis_point(cfg: ExperimentConfig, sweep_value, seed_seq) -> list[dict]:
     want_mc = cfg.scenario != "loss_vs_mismatch"
 
     closed, mc, ideal, lrm = [], [], [], []
-    for child in seed_seq.spawn(cfg.n_hardware):
-        rng = np.random.default_rng(child)
+    for rng in _hardware_streams(cfg.seed, cfg.n_hardware):
         phi = _draw_phi(rng, cfg, p)
         hw = draw_system_hardware(rng, cfg.m, cfg.k, mismatch, a_sat, a0=p["a0"])
         tr_phi_inv2 = float(np.sum(1.0 / phi**2))
@@ -282,7 +290,7 @@ def _analysis_point(cfg: ExperimentConfig, sweep_value, seed_seq) -> list[dict]:
     return rows
 
 
-def _calibration_point(cfg: ExperimentConfig, sweep_value, seed_seq) -> list[dict]:
+def _calibration_point(cfg: ExperimentConfig, sweep_value) -> list[dict]:
     p = _point_setup(cfg, sweep_value)
     order = p["order"]
     # identifiability floor for the polynomial fit
@@ -291,8 +299,7 @@ def _calibration_point(cfg: ExperimentConfig, sweep_value, seed_seq) -> list[dic
     a_sat = a_sat_for_ibo(p["ibo_db"], p["rho_t"], cfg.m)
 
     rates = {name: [] for name in CALIBRATION_METHODS}
-    for child in seed_seq.spawn(cfg.n_hardware):
-        rng = np.random.default_rng(child)
+    for rng in _hardware_streams(cfg.seed, cfg.n_hardware):
         phi = _draw_phi(rng, cfg, p)
         hw = draw_system_hardware(rng, cfg.m, cfg.k, mismatch, a_sat, a0=p["a0"])
         omega = draw_inter_antenna_channel(rng, cfg.m)
@@ -327,11 +334,11 @@ def _row(cfg: ExperimentConfig, sweep_value, method: str, samples) -> dict:
 
 def _run_point(cfg: ExperimentConfig, index: int) -> list[dict]:
     sweep_value = cfg.sweep_values[index]
-    # one deterministic stream per sweep point regardless of worker layout
-    seed_seq = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(index,))
+    # every point draws from the same per-hardware streams, whatever the
+    # worker layout: the rows of a sweep are common-random-number comparisons
     if cfg.scenario in ("rate_vs_snr", "rate_vs_ibo", "loss_vs_mismatch"):
-        return _analysis_point(cfg, sweep_value, seed_seq)
-    return _calibration_point(cfg, sweep_value, seed_seq)
+        return _analysis_point(cfg, sweep_value)
+    return _calibration_point(cfg, sweep_value)
 
 
 def run_scenario(cfg: ExperimentConfig) -> list[dict]:
@@ -404,7 +411,7 @@ def selftest() -> int:
           abs(math.exp(-1.0) * e1_scaled(1.0) - 0.21938393439552026) < 1e-10)
     check("mu(1) matches soft-limiter value", abs(bussgang_mu(1.0) - 0.6210639219293438) < 1e-9)
 
-    rng = np.random.default_rng(0)
+    rng = _hardware_streams(0, 1)[0]
     mis = HardwareMismatch.uniform(0.05, math.pi / 6)
     hw = draw_system_hardware(rng, 16, 4, mis, a_sat_for_ibo(10.0, 1.0, 16))
     h_ul = uplink_channel(draw_channels(rng, np.ones(4), np.empty((4, 16), complex)), hw)

@@ -12,6 +12,8 @@ import numpy as np
 import pytest
 
 from mimo_recal import calibration, cli
+from mimo_recal.channel import CellGeometry, draw_ue_pathloss
+from mimo_recal.hardware import HardwareMismatch, a_sat_for_ibo, draw_system_hardware
 from tests.conftest import package_env
 
 
@@ -387,6 +389,77 @@ class TestScenarios:
             assert np.array_equal(c[2], res.c)
             # perfect_nrc takes the SLP amplitudes with calibration phases
             assert np.allclose(np.abs(c[3]), np.abs(res_p.c), rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("scenario", ["rate_vs_snr", "cal_rate_vs_snr"])
+    def test_one_sfc64_stream_per_hardware_draw(self, tmp_path, monkeypatch, scenario):
+        # hardware draw h of every sweep point reads SFC64 on child h of the
+        # config seed: path loss first, then the hardware
+        seen = []
+        estimate = cli.estimate_sindr_mc
+
+        def spy_estimate(hw, phi, *args, **kwargs):
+            seen.append((hw, phi))
+            return estimate(hw, phi, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "estimate_sindr_mc", spy_estimate)
+        monkeypatch.setenv("MIMO_RECAL_THREADS", "1")
+        seed, n_hardware, m, k, snrs = 7, 3, 8, 2, (0.0, 20.0)
+        path, _ = _write_config(
+            tmp_path, scenario=scenario, seed=seed, m=m, k=k,
+            sweep={"param": "snr_db", "values": list(snrs)},
+            mc={"n_hardware": n_hardware, "n_channels": 10, "n_symbols": 8},
+            params={"ibo_db": 10.0, "order": 3, "n_levels": 5, "pathloss": "drawn"})
+        cfg = cli.load_config(str(path))
+        cli.run_scenario(cfg)
+
+        assert len(seen) == len(snrs) * n_hardware
+        children = np.random.SeedSequence(seed).spawn(n_hardware)
+        mismatch = HardwareMismatch.uniform(cfg.param("delta2"), cfg.param("theta"))
+        a0 = 10.0 ** (cfg.param("a0_db") / 10.0)
+        bases = [a_sat_for_ibo(10.0, 10.0 ** (snr / 10.0) / a0, m) for snr in snrs]
+        for i, base in enumerate(bases):
+            for h, child in enumerate(children):
+                rng = np.random.Generator(np.random.SFC64(child))
+                phi = draw_ue_pathloss(rng, k, CellGeometry())
+                want = draw_system_hardware(rng, m, k, mismatch, base, a0=a0)
+                hw, got_phi = seen[i * n_hardware + h]
+                assert np.array_equal(got_phi, phi)
+                for name in ("t", "a_sat", "bs_rx", "ue_tx_gain", "ue_rx"):
+                    assert np.array_equal(getattr(hw, name), getattr(want, name)), (i, h, name)
+                assert hw.a0 == want.a0
+        # both sweep points see the same hardware; only the saturation level
+        # follows the SNR
+        for (hw0, phi0), (hw1, phi1) in zip(seen[:n_hardware], seen[n_hardware:]):
+            assert np.array_equal(phi0, phi1)
+            for name in ("t", "bs_rx", "ue_tx_gain", "ue_rx"):
+                assert np.array_equal(getattr(hw0, name), getattr(hw1, name))
+            assert np.allclose(hw1.a_sat * bases[0], hw0.a_sat * bases[1], rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("scenario, mode, param, values", [
+        ("rate_vs_snr", "surrogate", "snr_db", [0.0, 20.0]),
+        ("rate_vs_snr", "physical", "snr_db", [0.0, 20.0]),
+        ("rate_vs_ibo", "surrogate", "ibo_db", [3.0, 10.0]),
+        ("cal_rate_vs_snr", "surrogate", "snr_db", [5.0, 15.0]),
+    ])
+    def test_sweep_rows_are_one_point_runs(self, tmp_path, monkeypatch, scenario, mode,
+                                           param, values):
+        # common random numbers: every row of a sweep is byte-identical to the
+        # row of a one-point run at that value
+        monkeypatch.setenv("MIMO_RECAL_THREADS", "1")
+        path, _ = _write_config(
+            tmp_path, scenario=scenario, mode=mode, m=8, k=2,
+            sweep={"param": param, "values": values},
+            mc={"n_hardware": 3, "n_channels": 10, "n_symbols": 16},
+            params={"ibo_db": 10.0, "order": 3, "n_levels": 5})
+
+        def data_lines(sets):
+            cfg = cli.load_config(str(path), sets)
+            cli.emit_csv(cli.run_scenario(cfg), cfg.output_path)
+            return (tmp_path / "out.csv").read_text().splitlines()[1:]
+
+        sweep = data_lines([])
+        points = [line for v in values for line in data_lines([f"sweep.values=[{v}]"])]
+        assert sweep and sweep == points
 
     def test_physical_calibration_reruns_identical(self, tmp_path):
         path, _ = _write_config(
