@@ -21,8 +21,6 @@ from .hardware import (
     a_sat_for_ibo,
     bussgang_decompose,
     draw_system_hardware,
-    ibo_db,
-    sigma_from_ibo,
     sspa_apply,
 )
 from .channel import CellGeometry, draw_channels, draw_ue_pathloss, uplink_channel

@@ -2,8 +2,9 @@
 the batched zero-forcing core.
 
 The special functions take float64 arrays and use numpy and ``math.erfc``
-(elementwise through ``np.frompyfunc``); each continued fraction takes its
-depth from the smallest argument in the call.  The ZF core is batched numpy:
+(elementwise through ``np.frompyfunc``); each continued fraction has a fixed
+depth, so every value depends on its own argument only, not on the rest of
+the call.  The ZF core is batched numpy:
 ``zf_apply`` builds precoders, and ``effective_channels``, the Monte-Carlo
 kernel, works from K x K products of the channel without forming one.
 """
@@ -20,6 +21,10 @@ _ERFC = np.frompyfunc(math.erfc, 1, 1)
 # at and above these ratios erfcx and mu use the Laplace continued fraction
 _ERFCX_CF_FROM = 10.0
 _MU_CF_FROM = 4.0
+# continued-fraction depths: ceil(80/x) + 6 at x = 4 for the Laplace tail and
+# ceil(100/y) + 6 at y = 1 for the scaled E1, the floors of their branches
+_LAPLACE_DEPTH = 26
+_E1_DEPTH = 106
 
 
 def erfc(x: np.ndarray) -> np.ndarray:
@@ -30,10 +35,10 @@ def erfc(x: np.ndarray) -> np.ndarray:
 def _laplace_tail(x: np.ndarray) -> np.ndarray:
     """F1 = x + 1/(x + (3/2)/(x + 2/(x + ...))) for x >= 4, so that
     sqrt(pi) erfcx(x) = 1/(x + (1/2)/F1).  Against depth 3000 on [4, 1e8],
-    the depth that reaches 1.2e-16 is 24 at x = 4 and 11 at x = 10, and
-    ceil(80/x) + 6 exceeds it everywhere."""
+    the depth that reaches 1.2e-16 is 24 at x = 4 and 11 at x = 10, below
+    ``_LAPLACE_DEPTH``."""
     t = x.copy()
-    for n in range(math.ceil(80.0 / float(np.min(x))) + 6, 1, -1):
+    for n in range(_LAPLACE_DEPTH, 1, -1):
         t = x + (0.5 * n) / t
     return t
 
@@ -76,11 +81,10 @@ def e1_scaled(y: np.ndarray) -> np.ndarray:
     if not np.all(small):
         # backward recurrence of F = (y+1) - 1/((y+3) - 4/((y+5) - ...)).
         # Against depth 400 on [1, 1e4], the depth that reaches 2.3e-16 is
-        # 95 at y = 1 and 14 at y = 10, and ceil(100/y) + 6 exceeds it.
+        # 95 at y = 1 and 14 at y = 10, below ``_E1_DEPTH``.
         yl = y[~small]
-        depth = math.ceil(100.0 / float(np.min(yl))) + 6
-        t = yl + (2.0 * depth + 1.0)
-        for i in range(depth, 0, -1):
+        t = yl + (2.0 * _E1_DEPTH + 1.0)
+        for i in range(_E1_DEPTH, 0, -1):
             t = (yl + (2.0 * i - 1.0)) - (i * i) / t
         out[~small] = 1.0 / t
     return out

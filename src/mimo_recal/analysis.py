@@ -250,9 +250,10 @@ def estimate_sindr_mc(
     every row on the same channel draws (and, in physical mode, the same
     symbols) and returns one list of ``SindrBreakdown`` per row, in row
     order.  One vector is the C = 1 case and consumes the generator as a
-    one-row stack does.  Each row's Bussgang pair comes from its own
-    ``bussgang_decompose`` call at the rms |c_m| sigma_x,m that diag(c)
-    gives each amplifier, so rows do not perturb each other.
+    one-row stack does.  One ``bussgang_decompose`` call gives every row
+    its Bussgang pair at the rms |c_m| sigma_x,m that diag(c) gives each
+    amplifier; each element depends on its own rms only, so rows do not
+    perturb each other.
 
     Each call allocates one complex (B, K, M) channel buffer of about 1 MiB,
     B = ``_block_draws(K, M)``, whatever ``n_channels`` and C are, and
@@ -290,13 +291,8 @@ def estimate_sindr_mc(
     block = _block_draws(k, m, n_c)
     pblock = _precoder_draws(k, m)
 
-    # one call per row: lambda of one element depends on the other elements
-    # of its call
-    sigma = hw.sigma_x(rho_t)
-    pairs = [bussgang_decompose(hw, np.maximum(np.abs(row), 1e-300) * sigma)
-             for row in c_rows]
-    sig2 = np.stack([pair.sigma_d2 for pair in pairs])
-    g_eff = np.stack([pair.g for pair in pairs]) * c_rows
+    pair = bussgang_decompose(hw, np.maximum(np.abs(c_rows), 1e-300) * hw.sigma_x(rho_t))
+    g_eff = pair.g * c_rows
 
     # the block length does not depend on C, so every row of a stack sees
     # the draws, and the additions, of its single-vector call
@@ -346,7 +342,8 @@ def estimate_sindr_mc(
         # NLD: a0 |u_k|^2 sum_m E|h_km|^2 sigma_d,m^2, with |h_km|^2 the sum
         # of the interleaved squares re^2 + im^2; one reduction per row
         h2 = sum_sq.reshape(k, m, 2).sum(axis=-1)
-        nld = a0 * np.abs(hw.ue_rx) ** 2 * np.sum(sig2[:, None] * h2, axis=-1) / n_channels
+        nld = (a0 * np.abs(hw.ue_rx) ** 2 * np.sum(pair.sigma_d2[:, None] * h2, axis=-1)
+               / n_channels)
     else:
         # symbols were streamed noiselessly, so the LS residual is the
         # distortion power alone (noise enters analytically below)

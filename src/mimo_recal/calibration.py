@@ -108,11 +108,14 @@ class PilotPlan:
     sigma_max: np.ndarray
 
     def __post_init__(self):
-        if self.n_levels < 1 or self.n_symbols < 1:
-            raise ValueError("need n_levels >= 1 and n_symbols >= 1")
+        for name in ("n_levels", "n_symbols"):
+            val = getattr(self, name)
+            if isinstance(val, bool) or not isinstance(val, (int, np.integer)) or val < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {val!r}")
         sigma_max = np.atleast_1d(np.asarray(self.sigma_max, dtype=np.float64))
-        if np.any(sigma_max <= 0):
-            raise ValueError("sigma_max entries must be positive")
+        # a NaN fails the comparison
+        if not np.all((0 < sigma_max) & (sigma_max < math.inf)):
+            raise ValueError("sigma_max entries must be finite and positive")
         object.__setattr__(self, "sigma_max", sigma_max)
 
     @property
@@ -200,9 +203,10 @@ def simulate_ota_training(
     Gaussian-input distortion term has no physical counterpart here and would
     only act as errors-in-variables noise in the ratio equations.
 
-    Random draws run per (tx, level): Q pilot phases, then the receive noise
-    of the M-1 other antennas (real parts, then imaginary parts, per rx).
-    Without noise that order is one (M, N, Q) draw of the phases.
+    Random draws: one (M, N, Q) draw of the pilot phases, whatever
+    ``noise_var`` is; then, with noise, one (M-1, N, 2, Q) block per
+    transmitter, so each other antenna and level takes Q real parts, then Q
+    imaginary parts.
     """
     m = hw.m
     if omega.shape != (m, m):
@@ -219,26 +223,19 @@ def simulate_ota_training(
 
     n_levels, q = plan.n_levels, plan.n_symbols
     amps = plan.amplitudes
-    # noise goes into y in draw order; the signal is added one transmitter at
-    # a time, so no (M, M, N, Q) temporary is built
-    y = np.zeros((m, m, n_levels, q), dtype=np.complex128)
-    if noise_var == 0:
-        x = amps[:, :, None] * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, (m, n_levels, q)))
-    else:
-        x = np.empty((m, n_levels, q), dtype=np.complex128)
-        scale = math.sqrt(noise_var / 2.0)
-        for tx in range(m):
-            others = np.arange(m) != tx
-            for n in range(n_levels):
-                x[tx, n] = amps[tx, n] * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, size=q))
-                re, im = rng.standard_normal((m - 1, 2, q)).transpose(1, 0, 2)
-                y[tx, others, n] = scale * (re + 1j * im)
+    x = amps[:, :, None] * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, (m, n_levels, q)))
     if mode == "physical":
         out = np.moveaxis(sspa_apply(hw, np.moveaxis(x, 0, -1)), -1, 0) / math.sqrt(hw.a0)
     else:
         out = (hw.t[:, None] * bussgang_mu(hw.a_sat[:, None] / amps))[:, :, None] * x
     pair = _unfused_product(hw.a0 * hw.bs_rx[None, :], omega)
+    scale = math.sqrt(noise_var / 2.0)
+    # one transmitter at a time, so no (M, M, N, Q) temporary is built
+    y = np.zeros((m, m, n_levels, q), dtype=np.complex128)
     for tx in range(m):
+        if noise_var > 0:
+            re, im = np.moveaxis(rng.standard_normal((m - 1, n_levels, 2, q)), 2, 0)
+            y[tx, np.arange(m) != tx] = scale * (re + 1j * im)
         y[tx] += pair[tx, :, None, None] * out[tx]
     return TrainingSet(x=x, y=y)
 
@@ -454,13 +451,17 @@ def slp_solve(
     decreases and the next linearisation stays feasible.  ``strict`` makes a
     model that is not concave increasing on the grid an error instead of a
     warning.  ``model.mu_all`` takes amplitudes of shape (..., M), as
-    ``PolyMismatch`` and ``TrueMismatch`` do.
+    ``PolyMismatch`` and ``TrueMismatch`` do.  Raises ValueError unless
+    ``sigma_x``, ``c_max`` and ``rho_t`` are finite and positive.
     """
     sigma_x = np.asarray(sigma_x, dtype=np.float64)
     c_max = np.asarray(c_max, dtype=np.float64)
-    n = len(sigma_x)
-    if len(c_max) != n:
+    if len(c_max) != len(sigma_x):
         raise ValueError("sigma_x and c_max must have equal length")
+    # a NaN fails the comparison
+    for name, val in (("sigma_x", sigma_x), ("c_max", c_max), ("rho_t", rho_t)):
+        if not np.all((0 < val) & (val < math.inf)):
+            raise ValueError(f"{name} must be finite and positive")
     _check_concave_increasing(model, sigma_x, c_max, strict)
 
     h_rel = 1e-6

@@ -29,8 +29,6 @@ __all__ = [
     "draw_system_hardware",
     "sspa_apply",
     "bussgang_decompose",
-    "ibo_db",
-    "sigma_from_ibo",
     "a_sat_for_ibo",
 ]
 
@@ -45,7 +43,8 @@ class HpaModel:
     a_sat: float
 
     def __post_init__(self):
-        if self.a0 <= 0 or self.a_sat <= 0:
+        # a NaN fails the comparison
+        if not (self.a0 > 0 and self.a_sat > 0):
             raise ValueError("HpaModel requires a0 > 0, a_sat > 0")
 
 
@@ -192,25 +191,11 @@ def bussgang_decompose(hpa: HpaModel | SystemHardware, sigma_x) -> BussgangPair:
     ``hpa`` is one amplifier, or the BS hardware: then t, a_sat and a
     per-antenna ``sigma_x`` broadcast over the antenna axis.
     """
-    if np.any(np.asarray(sigma_x) <= 0):
+    if not np.all(np.asarray(sigma_x) > 0):
         raise ValueError("sigma_x must be positive")
     g = hpa.t * bussgang_mu(hpa.a_sat / sigma_x)
     sigma_d2 = np.abs(hpa.t) ** 2 * bussgang_lambda(hpa.a_sat, sigma_x)
     return BussgangPair(g=g, sigma_d2=sigma_d2)
-
-
-def ibo_db(a_sat: float, sigma_x: float) -> float:
-    """Input back-off 10*log10(a_sat/sigma_x) (amplitude-ratio convention)."""
-    if a_sat <= 0 or sigma_x <= 0:
-        raise ValueError("ibo_db requires positive arguments")
-    return 10.0 * math.log10(a_sat / sigma_x)
-
-
-def sigma_from_ibo(a_sat: float, ibo: float) -> float:
-    """Input rms giving the requested back-off for saturation level a_sat."""
-    if a_sat <= 0:
-        raise ValueError("a_sat must be positive")
-    return a_sat * 10.0 ** (-ibo / 10.0)
 
 
 def a_sat_for_ibo(ibo: float, rho_t: float, m: int) -> float:

@@ -49,7 +49,8 @@ def bussgang_mu(x):
     [0, 1) and is monotone increasing.
     """
     arr = np.asarray(x, dtype=np.float64)
-    if np.any(arr < 0):
+    # a NaN fails the comparison
+    if not np.all(arr >= 0):
         raise ValueError("bussgang_mu requires x >= 0")
     out = _kernels.mu(arr)
     return float(out) if np.isscalar(x) or arr.ndim == 0 else out
@@ -59,7 +60,7 @@ def bussgang_lambda(a_sat, sigma_x):
     """Distortion variance per unit squared gain-vibration, lambda(A_sat, sigma)."""
     a = np.asarray(a_sat, dtype=np.float64)
     s = np.asarray(sigma_x, dtype=np.float64)
-    if np.any(a <= 0) or np.any(s <= 0):
+    if not (np.all(a > 0) and np.all(s > 0)):
         raise ValueError("bussgang_lambda requires positive arguments")
     out = _kernels.lam(a, s)
     scalar = np.isscalar(a_sat) and np.isscalar(sigma_x)

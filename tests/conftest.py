@@ -213,25 +213,31 @@ def ref_simulate_ota_training(
 
     q = plan.n_symbols
     a0 = hw.a0
-    records: list[TrainingRecord] = []
+    # every pilot phase first, transmitter by transmitter and level by level
+    x, out = {}, {}
     for tx in range(m):
         hpa = HpaModel(a0, hw.t[tx], hw.a_sat[tx])
         for n in range(plan.n_levels):
             amp = plan.amplitudes[tx, n]
-            x = amp * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, size=q))
+            x[tx, n] = amp * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, size=q))
             if mode == "physical":
-                out = sspa_apply(hpa, x) / math.sqrt(a0)
+                out[tx, n] = sspa_apply(hpa, x[tx, n]) / math.sqrt(a0)
             else:
-                out = bussgang_decompose(hpa, amp).g * x
-            for rx in range(m):
-                if rx == tx:
-                    continue
-                y = a0 * hw.bs_rx[rx] * omega[tx, rx] * out
+                out[tx, n] = bussgang_decompose(hpa, amp).g * x[tx, n]
+    # then the receive noise, pair by pair: Q real parts, then Q imaginary parts
+    records: list[TrainingRecord] = []
+    for tx in range(m):
+        for rx in range(m):
+            if rx == tx:
+                continue
+            for n in range(plan.n_levels):
+                y = a0 * hw.bs_rx[rx] * omega[tx, rx] * out[tx, n]
                 if noise_var > 0:
                     y = y + math.sqrt(noise_var / 2.0) * (
                         rng.standard_normal(q) + 1j * rng.standard_normal(q)
                     )
-                records.append(TrainingRecord(tx_antenna=tx, rx_antenna=rx, level=n, x=x, y=y))
+                records.append(TrainingRecord(tx_antenna=tx, rx_antenna=rx, level=n,
+                                              x=x[tx, n], y=y))
     return records
 
 

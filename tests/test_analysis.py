@@ -644,6 +644,22 @@ class TestEstimateSindrMcStack:
         (ones,) = run(np.ones((1, hw.m)))
         assert ones == run(None)
 
+    @pytest.mark.parametrize("mode", ["surrogate", "physical"])
+    def test_one_bussgang_call_for_the_stack(self, default_mismatch, monkeypatch, mode):
+        # every row's pair comes from one call over the (C, M) stack
+        hw, phi, c = self._setup(default_mismatch)
+        c = np.concatenate([c, 0.5 * c[1:2]])
+        shapes = []
+
+        def spy(hpa, sigma_x):
+            shapes.append(np.shape(sigma_x))
+            return mr.bussgang_decompose(hpa, sigma_x)
+
+        monkeypatch.setattr(analysis, "bussgang_decompose", spy)
+        mr.estimate_sindr_mc(hw, phi, 1.0, A0, NOISE, 4, 24, mode,
+                             np.random.default_rng(0), c=c)
+        assert shapes == [(4, hw.m)]
+
     @pytest.mark.parametrize("shape", [(15,), (2, 17), (1, 2, 16), (0, 16)])
     def test_bad_calibration_shape_rejected(self, default_mismatch, shape):
         hw, phi, _ = self._setup(default_mismatch)

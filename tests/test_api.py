@@ -15,12 +15,13 @@ MODULES = ("numerics", "hardware", "channel", "precoding", "analysis", "calibrat
 # _kernels special functions behind bussgang_mu/bussgang_lambda.  The paper's
 # pair-ratio LS (assemble_psi_matrix, estimate_poly_coeffs,
 # estimate_poly_coeffs_from_records) is kept only as the dense test reference
-# in tests/conftest.py.
+# in tests/conftest.py.  ibo_db and sigma_from_ibo had no caller; the
+# back-off is set through a_sat_for_ibo.
 REMOVED = ("transmit_downlink", "DownlinkOutcome", "apply_calibration", "Precoder",
            "orth_poly_psi", "assemble_psi_matrix", "estimate_poly_coeffs",
            "estimate_poly_coeffs_from_records", "sindr_zf_closed",
            "ChannelRealization", "draw_channel", "zf_bussgang", "erfc", "erfcx",
-           "exp_integral_ei", "exp_integral_ei_scaled")
+           "exp_integral_ei", "exp_integral_ei_scaled", "ibo_db", "sigma_from_ibo")
 
 
 @pytest.mark.parametrize("module", MODULES)

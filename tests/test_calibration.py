@@ -100,6 +100,19 @@ class TestPilotPlan:
         with pytest.raises(ValueError):
             mr.PilotPlan(3, 5, np.zeros(2))
 
+    @pytest.mark.parametrize("n_levels, n_symbols, name", [
+        (3.5, 5, "n_levels"), (True, 5, "n_levels"), (3, 2.0, "n_symbols"),
+        (3, False, "n_symbols")])
+    def test_counts_must_be_integers(self, n_levels, n_symbols, name):
+        # PilotPlan(3.5, ...) built 4 levels, the top one 1.31x above the cap
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            mr.PilotPlan(n_levels, n_symbols, np.ones(2))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_sigma_max_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match="sigma_max"):
+            mr.PilotPlan(3, 5, np.array([1.0, bad]))
+
     def test_overhead(self):
         plan = mr.PilotPlan(5, 10, np.ones(16))
         assert mr.training_overhead(16, plan) == 16 * 5 * 10
@@ -159,6 +172,15 @@ class TestSimulateOta:
         with pytest.raises(ValueError, match="noise_var"):
             mr.simulate_ota_training(hw, plan, omega, noise_var, "surrogate", rng)
 
+    @pytest.mark.parametrize("mode", ["surrogate", "physical"])
+    def test_noise_leaves_the_pilots(self, mode):
+        # one draw order: every pilot phase comes first, whatever noise_var is
+        hw, omega, plan, _ = _setup(6, 2, 29)
+        quiet = mr.simulate_ota_training(hw, plan, omega, 0.0, mode, np.random.default_rng(3))
+        noisy = mr.simulate_ota_training(hw, plan, omega, 0.5, mode, np.random.default_rng(3))
+        assert np.array_equal(quiet.x, noisy.x)
+        assert not np.array_equal(quiet.y, noisy.y)
+
     def test_record_count(self):
         hw, omega, plan, _ = _setup(5, 2, 9)
         recs = mr.simulate_ota_training(hw, plan, omega, 0.0, "surrogate",
@@ -200,7 +222,8 @@ class TestTensorMatchesRecordReference:
             assert np.array_equal(ts.x[rec.tx_antenna, rec.level], rec.x)
             assert np.array_equal(ts.y[rec.tx_antenna, rec.rx_antenna, rec.level], rec.y)
         assert not np.any(ts.y[np.arange(m), np.arange(m)])
-        # the noiseless phases come from one draw, and use up the same stream
+        # the phases come from one draw and the noise from one block per
+        # transmitter, and both use up the same stream as the per-pair loop
         assert rng_ts.bit_generator.state == rng_ref.bit_generator.state
 
         for n in range(n_levels):
@@ -494,6 +517,22 @@ class TestSlpSolve:
             columns = np.stack([_phi_all(model, frac * c_max, sigma_x)
                                 for frac in np.linspace(0.0, 1.0, 65)], axis=1)
             assert np.array_equal(_phi_grid(model, sigma_x, c_max), columns)
+
+    @pytest.mark.parametrize("name", ["sigma_x", "c_max", "rho_t"])
+    @pytest.mark.parametrize("bad", [math.nan, 0.0, -1.0, math.inf])
+    def test_non_positive_or_non_finite_input_rejected(self, name, bad):
+        # a NaN cap returned a NaN c, rho_t = NaN a made-up c, and a zero cap
+        # c ~ 1e-3 c_max with g0 = 0 and only a non-convergence warning
+        hw = mr.draw_system_hardware(np.random.default_rng(3), 8, 2,
+                                     mr.HardwareMismatch.none(), 2.0)
+        args = {"sigma_x": hw.sigma_x(1.0), "c_max": np.full(8, 4.0), "rho_t": 1.0}
+        if name == "rho_t":
+            args[name] = bad
+        else:
+            args[name] = args[name].copy()
+            args[name][3] = bad
+        with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+            mr.slp_solve(mr.TrueMismatch(hw), args["sigma_x"], args["rho_t"], args["c_max"])
 
     def test_concavity_gate(self):
         class BadModel:

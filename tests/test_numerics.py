@@ -8,7 +8,7 @@ import pytest
 import scipy.integrate
 import scipy.special
 import scipy.stats
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mimo_recal as mr
@@ -116,6 +116,12 @@ class TestBussgangMu:
         with pytest.raises(ValueError):
             mr.bussgang_mu(-0.5)
 
+    @pytest.mark.parametrize("x", [math.nan, np.array([1.0, math.nan])])
+    def test_nan_rejected(self, x):
+        # bussgang_mu(nan) returned nan
+        with pytest.raises(ValueError, match="x >= 0"):
+            mr.bussgang_mu(x)
+
     @given(st.floats(min_value=0.0, max_value=500.0))
     @settings(max_examples=60, deadline=None)
     def test_range_property(self, x):
@@ -147,6 +153,11 @@ class TestBussgangLambda:
         with pytest.raises(ValueError):
             mr.bussgang_lambda(1.0, 0.0)
 
+    @pytest.mark.parametrize("a_sat, sigma", [(math.nan, 1.0), (1.0, np.array([1.0, math.nan]))])
+    def test_nan_rejected(self, a_sat, sigma):
+        with pytest.raises(ValueError, match="positive arguments"):
+            mr.bussgang_lambda(a_sat, sigma)
+
     @given(st.floats(min_value=0.05, max_value=50.0),
            st.floats(min_value=0.05, max_value=50.0))
     @settings(max_examples=60, deadline=None)
@@ -168,6 +179,41 @@ class TestBussgangOrthogonality:
             resid += np.vdot(x, f - g * x)
             den += float(np.real(np.vdot(x, x)))
         assert abs(resid) / den <= 1e-3
+
+
+def _arg(bounds):
+    """An argument on either side of one of the branch boundaries ``bounds``,
+    up to a factor of 3 away."""
+    return st.builds(lambda b, f: b * f, st.sampled_from(bounds), st.floats(1.0 / 3.0, 3.0))
+
+
+class TestOneValuePerArgument:
+    """A vector call equals its one-element calls bit for bit: no value
+    depends on the other arguments of its call."""
+
+    @staticmethod
+    def _elementwise(f, *args):
+        whole = f(*args)
+        singles = [f(*(a[i:i + 1] for a in args))[0] for i in range(len(args[0]))]
+        return np.array_equal(whole, singles)
+
+    @settings(max_examples=100, deadline=None)
+    @given(x=st.lists(_arg([1.0, 4.0, 10.0, 25.0, 50.0]), min_size=2, max_size=10))
+    def test_one_argument_kernels(self, x):
+        x = np.array(x)
+        for f in (_kernels.mu, _kernels.erfcx, _kernels.e1_scaled):
+            assert self._elementwise(f, x), f.__name__
+
+    @settings(max_examples=100, deadline=None)
+    @given(pairs=st.lists(st.tuples(_arg([1.0, 4.0, 25.0, 50.0]), st.floats(0.1, 10.0)),
+                          min_size=2, max_size=10))
+    # a pair whose lambda moved by 2.5e-13 when the depth followed the call
+    @example(pairs=[(2.414759435840466, 1.6994837140678953),
+                    (1.213973154075501, 6.692427245084409)])
+    def test_lam(self, pairs):
+        # the ratio A/s sets the branch, and y = (A/s)^2 that of e1_scaled
+        ratio, sigma = np.array(pairs).T
+        assert self._elementwise(_kernels.lam, ratio * sigma, sigma)
 
 
 def _max_rel_err(got, ref):

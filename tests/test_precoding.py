@@ -225,7 +225,8 @@ class TestTransmitDownlink:
 
     def test_surrogate_one_bussgang_call(self, default_mismatch, monkeypatch):
         # the Bussgang pairs of all M antennas come from one vector call, in
-        # the closed form and in surrogate Monte Carlo
+        # the closed form and in surrogate Monte Carlo, where one vector is
+        # the one-row (1, M) stack
         from mimo_recal import hardware
 
         hw, phi, _ = _system(16, 4, default_mismatch, 1.0, 17)
@@ -237,7 +238,7 @@ class TestTransmitDownlink:
         shapes.clear()
         mr.estimate_sindr_mc(hw, phi, 1.0, 10.0, 1.0, 8, 1, "surrogate",
                              np.random.default_rng(18))
-        assert shapes == [(16,)]
+        assert shapes == [(1, 16)]
 
 
 class TestApplyCalibration:
