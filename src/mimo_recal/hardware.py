@@ -194,7 +194,10 @@ def bussgang_decompose(hpa: HpaModel | SystemHardware, sigma_x) -> BussgangPair:
     if not np.all(np.asarray(sigma_x) > 0):
         raise ValueError("sigma_x must be positive")
     g = hpa.t * bussgang_mu(hpa.a_sat / sigma_x)
-    sigma_d2 = np.abs(hpa.t) ** 2 * bussgang_lambda(hpa.a_sat, sigma_x)
+    # |t|^2 from real and imaginary parts: numpy's complex abs takes one
+    # algorithm for a scalar and another for an array
+    t = hpa.t
+    sigma_d2 = (t.real * t.real + t.imag * t.imag) * bussgang_lambda(hpa.a_sat, sigma_x)
     return BussgangPair(g=g, sigma_d2=sigma_d2)
 
 
