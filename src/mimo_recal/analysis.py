@@ -85,8 +85,9 @@ class RateDecomposition:
 
 def rate_from_sindr(sindr: float) -> float:
     """Achievable rate log2(1 + sindr) in bits per channel use."""
-    if sindr < 0:
-        raise ValueError("sindr must be non-negative")
+    # a NaN fails the comparison
+    if not sindr >= 0:
+        raise ValueError(f"sindr must be non-negative, got {sindr}")
     return math.log2(1.0 + sindr)
 
 
@@ -119,12 +120,20 @@ def sinr_linear_mismatch(
     return num / den
 
 
+def _check_a0(hw: SystemHardware, a0) -> None:
+    """The a0 argument of a rate formula is the hardware's own: physical
+    mode reads ``hw.a0`` in the amplifiers and ``a0`` in the power terms."""
+    if a0 != hw.a0:
+        raise ValueError(f"a0 must equal the hardware's a0 = {hw.a0}, got {a0}")
+
+
 def _closed_terms(hw: SystemHardware, phi, rho_t, a0, noise_var):
     """Closed-form SINDR breakdown of every UE, and the trace statistics of
     the ZF Bussgang pair it rests on: tr{RR^*}, tr{GR^*}, sum_m |g_m - alpha
     r_m|^2 with alpha = mean(g/r), and tr{sigma_d^2}.  Raises ValueError
-    unless ``phi`` is K finite positive entries."""
+    unless ``phi`` is K finite positive entries and ``a0`` is ``hw.a0``."""
     m, k = hw.m, hw.k
+    _check_a0(hw, a0)
     phi = _check_phi(phi, k)
     r = hw.bs_rx
     b = hw.ue_tx_gain
@@ -263,14 +272,15 @@ def estimate_sindr_mc(
     precoders of ``_precoder_draws`` draws per ``zf_apply`` call and then
     streams the symbols draw by draw; each draw forms the symbol Gram matrix
     s^H s once and fits every row by the normal equations (s^H s) fit =
-    s^H y.  Raises ValueError for ``n_channels`` < 1, a ``phi`` that is not K
-    finite positive entries, or a ``c`` that is not (M,) or (C, M) with C >= 1
-    or with a row that is not finite or is all zero, and LinAlgError for a
-    rank-deficient channel draw.
+    s^H y.  Raises ValueError for an ``a0`` that is not ``hw.a0``,
+    ``n_channels`` < 1, a ``phi`` that is not K finite positive entries, or a
+    ``c`` that is not (M,) or (C, M) with C >= 1 or with a row that is not
+    finite or is all zero, and LinAlgError for a rank-deficient channel draw.
     """
     if mode not in ("surrogate", "physical"):
         raise ValueError(f"unknown mode {mode!r}")
     m, k = hw.m, hw.k
+    _check_a0(hw, a0)
     if n_channels < 1:
         raise ValueError(f"n_channels must be at least 1, got {n_channels}")
     if mode == "physical" and n_symbols <= k:

@@ -3,10 +3,12 @@
 ``mimo-recal run --config cfg.json [--paper-scale] [--seed N] [--set k=v]...``
 reproduces the simulation studies at configurable scale; ``mimo-recal
 selftest`` runs a quick oracle suite.  Data goes to the CSV only; progress and
-warnings go to stderr.  MIMO_RECAL_THREADS caps the worker pool.  Hardware
-draw h of every sweep point reads one SFC64 stream, spawned as child h of the
-config seed, so the points of a sweep share their hardware and channels and
-no output depends on the worker layout.
+warnings go to stderr.  Hardware draw h of every sweep point reads one SFC64
+stream, spawned as child h of the config seed, so the points of a sweep share
+their hardware and channels.  MIMO_RECAL_THREADS caps the pool of spawned
+workers, whose unit of work is one (sweep point, hardware draw) pair; no output
+depends on the worker layout, and a script that runs the pool needs an
+``if __name__ == "__main__":`` guard, as each worker imports its main module.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field
+from itertools import islice, repeat
 
 import numpy as np
 
@@ -149,6 +152,10 @@ class ExperimentConfig:
             raise ConfigError(f"scenario: unknown value {self.scenario!r}")
         if not self.m > self.k >= 1:
             raise ConfigError(f"m/k: need m > k >= 1, got {self.m}/{self.k}")
+        # the Monte Carlo's ZF beta is finite only for M > K + 1
+        if self.scenario != "loss_vs_mismatch" and self.m <= self.k + 1:
+            raise ConfigError(f"m/k: {self.scenario} runs the Monte Carlo, which needs "
+                              f"m > k + 1, got {self.m}/{self.k}")
         if self.seed < 0:
             raise ConfigError(f"seed: must be >= 0, got {self.seed}")
         if self.mode not in ("surrogate", "physical"):
@@ -228,94 +235,56 @@ def load_config(path: str, sets=()) -> ExperimentConfig:
 
 
 # ---------------------------------------------------------------------------
-# per-point simulation
+# per-draw simulation
 # ---------------------------------------------------------------------------
-
-
-def _point_setup(cfg: ExperimentConfig, sweep_value: float) -> dict:
-    p = {name: cfg.param(name) for name in DEFAULT_PARAMS}
-    p[cfg.sweep_param] = sweep_value
-    p["a0"] = 10.0 ** (p["a0_db"] / 10.0)
-    p["rho_t"] = 10.0 ** (p["snr_db"] / 10.0) * p["noise_var"] / p["a0"]
-    return p
-
-
-def _draw_phi(rng, cfg, p):
-    if p["pathloss"] == "drawn":
-        return draw_ue_pathloss(rng, cfg.k, CellGeometry())
-    return np.ones(cfg.k)
-
-
-def _hardware_streams(seed: int, n_hardware: int) -> list[np.random.Generator]:
-    """One SFC64 generator per hardware draw, child h of ``seed``'s sequence."""
-    return [np.random.Generator(np.random.SFC64(child))
-            for child in np.random.SeedSequence(seed).spawn(n_hardware)]
 
 
 def _mean_rate(breakdowns) -> float:
     return float(np.mean([rate_from_sindr(b.sindr) for b in breakdowns]))
 
 
-def _analysis_point(cfg: ExperimentConfig, sweep_value) -> list[dict]:
-    """rate_vs_snr / rate_vs_ibo / loss_vs_mismatch point."""
-    p = _point_setup(cfg, sweep_value)
-    mismatch = HardwareMismatch.uniform(p["delta2"], p["theta"])
-    a_sat = a_sat_for_ibo(p["ibo_db"], p["rho_t"], cfg.m)
-    want_mc = cfg.scenario != "loss_vs_mismatch"
-
-    closed, mc, ideal, lrm = [], [], [], []
-    for rng in _hardware_streams(cfg.seed, cfg.n_hardware):
-        phi = _draw_phi(rng, cfg, p)
-        hw = draw_system_hardware(rng, cfg.m, cfg.k, mismatch, a_sat, a0=p["a0"])
-        tr_phi_inv2 = float(np.sum(1.0 / phi**2))
-        closed.append(_mean_rate(sindr_zf_closed_all(hw, phi, p["rho_t"], p["a0"], p["noise_var"])))
-        ideal.append(math.log2(1.0 + (cfg.m - cfg.k) / tr_phi_inv2 * p["rho_t"] * p["a0"] / p["noise_var"]))
-        lrm.append(float(np.mean([
-            rate_from_sindr(sinr_linear_mismatch(
-                cfg.m, cfg.k, p["rho_t"], p["a0"], phi[i], tr_phi_inv2,
-                p["delta2"], p["delta2"], p["delta2"], p["theta"], p["theta"],
-                p["noise_var"]))
-            for i in range(cfg.k)
-        ])))
-        if want_mc:
-            mc.append(_mean_rate(estimate_sindr_mc(
-                hw, phi, p["rho_t"], p["a0"], p["noise_var"], cfg.n_channels,
-                cfg.n_symbols, cfg.mode, rng)))
-
-    rows = [_row(cfg, sweep_value, "closed_form", closed),
-            _row(cfg, sweep_value, "ideal", ideal),
-            _row(cfg, sweep_value, "lrm_closed", lrm)]
-    if want_mc:
-        rows.insert(1, _row(cfg, sweep_value, "mc", mc))
-    return rows
-
-
-def _calibration_point(cfg: ExperimentConfig, sweep_value) -> list[dict]:
-    p = _point_setup(cfg, sweep_value)
-    order = p["order"]
-    # identifiability floor for the polynomial fit
-    n_levels = max(p["n_levels"], order + 2)
-    mismatch = HardwareMismatch.uniform(p["delta2"], p["theta"])
-    a_sat = a_sat_for_ibo(p["ibo_db"], p["rho_t"], cfg.m)
-
-    rates = {name: [] for name in CALIBRATION_METHODS}
-    for rng in _hardware_streams(cfg.seed, cfg.n_hardware):
-        phi = _draw_phi(rng, cfg, p)
-        hw = draw_system_hardware(rng, cfg.m, cfg.k, mismatch, a_sat, a0=p["a0"])
+def _draw_rates(cfg: ExperimentConfig, index: int, h: int) -> dict:
+    """Mean rate of each method, in row order, for hardware draw ``h`` of
+    sweep point ``index``.  The draw reads one SFC64 stream, child h of the
+    config seed, so every sweep point sees the same hardware and channels
+    whatever the worker layout: the rows of a sweep are common-random-number
+    comparisons."""
+    p = {name: cfg.param(name) for name in DEFAULT_PARAMS}
+    p[cfg.sweep_param] = cfg.sweep_values[index]
+    a0 = 10.0 ** (p["a0_db"] / 10.0)
+    rho_t = 10.0 ** (p["snr_db"] / 10.0) * p["noise_var"] / a0
+    rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence(cfg.seed, spawn_key=(h,))))
+    phi = (draw_ue_pathloss(rng, cfg.k, CellGeometry()) if p["pathloss"] == "drawn"
+           else np.ones(cfg.k))
+    hw = draw_system_hardware(rng, cfg.m, cfg.k,
+                              HardwareMismatch.uniform(p["delta2"], p["theta"]),
+                              a_sat_for_ibo(p["ibo_db"], rho_t, cfg.m), a0=a0)
+    mc_args = (hw, phi, rho_t, a0, p["noise_var"], cfg.n_channels, cfg.n_symbols, cfg.mode, rng)
+    if cfg.scenario.startswith("cal_"):
+        order = p["order"]
         omega = draw_inter_antenna_channel(rng, cfg.m)
-        plan = PilotPlan.for_hardware(hw, n_levels, p["n_symbols_train"])
-        # one training set per hardware draw, shared by linear_rc and poly_nrc,
-        # and freed before the Monte Carlo
+        # n_levels is held to the identifiability floor of the polynomial fit
+        plan = PilotPlan.for_hardware(hw, max(p["n_levels"], order + 2), p["n_symbols_train"])
+        # one training set, shared by linear_rc and poly_nrc and freed before
+        # the Monte Carlo, which scores every method on the same channel draws
         stack = calibration_stack(
             hw, plan, simulate_ota_training(hw, plan, omega, p["train_noise_var"], cfg.mode, rng),
-            order, p["rho_t"])
-        # every method is scored on the same channel draws
-        scored = estimate_sindr_mc(hw, phi, p["rho_t"], p["a0"], p["noise_var"],
-                                   cfg.n_channels, cfg.n_symbols, cfg.mode, rng, c=stack)
-        for name, breakdowns in zip(CALIBRATION_METHODS, scored):
-            rates[name].append(_mean_rate(breakdowns))
+            order, rho_t)
+        scored = estimate_sindr_mc(*mc_args, c=stack)
+        return {name: _mean_rate(b) for name, b in zip(CALIBRATION_METHODS, scored)}
 
-    return [_row(cfg, sweep_value, name, vals) for name, vals in rates.items()]
+    rates = {"closed_form": _mean_rate(sindr_zf_closed_all(hw, phi, rho_t, a0, p["noise_var"]))}
+    if cfg.scenario != "loss_vs_mismatch":
+        rates["mc"] = _mean_rate(estimate_sindr_mc(*mc_args))
+    tr_phi_inv2 = float(np.sum(1.0 / phi**2))
+    rates["ideal"] = math.log2(1.0 + (cfg.m - cfg.k) / tr_phi_inv2 * rho_t * a0 / p["noise_var"])
+    rates["lrm_closed"] = float(np.mean([
+        rate_from_sindr(sinr_linear_mismatch(
+            cfg.m, cfg.k, rho_t, a0, phi[i], tr_phi_inv2, p["delta2"], p["delta2"],
+            p["delta2"], p["theta"], p["theta"], p["noise_var"]))
+        for i in range(cfg.k)
+    ]))
+    return rates
 
 
 def _row(cfg: ExperimentConfig, sweep_value, method: str, samples) -> dict:
@@ -332,37 +301,51 @@ def _row(cfg: ExperimentConfig, sweep_value, method: str, samples) -> dict:
     }
 
 
-def _run_point(cfg: ExperimentConfig, index: int) -> list[dict]:
-    sweep_value = cfg.sweep_values[index]
-    # every point draws from the same per-hardware streams, whatever the
-    # worker layout: the rows of a sweep are common-random-number comparisons
-    if cfg.scenario in ("rate_vs_snr", "rate_vs_ibo", "loss_vs_mismatch"):
-        return _analysis_point(cfg, sweep_value)
-    return _calibration_point(cfg, sweep_value)
+# the thread counts of the BLAS libraries numpy may load; a pool worker
+# starts with one thread, so that the pool owns the cores
+_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def run_scenario(cfg: ExperimentConfig) -> list[dict]:
-    """Rows of every sweep point in sweep order; a point gets the config itself."""
+    """Rows of every sweep point in sweep order.  The unit of work is one
+    (sweep point, hardware draw) pair, scored by ``_draw_rates`` in
+    point-major order; a worker gets the config itself."""
     n = len(cfg.sweep_values)
     workers = os.environ.get("MIMO_RECAL_THREADS", "").strip()
     if workers and not (workers.isdecimal() and int(workers) >= 1):
         raise ConfigError(f"MIMO_RECAL_THREADS: need an integer >= 1, got {workers!r}")
-    max_workers = int(workers) if workers else min(n, os.cpu_count() or 1)
+    points = [i for i in range(n) for _ in range(cfg.n_hardware)]
+    draws = list(range(cfg.n_hardware)) * n
+    # a worker beyond the number of pairs would only start up and idle
+    max_workers = min(int(workers) if workers else (os.cpu_count() or 1), len(points))
     out: list[dict] = []
 
-    def collect(points):  # map and pool.map both keep the sweep order
-        for i, rows in enumerate(points, 1):
-            out.extend(rows)
-            print(f"done point {i}/{n}", file=sys.stderr)
+    def collect(rates):  # map and pool.map both keep the pair order
+        for i, value in enumerate(cfg.sweep_values):
+            samples = list(islice(rates, cfg.n_hardware))
+            out.extend(_row(cfg, value, method, [s[method] for s in samples])
+                       for method in samples[0])
+            print(f"done point {i + 1}/{n}", file=sys.stderr)
 
-    if max_workers <= 1 or n == 1:
-        collect(map(_run_point, [cfg] * n, range(n)))
-    else:
-        # imported here, so that a single-worker run does not load the pool module
-        from concurrent.futures import ProcessPoolExecutor
+    if max_workers == 1:
+        collect(map(_draw_rates, repeat(cfg), points, draws))
+        return out
+    # imported here, so that a single-worker run does not load the pool modules
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=max_workers) as pool:
-            collect(pool.map(_run_point, [cfg] * n, range(n)))
+    # spawned workers read the BLAS settings at start-up; the caller's own
+    # settings come back when the pool has shut down
+    saved = {name: os.environ.get(name) for name in _BLAS_THREADS}
+    os.environ.update(dict.fromkeys(_BLAS_THREADS, "1"))
+    try:
+        with ProcessPoolExecutor(max_workers=max_workers,
+                                 mp_context=multiprocessing.get_context("spawn")) as pool:
+            collect(pool.map(_draw_rates, repeat(cfg), points, draws))
+    finally:
+        for name in _BLAS_THREADS:
+            del os.environ[name]
+        os.environ.update({name: value for name, value in saved.items() if value is not None})
     return out
 
 
@@ -411,7 +394,7 @@ def selftest() -> int:
           abs(math.exp(-1.0) * e1_scaled(1.0) - 0.21938393439552026) < 1e-10)
     check("mu(1) matches soft-limiter value", abs(bussgang_mu(1.0) - 0.6210639219293438) < 1e-9)
 
-    rng = _hardware_streams(0, 1)[0]
+    rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence(0, spawn_key=(0,))))
     mis = HardwareMismatch.uniform(0.05, math.pi / 6)
     hw = draw_system_hardware(rng, 16, 4, mis, a_sat_for_ibo(10.0, 1.0, 16))
     h_ul = uplink_channel(draw_channels(rng, np.ones(4), np.empty((4, 16), complex)), hw)
@@ -419,7 +402,7 @@ def selftest() -> int:
     check("ZF inversion residual < 1e-10", resid < 1e-10)
 
     ideal = draw_system_hardware(rng, 64, 8, HardwareMismatch.none(), 1e9,
-                                 ue_pilot_amp=1e-9)
+                                 ue_pilot_amp=1e-9, a0=1.0)
     check("identity-hardware beta equals K/(M-K)",
           abs(beta_zf_closed(ideal, np.ones(8)) - 8 / 56) < 1e-12)
 

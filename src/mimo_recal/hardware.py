@@ -204,6 +204,8 @@ def bussgang_decompose(hpa: HpaModel | SystemHardware, sigma_x) -> BussgangPair:
 def a_sat_for_ibo(ibo: float, rho_t: float, m: int) -> float:
     """Common saturation level so that the mean per-antenna rms sqrt(rho_t/m)
     sits ``ibo`` dB below saturation."""
-    if rho_t <= 0 or m <= 0:
-        raise ValueError("need rho_t > 0 and m > 0")
+    # a NaN fails the comparison
+    if not (-math.inf < ibo < math.inf and 0 < rho_t < math.inf and m > 0):
+        raise ValueError(f"need a finite ibo, a finite rho_t > 0 and m > 0, got "
+                         f"ibo={ibo}, rho_t={rho_t}, m={m}")
     return math.sqrt(rho_t / m) * 10.0 ** (ibo / 10.0)

@@ -177,6 +177,12 @@ class TestRate:
         assert mr.rate_from_sindr(700.0) == pytest.approx(math.log2(701.0), rel=1e-12)
         assert mr.rate_from_sindr(700.0) == pytest.approx(9.453, abs=5e-4)
 
+    @pytest.mark.parametrize("sindr", [-1.0, math.nan])
+    def test_negative_or_nan_rejected(self, sindr):
+        # a NaN SINDR gave a NaN rate
+        with pytest.raises(ValueError, match="sindr must be non-negative"):
+            mr.rate_from_sindr(sindr)
+
 
 class TestRateDecomposition:
     def test_ideal_hardware(self):
@@ -555,6 +561,30 @@ class TestBadTransmitPower:
         hw = _draw(16, 4, 10.0, 1.0, default_mismatch, 4)
         with pytest.raises(ValueError, match="rho_t"):
             mr.avg_rate_decomposition(hw, np.ones(4), rho_t, A0, NOISE)
+
+
+class TestA0MustBeTheHardwares:
+    """The a0 argument and ``hw.a0`` are one quantity: physical mode took
+    NLD from ``hw.a0`` and ES, SI and MUI from the argument, and the closed
+    forms never read ``hw.a0``, so a mismatch gave wrong terms silently."""
+
+    @pytest.mark.parametrize("a0", [1.0, math.nan])
+    def test_closed_forms(self, default_mismatch, a0):
+        hw = _draw(16, 4, 10.0, 1.0, default_mismatch, 4)
+        assert hw.a0 == A0
+        for fn in (mr.sindr_zf_closed_all, mr.avg_rate_decomposition):
+            with pytest.raises(ValueError, match="a0 must equal the hardware's a0"):
+                fn(hw, np.ones(4), 1.0, a0, NOISE)
+
+    @pytest.mark.parametrize("mode", ["surrogate", "physical"])
+    def test_monte_carlo(self, default_mismatch, mode):
+        hw = _draw(32, 4, 3.0, 1.0, default_mismatch, 4)
+        with pytest.raises(ValueError, match="a0 must equal the hardware's a0"):
+            mr.estimate_sindr_mc(hw, np.ones(4), 1.0, 1.0, NOISE, 4, 8, mode,
+                                 np.random.default_rng(0))
+        # the hardware's own a0 passes, by position as well
+        assert len(mr.estimate_sindr_mc(hw, np.ones(4), 1.0, hw.a0, NOISE, 4, 8, mode,
+                                        np.random.default_rng(0))) == 4
 
 
 @pytest.mark.parametrize("phi", [[1.0, -1.0], [1.0, 0.0], [1.0, math.nan]])

@@ -54,6 +54,22 @@ class TestConfig:
         with pytest.raises(cli.ConfigError, match="m/k"):
             cli.load_config(str(path))
 
+    @pytest.mark.parametrize("scenario", [s for s in cli.SCENARIOS if s != "loss_vs_mismatch"])
+    def test_monte_carlo_needs_m_above_k_plus_one(self, tmp_path, scenario):
+        # M = K + 1 passed the check and then failed inside the run, on the
+        # Monte Carlo's closed-form beta
+        path, _ = _write_config(tmp_path, scenario=scenario, m=3, k=2)
+        with pytest.raises(cli.ConfigError, match=r"^m/k: .*m > k \+ 1, got 3/2"):
+            cli.load_config(str(path))
+        assert cli.load_config(str(path), ["m=4"]).m == 4
+
+    def test_closed_form_scenario_runs_at_m_k_plus_one(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("MIMO_RECAL_THREADS", "1")
+        path, _ = _write_config(tmp_path, scenario="loss_vs_mismatch", m=3, k=2,
+                                sweep={"param": "delta2", "values": [0.05]})
+        table = cli.run_scenario(cli.load_config(str(path)))
+        assert [r["method"] for r in table] == ["closed_form", "ideal", "lrm_closed"]
+
     @pytest.mark.parametrize("mc, field", [
         ({"n_hardware": 0, "n_channels": 100, "n_symbols": 16}, "mc.n_hardware"),
         ({"n_hardware": 3, "n_channels": 0, "n_symbols": 16}, "mc.n_channels"),
@@ -320,6 +336,7 @@ class TestScenarios:
         monkeypatch.setattr(cli, "simulate_ota_training", spy_simulate)
         monkeypatch.setattr(calibration, "linear_calibration", spy_linear)
         monkeypatch.setattr(calibration, "calibrate", spy_calibrate)
+        monkeypatch.setenv("MIMO_RECAL_THREADS", "1")
         n_hardware = 3
         path, _ = _write_config(
             tmp_path, scenario="cal_rate_vs_snr",
@@ -367,6 +384,7 @@ class TestScenarios:
         monkeypatch.setattr(calibration, "slp_solve", spy_slp)
         monkeypatch.setattr(calibration, "linear_calibration", spy_linear)
         monkeypatch.setattr(calibration, "calibrate", spy_calibrate)
+        monkeypatch.setenv("MIMO_RECAL_THREADS", "1")
         n_hardware, m = 3, 8
         path, _ = _write_config(
             tmp_path, scenario="cal_rate_vs_snr",
@@ -524,6 +542,8 @@ class TestEntryPoint:
         assert cli.selftest() == 0
 
     def test_module_run_matches_in_process(self, tmp_path, monkeypatch):
+        # the module run shares its pairs out to two spawned workers, which
+        # import the module's guarded main
         monkeypatch.setenv("MIMO_RECAL_THREADS", "1")
         path, _ = _write_config(tmp_path)
         args = ["run", "--config", str(path), "--set", "mc.n_channels=20",
@@ -532,7 +552,8 @@ class TestEntryPoint:
         assert cli.main([*args, "--set", f"output_path={here}"]) == 0
         proc = subprocess.run([sys.executable, "-m", "mimo_recal.cli", *args,
                                "--set", f"output_path={there}"],
-                              capture_output=True, text=True, env=package_env())
+                              capture_output=True, text=True,
+                              env={**package_env(), "MIMO_RECAL_THREADS": "2"})
         assert proc.returncode == 0, proc.stderr
         assert there.read_bytes() == here.read_bytes()
         assert len(here.read_text().splitlines()) == 1 + 2 * 4
@@ -560,6 +581,56 @@ def test_process_pool_matches_serial(tmp_path, monkeypatch):
         monkeypatch.setenv("MIMO_RECAL_THREADS", threads)
         cli.emit_csv(cli.run_scenario(cfg), str(tmp_path / f"{threads}.csv"))
     assert (tmp_path / "1.csv").read_bytes() == (tmp_path / "2.csv").read_bytes()
+
+
+@pytest.mark.parametrize("scenario, mode", [
+    ("rate_vs_snr", "surrogate"),
+    ("rate_vs_snr", "physical"),
+    ("cal_rate_vs_snr", "surrogate"),
+])
+def test_pool_over_draws_matches_serial(tmp_path, monkeypatch, scenario, mode):
+    # the pool's unit is one (sweep point, hardware draw) pair, so a
+    # one-point run is shared out too, with the bytes of a serial run
+    path, _ = _write_config(
+        tmp_path, scenario=scenario, mode=mode, m=8, k=2,
+        sweep={"param": "snr_db", "values": [15.0]},
+        mc={"n_hardware": 4, "n_channels": 10, "n_symbols": 16},
+        params={"ibo_db": 10.0, "order": 3, "n_levels": 5, "pathloss": "drawn"})
+    cfg = cli.load_config(str(path))
+    for threads in ("1", "2"):
+        monkeypatch.setenv("MIMO_RECAL_THREADS", threads)
+        cli.emit_csv(cli.run_scenario(cfg), str(tmp_path / f"{threads}.csv"))
+    assert (tmp_path / "1.csv").read_bytes() == (tmp_path / "2.csv").read_bytes()
+
+
+@pytest.mark.parametrize("preset", [{}, {"OPENBLAS_NUM_THREADS": "3", "OMP_NUM_THREADS": "2",
+                                        "MKL_NUM_THREADS": "4"}])
+def test_pool_workers_get_one_blas_thread(tmp_path, monkeypatch, preset):
+    # a worker that kept the BLAS library's own threads oversubscribed the
+    # cores; the caller's settings come back after the pool, set or unset,
+    # and the pool has no more workers than pairs
+    import concurrent.futures
+
+    seen = []
+    executor = concurrent.futures.ProcessPoolExecutor
+
+    def spy_executor(*args, **kwargs):
+        seen.append(({name: os.environ.get(name) for name in cli._BLAS_THREADS},
+                     kwargs["max_workers"], kwargs["mp_context"].get_start_method()))
+        return executor(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", spy_executor)
+    for name in cli._BLAS_THREADS:
+        monkeypatch.delenv(name, raising=False)
+    for name, value in preset.items():
+        monkeypatch.setenv(name, value)
+    monkeypatch.setenv("MIMO_RECAL_THREADS", "4")
+    path, _ = _write_config(tmp_path, sweep={"param": "snr_db", "values": [10.0]},
+                            mc={"n_hardware": 2, "n_channels": 10, "n_symbols": 16})
+    assert len(cli.run_scenario(cli.load_config(str(path)))) == 4
+    assert seen == [(dict.fromkeys(cli._BLAS_THREADS, "1"), 2, "spawn")]
+    assert {name: os.environ.get(name) for name in cli._BLAS_THREADS} == {
+        name: preset.get(name) for name in cli._BLAS_THREADS}
 
 
 @pytest.mark.parametrize("value", ["0", "-1", "two", "1.5"])

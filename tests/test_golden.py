@@ -35,12 +35,19 @@ def test_every_scenario_and_mode_is_pinned():
     assert noise == {False, True}
 
 
+def _run(config: Path, out: Path) -> Path:
+    cfg = cli.load_config(str(config), [f"output_path={out}"])
+    cli.emit_csv(cli.run_scenario(cfg), cfg.output_path)
+    return out
+
+
 @pytest.mark.parametrize("config", CONFIGS, ids=lambda p: p.stem)
 def test_csv_matches_golden(config, tmp_path, monkeypatch):
     monkeypatch.setenv("MIMO_RECAL_THREADS", "1")
-    out = tmp_path / "out.csv"
-    cfg = cli.load_config(str(config), [f"output_path={out}"])
-    cli.emit_csv(cli.run_scenario(cfg), cfg.output_path)
+    _assert_golden(config, _run(config, tmp_path / "out.csv"))
+
+
+def _assert_golden(config: Path, out: Path) -> None:
     want = _rows(config.with_suffix(".csv"))
     got = _rows(out)
     assert list(got[0]) == list(want[0]) == list(cli.CSV_COLUMNS)
@@ -52,3 +59,15 @@ def test_csv_matches_golden(config, tmp_path, monkeypatch):
             a, b = float(g[col]), float(w[col])
             assert abs(a - b) <= 1e-7 * max(abs(a), abs(b)), (
                 f"row {i} ({w['method']} at {w['sweep_value']}): {col} {a!r} != {b!r}")
+
+
+def test_pool_matches_serial_golden_run(tmp_path, monkeypatch):
+    # two workers share out the (sweep point, hardware draw) pairs and write
+    # the bytes of the one-worker run
+    config = GOLDEN / "cal_rate_vs_snr.json"
+    out = {}
+    for threads in ("1", "2"):
+        monkeypatch.setenv("MIMO_RECAL_THREADS", threads)
+        out[threads] = _run(config, tmp_path / f"{threads}.csv")
+    assert out["2"].read_bytes() == out["1"].read_bytes()
+    _assert_golden(config, out["2"])

@@ -255,6 +255,13 @@ class TestIbo:
         a = mr.a_sat_for_ibo(10.0, 4.0, 16)
         assert 10.0 * math.log10(a / math.sqrt(4.0 / 16)) == pytest.approx(10.0)
 
+    @pytest.mark.parametrize("ibo, rho_t", [(math.nan, 1.0), (math.inf, 1.0), (-math.inf, 1.0),
+                                            (10.0, math.nan), (10.0, math.inf), (10.0, 0.0)])
+    def test_non_finite_rejected(self, ibo, rho_t):
+        # a NaN ibo or rho_t gave a NaN level, and an infinite ibo an infinite one
+        with pytest.raises(ValueError, match="finite ibo"):
+            mr.a_sat_for_ibo(ibo, rho_t, 16)
+
 
 def test_sigma_x_profile(default_mismatch):
     # per-antenna rms |r_m| sqrt(rho/tr RR*) sums to the power budget
