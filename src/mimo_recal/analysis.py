@@ -91,21 +91,33 @@ def rate_from_sindr(sindr: float) -> float:
     return math.log2(1.0 + sindr)
 
 
+def _zf_profile(m: int, phi):
+    """phi, K and tr Phi^-2 of a closed form with the ZF factor M - K;
+    raises ValueError unless phi is K >= 1 finite positive entries and M > K."""
+    phi = _check_phi(phi)
+    k = len(phi)
+    if m <= k:
+        raise ValueError(f"zero forcing needs M > K, got M = {m}, K = {k}")
+    return phi, k, float(np.sum(1.0 / phi**2))
+
+
 def sinr_linear_mismatch(
     m: int,
-    k: int,
     rho_t: float,
     a0: float,
-    phi_k: float,
-    tr_phi_inv2: float,
+    phi,
     delta_t2: float,
     delta_r2: float,
     delta_v2: float,
     theta_t: float,
     theta_r: float,
     noise_var: float,
-) -> float:
-    """Downlink ZF SINR under a constant (linear) reciprocity mismatch."""
+) -> np.ndarray:
+    """Downlink ZF SINR of every UE, (K,), under a constant (linear)
+    reciprocity mismatch; at zero mismatch (every delta^2 and theta 0) it is
+    the ideal a0 rho_t (M - K) / (tr Phi^-2 noise_var).  Raises ValueError
+    unless ``phi`` is K >= 1 finite positive entries and M > K."""
+    phi, k, tr_phi_inv2 = _zf_profile(m, phi)
     s_t = float(sinc(theta_t))
     s_r = float(sinc(theta_r))
     eps1 = (
@@ -115,7 +127,7 @@ def sinr_linear_mismatch(
     )
     num = a0 * rho_t * (m - k) / tr_phi_inv2 * s_t**2 * s_r**2
     den = math.exp(delta_r2 + delta_v2 - delta_t2) * (
-        a0 * rho_t * phi_k**2 * (m - k) / m * eps1 + noise_var
+        a0 * rho_t * phi**2 * (m - k) / m * eps1 + noise_var
     )
     return num / den
 
@@ -201,20 +213,21 @@ def avg_rate_decomposition(hw: SystemHardware, phi, rho_t: float, a0: float,
 
 def sindr_large_ibo(
     m: int,
-    k: int,
     rho_t: float,
     a0: float,
     a_sat: float,
-    phi_k: float,
-    tr_phi_inv2: float,
+    phi,
     delta_a2: float,
     delta_t2: float,
     delta_r2: float,
     theta_t: float,
     theta_r: float,
     noise_var: float,
-) -> float:
-    """Large-IBO SINDR approximation (perfect UE hardware assumed)."""
+) -> np.ndarray:
+    """Large-IBO SINDR approximation of every UE, (K,), with perfect UE
+    hardware.  Raises ValueError unless ``phi`` is K >= 1 finite positive
+    entries and M > K."""
+    phi, k, tr_phi_inv2 = _zf_profile(m, phi)
     expansion = rho_t * math.exp(delta_a2) / (m * a_sat**2)
     if expansion >= 0.5:
         warnings.warn(
@@ -228,7 +241,7 @@ def sindr_large_ibo(
     eps4 = s2 * math.exp(delta_t2 - delta_r2)
     backoff = 1.0 - 2.0 * expansion
     num = a0 * eps4 * (m - k) / tr_phi_inv2 * backoff * rho_t
-    den = (m - k) / m * a0 * phi_k**2 * eps3 * backoff * rho_t + noise_var
+    den = (m - k) / m * a0 * phi**2 * eps3 * backoff * rho_t + noise_var
     return num / den
 
 

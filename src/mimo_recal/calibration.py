@@ -176,9 +176,9 @@ def training_overhead(m: int, plan: PilotPlan) -> int:
     return m * plan.n_levels * plan.n_symbols
 
 
-def draw_inter_antenna_channel(rng: np.random.Generator, m: int, sigma2: float = 1.0) -> np.ndarray:
-    """Symmetric zero-diagonal CN(0, sigma2) inter-antenna channel matrix."""
-    w = math.sqrt(sigma2 / 2.0) * (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
+def draw_inter_antenna_channel(rng: np.random.Generator, m: int) -> np.ndarray:
+    """Symmetric zero-diagonal CN(0, 1) inter-antenna channel matrix."""
+    w = math.sqrt(0.5) * (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
     omega = np.triu(w, 1)
     return omega + omega.T
 
@@ -201,7 +201,10 @@ def simulate_ota_training(
     injects sampled distortion: a constant-modulus pilot drives the
     (memoryless) amplifier at a single deterministic operating point, so the
     Gaussian-input distortion term has no physical counterpart here and would
-    only act as errors-in-variables noise in the ratio equations.
+    only act as errors-in-variables noise in the ratio equations.  The
+    received pilots carry the factor a0 (y = a0 r_rx omega t mu x), not the
+    amplitude gain sqrt(a0) of the amplifier model, so at a fixed
+    ``noise_var`` the training SNR grows with a0.
 
     Random draws: one (M, N, Q) draw of the pilot phases, whatever
     ``noise_var`` is; then, with noise, one (M-1, N, 2, Q) block per

@@ -48,13 +48,15 @@ def draw_ue_pathloss(rng: np.random.Generator, k: int, geom: CellGeometry) -> np
     return geom.zeta * d ** (-geom.xi)
 
 
-def _check_phi(phi, k: int) -> np.ndarray:
+def _check_phi(phi, k: int | None = None) -> np.ndarray:
     """``phi`` as a float64 array; raises ValueError unless it holds K
-    finite positive path-loss amplitudes."""
+    finite positive path-loss amplitudes, K = ``k``, or any K >= 1 for None."""
     phi = np.asarray(phi, dtype=np.float64)
+    shape_ok = phi.shape == (k,) if k is not None else phi.ndim == 1 and phi.size >= 1
     # a NaN fails the comparison
-    if phi.shape != (k,) or not np.all((phi > 0) & (phi < math.inf)):
-        raise ValueError(f"phi must hold K = {k} finite positive entries, got {phi}")
+    if not shape_ok or not np.all((phi > 0) & (phi < math.inf)):
+        want = "K >= 1" if k is None else f"K = {k}"
+        raise ValueError(f"phi must hold {want} finite positive entries, got {phi}")
     return phi
 
 

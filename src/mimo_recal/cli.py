@@ -239,8 +239,8 @@ def load_config(path: str, sets=()) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 
-def _mean_rate(breakdowns) -> float:
-    return float(np.mean([rate_from_sindr(b.sindr) for b in breakdowns]))
+def _mean_rate(sindr) -> float:
+    return float(np.mean([rate_from_sindr(s) for s in sindr]))
 
 
 def _draw_rates(cfg: ExperimentConfig, index: int, h: int) -> dict:
@@ -271,19 +271,17 @@ def _draw_rates(cfg: ExperimentConfig, index: int, h: int) -> dict:
             hw, plan, simulate_ota_training(hw, plan, omega, p["train_noise_var"], cfg.mode, rng),
             order, rho_t)
         scored = estimate_sindr_mc(*mc_args, c=stack)
-        return {name: _mean_rate(b) for name, b in zip(CALIBRATION_METHODS, scored)}
+        return {name: _mean_rate(b.sindr for b in row)
+                for name, row in zip(CALIBRATION_METHODS, scored)}
 
-    rates = {"closed_form": _mean_rate(sindr_zf_closed_all(hw, phi, rho_t, a0, p["noise_var"]))}
+    closed = sindr_zf_closed_all(hw, phi, rho_t, a0, p["noise_var"])
+    rates = {"closed_form": _mean_rate(b.sindr for b in closed)}
     if cfg.scenario != "loss_vs_mismatch":
-        rates["mc"] = _mean_rate(estimate_sindr_mc(*mc_args))
-    tr_phi_inv2 = float(np.sum(1.0 / phi**2))
-    rates["ideal"] = math.log2(1.0 + (cfg.m - cfg.k) / tr_phi_inv2 * rho_t * a0 / p["noise_var"])
-    rates["lrm_closed"] = float(np.mean([
-        rate_from_sindr(sinr_linear_mismatch(
-            cfg.m, cfg.k, rho_t, a0, phi[i], tr_phi_inv2, p["delta2"], p["delta2"],
-            p["delta2"], p["theta"], p["theta"], p["noise_var"]))
-        for i in range(cfg.k)
-    ]))
+        rates["mc"] = _mean_rate(b.sindr for b in estimate_sindr_mc(*mc_args))
+    # ideal is the linear-mismatch SINR at zero mismatch
+    for name, d2, theta in (("ideal", 0.0, 0.0), ("lrm_closed", p["delta2"], p["theta"])):
+        rates[name] = _mean_rate(sinr_linear_mismatch(cfg.m, rho_t, a0, phi, d2, d2, d2,
+                                                      theta, theta, p["noise_var"]))
     return rates
 
 

@@ -476,6 +476,14 @@ def ref_physical_terms(hw, phi, rho_t, a0, n_channels, n_symbols, c_rows, rng, b
     return np.stack([es, si, mui, np.mean(resid, axis=0)], axis=-1)
 
 
+@pytest.fixture(autouse=True)
+def serial_runs(monkeypatch):
+    """One worker for every in-process run that does not set
+    MIMO_RECAL_THREADS itself: a pool of spawned workers costs about 0.1 s
+    to start, and only the pool tests check it."""
+    monkeypatch.setenv("MIMO_RECAL_THREADS", "1")
+
+
 @pytest.fixture(scope="session")
 def default_mismatch():
     return mr.HardwareMismatch.uniform(0.05, np.pi / 6)

@@ -45,16 +45,17 @@ def _draw(m, k, ibo, rho, mismatch, seed):
 
 class TestLinearMismatchSinr:
     def test_mismatch_free(self):
-        val = mr.sinr_linear_mismatch(64, 8, 1.0, A0, 1.0, 8.0, 0, 0, 0, 0, 0, NOISE)
+        val = mr.sinr_linear_mismatch(64, 1.0, A0, np.ones(8), 0, 0, 0, 0, 0, NOISE)
+        assert val.shape == (8,)
         assert val == pytest.approx(A0 * 1.0 * 56 / (8.0 * NOISE), rel=1e-12)
 
     def test_interference_limited_ceiling(self):
-        lo = mr.sinr_linear_mismatch(256, 20, 1e6, A0, 1.0, 20.0, 0.05, 0.05, 0.05,
+        lo = mr.sinr_linear_mismatch(256, 1e6, A0, np.ones(20), 0.05, 0.05, 0.05,
                                      math.pi / 6, math.pi / 6, NOISE)
-        hi = mr.sinr_linear_mismatch(256, 20, 1e9, A0, 1.0, 20.0, 0.05, 0.05, 0.05,
+        hi = mr.sinr_linear_mismatch(256, 1e9, A0, np.ones(20), 0.05, 0.05, 0.05,
                                      math.pi / 6, math.pi / 6, NOISE)
         assert hi == pytest.approx(lo, rel=1e-3)
-        assert np.isfinite(hi)
+        assert np.all(np.isfinite(hi))
 
     def test_against_linear_mc(self, default_mismatch):
         # The cited closed form differs structurally from this paper's own
@@ -63,8 +64,8 @@ class TestLinearMismatchSinr:
         # The spec's 5% target is not reproducible; 35% brackets the gap
         # between the formula and the model-consistent Monte Carlo.
         m, k, rho = 256, 20, 1.0
-        formula = mr.sinr_linear_mismatch(m, k, rho, A0, 1.0, float(k), 0.05, 0.05,
-                                          0.05, math.pi / 6, math.pi / 6, NOISE)
+        formula = mr.sinr_linear_mismatch(m, rho, A0, np.ones(k), 0.05, 0.05,
+                                          0.05, math.pi / 6, math.pi / 6, NOISE)[0]
         acc = 0.0
         n_hw = 20
         for seed in range(n_hw):
@@ -74,6 +75,46 @@ class TestLinearMismatchSinr:
             acc += np.mean([b.sindr for b in bs])
         mc = acc / n_hw
         assert formula == pytest.approx(mc, rel=0.35)
+
+
+def _linear(m, phi, d2=0.05, theta=0.3):
+    return mr.sinr_linear_mismatch(m, 1.0, A0, phi, d2, d2, d2, theta, theta, NOISE)
+
+
+def _large_ibo(m, phi, d2=0.05, theta=0.3):
+    return mr.sindr_large_ibo(m, 1.0, A0, 1e6, phi, d2, d2, d2, theta, theta, NOISE)
+
+
+@pytest.mark.parametrize("formula", [_linear, _large_ibo])
+class TestClosedFormProfile:
+    """The per-UE closed forms take the path-loss vector phi and derive K
+    and tr Phi^-2 from it."""
+
+    @pytest.mark.parametrize("m, k", [(8, 8), (4, 8)])
+    def test_m_must_exceed_k(self, formula, m, k):
+        # the ZF factor M - K gave 0.0 at M = K and -5.0 at M = 4, K = 8
+        with pytest.raises(ValueError, match=f"M > K, got M = {m}, K = {k}"):
+            formula(m, np.ones(k))
+
+    @pytest.mark.parametrize("phi", [[1.0, np.nan], [1.0, -1.0], [1.0, 0.0], [np.inf, 1.0],
+                                     [], 1.0, [[1.0, 1.0]]])
+    def test_phi_must_be_finite_positive_vector(self, formula, phi):
+        # phi_k = -1 gave a positive SINR and a NaN gave NaN
+        with pytest.raises(ValueError, match="phi must hold K >= 1 finite positive entries"):
+            formula(64, phi)
+
+    def test_per_ue_values(self, formula):
+        phi = np.array([0.5, 1.0, 2.0])
+        # without mismatch every UE gets the ideal a0 rho (M - K) / (tr Phi^-2 sigma^2)
+        ideal = formula(16, phi, d2=0.0, theta=0.0)
+        assert ideal == pytest.approx(A0 * 13 / (5.25 * NOISE), rel=1e-5)
+        # with mismatch 1/SINR is affine in phi_k^2, and UEs keep their order
+        sindr = formula(16, phi)
+        assert sindr.shape == (3,)
+        slopes = (1.0 / sindr[1:] - 1.0 / sindr[0]) / (phi[1:] ** 2 - phi[0] ** 2)
+        assert slopes[0] > 0
+        assert slopes[1] == pytest.approx(slopes[0], rel=1e-9)
+        assert np.array_equal(formula(16, phi[::-1]), sindr[::-1])
 
 
 class TestSindrClosed:
@@ -234,14 +275,15 @@ class TestLargeIbo:
     def test_mismatch_free_value(self):
         # without mismatch eps3 = 0: no interference term, only the back-off
         m, k, rho, a_sat = 64, 8, 1.0, 3.0
-        val = mr.sindr_large_ibo(m, k, rho, A0, a_sat, 1.0, float(k),
+        val = mr.sindr_large_ibo(m, rho, A0, a_sat, np.ones(k),
                                  0.0, 0.0, 0.0, 0.0, 0.0, NOISE)
+        assert val.shape == (k,)
         backoff = 1.0 - 2.0 * rho / (m * a_sat**2)
         expected = A0 * (m - k) / k * backoff * rho / NOISE
         assert val == pytest.approx(expected, rel=1e-12)
 
     def test_double_limit_ideal(self):
-        val = mr.sindr_large_ibo(64, 8, 1.0, A0, 1e6, 1.0, 8.0, 0, 0, 0, 0, 0, NOISE)
+        val = mr.sindr_large_ibo(64, 1.0, A0, 1e6, np.ones(8), 0, 0, 0, 0, 0, NOISE)
         assert val == pytest.approx(A0 * 56 / 8.0, rel=1e-6)
 
     def test_against_closed_form_average(self, default_mismatch):
@@ -258,21 +300,21 @@ class TestLargeIbo:
             hw = mr.draw_system_hardware(rng, m, k, mis, a_sat)
             acc += mr.sindr_zf_closed_all(hw, np.ones(k), rho, A0, NOISE)[0].sindr
         closed = acc / 200
-        libo = mr.sindr_large_ibo(m, k, rho, A0, a_sat, 1.0, float(k),
-                                  0.05, 0.05, 0.05, math.pi / 6, math.pi / 6, NOISE)
+        libo = mr.sindr_large_ibo(m, rho, A0, a_sat, np.ones(k),
+                                  0.05, 0.05, 0.05, math.pi / 6, math.pi / 6, NOISE)[0]
         assert libo == pytest.approx(closed, rel=0.10)
 
     def test_monotone_in_saturation_and_antennas(self):
-        vals_a = [mr.sindr_large_ibo(64, 8, 1.0, A0, a, 1.0, 8.0, 0.05, 0.05, 0.05,
-                                     0.3, 0.3, NOISE) for a in (0.5, 1.0, 2.0, 4.0)]
+        vals_a = [mr.sindr_large_ibo(64, 1.0, A0, a, np.ones(8), 0.05, 0.05, 0.05,
+                                     0.3, 0.3, NOISE)[0] for a in (0.5, 1.0, 2.0, 4.0)]
         assert all(x < y for x, y in zip(vals_a, vals_a[1:]))
-        vals_m = [mr.sindr_large_ibo(m, 8, 1.0, A0, 2.0, 1.0, 8.0, 0.05, 0.05, 0.05,
-                                     0.3, 0.3, NOISE) for m in (32, 64, 128, 256)]
+        vals_m = [mr.sindr_large_ibo(m, 1.0, A0, 2.0, np.ones(8), 0.05, 0.05, 0.05,
+                                     0.3, 0.3, NOISE)[0] for m in (32, 64, 128, 256)]
         assert all(x < y for x, y in zip(vals_m, vals_m[1:]))
 
     def test_out_of_regime_flag(self):
         with pytest.warns(RuntimeWarning):
-            mr.sindr_large_ibo(8, 2, 100.0, A0, 0.5, 1.0, 2.0, 0.05, 0, 0, 0, 0, NOISE)
+            mr.sindr_large_ibo(8, 100.0, A0, 0.5, np.ones(2), 0.05, 0, 0, 0, 0, NOISE)
 
 
 class TestEstimateSindrMc:

@@ -1,6 +1,7 @@
 """Multi-power OTA calibration: basis, training, estimation, SLP, phases."""
 
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 import mimo_recal as mr
 from mimo_recal.calibration import (
     CalibrationError,
+    TrainingSet,
     _phi_all,
     _phi_grid,
     _psi_coeff_table,
@@ -675,3 +677,46 @@ class TestCalibrationStack:
         other, _, _, _ = _setup(6, 2, 47)
         with pytest.raises(ValueError, match="antennas"):
             mr.calibration_stack(other, plan, training, 0, 1.0)
+
+
+def _noiseless_training(hw, omega, plan, rng):
+    return mr.simulate_ota_training(hw, plan, omega, 0.0, "surrogate", rng)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda hw, omega, plan, rng: TrainingSet(x=np.ones((4, 7)), y=np.ones((4, 4, 7))),
+     ValueError, "x must have shape (M, N, Q)"),
+    (lambda hw, omega, plan, rng: TrainingSet(x=np.ones((4, 7, 2)), y=np.ones((4, 4, 7, 3))),
+     ValueError, "y must have shape (4, 4, 7, 2), got (4, 4, 7, 3)"),
+    (lambda hw, omega, plan, rng: mr.simulate_ota_training(hw, plan, omega[:3, :3], 0.0,
+                                                           "surrogate", rng),
+     ValueError, "omega must be M x M"),
+    (lambda hw, omega, plan, rng: mr.simulate_ota_training(hw, plan, omega + np.eye(4), 0.0,
+                                                           "surrogate", rng),
+     ValueError, "omega must have zero diagonal"),
+    (lambda hw, omega, plan, rng: mr.simulate_ota_training(hw, plan, omega, 0.0, "bogus", rng),
+     ValueError, "unknown mode 'bogus'"),
+    (lambda hw, omega, plan, rng: mr.PolyMismatch(tau=np.ones((4, 3), complex), order=3),
+     ValueError, "tau must have order+1 columns"),
+    (lambda hw, omega, plan, rng: mr.PolyMismatch(tau=np.full((4, 4), 2.0 + 0j), order=3),
+     ValueError, "normalisation requires tau[0, 0] == 1"),
+    (lambda hw, omega, plan, rng: mr.PolyMismatch(tau=np.ones((4, 4), complex), order=3,
+                                                  sigma_ref=np.array([1.0, 1.0, 0.0, 1.0])),
+     ValueError, "sigma_ref entries must be positive"),
+    (lambda hw, omega, plan, rng: estimate_poly_coeffs_anchored(
+        _noiseless_training(hw, omega, plan, rng), plan, plan.n_levels - 1),
+     CalibrationError, "need at least order+2 = 8 power levels"),
+    (lambda hw, omega, plan, rng: mr.slp_solve(mr.TrueMismatch(hw), np.ones(4), 1.0,
+                                               np.ones(3)),
+     ValueError, "sigma_x and c_max must have equal length"),
+    (lambda hw, omega, plan, rng: mr.calibrate(_setup(6, 2, 61)[0], plan,
+                                               _noiseless_training(hw, omega, plan, rng), 3,
+                                               1.0),
+     ValueError, "training set has 4 antennas, the hardware 6"),
+], ids=["x-ndim", "y-shape", "omega-shape", "omega-diagonal", "mode", "tau-columns",
+        "tau00", "sigma-ref", "too-few-levels", "slp-lengths", "calibrate-antennas"])
+def test_bad_input_rejected(call, error, message):
+    hw, omega, plan, rng = _setup(4, 2, 60)
+    with pytest.raises(error, match=re.escape(message)) as info:
+        call(hw, omega, plan, rng)
+    assert info.type is error

@@ -37,6 +37,16 @@ class TestPathloss:
         with pytest.raises(ValueError):
             mr.CellGeometry(radius=1.0, min_dist=1.5)
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda: mr.CellGeometry(zeta=0.0), "need zeta > 0 and xi >= 0"),
+        (lambda: mr.CellGeometry(zeta=-0.01), "need zeta > 0 and xi >= 0"),
+        (lambda: mr.draw_ue_pathloss(np.random.default_rng(0), 0, mr.CellGeometry()),
+         "k must be >= 1"),
+    ], ids=["zeta-zero", "zeta-negative", "no-ue"])
+    def test_bad_input_rejected(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call()
+
 
 class TestDrawChannel:
     def test_row_power(self):

@@ -63,8 +63,7 @@ class TestConfig:
             cli.load_config(str(path))
         assert cli.load_config(str(path), ["m=4"]).m == 4
 
-    def test_closed_form_scenario_runs_at_m_k_plus_one(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("MIMO_RECAL_THREADS", "1")
+    def test_closed_form_scenario_runs_at_m_k_plus_one(self, tmp_path):
         path, _ = _write_config(tmp_path, scenario="loss_vs_mismatch", m=3, k=2,
                                 sweep={"param": "delta2", "values": [0.05]})
         table = cli.run_scenario(cli.load_config(str(path)))
@@ -204,6 +203,7 @@ class TestConfig:
         ({"scenario": "cal_rate_vs_order", "sweep": {"param": "order", "values": [3, 21]}},
          [], "sweep.values (order)"),
         ({"sweep": {"param": "noise_var", "values": [1.0, 0.0]}}, [], "sweep.values (noise_var)"),
+        ({"mode": "bogus"}, [], "mode"),
     ])
     def test_bad_entry_names_its_key(self, tmp_path, entries, sets, key):
         # each of these used to run with a silently dropped or truncated
@@ -223,6 +223,21 @@ class TestConfig:
         path, _ = _write_config(tmp_path)
         with pytest.raises(cli.ConfigError, match=f"^{flat}: unknown key"):
             cli.load_config(str(path), [f"{flat}={json.dumps(value)}"])
+
+    @pytest.mark.parametrize("text, message", [
+        ("[1, 2]", "must hold a JSON object"),
+        ('{"m": 16, "k": 2}', "scenario: missing"),
+    ])
+    def test_file_needs_an_object_with_a_scenario(self, tmp_path, text, message):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        with pytest.raises(cli.ConfigError, match=message):
+            cli.load_config(str(path))
+
+    def test_params_must_be_an_object(self):
+        # a file or --set cannot give params a non-object; the constructor checks it too
+        with pytest.raises(cli.ConfigError, match="^params: must be an object, got 5"):
+            cli.ExperimentConfig(scenario="rate_vs_snr", params=5)
 
     def test_sweep_overrides_in_any_order(self, tmp_path):
         # -5 is no train_noise_var: validating after each override rejected
@@ -336,7 +351,6 @@ class TestScenarios:
         monkeypatch.setattr(cli, "simulate_ota_training", spy_simulate)
         monkeypatch.setattr(calibration, "linear_calibration", spy_linear)
         monkeypatch.setattr(calibration, "calibrate", spy_calibrate)
-        monkeypatch.setenv("MIMO_RECAL_THREADS", "1")
         n_hardware = 3
         path, _ = _write_config(
             tmp_path, scenario="cal_rate_vs_snr",
@@ -384,7 +398,6 @@ class TestScenarios:
         monkeypatch.setattr(calibration, "slp_solve", spy_slp)
         monkeypatch.setattr(calibration, "linear_calibration", spy_linear)
         monkeypatch.setattr(calibration, "calibrate", spy_calibrate)
-        monkeypatch.setenv("MIMO_RECAL_THREADS", "1")
         n_hardware, m = 3, 8
         path, _ = _write_config(
             tmp_path, scenario="cal_rate_vs_snr",
@@ -420,7 +433,6 @@ class TestScenarios:
             return estimate(hw, phi, *args, **kwargs)
 
         monkeypatch.setattr(cli, "estimate_sindr_mc", spy_estimate)
-        monkeypatch.setenv("MIMO_RECAL_THREADS", "1")
         seed, n_hardware, m, k, snrs = 7, 3, 8, 2, (0.0, 20.0)
         path, _ = _write_config(
             tmp_path, scenario=scenario, seed=seed, m=m, k=k,
@@ -459,11 +471,9 @@ class TestScenarios:
         ("rate_vs_ibo", "surrogate", "ibo_db", [3.0, 10.0]),
         ("cal_rate_vs_snr", "surrogate", "snr_db", [5.0, 15.0]),
     ])
-    def test_sweep_rows_are_one_point_runs(self, tmp_path, monkeypatch, scenario, mode,
-                                           param, values):
+    def test_sweep_rows_are_one_point_runs(self, tmp_path, scenario, mode, param, values):
         # common random numbers: every row of a sweep is byte-identical to the
         # row of a one-point run at that value
-        monkeypatch.setenv("MIMO_RECAL_THREADS", "1")
         path, _ = _write_config(
             tmp_path, scenario=scenario, mode=mode, m=8, k=2,
             sweep={"param": param, "values": values},
@@ -539,12 +549,19 @@ class TestEntryPoint:
         assert first != second
 
     def test_selftest_passes(self):
-        assert cli.selftest() == 0
+        assert cli.main(["selftest"]) == 0
 
-    def test_module_run_matches_in_process(self, tmp_path, monkeypatch):
+    def test_paper_scale_overrides_m_and_k(self, tmp_path, monkeypatch):
+        # --paper-scale wins over --set; the spy keeps the run off paper scale
+        seen = []
+        monkeypatch.setattr(cli, "run_scenario", lambda cfg: seen.append(cfg) or [])
+        path, _ = _write_config(tmp_path)
+        assert cli.main(["run", "--config", str(path), "--set", "m=16", "--paper-scale"]) == 0
+        assert [(cfg.m, cfg.k) for cfg in seen] == [(256, 20)]
+
+    def test_module_run_matches_in_process(self, tmp_path):
         # the module run shares its pairs out to two spawned workers, which
         # import the module's guarded main
-        monkeypatch.setenv("MIMO_RECAL_THREADS", "1")
         path, _ = _write_config(tmp_path)
         args = ["run", "--config", str(path), "--set", "mc.n_channels=20",
                 "--set", "sweep.values=[0,10]"]
@@ -640,3 +657,32 @@ def test_bad_thread_env_rejected(tmp_path, monkeypatch, value):
     cfg = cli.load_config(str(_write_config(tmp_path)[0]))
     with pytest.raises(cli.ConfigError, match="MIMO_RECAL_THREADS"):
         cli.run_scenario(cfg)
+
+
+def test_default_workers_are_the_cores_capped_at_the_pairs(tmp_path, monkeypatch):
+    # unset MIMO_RECAL_THREADS: min(cores, pairs) spawned workers; the
+    # stand-in pool scores the pairs in this process
+    import concurrent.futures
+
+    seen = []
+
+    class SerialPool:
+        def __init__(self, max_workers, mp_context):
+            seen.append((max_workers, mp_context.get_start_method()))
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    monkeypatch.delenv("MIMO_RECAL_THREADS")
+    path, _ = _write_config(tmp_path, sweep={"param": "snr_db", "values": [10.0]},
+                            mc={"n_hardware": 2, "n_channels": 10, "n_symbols": 16})
+    assert len(cli.run_scenario(cli.load_config(str(path)))) == 4
+    assert seen == [(2, "spawn")]

@@ -42,8 +42,7 @@ def _run(config: Path, out: Path) -> Path:
 
 
 @pytest.mark.parametrize("config", CONFIGS, ids=lambda p: p.stem)
-def test_csv_matches_golden(config, tmp_path, monkeypatch):
-    monkeypatch.setenv("MIMO_RECAL_THREADS", "1")
+def test_csv_matches_golden(config, tmp_path):
     _assert_golden(config, _run(config, tmp_path / "out.csv"))
 
 

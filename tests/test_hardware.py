@@ -48,6 +48,11 @@ class TestSystemHardware:
         with pytest.raises(ValueError, match="a0 > 0, a_sat > 0"):
             mr.SystemHardware(**self._fields(**{name: value}))
 
+    def test_dead_receive_chain_rejected(self):
+        bs_rx = np.array([1.0, 1.0, 0.0, 1.0], complex)
+        with pytest.raises(ValueError, match=r"receive chains must be live \(no zero entries"):
+            mr.SystemHardware(**self._fields(bs_rx=bs_rx))
+
 
 @pytest.mark.parametrize("a0, a_sat", [(math.nan, 1.0), (1.0, math.nan), (0.0, 1.0),
                                         (1.0, -2.0)])

@@ -99,6 +99,11 @@ class TestBetaZf:
         ref = mr.beta_zf_empirical([good, good])
         assert val == pytest.approx(ref)
 
+    @pytest.mark.parametrize("samples", [[], iter(())])
+    def test_no_samples_rejected(self, samples):
+        with pytest.raises(ValueError, match="no usable H_UL samples"):
+            mr.beta_zf_empirical(samples)
+
     def test_near_singular_draws_skipped(self):
         # a proportional column leaves the Gram exactly singular in theory but
         # invertible in floating point; the ZF rank rule must still reject it
