@@ -13,7 +13,7 @@ import numpy as np
 
 from . import _kernels
 from .channel import _check_phi, draw_channels
-from .hardware import SystemHardware, bussgang_decompose
+from .hardware import HardwareMismatch, SystemHardware, bussgang_decompose
 # bussgang_mu is not called here: perfbench/tests/test_tracer.py checks that
 # the tracer rebinds this module's name for it
 from .numerics import bussgang_mu, sinc  # noqa: F401
@@ -91,9 +91,15 @@ def rate_from_sindr(sindr: float) -> float:
     return math.log2(1.0 + sindr)
 
 
-def _zf_profile(m: int, phi):
+def _zf_profile(m: int, phi, **scalars):
     """phi, K and tr Phi^-2 of a closed form with the ZF factor M - K;
-    raises ValueError unless phi is K >= 1 finite positive entries and M > K."""
+    raises ValueError unless phi is K >= 1 finite positive entries, M > K
+    and every keyword scalar (rho_t, a0, noise_var, ...) is finite and
+    positive, naming the first that is not."""
+    for name, value in scalars.items():
+        # a NaN fails the comparison
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name} must be finite and positive, got {value}")
     phi = _check_phi(phi)
     k = len(phi)
     if m <= k:
@@ -101,32 +107,26 @@ def _zf_profile(m: int, phi):
     return phi, k, float(np.sum(1.0 / phi**2))
 
 
-def sinr_linear_mismatch(
-    m: int,
-    rho_t: float,
-    a0: float,
-    phi,
-    delta_t2: float,
-    delta_r2: float,
-    delta_v2: float,
-    theta_t: float,
-    theta_r: float,
-    noise_var: float,
-) -> np.ndarray:
+def sinr_linear_mismatch(m: int, rho_t: float, a0: float, phi, mismatch: HardwareMismatch,
+                         noise_var: float) -> np.ndarray:
     """Downlink ZF SINR of every UE, (K,), under a constant (linear)
-    reciprocity mismatch; at zero mismatch (every delta^2 and theta 0) it is
-    the ideal a0 rho_t (M - K) / (tr Phi^-2 noise_var).  Raises ValueError
-    unless ``phi`` is K >= 1 finite positive entries and M > K."""
-    phi, k, tr_phi_inv2 = _zf_profile(m, phi)
-    s_t = float(sinc(theta_t))
-    s_r = float(sinc(theta_r))
+    reciprocity mismatch drawn from ``mismatch``; at zero mismatch
+    (``HardwareMismatch.none()``) it is the ideal a0 rho_t (M - K) /
+    (tr Phi^-2 noise_var).  It reads delta^2 and theta of the t and r laws
+    and delta^2 of the v law; the a and u laws and v's phase do not enter
+    the formula.  Raises ValueError unless ``phi`` is K >= 1 finite positive
+    entries, M > K and rho_t, a0 and noise_var are finite and positive."""
+    phi, k, tr_phi_inv2 = _zf_profile(m, phi, rho_t=rho_t, a0=a0, noise_var=noise_var)
+    t, r = mismatch.t, mismatch.r
+    s_t = float(sinc(t.phase_bound))
+    s_r = float(sinc(r.phase_bound))
     eps1 = (
-        math.exp(2 * delta_t2)
-        + math.exp(2 * delta_r2)
-        - 2.0 * s_t * s_r * math.exp((delta_t2 - delta_r2) / 2.0)
+        math.exp(2 * t.log_amp_var)
+        + math.exp(2 * r.log_amp_var)
+        - 2.0 * s_t * s_r * math.exp((t.log_amp_var - r.log_amp_var) / 2.0)
     )
     num = a0 * rho_t * (m - k) / tr_phi_inv2 * s_t**2 * s_r**2
-    den = math.exp(delta_r2 + delta_v2 - delta_t2) * (
+    den = math.exp(r.log_amp_var + mismatch.v.log_amp_var - t.log_amp_var) * (
         a0 * rho_t * phi**2 * (m - k) / m * eps1 + noise_var
     )
     return num / den
@@ -211,34 +211,32 @@ def avg_rate_decomposition(hw: SystemHardware, phi, rho_t: float, a0: float,
                              r=r_ideal - d_bs - d_ue)
 
 
-def sindr_large_ibo(
-    m: int,
-    rho_t: float,
-    a0: float,
-    a_sat: float,
-    phi,
-    delta_a2: float,
-    delta_t2: float,
-    delta_r2: float,
-    theta_t: float,
-    theta_r: float,
-    noise_var: float,
-) -> np.ndarray:
+def sindr_large_ibo(m: int, rho_t: float, a0: float, a_sat: float, phi,
+                    mismatch: HardwareMismatch, noise_var: float) -> np.ndarray:
     """Large-IBO SINDR approximation of every UE, (K,), with perfect UE
-    hardware.  Raises ValueError unless ``phi`` is K >= 1 finite positive
-    entries and M > K."""
-    phi, k, tr_phi_inv2 = _zf_profile(m, phi)
-    expansion = rho_t * math.exp(delta_a2) / (m * a_sat**2)
+    hardware, averaged over BS hardware drawn from ``mismatch``.  It reads
+    delta^2 of the a law and delta^2 and theta of the t and r laws.  Raises
+    ValueError unless the u and v laws are zero (delta^2 = theta = 0),
+    ``phi`` is K >= 1 finite positive entries, M > K and rho_t, a0, a_sat and
+    noise_var are finite and positive."""
+    phi, k, tr_phi_inv2 = _zf_profile(m, phi, rho_t=rho_t, a0=a0, a_sat=a_sat,
+                                      noise_var=noise_var)
+    zero = HardwareMismatch.none()
+    if (mismatch.u, mismatch.v) != (zero.u, zero.v):
+        raise ValueError(f"sindr_large_ibo assumes perfect UE hardware: the u and v laws "
+                         f"must be zero, got u={mismatch.u}, v={mismatch.v}")
+    t, r = mismatch.t, mismatch.r
+    expansion = rho_t * math.exp(mismatch.a.log_amp_var) / (m * a_sat**2)
     if expansion >= 0.5:
         warnings.warn(
             f"sindr_large_ibo outside validity region: rho_t e^da2/(M A^2) = {expansion:.3f} >= 0.5",
             RuntimeWarning,
         )
-    s2 = float(sinc(theta_t)) ** 2 * float(sinc(theta_r)) ** 2
-    eps3 = math.exp(2 * delta_t2) + (math.exp(2 * delta_r2) - 2.0) * math.exp(
-        delta_t2 + delta_r2
+    s2 = float(sinc(t.phase_bound)) ** 2 * float(sinc(r.phase_bound)) ** 2
+    eps3 = math.exp(2 * t.log_amp_var) + (math.exp(2 * r.log_amp_var) - 2.0) * math.exp(
+        t.log_amp_var + r.log_amp_var
     ) * s2
-    eps4 = s2 * math.exp(delta_t2 - delta_r2)
+    eps4 = s2 * math.exp(t.log_amp_var - r.log_amp_var)
     backoff = 1.0 - 2.0 * expansion
     num = a0 * eps4 * (m - k) / tr_phi_inv2 * backoff * rho_t
     den = (m - k) / m * a0 * phi**2 * eps3 * backoff * rho_t + noise_var
@@ -394,7 +392,7 @@ def _normal_fit(s, y):
 def _physical_heq(hw, h, w, rho_t, n_symbols, c_rows, rng):
     """LS estimates of the effective channel, (C, K, K), and residual powers,
     (C, K), for one draw h with precoder w: one symbol block, then one
-    ``transmit_block`` per calibration row and one fit of all rows."""
+    ``transmit_block`` of the stacked precoders c_j w and one fit of all rows."""
     k = hw.k
     # one (2, N, K) draw is the stream of an (N, K) real part, then imaginary part
     re_im = rng.standard_normal((2, n_symbols, k))
@@ -402,9 +400,7 @@ def _physical_heq(hw, h, w, rho_t, n_symbols, c_rows, rng):
     s.real, s.imag = re_im
     s *= math.sqrt(rho_t / 2.0)
     # noiseless; noise handled analytically
-    y = np.empty((len(c_rows),) + s.shape, dtype=np.complex128)
-    for j, c_vec in enumerate(c_rows):
-        y[j] = transmit_block(hw, h, c_vec[:, None] * w, s)
+    y = transmit_block(hw, h, c_rows[:, :, None] * w, s)
     fit = _normal_fit(s, y)
     # the received block already carries sqrt(a0); strip it from the channel estimate
     # so the moments match the a0-factored closed-form terms, and report the

@@ -32,10 +32,11 @@ class CellGeometry:
     xi: float = 3.7
 
     def __post_init__(self):
-        if not 0 < self.min_dist < self.radius:
-            raise ValueError("need 0 < min_dist < radius")
-        if self.zeta <= 0 or self.xi < 0:
-            raise ValueError("need zeta > 0 and xi >= 0")
+        # a NaN fails every comparison
+        if not 0 < self.min_dist < self.radius < math.inf:
+            raise ValueError("need 0 < min_dist < radius, radius finite")
+        if not (0 < self.zeta < math.inf and 0 <= self.xi < math.inf):
+            raise ValueError("need zeta > 0 and xi >= 0, both finite")
 
 
 def draw_ue_pathloss(rng: np.random.Generator, k: int, geom: CellGeometry) -> np.ndarray:

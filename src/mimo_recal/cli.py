@@ -256,8 +256,8 @@ def _draw_rates(cfg: ExperimentConfig, index: int, h: int) -> dict:
     rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence(cfg.seed, spawn_key=(h,))))
     phi = (draw_ue_pathloss(rng, cfg.k, CellGeometry()) if p["pathloss"] == "drawn"
            else np.ones(cfg.k))
-    hw = draw_system_hardware(rng, cfg.m, cfg.k,
-                              HardwareMismatch.uniform(p["delta2"], p["theta"]),
+    mismatch = HardwareMismatch.uniform(p["delta2"], p["theta"])
+    hw = draw_system_hardware(rng, cfg.m, cfg.k, mismatch,
                               a_sat_for_ibo(p["ibo_db"], rho_t, cfg.m), a0=a0)
     mc_args = (hw, phi, rho_t, a0, p["noise_var"], cfg.n_channels, cfg.n_symbols, cfg.mode, rng)
     if cfg.scenario.startswith("cal_"):
@@ -278,10 +278,11 @@ def _draw_rates(cfg: ExperimentConfig, index: int, h: int) -> dict:
     rates = {"closed_form": _mean_rate(b.sindr for b in closed)}
     if cfg.scenario != "loss_vs_mismatch":
         rates["mc"] = _mean_rate(b.sindr for b in estimate_sindr_mc(*mc_args))
-    # ideal is the linear-mismatch SINR at zero mismatch
-    for name, d2, theta in (("ideal", 0.0, 0.0), ("lrm_closed", p["delta2"], p["theta"])):
-        rates[name] = _mean_rate(sinr_linear_mismatch(cfg.m, rho_t, a0, phi, d2, d2, d2,
-                                                      theta, theta, p["noise_var"]))
+    # ideal is the linear-mismatch SINR at zero mismatch, lrm_closed at the
+    # law the hardware is drawn from
+    for name, law in (("ideal", HardwareMismatch.none()), ("lrm_closed", mismatch)):
+        rates[name] = _mean_rate(sinr_linear_mismatch(cfg.m, rho_t, a0, phi, law,
+                                                      p["noise_var"]))
     return rates
 
 

@@ -70,6 +70,7 @@ def transmit_block(hw: SystemHardware, h: np.ndarray, w: np.ndarray,
                    s: np.ndarray) -> np.ndarray:
     """Noiseless received block of the downlink chain: the (N, K) symbols s
     through the precoder w (M, K), the per-antenna SSPAs, the channel h
-    (K, M) and the UE receive gains, U H f(W s).  Returns (N, K); the
-    amplifier output carries sqrt(a0)."""
-    return sspa_apply(hw, s @ w.T) @ (hw.ue_rx[:, None] * h).T
+    (K, M) and the UE receive gains, U H f(W s).  Returns (N, K), or
+    (C, N, K) for a (C, M, K) stack of precoders; the amplifier output
+    carries sqrt(a0)."""
+    return sspa_apply(hw, s @ np.swapaxes(w, -1, -2)) @ (hw.ue_rx[:, None] * h).T

@@ -124,8 +124,7 @@ def test_criterion_3_large_ibo_formula():
             mr.sindr_zf_closed_all(mr.draw_system_hardware(rng, m, k, no_ue, a_sat),
                                    np.ones(k), rho, A0, NOISE)[0].sindr
             for _ in range(n_hw)])
-        g_libo = mr.sindr_large_ibo(m, rho, A0, a_sat, np.ones(k), 0.05, 0.05,
-                                    0.05, math.pi / 6, math.pi / 6, NOISE)[0]
+        g_libo = mr.sindr_large_ibo(m, rho, A0, a_sat, np.ones(k), no_ue, NOISE)[0]
         errs_10pct[ibo] = abs(g_libo - g_closed) / g_closed
 
     # monotone decay of the expansion truncation: saturation spread only, so
@@ -143,8 +142,7 @@ def test_criterion_3_large_ibo_formula():
             mr.sindr_zf_closed_all(mr.draw_system_hardware(rng, m, k, exp_only, a_sat),
                                    np.ones(k), rho, A0, NOISE)[0].sindr
             for _ in range(n_hw)])
-        g_libo = mr.sindr_large_ibo(m, rho, A0, a_sat, np.ones(k), 0.05,
-                                    0.0, 0.0, 0.0, 0.0, NOISE)[0]
+        g_libo = mr.sindr_large_ibo(m, rho, A0, a_sat, np.ones(k), exp_only, NOISE)[0]
         decay.append(abs(g_libo - g_closed) / g_closed)
     monotone = all(a > b for a, b in zip(decay, decay[1:]))
     ok = all(v <= 0.10 for v in errs_10pct.values()) and monotone

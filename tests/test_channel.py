@@ -1,5 +1,7 @@
 """Propagation channel, path loss, and effective uplink assembly."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -40,9 +42,19 @@ class TestPathloss:
     @pytest.mark.parametrize("call, message", [
         (lambda: mr.CellGeometry(zeta=0.0), "need zeta > 0 and xi >= 0"),
         (lambda: mr.CellGeometry(zeta=-0.01), "need zeta > 0 and xi >= 0"),
+        # a NaN or infinite field gave NaN or inf path losses
+        (lambda: mr.CellGeometry(zeta=math.nan), "need zeta > 0 and xi >= 0, both finite"),
+        (lambda: mr.CellGeometry(zeta=math.inf), "need zeta > 0 and xi >= 0, both finite"),
+        (lambda: mr.CellGeometry(xi=math.nan), "need zeta > 0 and xi >= 0, both finite"),
+        (lambda: mr.CellGeometry(xi=math.inf), "need zeta > 0 and xi >= 0, both finite"),
+        (lambda: mr.CellGeometry(radius=math.inf), "need 0 < min_dist < radius, radius finite"),
+        (lambda: mr.CellGeometry(radius=math.nan), "need 0 < min_dist < radius, radius finite"),
+        (lambda: mr.CellGeometry(min_dist=math.nan),
+         "need 0 < min_dist < radius, radius finite"),
         (lambda: mr.draw_ue_pathloss(np.random.default_rng(0), 0, mr.CellGeometry()),
          "k must be >= 1"),
-    ], ids=["zeta-zero", "zeta-negative", "no-ue"])
+    ], ids=["zeta-zero", "zeta-negative", "zeta-nan", "zeta-inf", "xi-nan", "xi-inf",
+            "radius-inf", "radius-nan", "min-dist-nan", "no-ue"])
     def test_bad_input_rejected(self, call, message):
         with pytest.raises(ValueError, match=message):
             call()

@@ -421,6 +421,34 @@ class TestScenarios:
             # perfect_nrc takes the SLP amplitudes with calibration phases
             assert np.allclose(np.abs(c[3]), np.abs(res_p.c), rtol=1e-14, atol=0.0)
 
+    def test_lrm_closed_scores_the_drawn_law(self, tmp_path, monkeypatch):
+        # lrm_closed is the linear-mismatch SINR under the law the hardware
+        # is drawn from, and ideal is the same SINR under the zero law
+        drawn, scored = [], []
+        draw, linear = cli.draw_system_hardware, cli.sinr_linear_mismatch
+
+        def spy_draw(rng, m, k, dists, *args, **kwargs):
+            drawn.append(dists)
+            return draw(rng, m, k, dists, *args, **kwargs)
+
+        def spy_linear(m, rho_t, a0, phi, mismatch, noise_var):
+            scored.append(mismatch)
+            return linear(m, rho_t, a0, phi, mismatch, noise_var)
+
+        monkeypatch.setattr(cli, "draw_system_hardware", spy_draw)
+        monkeypatch.setattr(cli, "sinr_linear_mismatch", spy_linear)
+        path, _ = _write_config(tmp_path, sweep={"param": "snr_db", "values": [10.0]},
+                                mc={"n_hardware": 1, "n_channels": 10, "n_symbols": 16},
+                                params={"ibo_db": 10.0, "delta2": 0.02, "theta": 0.4})
+        table = cli.run_scenario(cli.load_config(str(path)))
+
+        assert [r["method"] for r in table] == ["closed_form", "mc", "ideal", "lrm_closed"]
+        assert len(drawn) == 1 and len(scored) == 2
+        ideal, lrm_closed = scored
+        assert ideal == HardwareMismatch.none()
+        assert lrm_closed is drawn[0]
+        assert lrm_closed == HardwareMismatch.uniform(0.02, 0.4)
+
     @pytest.mark.parametrize("scenario", ["rate_vs_snr", "cal_rate_vs_snr"])
     def test_one_sfc64_stream_per_hardware_draw(self, tmp_path, monkeypatch, scenario):
         # hardware draw h of every sweep point reads SFC64 on child h of the

@@ -143,6 +143,19 @@ class TestTransmitDownlink:
         assert y.shape == (32, 4)
         assert np.allclose(y, math.sqrt(hw.a0) * s / math.sqrt(beta), rtol=1e-8)
 
+    def test_precoder_stack_equals_single_calls(self, default_mismatch):
+        # a (C, M, K) stack of precoders c_j W is the C single calls, bit for
+        # bit, through amplifiers that saturate
+        hw, phi, h = _system(16, 4, default_mismatch, 0.3, 3)
+        w = mr.zf_precoder(mr.uplink_channel(h, hw), mr.beta_zf_closed(hw, phi))
+        rng = np.random.default_rng(4)
+        c = rng.standard_normal((3, 16)) + 1j * rng.standard_normal((3, 16))
+        s = _symbols(rng, 32, 4)
+        y = mr.transmit_block(hw, h, c[:, :, None] * w, s)
+        assert y.shape == (3, 32, 4)
+        for j in range(3):
+            assert np.array_equal(y[j], mr.transmit_block(hw, h, c[j][:, None] * w, s))
+
     def _empirical_rms(self, hw, phi, n_draws, n_sym, seed):
         # rms of the pre-amplifier antenna samples x = s W^T over the draws
         beta = mr.beta_zf_closed(hw, phi)
