@@ -18,8 +18,7 @@ import numpy as np
 _SQRT_PI = math.sqrt(math.pi)
 _EULER_GAMMA = 0.5772156649015328606
 _ERFC = np.frompyfunc(math.erfc, 1, 1)
-# at and above these ratios erfcx and mu use the Laplace continued fraction
-_ERFCX_CF_FROM = 10.0
+# at and above this ratio mu uses the Laplace continued fraction
 _MU_CF_FROM = 4.0
 # continued-fraction depths: ceil(80/x) + 6 at x = 4 for the Laplace tail and
 # ceil(100/y) + 6 at y = 1 for the scaled E1, the floors of their branches
@@ -41,27 +40,6 @@ def _laplace_tail(x: np.ndarray) -> np.ndarray:
     for n in range(_LAPLACE_DEPTH, 1, -1):
         t = x + (0.5 * n) / t
     return t
-
-
-def erfcx(x: np.ndarray) -> np.ndarray:
-    """Scaled complementary error function erfc(x) exp(x^2) for x >= 0."""
-    x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    small = ~(x >= _ERFCX_CF_FROM)  # NaN takes the erfc branch and stays NaN
-    if np.any(small):
-        # exp of x^2 = hi + lo split exactly (Dekker), so the rounding of x*x
-        # (up to 7e-15 relative below 10) does not reach exp
-        xs = x[small]
-        c = 134217729.0 * xs
-        xh = c - (c - xs)
-        xl = xs - xh
-        hi = xs * xs
-        lo = ((xh * xh - hi) + 2.0 * xh * xl) + xl * xl
-        out[small] = erfc(xs) * (np.exp(hi) * (1.0 + lo))
-    if not np.all(small):
-        xl = x[~small]
-        out[~small] = 1.0 / (_SQRT_PI * (xl + 0.5 / _laplace_tail(xl)))
-    return out
 
 
 def e1_scaled(y: np.ndarray) -> np.ndarray:
@@ -109,8 +87,17 @@ def mu(x: np.ndarray) -> np.ndarray:
         out[mid] = 0.5 * xm * (1.0 + xm / f1) / (xm + 0.5 / f1)
     small = ~(large | mid)
     if np.any(small):
+        # erfcx(x) = erfc(x) exp(x^2), with x^2 = hi + lo split exactly
+        # (Dekker), so the rounding of x*x (up to 1.8e-15 relative below 4)
+        # does not reach exp
         xs = x[small]
-        out[small] = 0.5 * xs * (2.0 * xs - _SQRT_PI * erfcx(xs) * (2.0 * xs * xs - 1.0))
+        c = 134217729.0 * xs
+        xh = c - (c - xs)
+        xl = xs - xh
+        hi = xs * xs
+        lo = ((xh * xh - hi) + 2.0 * xh * xl) + xl * xl
+        erfcx = erfc(xs) * (np.exp(hi) * (1.0 + lo))
+        out[small] = 0.5 * xs * (2.0 * xs - _SQRT_PI * erfcx * (2.0 * xs * xs - 1.0))
     return out
 
 

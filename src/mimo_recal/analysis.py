@@ -16,7 +16,7 @@ from .channel import _check_phi, draw_channels
 from .hardware import HardwareMismatch, SystemHardware, bussgang_decompose
 # bussgang_mu is not called here: perfbench/tests/test_tracer.py checks that
 # the tracer rebinds this module's name for it
-from .numerics import bussgang_mu, sinc  # noqa: F401
+from .numerics import _check_positive, bussgang_mu, sinc  # noqa: F401
 from .precoding import beta_zf_closed, transmit_block
 
 # complex channel entries (1 MiB) in the Monte-Carlo channel buffer
@@ -53,24 +53,22 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SindrBreakdown:
-    """The four received-power terms plus noise and the resulting SINDR."""
+    """The four received-power terms plus noise, each finite and
+    non-negative (ValueError), and the resulting SINDR."""
 
     es: float
     si: float
     mui: float
     nld: float
     noise: float
-    sindr: float
 
-    @classmethod
-    def from_terms(cls, es, si, mui, nld, noise) -> "SindrBreakdown":
-        es, si, mui, nld, noise = (float(v) for v in (es, si, mui, nld, noise))
-        # a NaN term fails both comparisons
-        if not all(0 <= v < math.inf for v in (es, si, mui, nld, noise)):
-            raise ValueError(f"power terms must be finite and non-negative, got es={es}, "
-                             f"si={si}, mui={mui}, nld={nld}, noise={noise}")
-        return cls(es=es, si=si, mui=mui, nld=nld, noise=noise,
-                   sindr=es / (si + mui + nld + noise))
+    def __post_init__(self):
+        _check_positive("(es, si, mui, nld, noise)",
+                        (self.es, self.si, self.mui, self.nld, self.noise), zero_ok=True)
+
+    @property
+    def sindr(self) -> float:
+        return self.es / (self.si + self.mui + self.nld + self.noise)
 
 
 @dataclass(frozen=True)
@@ -80,15 +78,15 @@ class RateDecomposition:
     r_ideal: float
     d_bs: float
     d_ue: float
-    r: float
+
+    @property
+    def r(self) -> float:
+        return self.r_ideal - self.d_bs - self.d_ue
 
 
 def rate_from_sindr(sindr: float) -> float:
     """Achievable rate log2(1 + sindr) in bits per channel use."""
-    # a NaN fails the comparison
-    if not sindr >= 0:
-        raise ValueError(f"sindr must be non-negative, got {sindr}")
-    return math.log2(1.0 + sindr)
+    return math.log2(1.0 + _check_positive("sindr", sindr, zero_ok=True))
 
 
 def _zf_profile(m: int, phi, **scalars):
@@ -97,9 +95,7 @@ def _zf_profile(m: int, phi, **scalars):
     and every keyword scalar (rho_t, a0, noise_var, ...) is finite and
     positive, naming the first that is not."""
     for name, value in scalars.items():
-        # a NaN fails the comparison
-        if not 0 < value < math.inf:
-            raise ValueError(f"{name} must be finite and positive, got {value}")
+        _check_positive(name, value)
     phi = _check_phi(phi)
     k = len(phi)
     if m <= k:
@@ -167,8 +163,7 @@ def _closed_terms(hw: SystemHardware, phi, rho_t, a0, noise_var):
     mui_sum = np.sum(1.0 / (b2 * phi**2)) - 1.0 / (b2 * phi**2)
     mui = a0 * rho_t * phi**2 * u2 * t_delta * (m - k) / (m**2 * s_b) * mui_sum
     nld = a0 * u2 * phi**2 * tr_sig
-    breakdowns = [SindrBreakdown.from_terms(es[i], si[i], mui[i], nld[i], noise_var)
-                  for i in range(k)]
+    breakdowns = [SindrBreakdown(es[i], si[i], mui[i], nld[i], noise_var) for i in range(k)]
     return breakdowns, (tr_rr, tr_gr, t_delta, tr_sig)
 
 
@@ -207,8 +202,7 @@ def avg_rate_decomposition(hw: SystemHardware, phi, rho_t: float, a0: float,
     inv_b2 = 1.0 / np.abs(hw.ue_tx_gain) ** 2
     d_ue = math.log2(float(np.mean(inv_b2))) - float(np.mean(np.log2(inv_b2)))
 
-    return RateDecomposition(r_ideal=r_ideal, d_bs=d_bs, d_ue=d_ue,
-                             r=r_ideal - d_bs - d_ue)
+    return RateDecomposition(r_ideal=r_ideal, d_bs=d_bs, d_ue=d_ue)
 
 
 def sindr_large_ibo(m: int, rho_t: float, a0: float, a_sat: float, phi,
@@ -217,8 +211,10 @@ def sindr_large_ibo(m: int, rho_t: float, a0: float, a_sat: float, phi,
     hardware, averaged over BS hardware drawn from ``mismatch``.  It reads
     delta^2 of the a law and delta^2 and theta of the t and r laws.  Raises
     ValueError unless the u and v laws are zero (delta^2 = theta = 0),
-    ``phi`` is K >= 1 finite positive entries, M > K and rho_t, a0, a_sat and
-    noise_var are finite and positive."""
+    ``phi`` is K >= 1 finite positive entries, M > K, rho_t, a0, a_sat and
+    noise_var are finite and positive, and the back-off factor 1 - 2 rho_t
+    e^{delta_a^2}/(M A^2) is positive: where it is not, the approximation
+    gives a negative SINDR."""
     phi, k, tr_phi_inv2 = _zf_profile(m, phi, rho_t=rho_t, a0=a0, a_sat=a_sat,
                                       noise_var=noise_var)
     zero = HardwareMismatch.none()
@@ -227,17 +223,15 @@ def sindr_large_ibo(m: int, rho_t: float, a0: float, a_sat: float, phi,
                          f"must be zero, got u={mismatch.u}, v={mismatch.v}")
     t, r = mismatch.t, mismatch.r
     expansion = rho_t * math.exp(mismatch.a.log_amp_var) / (m * a_sat**2)
-    if expansion >= 0.5:
-        warnings.warn(
-            f"sindr_large_ibo outside validity region: rho_t e^da2/(M A^2) = {expansion:.3f} >= 0.5",
-            RuntimeWarning,
-        )
+    backoff = 1.0 - 2.0 * expansion
+    if backoff <= 0:
+        raise ValueError(f"sindr_large_ibo outside its validity region: the back-off factor "
+                         f"1 - 2 rho_t e^da2/(M A^2) = {backoff:.3g} must be positive")
     s2 = float(sinc(t.phase_bound)) ** 2 * float(sinc(r.phase_bound)) ** 2
     eps3 = math.exp(2 * t.log_amp_var) + (math.exp(2 * r.log_amp_var) - 2.0) * math.exp(
         t.log_amp_var + r.log_amp_var
     ) * s2
     eps4 = s2 * math.exp(t.log_amp_var - r.log_amp_var)
-    backoff = 1.0 - 2.0 * expansion
     num = a0 * eps4 * (m - k) / tr_phi_inv2 * backoff * rho_t
     den = (m - k) / m * a0 * phi**2 * eps3 * backoff * rho_t + noise_var
     return num / den
@@ -376,7 +370,7 @@ def estimate_sindr_mc(
             es = a0 * rho_t * abs(mean_h[j, i, i]) ** 2
             si = a0 * rho_t * float(var_h[j, i, i])
             mui = a0 * rho_t * float(mean_h2[j, i].sum() - mean_h2[j, i, i])
-            terms.append(SindrBreakdown.from_terms(es, si, mui, nld[j, i], noise_var))
+            terms.append(SindrBreakdown(es, si, mui, nld[j, i], noise_var))
         out.append(terms)
     return out if c_arr.ndim == 2 else out[0]
 

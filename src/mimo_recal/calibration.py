@@ -23,7 +23,7 @@ from typing import Callable, Literal
 import numpy as np
 
 from .hardware import SystemHardware, sspa_apply
-from .numerics import bussgang_mu
+from .numerics import _check_positive, bussgang_mu
 
 __all__ = [
     "CalibrationError",
@@ -112,11 +112,8 @@ class PilotPlan:
             val = getattr(self, name)
             if isinstance(val, bool) or not isinstance(val, (int, np.integer)) or val < 1:
                 raise ValueError(f"{name} must be an integer >= 1, got {val!r}")
-        sigma_max = np.atleast_1d(np.asarray(self.sigma_max, dtype=np.float64))
-        # a NaN fails the comparison
-        if not np.all((0 < sigma_max) & (sigma_max < math.inf)):
-            raise ValueError("sigma_max entries must be finite and positive")
-        object.__setattr__(self, "sigma_max", sigma_max)
+        object.__setattr__(self, "sigma_max",
+                           np.atleast_1d(_check_positive("sigma_max", self.sigma_max)))
 
     @property
     def levels(self) -> np.ndarray:
@@ -128,19 +125,16 @@ class PilotPlan:
         return np.sqrt(self.levels)[None, :] * self.sigma_max[:, None]
 
     @classmethod
-    def for_hardware(cls, hw: SystemHardware, n_levels: int, n_symbols: int,
-                     ibo_min_db: float = 0.0) -> "PilotPlan":
-        """Common per-antenna amplitude cap at ``ibo_min_db`` below the
-        (geometric-mean) saturation level.
+    def for_hardware(cls, hw: SystemHardware, n_levels: int, n_symbols: int) -> "PilotPlan":
+        """Common per-antenna amplitude cap at the (geometric-mean)
+        saturation level.
 
         The cap is common across antennas, so all antennas share one
         amplitude grid: ``calibration_stack`` picks its linear-calibration
         level on antenna 0's amplitudes, and the SLP keeps every
         |c_m| sigma_x,m inside the same trained range [0, sigma_max].
         """
-        base = float(np.exp(np.mean(np.log(hw.a_sat))))
-        sigma_max = np.full(hw.m, base * 10.0 ** (-ibo_min_db / 10.0))
-        return cls(n_levels, n_symbols, sigma_max)
+        return cls(n_levels, n_symbols, np.full(hw.m, float(np.exp(np.mean(np.log(hw.a_sat))))))
 
 
 @dataclass(frozen=True)
@@ -220,9 +214,7 @@ def simulate_ota_training(
         raise ValueError("omega must have zero diagonal")
     if mode not in ("physical", "surrogate"):
         raise ValueError(f"unknown mode {mode!r}")
-    # a NaN fails the comparison
-    if not 0 <= noise_var < math.inf:
-        raise ValueError(f"noise_var must be finite and non-negative, got {noise_var}")
+    _check_positive("noise_var", noise_var, zero_ok=True)
 
     n_levels, q = plan.n_levels, plan.n_symbols
     amps = plan.amplitudes
@@ -256,22 +248,19 @@ class PolyMismatch:
 
     mu_m(sigma) = sum_w tau[m, w] psi_w(sigma^2 / sigma_ref[m]^2); sigma_ref
     is the per-antenna amplitude that maps to normalised power 1 (the top
-    pilot level).
+    pilot level), finite and positive.
     """
 
     tau: np.ndarray  # (M, order+1) complex
     order: int
-    sigma_ref: np.ndarray | None = None
+    sigma_ref: np.ndarray
 
     def __post_init__(self):
         if self.tau.shape[1] != self.order + 1:
             raise ValueError("tau must have order+1 columns")
         if self.tau[0, 0] != 1:
             raise ValueError("normalisation requires tau[0, 0] == 1")
-        if self.sigma_ref is None:
-            object.__setattr__(self, "sigma_ref", np.ones(self.tau.shape[0]))
-        if np.any(np.asarray(self.sigma_ref) <= 0):
-            raise ValueError("sigma_ref entries must be positive")
+        _check_positive("sigma_ref", self.sigma_ref)
 
     def mu_all(self, sigma: np.ndarray) -> np.ndarray:
         """Per-antenna values at per-antenna amplitudes; sigma has shape
@@ -404,10 +393,10 @@ def _phi_all(model, c_abs: np.ndarray, sigma_x: np.ndarray) -> np.ndarray:
     return c_abs * np.abs(model.mu_all(c_abs * sigma_x))
 
 
-def _phi_grid(model, sigma_x, c_max, n_grid=65):
-    """phi_m on the grid (j / (n_grid - 1)) c_max,m, shape (M, n_grid), from
-    one model call over the (n_grid, M) amplitudes."""
-    c = np.linspace(0.0, 1.0, n_grid)[:, None] * c_max
+def _phi_grid(model, sigma_x, c_max):
+    """phi_m on the grid (j / 64) c_max,m, shape (M, 65), from one model
+    call over the (65, M) amplitudes."""
+    c = np.linspace(0.0, 1.0, 65)[:, None] * c_max
     return _phi_all(model, c, sigma_x).T
 
 
@@ -457,14 +446,11 @@ def slp_solve(
     ``PolyMismatch`` and ``TrueMismatch`` do.  Raises ValueError unless
     ``sigma_x``, ``c_max`` and ``rho_t`` are finite and positive.
     """
-    sigma_x = np.asarray(sigma_x, dtype=np.float64)
-    c_max = np.asarray(c_max, dtype=np.float64)
+    sigma_x = _check_positive("sigma_x", sigma_x)
+    c_max = _check_positive("c_max", c_max)
+    _check_positive("rho_t", rho_t)
     if len(c_max) != len(sigma_x):
         raise ValueError("sigma_x and c_max must have equal length")
-    # a NaN fails the comparison
-    for name, val in (("sigma_x", sigma_x), ("c_max", c_max), ("rho_t", rho_t)):
-        if not np.all((0 < val) & (val < math.inf)):
-            raise ValueError(f"{name} must be finite and positive")
     _check_concave_increasing(model, sigma_x, c_max, strict)
 
     h_rel = 1e-6

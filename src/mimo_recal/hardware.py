@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import MismatchDistribution, bussgang_lambda, bussgang_mu, draw_complex_gain
+from .numerics import (MismatchDistribution, _check_positive, bussgang_lambda, bussgang_mu,
+                       draw_complex_gain)
 
 __all__ = [
     "HpaModel",
@@ -43,9 +44,8 @@ class HpaModel:
     a_sat: float
 
     def __post_init__(self):
-        # a NaN fails the comparison
-        if not (self.a0 > 0 and self.a_sat > 0):
-            raise ValueError("HpaModel requires a0 > 0, a_sat > 0")
+        _check_positive("a0", self.a0)
+        _check_positive("a_sat", self.a_sat)
 
 
 @dataclass(frozen=True)
@@ -56,8 +56,7 @@ class BussgangPair:
     sigma_d2: float | np.ndarray
 
     def __post_init__(self):
-        if np.any(self.sigma_d2 < 0):
-            raise ValueError("sigma_d2 must be non-negative")
+        _check_positive("sigma_d2", self.sigma_d2, zero_ok=True)
 
 
 @dataclass(frozen=True)
@@ -104,8 +103,8 @@ class SystemHardware:
             raise ValueError("t, a_sat and bs_rx must have the same length")
         if len(self.ue_tx_gain) != len(self.ue_rx):
             raise ValueError("ue_tx_gain and ue_rx must have the same length")
-        if not (self.a0 > 0 and np.all(np.asarray(self.a_sat) > 0)):
-            raise ValueError("SystemHardware requires a0 > 0, a_sat > 0")
+        _check_positive("a0", self.a0)
+        _check_positive("a_sat", self.a_sat)
         if np.any(self.bs_rx == 0):
             raise ValueError("receive chains must be live (no zero entries in r)")
 
@@ -122,8 +121,7 @@ class SystemHardware:
 
         Raises ValueError unless ``rho_t`` is finite and positive; the closed
         forms and both Monte-Carlo modes take their operating point here."""
-        if not 0 < rho_t < math.inf:
-            raise ValueError(f"rho_t must be finite and positive, got {rho_t}")
+        _check_positive("rho_t", rho_t)
         r2 = np.abs(self.bs_rx) ** 2
         return np.sqrt(r2 * rho_t / r2.sum())
 
@@ -191,8 +189,7 @@ def bussgang_decompose(hpa: HpaModel | SystemHardware, sigma_x) -> BussgangPair:
     ``hpa`` is one amplifier, or the BS hardware: then t, a_sat and a
     per-antenna ``sigma_x`` broadcast over the antenna axis.
     """
-    if not np.all(np.asarray(sigma_x) > 0):
-        raise ValueError("sigma_x must be positive")
+    _check_positive("sigma_x", sigma_x)
     g = hpa.t * bussgang_mu(hpa.a_sat / sigma_x)
     # |t|^2 from real and imaginary parts: numpy's complex abs takes one
     # algorithm for a scalar and another for an array
@@ -204,8 +201,8 @@ def bussgang_decompose(hpa: HpaModel | SystemHardware, sigma_x) -> BussgangPair:
 def a_sat_for_ibo(ibo: float, rho_t: float, m: int) -> float:
     """Common saturation level so that the mean per-antenna rms sqrt(rho_t/m)
     sits ``ibo`` dB below saturation."""
-    # a NaN fails the comparison
-    if not (-math.inf < ibo < math.inf and 0 < rho_t < math.inf and m > 0):
-        raise ValueError(f"need a finite ibo, a finite rho_t > 0 and m > 0, got "
-                         f"ibo={ibo}, rho_t={rho_t}, m={m}")
+    if not math.isfinite(ibo):
+        raise ValueError(f"ibo must be finite, got {ibo}")
+    _check_positive("rho_t", rho_t)
+    _check_positive("m", m)
     return math.sqrt(rho_t / m) * 10.0 ** (ibo / 10.0)

@@ -1,4 +1,5 @@
-"""The Bussgang curves and random-variate primitives shared by all modules.
+"""The Bussgang curves, random-variate primitives and the finite-positive
+input check shared by all modules.
 
 All math is 64-bit.  ``bussgang_mu`` and ``bussgang_lambda`` are the
 library's special-function entry points: they check the domain and keep
@@ -24,6 +25,17 @@ __all__ = [
 ]
 
 
+def _check_positive(name: str, value, zero_ok: bool = False):
+    """``value`` as float64, a float for a scalar; raises ValueError naming
+    ``name`` unless every entry is finite and > 0, or >= 0 with ``zero_ok``."""
+    arr = np.asarray(value, dtype=np.float64)
+    # a NaN fails the comparison
+    if not np.all((arr >= 0 if zero_ok else arr > 0) & (arr < math.inf)):
+        kind = "non-negative" if zero_ok else "positive"
+        raise ValueError(f"{name} must be finite and {kind}, got {value}")
+    return float(arr) if arr.ndim == 0 else arr
+
+
 @dataclass(frozen=True)
 class MismatchDistribution:
     """Log-normal amplitude / uniform phase law of one RF-gain role.
@@ -36,8 +48,7 @@ class MismatchDistribution:
     phase_bound: float = 0.0
 
     def __post_init__(self):
-        if not math.isfinite(self.log_amp_var) or self.log_amp_var < 0:
-            raise ValueError(f"log_amp_var must be finite and >= 0, got {self.log_amp_var}")
+        _check_positive("log_amp_var", self.log_amp_var, zero_ok=True)
         if not 0.0 <= self.phase_bound <= math.pi:
             raise ValueError(f"phase_bound must lie in [0, pi], got {self.phase_bound}")
 
@@ -58,22 +69,19 @@ def bussgang_mu(x):
 
 def bussgang_lambda(a_sat, sigma_x):
     """Distortion variance per unit squared gain-vibration, lambda(A_sat, sigma)."""
-    a = np.asarray(a_sat, dtype=np.float64)
-    s = np.asarray(sigma_x, dtype=np.float64)
-    if not (np.all(a > 0) and np.all(s > 0)):
-        raise ValueError("bussgang_lambda requires positive arguments")
-    out = _kernels.lam(a, s)
+    out = _kernels.lam(_check_positive("a_sat", a_sat), _check_positive("sigma_x", sigma_x))
     scalar = np.isscalar(a_sat) and np.isscalar(sigma_x)
     return float(out) if scalar else out
 
 
-def draw_complex_gain(rng: np.random.Generator, dist: MismatchDistribution, size=None):
-    """Draw |g| = exp(N(0, delta^2)) with phase uniform on (-theta, theta)."""
+def draw_complex_gain(rng: np.random.Generator, dist: MismatchDistribution, size: int):
+    """Draw ``size`` gains |g| = exp(N(0, delta^2)) with phase uniform on
+    (-theta, theta)."""
     amp = np.exp(rng.normal(0.0, math.sqrt(dist.log_amp_var), size=size))
     if dist.phase_bound > 0:
         phase = rng.uniform(-dist.phase_bound, dist.phase_bound, size=size)
     else:
-        phase = np.zeros_like(np.asarray(amp, dtype=np.float64))
+        phase = np.zeros_like(amp)
     return amp * np.exp(1j * phase)
 
 

@@ -10,6 +10,7 @@ import numpy as np
 from . import _kernels
 from .channel import _check_phi
 from .hardware import SystemHardware, sspa_apply
+from .numerics import _check_positive
 
 __all__ = [
     "zf_precoder",
@@ -26,8 +27,7 @@ def zf_precoder(h_ul: np.ndarray, beta: float) -> np.ndarray:
     m, k = h_ul.shape
     if m < k:
         raise ValueError("ZF requires M >= K")
-    if not beta > 0:
-        raise ValueError("beta must be positive")
+    _check_positive("beta", beta)
     return _kernels.zf_apply(h_ul[None], beta)[0]
 
 

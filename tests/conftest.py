@@ -381,7 +381,9 @@ def estimate_poly_coeffs(psi_matrix: np.ndarray, order: int,
                                "(need N >= order+2 power levels)")
     tau_c = -np.linalg.solve(gs, gram[1:, 0] / scale) / scale
     tau = np.concatenate([[1.0 + 0j], tau_c])
-    return PolyMismatch(tau=tau.reshape(n_cols // p, p), order=order, sigma_ref=sigma_ref)
+    m = n_cols // p
+    return PolyMismatch(tau=tau.reshape(m, p), order=order,
+                        sigma_ref=np.ones(m) if sigma_ref is None else sigma_ref)
 
 
 # ---------------------------------------------------------------------------

@@ -236,7 +236,7 @@ class TestRate:
     @pytest.mark.parametrize("sindr", [-1.0, math.nan])
     def test_negative_or_nan_rejected(self, sindr):
         # a NaN SINDR gave a NaN rate
-        with pytest.raises(ValueError, match="sindr must be non-negative"):
+        with pytest.raises(ValueError, match="sindr must be finite and non-negative"):
             mr.rate_from_sindr(sindr)
 
 
@@ -344,7 +344,8 @@ class TestLargeIbo:
             _large_ibo(64, np.ones(8), mismatch=mismatch)
 
     def test_out_of_regime_flag(self):
-        with pytest.warns(RuntimeWarning):
+        # a back-off factor <= 0 gave a negative SINDR, -297000 per UE, and a warning
+        with pytest.raises(ValueError, match="back-off factor"):
             mr.sindr_large_ibo(8, 100.0, A0, 0.5, np.ones(2), _MIS_NO_UE, NOISE)
 
 
@@ -694,7 +695,7 @@ def test_breakdown_rejects_bad_terms(term, value):
     terms = dict(es=1.0, si=0.1, mui=0.1, nld=0.1, noise=1.0)
     terms[term] = value
     with pytest.raises(ValueError, match="finite and non-negative"):
-        mr.SindrBreakdown.from_terms(**terms)
+        mr.SindrBreakdown(**terms)
 
 
 class TestEstimateSindrMcStack:

@@ -38,7 +38,9 @@ def _setup(m, k, seed, ibo=10.0, rho=1.0, delta2=0.05, n_levels=7, n_symbols=10,
     mis = mr.HardwareMismatch.uniform(delta2, math.pi / 6)
     hw = mr.draw_system_hardware(rng, m, k, mis, mr.a_sat_for_ibo(ibo, rho, m))
     omega = mr.draw_inter_antenna_channel(rng, m)
-    plan = mr.PilotPlan.for_hardware(hw, n_levels, n_symbols, ibo_min_db=ibo_min)
+    # the amplitude cap sits ibo_min dB below the geometric-mean saturation level
+    base = float(np.exp(np.mean(np.log(hw.a_sat))))
+    plan = mr.PilotPlan(n_levels, n_symbols, np.full(m, base * 10.0 ** (-ibo_min / 10.0)))
     return hw, omega, plan, rng
 
 
@@ -696,13 +698,15 @@ def _noiseless_training(hw, omega, plan, rng):
      ValueError, "omega must have zero diagonal"),
     (lambda hw, omega, plan, rng: mr.simulate_ota_training(hw, plan, omega, 0.0, "bogus", rng),
      ValueError, "unknown mode 'bogus'"),
-    (lambda hw, omega, plan, rng: mr.PolyMismatch(tau=np.ones((4, 3), complex), order=3),
+    (lambda hw, omega, plan, rng: mr.PolyMismatch(tau=np.ones((4, 3), complex), order=3,
+                                                  sigma_ref=np.ones(4)),
      ValueError, "tau must have order+1 columns"),
-    (lambda hw, omega, plan, rng: mr.PolyMismatch(tau=np.full((4, 4), 2.0 + 0j), order=3),
+    (lambda hw, omega, plan, rng: mr.PolyMismatch(tau=np.full((4, 4), 2.0 + 0j), order=3,
+                                                  sigma_ref=np.ones(4)),
      ValueError, "normalisation requires tau[0, 0] == 1"),
     (lambda hw, omega, plan, rng: mr.PolyMismatch(tau=np.ones((4, 4), complex), order=3,
                                                   sigma_ref=np.array([1.0, 1.0, 0.0, 1.0])),
-     ValueError, "sigma_ref entries must be positive"),
+     ValueError, "sigma_ref must be finite and positive"),
     (lambda hw, omega, plan, rng: estimate_poly_coeffs_anchored(
         _noiseless_training(hw, omega, plan, rng), plan, plan.n_levels - 1),
      CalibrationError, "need at least order+2 = 8 power levels"),
