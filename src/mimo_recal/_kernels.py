@@ -252,14 +252,15 @@ def effective_channels(
     stacked = np.conjugate(np.broadcast_to(h[:, None], (n, 1 + c, k, m)))
     stacked *= weights[:, None, :]
     qp = (stacked.reshape(n, (1 + c) * k, m) @ np.swapaxes(h, -1, -2)).reshape(n, 1 + c, k, k)
-    del stacked  # the largest array here; the solve below needs only K x K ones
+    del stacked  # the largest array here; the inverse below needs only K x K ones
     # equilibrated, B Q B^* and Q differ by a unit-modulus diagonal
     # similarity, so Q's cond is the uplink Gram matrix's
     gram, s = _full_rank_gram(qp[:, 0], first, total)
-    # (P Q^{-1})^T = (Q^T)^{-1} P^T = S E^{-1} S P^T with E = S Q^T S, for
-    # every P_i at once: the right-hand sides are [S P_1^T, ..., S P_C^T]
-    rhs = np.conj(np.swapaxes(qp[:, 1:], -1, -2)).transpose(0, 2, 1, 3).reshape(n, k, c * k)
-    x = np.linalg.solve(gram, s[..., :, None] * rhs).reshape(n, k, c, k)
-    out = s[:, :, None, None] * x  # (B, K_i, C, K_j)
-    out = u[:, None] * out.transpose(2, 0, 3, 1) / (b * math.sqrt(beta))
+    # (P Q^{-1})^T = (Q^T)^{-1} P^T = S E^{-1} S P^T with E = S Q^T S: one
+    # inverse per draw, applied to each row's own K x K right-hand side, so a
+    # row is the same product as its single-vector call (one K x C K product
+    # would not be)
+    x = np.linalg.inv(gram)[:, None] @ (s[:, None, :, None] * np.conj(
+        np.swapaxes(qp[:, 1:], -1, -2)))  # (B, C, K_i, K_j)
+    out = u[:, None] * (s[:, None, :, None] * x).transpose(1, 0, 3, 2) / (b * math.sqrt(beta))
     return out.reshape(g.shape[:-1] + (n, k, k))

@@ -331,7 +331,8 @@ def estimate_sindr_mc(
                 h_eq[:, lo:lo + block] = _kernels.effective_channels(
                     h[lo:lo + block], hw.bs_rx, hw.ue_tx_gain, hw.ue_rx, g_eff, beta,
                     done + lo, n_channels)
-            sum_sq += (h.view(np.float64) ** 2).sum(axis=0)
+            hv = h.view(np.float64)
+            sum_sq += np.einsum("nkj,nkj->kj", hv, hv)
         else:
             for lo in range(0, nb, pblock):
                 w = _kernels.zf_apply(

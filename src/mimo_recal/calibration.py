@@ -223,15 +223,14 @@ def simulate_ota_training(
         out = np.moveaxis(sspa_apply(hw, np.moveaxis(x, 0, -1)), -1, 0) / math.sqrt(hw.a0)
     else:
         out = (hw.t[:, None] * bussgang_mu(hw.a_sat[:, None] / amps))[:, :, None] * x
-    pair = _unfused_product(hw.a0 * hw.bs_rx[None, :], omega)
-    scale = math.sqrt(noise_var / 2.0)
-    # one transmitter at a time, so no (M, M, N, Q) temporary is built
-    y = np.zeros((m, m, n_levels, q), dtype=np.complex128)
-    for tx in range(m):
-        if noise_var > 0:
+    # the signal is written straight into y, which is 0 on the diagonal since
+    # omega is; the noise is added after it in the pinned draw order
+    y = _unfused_product(hw.a0 * hw.bs_rx[None, :], omega)[:, :, None, None] * out[:, None]
+    if noise_var > 0:
+        scale = math.sqrt(noise_var / 2.0)
+        for tx in range(m):
             re, im = np.moveaxis(rng.standard_normal((m - 1, n_levels, 2, q)), 2, 0)
-            y[tx, np.arange(m) != tx] = scale * (re + 1j * im)
-        y[tx] += pair[tx, :, None, None] * out[tx]
+            y[tx, np.arange(m) != tx] += scale * (re + 1j * im)
     return TrainingSet(x=x, y=y)
 
 
@@ -296,11 +295,9 @@ def measured_level_shapes(training: TrainingSet, plan: PilotPlan) -> np.ndarray:
     if training.x.shape[1] != plan.n_levels:
         raise ValueError(f"training set has {training.x.shape[1]} levels, "
                          f"the pilot plan {plan.n_levels}")
-    m = training.m
-    # one transmitter at a time, so no (M, M, N, Q) temporary is built
-    prof = np.empty((m, m, plan.n_levels), dtype=np.complex128)  # (tx, rx, n)
-    for tx in range(m):
-        prof[tx] = np.mean(training.y[tx] / training.x[tx], axis=-1)
+    # the mean of y/x over the Q pilots as one contraction, (tx, rx, n), with
+    # no (M, M, N, Q) temporary
+    prof = np.einsum("trnq,tnq->trn", training.y, 1.0 / training.x) / training.x.shape[-1]
     top = prof[:, :, -1]
     denom = np.sum(np.abs(top) ** 2, axis=1)
     dead = np.flatnonzero(denom == 0)
@@ -356,7 +353,7 @@ def linear_calibration(training: TrainingSet) -> np.ndarray:
         raise ValueError("linear calibration expects a single power level; "
                          "pass TrainingSet.level(n)")
     # s[t, r] = x_r . y_{t->r}: receiver r's own pilot against what it heard from t
-    s = np.sum(training.x[None, :, 0] * training.y[:, :, 0], axis=-1)
+    s = np.einsum("rq,trq->tr", training.x[:, 0], training.y[:, :, 0])
     ybar = _unfused_product(-np.conj(s.T), s)
     # hypot rounds |s| as scalar abs() does; numpy's vector complex abs does not
     ybar[np.diag_indices(training.m)] = np.sum(np.hypot(s.real, s.imag) ** 2, axis=0)

@@ -6,8 +6,10 @@ Bussgang layer, bisection for the max-min solver, and synthetic-data
 generators for the calibration estimators.
 """
 
+import importlib.util
 import math
 import os
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Literal
@@ -16,7 +18,12 @@ import numpy as np
 import pytest
 import scipy.special
 
-import mimo_recal as mr
+# the checkout's src/ only as a fallback, so that the package an exported
+# PYTHONPATH names is the one under test
+if importlib.util.find_spec("mimo_recal") is None:
+    sys.path.append(str(Path(__file__).resolve().parents[1] / "src"))
+
+import mimo_recal as mr  # noqa: E402
 from mimo_recal import _kernels
 from mimo_recal.calibration import (
     CalibrationError,

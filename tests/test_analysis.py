@@ -707,21 +707,23 @@ class TestEstimateSindrMcStack:
         m, k = 16, 3
         hw = _draw(m, k, 8.0, 1.0, default_mismatch, seed)
         phi = mr.draw_ue_pathloss(rng, k, mr.CellGeometry())
+        # one row per method the CLI scores, the first uncalibrated
         c = np.stack([np.ones(m)] + [rng.lognormal(0.0, 0.3, m)
                                      * np.exp(1j * rng.uniform(-0.5, 0.5, m))
-                                     for _ in range(2)])
+                                     for _ in mr.CALIBRATION_METHODS[1:]])
         return hw, phi, c
 
     @pytest.mark.parametrize("mode, n_channels, draws", [("surrogate", 37, 10),
                                                           ("physical", 7, 3)])
     def test_rows_match_single_calls(self, default_mismatch, monkeypatch, mode, n_channels,
                                      draws):
-        # channel blocks of ``draws`` whatever the rows; the three-row stack
-        # works through them in kernel sub-blocks of half that, one vector in
-        # whole blocks, and the last block is partial
+        # channel blocks of ``draws`` whatever the rows; the four-row stack
+        # works through them in kernel sub-blocks of 2/5 of that, one vector
+        # in whole blocks, and the last block is partial
         monkeypatch.setattr(analysis, "_BLOCK_ENTRIES", draws * 3 * 16)
         hw, phi, c = self._setup(default_mismatch)
-        assert analysis._block_draws(hw.k, hw.m, len(c)) == draws // 2
+        assert len(c) == 4
+        assert analysis._block_draws(hw.k, hw.m, len(c)) == 2 * draws // 5
 
         def run(cc):
             return mr.estimate_sindr_mc(hw, phi, 1.0, A0, NOISE, n_channels, 24, mode,
@@ -743,8 +745,9 @@ class TestEstimateSindrMcStack:
             return mr.estimate_sindr_mc(hw, phi, 1.0, A0, NOISE, 9, 24, mode,
                                         np.random.default_rng(13), c=cc)
 
-        (stacked,) = run(c[1:2])
-        assert stacked == run(c[1])
+        for row in c:
+            (stacked,) = run(row[None])
+            assert stacked == run(row)
         (ones,) = run(np.ones((1, hw.m)))
         assert ones == run(None)
 
@@ -762,7 +765,7 @@ class TestEstimateSindrMcStack:
         monkeypatch.setattr(analysis, "bussgang_decompose", spy)
         mr.estimate_sindr_mc(hw, phi, 1.0, A0, NOISE, 4, 24, mode,
                              np.random.default_rng(0), c=c)
-        assert shapes == [(4, hw.m)]
+        assert shapes == [(5, hw.m)]
 
     @pytest.mark.parametrize("shape", [(15,), (2, 17), (1, 2, 16), (0, 16)])
     def test_bad_calibration_shape_rejected(self, default_mismatch, shape):

@@ -2,10 +2,17 @@
 package re-exports every one of them, and removed names stay removed."""
 
 import importlib
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import mimo_recal as mr
+
+ROOT = Path(__file__).resolve().parents[1]
 
 MODULES = ("numerics", "hardware", "channel", "precoding", "analysis", "calibration")
 
@@ -46,3 +53,22 @@ def test_removed_names_are_gone(name):
     for module in MODULES:
         assert not hasattr(importlib.import_module(f"mimo_recal.{module}"), name)
 
+
+def test_package_comes_from_the_first_pythonpath_entry_that_holds_it():
+    # an exported PYTHONPATH wins over the checkout's src/, which is only
+    # the fallback
+    entries = [Path(p).resolve() for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    holders = [p for p in entries if (p / "mimo_recal" / "__init__.py").is_file()]
+    want = holders[0] if holders else ROOT / "src"
+    assert Path(mr.__file__).resolve().parents[1] == want
+
+
+def test_pytest_tests_the_tree_that_pythonpath_names(tmp_path):
+    # a copy of the package on PYTHONPATH is the one the suite imports
+    shutil.copytree(Path(mr.__file__).parent, tmp_path / "mimo_recal",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    test = "tests/test_api.py::test_package_comes_from_the_first_pythonpath_entry_that_holds_it"
+    run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", test],
+                         cwd=ROOT, env={**os.environ, "PYTHONPATH": str(tmp_path)},
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stdout + run.stderr

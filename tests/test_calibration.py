@@ -237,36 +237,40 @@ class TestTensorMatchesRecordReference:
 
 
 @pytest.mark.parametrize("mode", ["surrogate", "physical"])
-def test_noiseless_training_at_benchmark_size(mode):
+@pytest.mark.parametrize("noise_var", [0.0, 0.5])
+def test_training_at_benchmark_size(noise_var, mode):
     # M=64, N=7, Q=10, the calibration benchmark's round, against the
-    # per-pair loop bit for bit
+    # per-pair loop bit for bit: the signal written first, then the noise
+    # added in the pinned draw order
     hw, omega, plan, _ = _setup(64, 8, 23)
-    ts = mr.simulate_ota_training(hw, plan, omega, 0.0, mode, np.random.default_rng(5))
-    recs = ref_simulate_ota_training(hw, plan, omega, 0.0, mode, np.random.default_rng(5))
+    rng_ts, rng_ref = np.random.default_rng(5), np.random.default_rng(5)
+    ts = mr.simulate_ota_training(hw, plan, omega, noise_var, mode, rng_ts)
+    recs = ref_simulate_ota_training(hw, plan, omega, noise_var, mode, rng_ref)
     x = np.empty_like(ts.x)
     y = np.zeros_like(ts.y)
     for rec in recs:
         x[rec.tx_antenna, rec.level] = rec.x
         y[rec.tx_antenna, rec.rx_antenna, rec.level] = rec.y
     assert np.array_equal(ts.x, x) and np.array_equal(ts.y, y)
+    assert rng_ts.bit_generator.state == rng_ref.bit_generator.state
 
 
 @settings(max_examples=30, deadline=None)
 @given(m=st.integers(2, 12), n_levels=st.integers(1, 7), q=st.integers(1, 12),
        noisy=st.booleans(), seed=st.integers(0, 2**32 - 1))
 def test_level_shapes_match_one_shot_profile(m, n_levels, q, noisy, seed):
-    # the level-by-level profiles are the one-shot mean over (M, M, N, Q)
-    # bit for bit
+    # the profiles from one contraction over (M, M, N, Q) against the
+    # per-pair mean of y/x; the two sum the Q ratios in another order
     rng = np.random.default_rng(seed)
     hw = mr.draw_system_hardware(rng, m, 1, mr.HardwareMismatch.uniform(0.05, 0.5),
                                  mr.a_sat_for_ibo(10.0, 1.0, m))
     plan = mr.PilotPlan.for_hardware(hw, n_levels, q)
-    ts = mr.simulate_ota_training(hw, plan, mr.draw_inter_antenna_channel(rng, m),
-                                  1.0 if noisy else 0.0, "surrogate", rng)
-    prof = np.mean(ts.y / ts.x[:, None], axis=-1)
-    top = prof[:, :, -1]
-    want = np.einsum("mi,min->mn", np.conj(top), prof) / np.sum(np.abs(top) ** 2, axis=1)[:, None]
-    assert np.array_equal(measured_level_shapes(ts, plan), want)
+    omega = mr.draw_inter_antenna_channel(rng, m)
+    noise_var = 1.0 if noisy else 0.0
+    rng_ts, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    ts = mr.simulate_ota_training(hw, plan, omega, noise_var, "surrogate", rng_ts)
+    recs = ref_simulate_ota_training(hw, plan, omega, noise_var, "surrogate", rng_ref)
+    assert _close(measured_level_shapes(ts, plan), ref_measured_level_shapes(recs, plan))
 
 
 def test_level_shapes_reject_a_plan_with_other_levels():
