@@ -23,8 +23,8 @@ from .hardware import (
     draw_system_hardware,
     sspa_apply,
 )
-from .channel import CellGeometry, draw_channels, draw_ue_pathloss, uplink_channel
-from .precoding import beta_zf_closed, beta_zf_empirical, transmit_block, zf_precoder
+from .channel import CellGeometry, draw_channels, draw_ue_pathloss
+from .precoding import beta_zf_closed, transmit_block
 from .analysis import (
     RateDecomposition,
     SindrBreakdown,

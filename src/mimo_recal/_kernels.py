@@ -143,7 +143,10 @@ def _equilibrate(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _cond(scaled: np.ndarray) -> np.ndarray:
-    """Condition numbers of a batch of Hermitian matrices, inf where not finite."""
+    """Condition numbers of a batch of Hermitian matrices, inf where not finite.
+    Of an equilibrated Gram matrix, whose unit diagonal removes each UE's path
+    loss, it measures only how nearly collinear the channels are; a draw is
+    rank-deficient when it exceeds ``ZF_COND_MAX``."""
     with np.errstate(divide="ignore", invalid="ignore"):
         finite = np.isfinite(scaled).all(axis=(-2, -1))
         cond = np.full(finite.shape, np.inf)
@@ -151,16 +154,6 @@ def _cond(scaled: np.ndarray) -> np.ndarray:
         lam = np.abs(np.linalg.eigvalsh(scaled[finite]))
         cond[finite] = lam.max(axis=-1) / lam.min(axis=-1)
     return cond
-
-
-def equilibrated_gram(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(S gram S, s, cond) for a (..., K, K) batch of Gram matrices, with
-    S = diag(s) = diag(gram)^{-1/2} and cond that of S gram S (inf when not
-    finite).  The unit diagonal removes each UE's path loss, so cond only
-    measures how nearly collinear the channels are; a draw is rank-deficient
-    when cond exceeds ``ZF_COND_MAX``."""
-    scaled, s = _equilibrate(gram)
-    return scaled, s, _cond(scaled)
 
 
 def _well_conditioned(scaled: np.ndarray) -> bool:
@@ -183,9 +176,9 @@ def _well_conditioned(scaled: np.ndarray) -> bool:
 
 def _full_rank_gram(gram: np.ndarray, first: int,
                     total: int | None) -> tuple[np.ndarray, np.ndarray]:
-    """``equilibrated_gram`` of a batch that must have full rank: (S gram S, s).
+    """``_equilibrate`` of a batch that must have full rank: (S gram S, s).
     A batch that ``_well_conditioned`` certifies skips the eigenvalues; any
-    other gets the exact cond of ``equilibrated_gram``, and its first
+    other gets the exact ``_cond`` of S gram S, and its first
     rank-deficient draw raises LinAlgError naming it draw ``first + i`` of
     ``total`` (or of B)."""
     scaled, s = _equilibrate(gram)
@@ -206,7 +199,7 @@ def zf_apply(h_ul: np.ndarray, beta: float, first: int = 0,
     """Zero-forcing precoders W = H_UL^* (H_UL^T H_UL^*)^{-1} / sqrt(beta).
 
     h_ul is (B, M, K); the result is (B, M, K), from K x K solves.  A
-    rank-deficient draw (``equilibrated_gram``) raises LinAlgError naming it
+    rank-deficient draw (``_full_rank_gram``) raises LinAlgError naming it
     draw ``first + i`` of ``total`` (or of B).
     """
     h_conj = np.conj(h_ul)
@@ -230,12 +223,11 @@ def effective_channels(
 ) -> np.ndarray:
     """Effective downlink channels U H G W for a batch of channel draws.
 
-    h is (B, K, M); r is (M,) and g is (M,) or a (C, M) stack of gain
-    vectors; b, u are (K,).  W is the zero-forcing precoder built from H_UL =
-    R H^T B with normalisation 1/sqrt(beta).  Returns (B, K, K), or (C, B, K,
-    K) for a stack, from one Gram matrix per draw.  A rank-deficient draw
-    raises LinAlgError as in ``zf_apply``, named draw ``first + i`` of
-    ``total`` (or of B).
+    h is (B, K, M); r is (M,) and g a (C, M) stack of gain vectors; b, u
+    are (K,).  W is the zero-forcing precoder built from H_UL = R H^T B with
+    normalisation 1/sqrt(beta).  Returns (C, B, K, K), from one Gram matrix
+    per draw.  A rank-deficient draw raises LinAlgError as in ``zf_apply``,
+    named draw ``first + i`` of ``total`` (or of B).
 
     With P = H diag(g r^*) H^H and Q = H diag(|r|^2) H^H, the uplink Gram
     matrix is B Q B^* and H G H_UL^* = P B^*, so U H G W = U P Q^{-1} B^{-1}
@@ -243,10 +235,8 @@ def effective_channels(
     and H G never are.
     """
     n, k, m = h.shape
-    g = np.asarray(g)
-    gs = g.reshape(-1, m)
-    c = gs.shape[0]
-    weights = np.concatenate([(np.abs(r) ** 2)[None], np.conj(gs) * r])
+    c = g.shape[0]
+    weights = np.concatenate([(np.abs(r) ** 2)[None], np.conj(g) * r])
     # conj(H) diag(w) H^T for every weight in one product: [Q^T; conj P_1; ...],
     # with conj(H) written straight into its 1 + C copies
     stacked = np.conjugate(np.broadcast_to(h[:, None], (n, 1 + c, k, m)))
@@ -258,9 +248,8 @@ def effective_channels(
     gram, s = _full_rank_gram(qp[:, 0], first, total)
     # (P Q^{-1})^T = (Q^T)^{-1} P^T = S E^{-1} S P^T with E = S Q^T S: one
     # inverse per draw, applied to each row's own K x K right-hand side, so a
-    # row is the same product as its single-vector call (one K x C K product
+    # row is the same product as its one-row stack (one K x C K product
     # would not be)
     x = np.linalg.inv(gram)[:, None] @ (s[:, None, :, None] * np.conj(
         np.swapaxes(qp[:, 1:], -1, -2)))  # (B, C, K_i, K_j)
-    out = u[:, None] * (s[:, None, :, None] * x).transpose(1, 0, 3, 2) / (b * math.sqrt(beta))
-    return out.reshape(g.shape[:-1] + (n, k, k))
+    return u[:, None] * (s[:, None, :, None] * x).transpose(1, 0, 3, 2) / (b * math.sqrt(beta))

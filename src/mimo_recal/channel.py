@@ -1,4 +1,4 @@
-"""Propagation channel generation and effective uplink assembly.
+"""Propagation channel generation.
 
 Path loss phi_k is an amplitude gain: channel row k has mean-square phi_k^2.
 """
@@ -10,14 +10,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
-from .hardware import SystemHardware
-
 __all__ = [
     "CellGeometry",
     "draw_ue_pathloss",
     "draw_channels",
-    "uplink_channel",
 ]
 
 
@@ -72,10 +68,3 @@ def draw_channels(rng: np.random.Generator, phi, out: np.ndarray) -> np.ndarray:
     out_f *= (phi / math.sqrt(2.0))[:, None]
     return out
 
-
-def uplink_channel(h: np.ndarray, hw: SystemHardware) -> np.ndarray:
-    """Effective uplink H_UL = R H^T B of the K x M channel h, shape M x K."""
-    k, m = h.shape
-    if m != hw.m or k != hw.k:
-        raise ValueError(f"dimension mismatch: channel {k}x{m} vs hardware M={hw.m}, K={hw.k}")
-    return _kernels.uplink(h, hw.bs_rx, hw.ue_tx_gain)

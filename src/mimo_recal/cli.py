@@ -41,7 +41,7 @@ from .calibration import (
     simulate_ota_training,
     slp_solve,
 )
-from .channel import CellGeometry, draw_channels, draw_ue_pathloss, uplink_channel
+from .channel import CellGeometry, draw_channels, draw_ue_pathloss
 from .hardware import HardwareMismatch, a_sat_for_ibo, draw_system_hardware
 
 SCENARIOS = (
@@ -378,9 +378,9 @@ def emit_csv(table: list[dict], path: str) -> None:
 
 def selftest() -> int:
     """Quick oracle suite; prints one line per check, returns a shell status."""
-    from ._kernels import e1_scaled, erfc
+    from ._kernels import e1_scaled, erfc, uplink, zf_apply
     from .numerics import bussgang_mu
-    from .precoding import beta_zf_closed, zf_precoder
+    from .precoding import beta_zf_closed
 
     checks = []
 
@@ -396,8 +396,9 @@ def selftest() -> int:
     rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence(0, spawn_key=(0,))))
     mis = HardwareMismatch.uniform(0.05, math.pi / 6)
     hw = draw_system_hardware(rng, 16, 4, mis, a_sat_for_ibo(10.0, 1.0, 16))
-    h_ul = uplink_channel(draw_channels(rng, np.ones(4), np.empty((4, 16), complex)), hw)
-    resid = np.linalg.norm(h_ul.T @ zf_precoder(h_ul, 1.0) - np.eye(4))
+    h = draw_channels(rng, np.ones(4), np.empty((4, 16), complex))
+    h_ul = uplink(h, hw.bs_rx, hw.ue_tx_gain)
+    resid = np.linalg.norm(h_ul.T @ zf_apply(h_ul[None], 1.0)[0] - np.eye(4))
     check("ZF inversion residual < 1e-10", resid < 1e-10)
 
     ideal = draw_system_hardware(rng, 64, 8, HardwareMismatch.none(), 1e9,

@@ -199,8 +199,10 @@ def bussgang_decompose(hpa: HpaModel | SystemHardware, sigma_x) -> BussgangPair:
 
 
 def a_sat_for_ibo(ibo: float, rho_t: float, m: int) -> float:
-    """Common saturation level so that the mean per-antenna rms sqrt(rho_t/m)
-    sits ``ibo`` dB below saturation."""
+    """Common saturation level a_sat = sigma 10^(ibo/10) for the mean
+    per-antenna rms sigma = sqrt(rho_t/m).  So ibo = 10 log10(a_sat/sigma),
+    an amplitude ratio under 10 log10, and the power back-off a_sat^2/sigma^2
+    is 2 ibo dB."""
     if not math.isfinite(ibo):
         raise ValueError(f"ibo must be finite, got {ibo}")
     _check_positive("rho_t", rho_t)

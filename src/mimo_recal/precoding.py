@@ -1,34 +1,16 @@
-"""Zero-forcing precoding, power normalisation and the downlink transmit chain."""
+"""The zero-forcing power normalisation and the downlink transmit chain."""
 
 from __future__ import annotations
 
-import warnings
-from typing import Iterable
-
 import numpy as np
 
-from . import _kernels
 from .channel import _check_phi
 from .hardware import SystemHardware, sspa_apply
-from .numerics import _check_positive
 
 __all__ = [
-    "zf_precoder",
     "beta_zf_closed",
-    "beta_zf_empirical",
     "transmit_block",
 ]
-
-
-def zf_precoder(h_ul: np.ndarray, beta: float) -> np.ndarray:
-    """ZF precoder W = (1/sqrt(beta)) H_UL^* (H_UL^T H_UL^*)^{-1}, shape (M, K);
-    raises LinAlgError for a rank-deficient Gram matrix
-    (``_kernels.equilibrated_gram``)."""
-    m, k = h_ul.shape
-    if m < k:
-        raise ValueError("ZF requires M >= K")
-    _check_positive("beta", beta)
-    return _kernels.zf_apply(h_ul[None], beta)[0]
 
 
 def beta_zf_closed(hw: SystemHardware, phi) -> float:
@@ -45,25 +27,6 @@ def beta_zf_closed(hw: SystemHardware, phi) -> float:
     tr_b_phi2_inv = float(np.sum(1.0 / (np.abs(hw.ue_tx_gain) ** 2 * phi**2)))
     tr_rr = float(np.sum(np.abs(hw.bs_rx) ** 2))
     return m * tr_b_phi2_inv / (tr_rr * (m - k))
-
-
-def beta_zf_empirical(h_ul_samples: Iterable[np.ndarray]) -> float:
-    """Monte-Carlo mean of tr[(H_UL^T H_UL^*)^{-1}]; rank-deficient draws
-    (``_kernels.equilibrated_gram``) are skipped with a warning."""
-    traces = []
-    skipped = 0
-    for h_ul in h_ul_samples:
-        gram, s, cond = _kernels.equilibrated_gram(h_ul.T @ np.conj(h_ul))
-        if not cond <= _kernels.ZF_COND_MAX:
-            skipped += 1
-            continue
-        # tr(Gram^{-1}) = tr(S E^{-1} S) for the equilibrated E = S Gram S
-        traces.append(np.sum(s**2 * np.real(np.diagonal(np.linalg.inv(gram)))))
-    if skipped:
-        warnings.warn(f"beta_zf_empirical skipped {skipped} rank-deficient draws", RuntimeWarning)
-    if not traces:
-        raise ValueError("no usable H_UL samples")
-    return float(np.mean(traces))
 
 
 def transmit_block(hw: SystemHardware, h: np.ndarray, w: np.ndarray,

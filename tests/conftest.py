@@ -2,7 +2,8 @@
 
 Every oracle here is independent of the implementation path it checks:
 quadrature and series for the special functions, Monte-Carlo sampling for the
-Bussgang layer, bisection for the max-min solver, and synthetic-data
+Bussgang layer, an explicit inverse per draw for the empirical ZF
+normalisation, bisection for the max-min solver, and synthetic-data
 generators for the calibration estimators.
 """
 
@@ -10,6 +11,7 @@ import importlib.util
 import math
 import os
 import sys
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Literal
@@ -46,6 +48,12 @@ def package_env() -> dict:
 def one_channel(rng, m, phi):
     """One K x M channel draw at path-loss amplitudes phi."""
     return mr.draw_channels(rng, phi, np.empty((len(phi), m), dtype=np.complex128))
+
+
+def one_precoder(h, hw, beta):
+    """The ZF precoder W (M, K) of one K x M channel h under hardware hw,
+    from the batched core."""
+    return _kernels.zf_apply(_kernels.uplink(h, hw.bs_rx, hw.ue_tx_gain)[None], beta)[0]
 
 
 def soft_limiter(x, a_sat):
@@ -394,6 +402,30 @@ def estimate_poly_coeffs(psi_matrix: np.ndarray, order: int,
 
 
 # ---------------------------------------------------------------------------
+# Oracle: the empirical ZF normalisation beta, one explicit inverse per draw
+# ---------------------------------------------------------------------------
+
+
+def beta_zf_empirical(h_ul_samples: Iterable[np.ndarray]) -> float:
+    """Monte-Carlo mean of tr[(H_UL^T H_UL^*)^{-1}]; rank-deficient draws
+    (equilibrated cond above ``ZF_COND_MAX``) are skipped with a warning."""
+    traces = []
+    skipped = 0
+    for h_ul in h_ul_samples:
+        gram, s = _kernels._equilibrate(h_ul.T @ np.conj(h_ul))
+        if not _kernels._cond(gram) <= _kernels.ZF_COND_MAX:
+            skipped += 1
+            continue
+        # tr(Gram^{-1}) = tr(S E^{-1} S) for the equilibrated E = S Gram S
+        traces.append(np.sum(s**2 * np.real(np.diagonal(np.linalg.inv(gram)))))
+    if skipped:
+        warnings.warn(f"beta_zf_empirical skipped {skipped} rank-deficient draws", RuntimeWarning)
+    if not traces:
+        raise ValueError("no usable H_UL samples")
+    return float(np.mean(traces))
+
+
+# ---------------------------------------------------------------------------
 # Reference: the effective-channel kernel in its lhs-based form, where the
 # batched ZF solve returns lhs W for lhs = H G and forms H_UL and its conjugate
 # ---------------------------------------------------------------------------
@@ -405,14 +437,16 @@ def ref_zf_apply(h_ul: np.ndarray, beta: float, lhs: np.ndarray | None = None,
 
     h_ul is (B, M, K) and lhs (B, P, M); the result is (B, P, K) and only
     K x K systems are solved, so W itself is never formed.  Without ``lhs``
-    the result is W, (B, M, K).  A rank-deficient draw (``equilibrated_gram``)
-    raises LinAlgError naming it draw ``first + i`` of ``total`` (or of B).
+    the result is W, (B, M, K).  A rank-deficient draw (equilibrated cond
+    above ``ZF_COND_MAX``) raises LinAlgError naming it draw ``first + i`` of
+    ``total`` (or of B).
     """
     h_conj = np.conj(h_ul)
     # (H_UL^T H_UL^*)^T = H_UL^H H_UL; solving against the transpose gives
     # A Gram^{-1} as (Gram^T)^{-1} A^T with A = lhs H_UL^*, and with the
     # equilibrated E = S Gram^T S that is S E^{-1} S A^T
-    gram, s, cond = _kernels.equilibrated_gram(np.swapaxes(h_conj, -1, -2) @ h_ul)
+    gram, s = _kernels._equilibrate(np.swapaxes(h_conj, -1, -2) @ h_ul)
+    cond = _kernels._cond(gram)
     bad = np.flatnonzero(~(cond <= _kernels.ZF_COND_MAX))
     if bad.size:
         i = int(bad[0])

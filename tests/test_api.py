@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import mimo_recal as mr
+from tests.conftest import package_env
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -23,12 +24,15 @@ MODULES = ("numerics", "hardware", "channel", "precoding", "analysis", "calibrat
 # pair-ratio LS (assemble_psi_matrix, estimate_poly_coeffs,
 # estimate_poly_coeffs_from_records) is kept only as the dense test reference
 # in tests/conftest.py.  ibo_db and sigma_from_ibo had no caller; the
-# back-off is set through a_sat_for_ibo.
+# back-off is set through a_sat_for_ibo.  zf_precoder and uplink_channel only
+# renamed _kernels.zf_apply and _kernels.uplink, and beta_zf_empirical is
+# criterion 5's oracle in tests/conftest.py.
 REMOVED = ("transmit_downlink", "DownlinkOutcome", "apply_calibration", "Precoder",
            "orth_poly_psi", "assemble_psi_matrix", "estimate_poly_coeffs",
            "estimate_poly_coeffs_from_records", "sindr_zf_closed",
            "ChannelRealization", "draw_channel", "zf_bussgang", "erfc", "erfcx",
-           "exp_integral_ei", "exp_integral_ei_scaled", "ibo_db", "sigma_from_ibo")
+           "exp_integral_ei", "exp_integral_ei_scaled", "ibo_db", "sigma_from_ibo",
+           "zf_precoder", "uplink_channel", "beta_zf_empirical")
 
 
 @pytest.mark.parametrize("module", MODULES)
@@ -72,3 +76,15 @@ def test_pytest_tests_the_tree_that_pythonpath_names(tmp_path):
                          cwd=ROOT, env={**os.environ, "PYTHONPATH": str(tmp_path)},
                          capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stdout + run.stderr
+
+
+def test_benchmark_tests_pass_on_this_tree():
+    # the benchmark's own tests call the library (HpaModel among it), so a
+    # change to the package that breaks them must fail here.  They run in a
+    # fresh interpreter, as perfbench/tests and tests both import as "tests";
+    # perfbench/tests/conftest.py puts this checkout's src/ first on sys.path
+    run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                          "perfbench/tests"],
+                         cwd=ROOT, env=package_env(), capture_output=True, text=True,
+                         timeout=600)
+    assert run.returncode == 0, run.stdout[-4000:] + run.stderr[-4000:]

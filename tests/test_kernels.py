@@ -1,6 +1,6 @@
 """Kernel checks: the library's import footprint, and the batched
-zero-forcing core against the single-draw precoder and the lhs-based
-effective-channel kernel."""
+zero-forcing core against the textbook precoder of one draw and the
+lhs-based effective-channel kernel."""
 
 import math
 
@@ -56,7 +56,7 @@ def _gram_of_cond(cond, d, rng):
 def _eigvalsh_rule(gram, first, total):
     """The message of the first draw whose exact equilibrated cond exceeds
     ``ZF_COND_MAX``, or None."""
-    cond = _kernels.equilibrated_gram(gram)[2]
+    cond = _kernels._cond(_kernels._equilibrate(gram)[0])
     bad = np.flatnonzero(~(cond <= _kernels.ZF_COND_MAX))
     if not bad.size:
         return None
@@ -74,7 +74,7 @@ def test_rank_test_decides_as_eigvalsh():
     rng = np.random.default_rng(17)
     d = np.array([1e-3, 1.0, 30.0, 2e2])
     single = [_gram_of_cond(c, d, rng)[None] for c in CONDS]
-    conds = [_kernels.equilibrated_gram(g)[2][0] for g in single]
+    conds = [_kernels._cond(_kernels._equilibrate(g)[0])[0] for g in single]
     # the draws next to the threshold are built on the side they test
     assert conds[CONDS.index(0.99e12)] <= _kernels.ZF_COND_MAX < conds[CONDS.index(1.01e12)]
     assert 0.9e11 < conds[CONDS.index(1e11)] < 1.1e11 and conds[CONDS.index(1e13)] > 9e12
@@ -98,7 +98,7 @@ def test_rank_test_decides_as_eigvalsh():
             decided.add(want is None)
             if want is None:
                 scaled, s = _kernels._full_rank_gram(gram, first, total)
-                ref_scaled, ref_s, _ = _kernels.equilibrated_gram(gram)
+                ref_scaled, ref_s = _kernels._equilibrate(gram)
                 assert np.array_equal(scaled, ref_scaled) and np.array_equal(s, ref_s)
             else:
                 with pytest.raises(np.linalg.LinAlgError) as err:
@@ -116,7 +116,8 @@ def test_certificate_bounds_exact_cond(k, log_cond, seed):
     q, _ = np.linalg.qr(rng.standard_normal((3, k, k)) + 1j * rng.standard_normal((3, k, k)))
     lam = 10.0 ** -(log_cond * rng.uniform(0.0, 1.0, (3, k)))
     gram = (q * lam[:, None, :]) @ np.swapaxes(q.conj(), -1, -2)
-    scaled, _, cond = _kernels.equilibrated_gram(gram)
+    scaled = _kernels._equilibrate(gram)[0]
+    cond = _kernels._cond(scaled)
     if _kernels._well_conditioned(scaled):
         assert np.all(cond <= _kernels.ZF_COND_MAX / 100)
 
@@ -133,7 +134,7 @@ def test_well_conditioned_batch_skips_eigvalsh(monkeypatch):
     rng = np.random.default_rng(3)
     hw = mr.draw_system_hardware(rng, 64, 8, mr.HardwareMismatch.uniform(0.05, np.pi / 6), 1.0)
     h = rng.standard_normal((12, 8, 64)) + 1j * rng.standard_normal((12, 8, 64))
-    _kernels.effective_channels(h, hw.bs_rx, hw.ue_tx_gain, hw.ue_rx, np.ones(64), 1.0)
+    _kernels.effective_channels(h, hw.bs_rx, hw.ue_tx_gain, hw.ue_rx, np.ones((1, 64)), 1.0)
     _kernels.zf_apply(_kernels.uplink(h, hw.bs_rx, hw.ue_tx_gain), 1.0)
     assert calls == []
     # a batch the certificate cannot clear takes the exact rule once
@@ -155,11 +156,11 @@ def test_effective_channels_match_single_draw_precoder(n_draws, k, m, seed):
                                  + 1j * rng.standard_normal((n_draws, k, m)))
     g = rng.lognormal(0.0, 0.2, m) * np.exp(1j * rng.uniform(-0.5, 0.5, m))
     beta = mr.beta_zf_closed(hw, phi)
-    h_eq = _kernels.effective_channels(h, hw.bs_rx, hw.ue_tx_gain, hw.ue_rx, g, beta)
+    h_eq = _kernels.effective_channels(h, hw.bs_rx, hw.ue_tx_gain, hw.ue_rx, g[None], beta)[0]
     assert h_eq.shape == (n_draws, k, k)
     for t in range(n_draws):
-        h_ul = mr.uplink_channel(h[t], hw)
-        w = mr.zf_precoder(h_ul, beta)
+        h_ul = _kernels.uplink(h[t], hw.bs_rx, hw.ue_tx_gain)
+        w = _kernels.zf_apply(h_ul[None], beta)[0]
         # the textbook formula, with an explicit inverse, as an independent oracle
         w_ref = np.conj(h_ul) @ np.linalg.inv(h_ul.T @ np.conj(h_ul)) / math.sqrt(beta)
         assert np.max(np.abs(w - w_ref)) <= 1e-12 * np.max(np.abs(w_ref))
@@ -182,7 +183,7 @@ def test_effective_channels_match_lhs_reference(n_draws, k, m, seed):
                         + 1j * rng.standard_normal((n_draws, k, m)))
     g = rng.lognormal(0.0, 0.2, m) * np.exp(1j * rng.uniform(-0.5, 0.5, m))
     beta = mr.beta_zf_closed(hw, phi)
-    h_eq = _kernels.effective_channels(h, hw.bs_rx, hw.ue_tx_gain, hw.ue_rx, g, beta)
+    h_eq = _kernels.effective_channels(h, hw.bs_rx, hw.ue_tx_gain, hw.ue_rx, g[None], beta)[0]
     ref = ref_effective_channels(h, hw.bs_rx, hw.ue_tx_gain, hw.ue_rx, g, beta)
     assert h_eq.shape == ref.shape == (n_draws, k, k)
     for t in range(n_draws):
@@ -194,7 +195,7 @@ def test_effective_channels_names_the_singular_draw():
     hw = mr.draw_system_hardware(rng, 10, 4, mr.HardwareMismatch.uniform(0.05, np.pi / 6), 1.0)
     h = rng.standard_normal((3, 4, 10)) + 1j * rng.standard_normal((3, 4, 10))
     h[1, 3] = (0.3 - 2.0j) * h[1, 0]
-    args = (hw.bs_rx, hw.ue_tx_gain, hw.ue_rx, np.ones(10), 1.0)
+    args = (hw.bs_rx, hw.ue_tx_gain, hw.ue_rx, np.ones((1, 10)), 1.0)
     with pytest.raises(np.linalg.LinAlgError, match=r"draw 1 of 3 \(cond="):
         _kernels.effective_channels(h, *args)
     with pytest.raises(np.linalg.LinAlgError, match=r"draw 41 of 90 \(cond="):
@@ -227,7 +228,7 @@ def test_zf_core_ignores_column_scale():
 
 def test_effective_channels_stack_matches_rows():
     # a (C, M) stack of gain vectors shares one Gram matrix per draw and
-    # gives each row's channels as a call with that row alone
+    # gives each row's channels as its one-row stack
     rng = np.random.default_rng(8)
     hw = mr.draw_system_hardware(rng, 20, 4, mr.HardwareMismatch.uniform(0.05, np.pi / 6), 1.0)
     h = rng.standard_normal((5, 4, 20)) + 1j * rng.standard_normal((5, 4, 20))
@@ -236,5 +237,5 @@ def test_effective_channels_stack_matches_rows():
     h_eq = _kernels.effective_channels(h, *args, g, 0.7)
     assert h_eq.shape == (3, 5, 4, 4)
     for row, got in zip(g, h_eq):
-        want = _kernels.effective_channels(h, *args, row, 0.7)
+        want = _kernels.effective_channels(h, *args, row[None], 0.7)[0]
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))

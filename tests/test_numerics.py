@@ -282,7 +282,6 @@ def test_mc_oracle_reproduces_frozen_values():
 
 
 _NO_MISMATCH = mr.HardwareMismatch.none()
-_H_UL = np.random.default_rng(5).standard_normal((8, 2)) + 0j
 
 
 @pytest.mark.parametrize("name, call", [
@@ -294,15 +293,14 @@ _H_UL = np.random.default_rng(5).standard_normal((8, 2)) + 0j
     ("sigma_x", lambda: mr.bussgang_decompose(mr.HpaModel(a0=10.0, t=1.0 + 0j, a_sat=1.0),
                                               math.inf)),
     ("sigma_x", lambda: mr.bussgang_lambda(1.0, math.inf)),
-    ("beta", lambda: mr.zf_precoder(_H_UL, math.inf)),
     ("sigma_ref", lambda: mr.PolyMismatch(tau=np.ones((2, 2), complex), order=1,
                                           sigma_ref=np.array([1.0, math.nan]))),
     ("m", lambda: mr.a_sat_for_ibo(10.0, 1.0, math.inf)),
 ], ids=["hardware-a0", "hardware-a_sat", "hpa-a0", "decompose-sigma", "lambda-sigma",
-        "zf-beta", "poly-sigma_ref", "ibo-m"])
+        "poly-sigma_ref", "ibo-m"])
 def test_non_finite_magnitude_rejected(name, call):
     # each got through: an infinite a0 or a_sat built hardware, an infinite
-    # sigma gave sigma_d^2 = NaN, beta = inf an all-zero precoder, a NaN
-    # sigma_ref a model and m = inf a saturation level of 0
+    # sigma gave sigma_d^2 = NaN, a NaN sigma_ref a model and m = inf a
+    # saturation level of 0
     with pytest.raises(ValueError, match=f"^{name} must be finite and positive"):
         call()

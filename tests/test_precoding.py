@@ -1,4 +1,4 @@
-"""ZF precoder, normalisation scalar and the downlink transmit chain."""
+"""ZF precoder core, normalisation scalar and the downlink transmit chain."""
 
 import math
 
@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import mimo_recal as mr
-from tests.conftest import one_channel
+from mimo_recal import _kernels
+from tests.conftest import beta_zf_empirical, one_channel, one_precoder
 
 
 def _system(m, k, mismatch, a_sat, seed, rho=1.0):
@@ -19,28 +20,28 @@ def _system(m, k, mismatch, a_sat, seed, rho=1.0):
 class TestZfPrecoder:
     def test_inversion_residual(self, default_mismatch):
         hw, phi, h = _system(16, 4, default_mismatch, 10.0, 0)
-        h_ul = mr.uplink_channel(h, hw)
-        w = mr.zf_precoder(h_ul, beta=1.0)
+        h_ul = _kernels.uplink(h, hw.bs_rx, hw.ue_tx_gain)
+        w = _kernels.zf_apply(h_ul[None], 1.0)[0]
         resid = np.linalg.norm(h_ul.T @ w - np.eye(4))
         assert resid <= 1e-10
 
     def test_square_case_exact_inverse(self):
         rng = np.random.default_rng(1)
         h_ul = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-        w = mr.zf_precoder(h_ul, beta=4.0)
+        w = _kernels.zf_apply(h_ul[None], 4.0)[0]
         assert np.allclose(h_ul.T @ w, np.eye(5) / 2.0, atol=1e-10)
 
     def test_homogeneity(self):
         rng = np.random.default_rng(2)
         h_ul = rng.standard_normal((12, 3)) + 1j * rng.standard_normal((12, 3))
-        w1 = mr.zf_precoder(h_ul, beta=1.0)
-        w2 = mr.zf_precoder(3.0 * h_ul, beta=1.0)
+        w1 = _kernels.zf_apply(h_ul[None], 1.0)[0]
+        w2 = _kernels.zf_apply(3.0 * h_ul[None], 1.0)[0]
         assert np.allclose(w2, w1 / 3.0, atol=1e-12)
 
     def test_rank_deficiency_reported(self):
-        h_ul = np.ones((8, 2), dtype=complex)
+        h_ul = np.ones((1, 8, 2), dtype=complex)
         with pytest.raises(np.linalg.LinAlgError):
-            mr.zf_precoder(h_ul, beta=1.0)
+            _kernels.zf_apply(h_ul, 1.0)
 
 
 class TestBetaZf:
@@ -73,9 +74,9 @@ class TestBetaZf:
         def samples(n):
             rng = np.random.default_rng(3)
             for _ in range(n):
-                yield mr.uplink_channel(one_channel(rng, 64, phi), hw)
+                yield _kernels.uplink(one_channel(rng, 64, phi), hw.bs_rx, hw.ue_tx_gain)
 
-        assert mr.beta_zf_empirical(samples(2000)) == pytest.approx(closed, rel=0.02)
+        assert beta_zf_empirical(samples(2000)) == pytest.approx(closed, rel=0.02)
 
     def test_empirical_agreement_amplitude_spread(self, default_mismatch):
         # with log-normal |r_m| the inverse-Wishart step is approximate;
@@ -87,22 +88,22 @@ class TestBetaZf:
         def samples(n):
             rng = np.random.default_rng(3)
             for _ in range(n):
-                yield mr.uplink_channel(one_channel(rng, 64, phi), hw)
+                yield _kernels.uplink(one_channel(rng, 64, phi), hw.bs_rx, hw.ue_tx_gain)
 
-        assert mr.beta_zf_empirical(samples(2000)) == pytest.approx(closed, rel=0.05)
+        assert beta_zf_empirical(samples(2000)) == pytest.approx(closed, rel=0.05)
 
     def test_singular_draws_skipped(self):
         good = np.random.default_rng(0).standard_normal((8, 2)) + 0j
         bad = np.ones((8, 2), dtype=complex)  # rank-1 Gram
         with pytest.warns(RuntimeWarning):
-            val = mr.beta_zf_empirical([good, bad, good])
-        ref = mr.beta_zf_empirical([good, good])
+            val = beta_zf_empirical([good, bad, good])
+        ref = beta_zf_empirical([good, good])
         assert val == pytest.approx(ref)
 
     @pytest.mark.parametrize("samples", [[], iter(())])
     def test_no_samples_rejected(self, samples):
         with pytest.raises(ValueError, match="no usable H_UL samples"):
-            mr.beta_zf_empirical(samples)
+            beta_zf_empirical(samples)
 
     def test_near_singular_draws_skipped(self):
         # a proportional column leaves the Gram exactly singular in theory but
@@ -112,10 +113,10 @@ class TestBetaZf:
         bad = good.copy()
         bad[:, 1] = (0.3 + 0.7j) * bad[:, 0]
         with pytest.raises(np.linalg.LinAlgError):
-            mr.zf_precoder(bad, beta=1.0)
+            _kernels.zf_apply(bad[None], 1.0)
         with pytest.warns(RuntimeWarning, match="skipped 1"):
-            val = mr.beta_zf_empirical([good, bad])
-        assert val == pytest.approx(mr.beta_zf_empirical([good]))
+            val = beta_zf_empirical([good, bad])
+        assert val == pytest.approx(beta_zf_empirical([good]))
 
     def test_small_m_rejected(self, default_mismatch):
         hw = mr.draw_system_hardware(np.random.default_rng(4), 4, 3, default_mismatch, 1.0)
@@ -137,7 +138,7 @@ class TestTransmitDownlink:
         phi = np.ones(4)
         h = one_channel(np.random.default_rng(1), 16, phi)
         beta = mr.beta_zf_closed(hw, phi)
-        w = mr.zf_precoder(mr.uplink_channel(h, hw), beta)
+        w = one_precoder(h, hw, beta)
         s = _symbols(np.random.default_rng(2), 32, 4)
         y = mr.transmit_block(hw, h, w, s)
         assert y.shape == (32, 4)
@@ -147,7 +148,7 @@ class TestTransmitDownlink:
         # a (C, M, K) stack of precoders c_j W is the C single calls, bit for
         # bit, through amplifiers that saturate
         hw, phi, h = _system(16, 4, default_mismatch, 0.3, 3)
-        w = mr.zf_precoder(mr.uplink_channel(h, hw), mr.beta_zf_closed(hw, phi))
+        w = one_precoder(h, hw, mr.beta_zf_closed(hw, phi))
         rng = np.random.default_rng(4)
         c = rng.standard_normal((3, 16)) + 1j * rng.standard_normal((3, 16))
         s = _symbols(rng, 32, 4)
@@ -162,7 +163,7 @@ class TestTransmitDownlink:
         acc = np.zeros(hw.m)
         rng = np.random.default_rng(seed)
         for _ in range(n_draws):
-            w = mr.zf_precoder(mr.uplink_channel(one_channel(rng, hw.m, phi), hw), beta)
+            w = one_precoder(one_channel(rng, hw.m, phi), hw, beta)
             acc += np.sum(np.abs(_symbols(rng, n_sym, hw.k) @ w.T) ** 2, axis=0)
         return np.sqrt(acc / (n_draws * n_sym))
 
@@ -204,7 +205,7 @@ class TestTransmitDownlink:
         ch_rng = np.random.default_rng(6)
         for seed in range(150):
             h = one_channel(ch_rng, 16, phi)
-            w = mr.zf_precoder(mr.uplink_channel(h, hw), beta)
+            w = one_precoder(h, hw, beta)
             s = _symbols(np.random.default_rng((7, seed)), 200, 4, rho)
             power["physical"] += np.mean(np.abs(mr.transmit_block(hw, h, w, s)) ** 2,
                                          axis=0)
@@ -229,17 +230,11 @@ class TestTransmitDownlink:
                    for b in bs)
 
     def test_parameter_validation(self, default_mismatch):
-        # the chain's operating point rejects a bad rho_t, the precoder a bad beta
-        hw, phi, h = _system(8, 2, default_mismatch, 1.0, 10)
+        # the chain's operating point rejects a bad rho_t
+        hw, _, _ = _system(8, 2, default_mismatch, 1.0, 10)
         for rho_t in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(ValueError, match="rho_t"):
                 hw.sigma_x(rho_t)
-        h_ul = mr.uplink_channel(h, hw)
-        for beta in (0.0, -1.0, math.nan):
-            with pytest.raises(ValueError, match="beta"):
-                mr.zf_precoder(h_ul, beta)
-        with pytest.raises(ValueError, match="M >= K"):
-            mr.zf_precoder(h_ul.T, 1.0)
 
     def test_surrogate_one_bussgang_call(self, default_mismatch, monkeypatch):
         # the Bussgang pairs of all M antennas come from one vector call, in
@@ -276,7 +271,7 @@ def test_zero_noise_interference_floor(default_mismatch):
     phi = np.ones(4)
     h = one_channel(np.random.default_rng(21), 16, phi)
     beta = mr.beta_zf_closed(hw, phi)
-    w = mr.zf_precoder(mr.uplink_channel(h, hw), beta)
+    w = one_precoder(h, hw, beta)
     s = _symbols(np.random.default_rng(22), 64, 4)
     y = mr.transmit_block(hw, h, w, s)
     sig = np.mean(np.abs(y) ** 2)
