@@ -23,7 +23,7 @@ from .hardware import (
     draw_system_hardware,
     sspa_apply,
 )
-from .channel import CellGeometry, draw_channels, draw_ue_pathloss
+from .channel import draw_channels, draw_ue_pathloss
 from .precoding import beta_zf_closed, transmit_block
 from .analysis import (
     RateDecomposition,
@@ -53,7 +53,6 @@ from .calibration import (
     psi_vector,
     simulate_ota_training,
     slp_solve,
-    training_overhead,
 )
 
 __version__ = "0.1.0"

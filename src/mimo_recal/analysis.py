@@ -89,14 +89,14 @@ def rate_from_sindr(sindr: float) -> float:
     return math.log2(1.0 + _check_positive("sindr", sindr, zero_ok=True))
 
 
-def _zf_profile(m: int, phi, **scalars):
+def _zf_profile(m: int, phi, k: int | None = None, **scalars):
     """phi, K and tr Phi^-2 of a closed form with the ZF factor M - K;
-    raises ValueError unless phi is K >= 1 finite positive entries, M > K
-    and every keyword scalar (rho_t, a0, noise_var, ...) is finite and
-    positive, naming the first that is not."""
+    raises ValueError unless phi is K >= 1 finite positive entries (K = ``k``
+    if given), M > K and every keyword scalar (rho_t, a0, noise_var, ...) is
+    finite and positive, naming the first that is not."""
     for name, value in scalars.items():
         _check_positive(name, value)
-    phi = _check_phi(phi)
+    phi = _check_phi(phi, k)
     k = len(phi)
     if m <= k:
         raise ValueError(f"zero forcing needs M > K, got M = {m}, K = {k}")
@@ -139,10 +139,11 @@ def _closed_terms(hw: SystemHardware, phi, rho_t, a0, noise_var):
     """Closed-form SINDR breakdown of every UE, and the trace statistics of
     the ZF Bussgang pair it rests on: tr{RR^*}, tr{GR^*}, sum_m |g_m - alpha
     r_m|^2 with alpha = mean(g/r), and tr{sigma_d^2}.  Raises ValueError
-    unless ``phi`` is K finite positive entries and ``a0`` is ``hw.a0``."""
+    unless ``phi`` is K finite positive entries, ``a0`` is ``hw.a0`` and
+    M > K."""
     m, k = hw.m, hw.k
     _check_a0(hw, a0)
-    phi = _check_phi(phi, k)
+    phi = _zf_profile(m, phi, k)[0]
     r = hw.bs_rx
     b = hw.ue_tx_gain
     u = hw.ue_rx

@@ -7,8 +7,8 @@ solution.  The conventional single-power (linear) calibration is included for
 comparison.
 
 The polynomial basis is evaluated in the transmit *power* (amplitude squared)
-normalised per antenna by sigma_max,m^2, so every antenna shares the level
-grid (n/N)^2 on (0, 1].  The model class is unchanged (degree-Pi polynomials
+normalised by the common pilot cap sigma_max^2, so every antenna shares the
+level grid (n/N)^2 on (0, 1].  The model class is unchanged (degree-Pi polynomials
 in the power); the normalisation keeps the least-squares system conditioned.
 """
 
@@ -42,7 +42,6 @@ __all__ = [
     "calibration_phases",
     "calibrate",
     "calibration_stack",
-    "training_overhead",
     "CALIBRATION_METHODS",
 ]
 
@@ -99,21 +98,23 @@ def psi_vector(order: int, z) -> np.ndarray:
 class PilotPlan:
     """Multi-power pilot schedule.
 
-    ``levels`` holds the N power fractions (n/N)^2; the realized level-n power
-    at antenna m is levels[n] * sigma_max[m]^2.
+    ``levels`` holds the N power fractions (n/N)^2; every antenna sends its
+    level-n pilots at power levels[n] * sigma_max^2, under the one amplitude
+    cap ``sigma_max``.
     """
 
     n_levels: int
     n_symbols: int
-    sigma_max: np.ndarray
+    sigma_max: float
 
     def __post_init__(self):
         for name in ("n_levels", "n_symbols"):
             val = getattr(self, name)
             if isinstance(val, bool) or not isinstance(val, (int, np.integer)) or val < 1:
                 raise ValueError(f"{name} must be an integer >= 1, got {val!r}")
-        object.__setattr__(self, "sigma_max",
-                           np.atleast_1d(_check_positive("sigma_max", self.sigma_max)))
+        if np.ndim(self.sigma_max) != 0:
+            raise ValueError(f"sigma_max must be one number, got {self.sigma_max!r}")
+        object.__setattr__(self, "sigma_max", _check_positive("sigma_max", self.sigma_max))
 
     @property
     def levels(self) -> np.ndarray:
@@ -121,20 +122,15 @@ class PilotPlan:
 
     @property
     def amplitudes(self) -> np.ndarray:
-        """Pilot amplitude of antenna m at level n, shape (M, N)."""
-        return np.sqrt(self.levels)[None, :] * self.sigma_max[:, None]
+        """Pilot amplitude at level n, shape (N,), the same at every antenna."""
+        return np.sqrt(self.levels) * self.sigma_max
 
     @classmethod
     def for_hardware(cls, hw: SystemHardware, n_levels: int, n_symbols: int) -> "PilotPlan":
-        """Common per-antenna amplitude cap at the (geometric-mean)
-        saturation level.
-
-        The cap is common across antennas, so all antennas share one
-        amplitude grid: ``calibration_stack`` picks its linear-calibration
-        level on antenna 0's amplitudes, and the SLP keeps every
-        |c_m| sigma_x,m inside the same trained range [0, sigma_max].
-        """
-        return cls(n_levels, n_symbols, np.full(hw.m, float(np.exp(np.mean(np.log(hw.a_sat))))))
+        """The amplitude cap at the geometric-mean saturation level, so the
+        SLP keeps every |c_m| sigma_x,m inside the trained range
+        [0, sigma_max]."""
+        return cls(n_levels, n_symbols, float(np.exp(np.mean(np.log(hw.a_sat)))))
 
 
 @dataclass(frozen=True)
@@ -165,11 +161,6 @@ class TrainingSet:
         return TrainingSet(x=self.x[:, n:n + 1], y=self.y[:, :, n:n + 1])
 
 
-def training_overhead(m: int, plan: PilotPlan) -> int:
-    """Number of transmitted pilot slots: every antenna sends Q symbols at N levels."""
-    return m * plan.n_levels * plan.n_symbols
-
-
 def draw_inter_antenna_channel(rng: np.random.Generator, m: int) -> np.ndarray:
     """Symmetric zero-diagonal CN(0, 1) inter-antenna channel matrix."""
     w = math.sqrt(0.5) * (rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))
@@ -190,15 +181,14 @@ def simulate_ota_training(
     Pilots are constant-modulus with random phases, so the level-n operating
     amplitude is exactly sqrt(rho_c,n).  Each antenna transmits once per
     level; all other antennas receive the same waveform through the symmetric
-    channel ``omega``.  Surrogate mode applies the Bussgang linear scale at
-    the pilot amplitude; physical mode applies the SSPA sample-wise.  Neither
-    injects sampled distortion: a constant-modulus pilot drives the
-    (memoryless) amplifier at a single deterministic operating point, so the
+    channel ``omega``.  The pilots go through the data's transmit chain:
+    physical mode applies ``sspa_apply`` sample-wise, and surrogate mode its
+    Bussgang linear scale sqrt(a0) t mu(A/amp) at the pilot amplitude, so
+    antenna rx receives y = r_rx omega (sqrt(a0) t mu x).  Neither injects
+    sampled distortion: a constant-modulus pilot drives the (memoryless)
+    amplifier at a single deterministic operating point, so the
     Gaussian-input distortion term has no physical counterpart here and would
-    only act as errors-in-variables noise in the ratio equations.  The
-    received pilots carry the factor a0 (y = a0 r_rx omega t mu x), not the
-    amplitude gain sqrt(a0) of the amplifier model, so at a fixed
-    ``noise_var`` the training SNR grows with a0.
+    only act as errors-in-variables noise in the ratio equations.
 
     Random draws: one (M, N, Q) draw of the pilot phases, whatever
     ``noise_var`` is; then, with noise, one (M-1, N, 2, Q) block per
@@ -218,14 +208,15 @@ def simulate_ota_training(
 
     n_levels, q = plan.n_levels, plan.n_symbols
     amps = plan.amplitudes
-    x = amps[:, :, None] * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, (m, n_levels, q)))
+    x = amps[:, None] * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, (m, n_levels, q)))
     if mode == "physical":
-        out = np.moveaxis(sspa_apply(hw, np.moveaxis(x, 0, -1)), -1, 0) / math.sqrt(hw.a0)
+        out = np.moveaxis(sspa_apply(hw, np.moveaxis(x, 0, -1)), -1, 0)
     else:
-        out = (hw.t[:, None] * bussgang_mu(hw.a_sat[:, None] / amps))[:, :, None] * x
+        gain = (math.sqrt(hw.a0) * hw.t)[:, None] * bussgang_mu(hw.a_sat[:, None] / amps)
+        out = gain[:, :, None] * x
     # the signal is written straight into y, which is 0 on the diagonal since
     # omega is; the noise is added after it in the pinned draw order
-    y = _unfused_product(hw.a0 * hw.bs_rx[None, :], omega)[:, :, None, None] * out[:, None]
+    y = _unfused_product(hw.bs_rx[None, :], omega)[:, :, None, None] * out[:, None]
     if noise_var > 0:
         scale = math.sqrt(noise_var / 2.0)
         for tx in range(m):
@@ -245,21 +236,21 @@ def _unfused_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 class PolyMismatch:
     """Per-antenna polynomial mismatch functions mu_m(sigma).
 
-    mu_m(sigma) = sum_w tau[m, w] psi_w(sigma^2 / sigma_ref[m]^2); sigma_ref
-    is the per-antenna amplitude that maps to normalised power 1 (the top
-    pilot level), finite and positive.
+    mu_m(sigma) = sum_w tau[m, w] psi_w(sigma^2 / sigma_ref^2); sigma_ref is
+    the amplitude that maps to normalised power 1 (the top pilot level),
+    finite and positive.
     """
 
     tau: np.ndarray  # (M, order+1) complex
     order: int
-    sigma_ref: np.ndarray
+    sigma_ref: float
 
     def __post_init__(self):
         if self.tau.shape[1] != self.order + 1:
             raise ValueError("tau must have order+1 columns")
         if self.tau[0, 0] != 1:
             raise ValueError("normalisation requires tau[0, 0] == 1")
-        _check_positive("sigma_ref", self.sigma_ref)
+        object.__setattr__(self, "sigma_ref", _check_positive("sigma_ref", self.sigma_ref))
 
     def mu_all(self, sigma: np.ndarray) -> np.ndarray:
         """Per-antenna values at per-antenna amplitudes; sigma has shape
@@ -333,7 +324,7 @@ def estimate_poly_coeffs_anchored(training: TrainingSet, plan: PilotPlan,
     tau = np.linalg.lstsq(basis, (values * weights[None, :]).T, rcond=None)[0].T
     tau = tau / tau[0, 0]
     tau[0, 0] = 1.0
-    return PolyMismatch(tau=tau, order=order, sigma_ref=plan.sigma_max.copy())
+    return PolyMismatch(tau=tau, order=order, sigma_ref=plan.sigma_max)
 
 
 # ---------------------------------------------------------------------------
@@ -556,7 +547,8 @@ def calibrate(hw: SystemHardware, plan: PilotPlan, training: TrainingSet, order:
     poly = estimate_poly_coeffs_anchored(training, plan, order)
     sigma_x = hw.sigma_x(rho_t)
     res = _maxmin_calibration(poly, sigma_x, rho_t, plan.sigma_max / sigma_x)
-    return replace(res, overhead=training_overhead(hw.m, plan))
+    # every antenna sends Q pilots at each of the N levels
+    return replace(res, overhead=hw.m * plan.n_levels * plan.n_symbols)
 
 
 def calibration_stack(hw: SystemHardware, plan: PilotPlan, training: TrainingSet,
@@ -575,8 +567,7 @@ def calibration_stack(hw: SystemHardware, plan: PilotPlan, training: TrainingSet
         raise ValueError(f"training set has {training.m} antennas, the hardware {hw.m}")
     sigma_x = hw.sigma_x(rho_t)
     c_max = plan.sigma_max / sigma_x
-    # picked on antenna 0's amplitudes: ``for_hardware`` plans share one grid
-    level = int(np.argmin(np.abs(plan.amplitudes[0] - float(np.mean(sigma_x)))))
+    level = int(np.argmin(np.abs(plan.amplitudes - float(np.mean(sigma_x)))))
     c = linear_calibration(training.level(level))
     c = c * math.sqrt(rho_t / float(np.sum(np.abs(c) ** 2 * sigma_x**2)))
     c_lin = np.minimum(np.abs(c), c_max) * np.exp(1j * np.angle(c))

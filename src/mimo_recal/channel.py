@@ -6,43 +6,30 @@ Path loss phi_k is an amplitude gain: channel row k has mean-square phi_k^2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "CellGeometry",
     "draw_ue_pathloss",
     "draw_channels",
 ]
 
-
-@dataclass(frozen=True)
-class CellGeometry:
-    """Normalised cell: radius, minimum BS-UE distance, reference path gain
-    zeta (linear) and path-loss exponent xi."""
-
-    radius: float = 1.0
-    min_dist: float = 0.01
-    zeta: float = 0.01
-    xi: float = 3.7
-
-    def __post_init__(self):
-        # a NaN fails every comparison
-        if not 0 < self.min_dist < self.radius < math.inf:
-            raise ValueError("need 0 < min_dist < radius, radius finite")
-        if not (0 < self.zeta < math.inf and 0 <= self.xi < math.inf):
-            raise ValueError("need zeta > 0 and xi >= 0, both finite")
+# the normalised cell: radius, minimum BS-UE distance, reference path gain
+# zeta (linear) and path-loss exponent xi
+CELL_RADIUS = 1.0
+MIN_DIST = 0.01
+ZETA = 0.01
+XI = 3.7
 
 
-def draw_ue_pathloss(rng: np.random.Generator, k: int, geom: CellGeometry) -> np.ndarray:
-    """Path-loss gains phi_k = zeta * d^(-xi) for K UEs placed area-uniformly
-    on the annulus [min_dist, radius]."""
+def draw_ue_pathloss(rng: np.random.Generator, k: int) -> np.ndarray:
+    """Path-loss gains phi_k = ZETA * d^(-XI) for K UEs placed area-uniformly
+    on the annulus [MIN_DIST, CELL_RADIUS]."""
     if k < 1:
         raise ValueError("k must be >= 1")
     u = rng.uniform(0.0, 1.0, size=k)
-    d = np.sqrt(geom.min_dist**2 + u * (geom.radius**2 - geom.min_dist**2))
-    return geom.zeta * d ** (-geom.xi)
+    d = np.sqrt(MIN_DIST**2 + u * (CELL_RADIUS**2 - MIN_DIST**2))
+    return ZETA * d ** (-XI)
 
 
 def _check_phi(phi, k: int | None = None) -> np.ndarray:

@@ -41,7 +41,7 @@ from .calibration import (
     simulate_ota_training,
     slp_solve,
 )
-from .channel import CellGeometry, draw_channels, draw_ue_pathloss
+from .channel import draw_channels, draw_ue_pathloss
 from .hardware import HardwareMismatch, a_sat_for_ibo, draw_system_hardware
 
 SCENARIOS = (
@@ -56,9 +56,12 @@ SCENARIOS = (
 CSV_COLUMNS = ("scenario", "sweep_param", "sweep_value", "method",
                "rate_mean", "rate_stderr", "n_trials")
 
+# every rate depends on the BS amplifier gain a0 (10 dB) and the noise variance
+# only through snr_db = a0 rho_t / noise_var, so no config sets them
+A0 = 10.0
+NOISE_VAR = 1.0
+
 DEFAULT_PARAMS = {
-    "a0_db": 10.0,
-    "noise_var": 1.0,
     "snr_db": 10.0,
     "ibo_db": 10.0,
     "delta2": 0.05,
@@ -66,14 +69,13 @@ DEFAULT_PARAMS = {
     "order": 5,
     "n_levels": 7,
     "n_symbols_train": 10,
-    "train_noise_var": 0.0,
+    "train_noise_var": 0.0,  # OTA receive noise variance, as a ratio to NOISE_VAR
     "pathloss": "unit",  # "unit" or "drawn"
 }
 
 
 # the allowed range of each bounded model parameter, as text and as a test
 _PARAM_RANGES = {
-    "noise_var": ("> 0", lambda v: v > 0),
     "order": (f"in [0, {MAX_PSI_ORDER}]", lambda v: 0 <= v <= MAX_PSI_ORDER),
     "n_levels": (">= 1", lambda v: v >= 1),
     "n_symbols_train": (">= 1", lambda v: v >= 1),
@@ -251,15 +253,13 @@ def _draw_rates(cfg: ExperimentConfig, index: int, h: int) -> dict:
     comparisons."""
     p = {name: cfg.param(name) for name in DEFAULT_PARAMS}
     p[cfg.sweep_param] = cfg.sweep_values[index]
-    a0 = 10.0 ** (p["a0_db"] / 10.0)
-    rho_t = 10.0 ** (p["snr_db"] / 10.0) * p["noise_var"] / a0
+    rho_t = 10.0 ** (p["snr_db"] / 10.0) * NOISE_VAR / A0
     rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence(cfg.seed, spawn_key=(h,))))
-    phi = (draw_ue_pathloss(rng, cfg.k, CellGeometry()) if p["pathloss"] == "drawn"
-           else np.ones(cfg.k))
+    phi = draw_ue_pathloss(rng, cfg.k) if p["pathloss"] == "drawn" else np.ones(cfg.k)
     mismatch = HardwareMismatch.uniform(p["delta2"], p["theta"])
     hw = draw_system_hardware(rng, cfg.m, cfg.k, mismatch,
-                              a_sat_for_ibo(p["ibo_db"], rho_t, cfg.m), a0=a0)
-    mc_args = (hw, phi, rho_t, a0, p["noise_var"], cfg.n_channels, cfg.n_symbols, cfg.mode, rng)
+                              a_sat_for_ibo(p["ibo_db"], rho_t, cfg.m), a0=A0)
+    mc_args = (hw, phi, rho_t, A0, NOISE_VAR, cfg.n_channels, cfg.n_symbols, cfg.mode, rng)
     if cfg.scenario.startswith("cal_"):
         order = p["order"]
         omega = draw_inter_antenna_channel(rng, cfg.m)
@@ -268,21 +268,21 @@ def _draw_rates(cfg: ExperimentConfig, index: int, h: int) -> dict:
         # one training set, shared by linear_rc and poly_nrc and freed before
         # the Monte Carlo, which scores every method on the same channel draws
         stack = calibration_stack(
-            hw, plan, simulate_ota_training(hw, plan, omega, p["train_noise_var"], cfg.mode, rng),
+            hw, plan, simulate_ota_training(hw, plan, omega, p["train_noise_var"] * NOISE_VAR,
+                                            cfg.mode, rng),
             order, rho_t)
         scored = estimate_sindr_mc(*mc_args, c=stack)
         return {name: _mean_rate(b.sindr for b in row)
                 for name, row in zip(CALIBRATION_METHODS, scored)}
 
-    closed = sindr_zf_closed_all(hw, phi, rho_t, a0, p["noise_var"])
+    closed = sindr_zf_closed_all(hw, phi, rho_t, A0, NOISE_VAR)
     rates = {"closed_form": _mean_rate(b.sindr for b in closed)}
     if cfg.scenario != "loss_vs_mismatch":
         rates["mc"] = _mean_rate(b.sindr for b in estimate_sindr_mc(*mc_args))
     # ideal is the linear-mismatch SINR at zero mismatch, lrm_closed at the
     # law the hardware is drawn from
     for name, law in (("ideal", HardwareMismatch.none()), ("lrm_closed", mismatch)):
-        rates[name] = _mean_rate(sinr_linear_mismatch(cfg.m, rho_t, a0, phi, law,
-                                                      p["noise_var"]))
+        rates[name] = _mean_rate(sinr_linear_mismatch(cfg.m, rho_t, A0, phi, law, NOISE_VAR))
     return rates
 
 

@@ -6,10 +6,9 @@ The BS transmit chains carry the soft envelope limiter (SSPA)
 
 whose Bussgang decomposition for complex Gaussian input with rms sigma_x is
 g = t*mu(A_sat/sigma_x), sigma_d^2 = |t|^2 * lambda(A_sat, sigma_x), with the
-closed forms for mu/lambda.  ``sspa_apply`` (sample level) and
-``bussgang_decompose`` take one amplifier (``HpaModel``) or the whole BS
-(``SystemHardware``), whose per-antenna arrays broadcast over the antenna
-axis.
+closed forms for mu/lambda.  ``sspa_apply`` (sample level) takes the whole
+BS (``SystemHardware``); ``bussgang_decompose`` takes it or one amplifier
+(``HpaModel``), and the per-antenna arrays broadcast over the antenna axis.
 """
 
 from __future__ import annotations
@@ -151,13 +150,12 @@ def draw_system_hardware(
                           ue_rx=u)
 
 
-def sspa_apply(hpa: HpaModel | SystemHardware, x):
+def sspa_apply(hw: SystemHardware, x) -> np.ndarray:
     """Sample-level SSPA transfer sqrt(a0)*t*x / sqrt(1 + (|x|/a_sat)^2).
 
-    ``hpa`` is one amplifier, or the BS hardware: then t and a_sat are
-    per-antenna arrays over the last axis of ``x``, which must have length M
-    (ValueError otherwise); ``x`` is not modified. One amplifier takes any
-    shape, and a 0-d ``x`` comes back as a Python complex.
+    t and a_sat are the per-antenna arrays of ``hw`` over the last axis of
+    ``x``, which must have length M (ValueError otherwise); ``x`` is not
+    modified.
 
     The output is the complex gain sqrt(a0)*t*x times the real envelope
     factor r = 1/sqrt(1 + |x|^2/a_sat^2), with |x|^2 formed as re^2 + im^2.
@@ -166,21 +164,19 @@ def sspa_apply(hpa: HpaModel | SystemHardware, x):
     as r does here.
     """
     x = np.asarray(x, dtype=np.complex128)
-    if isinstance(hpa, SystemHardware) and (x.ndim == 0 or x.shape[-1] != hpa.m):
-        raise ValueError(f"x must have the M = {hpa.m} antennas on its last axis, "
+    if x.ndim == 0 or x.shape[-1] != hw.m:
+        raise ValueError(f"x must have the M = {hw.m} antennas on its last axis, "
                          f"got shape {x.shape}")
-    scalar = x.ndim == 0
-    x = np.atleast_1d(x)
     env = x.real * x.real
     env += x.imag * x.imag
-    env *= 1.0 / np.square(hpa.a_sat)
+    env *= 1.0 / np.square(hw.a_sat)
     env += 1.0
     np.sqrt(env, out=env)
     np.reciprocal(env, out=env)
-    out = x * (math.sqrt(hpa.a0) * hpa.t)
+    out = x * (math.sqrt(hw.a0) * hw.t)
     # r promoted to complex: (re r - im 0, re 0 + im r), each part times r
     out *= env
-    return complex(out[0]) if scalar else out
+    return out
 
 
 def bussgang_decompose(hpa: HpaModel | SystemHardware, sigma_x) -> BussgangPair:

@@ -34,7 +34,7 @@ from mimo_recal.calibration import (
     TrainingSet,
     psi_vector,
 )
-from mimo_recal.hardware import HpaModel, SystemHardware, bussgang_decompose, sspa_apply
+from mimo_recal.hardware import SystemHardware, sspa_apply
 
 
 def package_env() -> dict:
@@ -136,19 +136,19 @@ def slp_bisection_oracle(model, sigma_x, rho_t, c_max, outer=80, inner=100):
 
 def synth_poly_training(hw, plan, omega, tau, order, rng):
     """Noise-free training set generated from known polynomial mismatch
-    functions (g_m = r_m * mu_m), in the estimator's normalised-power basis."""
+    functions (g_m = r_m * mu_m), in the estimator's normalised-power basis,
+    through the transmit amplitude gain sqrt(a0)."""
     m, n_levels, q = hw.m, plan.n_levels, plan.n_symbols
     x = np.empty((m, n_levels, q), dtype=np.complex128)
     y = np.zeros((m, m, n_levels, q), dtype=np.complex128)
     for tx in range(m):
         for n in range(n_levels):
-            amp = plan.amplitudes[tx, n]
-            x[tx, n] = amp * np.exp(2j * np.pi * rng.uniform(size=q))
+            x[tx, n] = plan.amplitudes[n] * np.exp(2j * np.pi * rng.uniform(size=q))
             mu = psi_vector(order, float(plan.levels[n])) @ tau[tx]
-            out = hw.bs_rx[tx] * mu * x[tx, n]
+            out = math.sqrt(hw.a0) * hw.bs_rx[tx] * mu * x[tx, n]
             for rx in range(m):
                 if rx != tx:
-                    y[tx, rx, n] = hw.a0 * hw.bs_rx[rx] * omega[tx, rx] * out
+                    y[tx, rx, n] = hw.bs_rx[rx] * omega[tx, rx] * out
     return TrainingSet(x=x, y=y)
 
 
@@ -156,7 +156,7 @@ def gauge_fit_error(poly, true_model, plan, n_grid=50):
     """Max relative deviation of the fitted mismatch functions from the true
     ones over [0, sigma_max], after removing the single unobservable global
     complex scale (fitted by least squares over the grid)."""
-    s = np.linspace(1e-3, 1.0, n_grid)[:, None] * plan.sigma_max  # (n_grid, M)
+    s = np.linspace(1e-3, 1.0, n_grid)[:, None] * plan.sigma_max  # (n_grid, 1)
     fh = poly.mu_all(s)
     ft = true_model.mu_all(s)
     kappa = np.vdot(fh, ft) / float(np.vdot(fh, fh).real)
@@ -214,7 +214,9 @@ def ref_simulate_ota_training(
     injects sampled distortion: a constant-modulus pilot drives the
     (memoryless) amplifier at a single deterministic operating point, so the
     Gaussian-input distortion term has no physical counterpart here and would
-    only act as errors-in-variables noise in the ratio equations.
+    only act as errors-in-variables noise in the ratio equations.  Both modes
+    carry the data's amplitude gain sqrt(a0), and antenna rx receives
+    r_rx omega times the amplifier output.
     """
     m = hw.m
     if omega.shape != (m, m):
@@ -227,18 +229,20 @@ def ref_simulate_ota_training(
         raise ValueError(f"unknown mode {mode!r}")
 
     q = plan.n_symbols
-    a0 = hw.a0
     # every pilot phase first, transmitter by transmitter and level by level
     x, out = {}, {}
     for tx in range(m):
-        hpa = HpaModel(a0, hw.t[tx], hw.a_sat[tx])
+        gain, a_sat = math.sqrt(hw.a0) * hw.t[tx], hw.a_sat[tx]
         for n in range(plan.n_levels):
-            amp = plan.amplitudes[tx, n]
-            x[tx, n] = amp * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, size=q))
+            amp = plan.amplitudes[n]
+            x[tx, n] = xn = amp * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, size=q))
             if mode == "physical":
-                out[tx, n] = sspa_apply(hpa, x[tx, n]) / math.sqrt(a0)
+                # the SSPA sqrt(a0) t x / sqrt(1 + |x|^2/A^2)
+                env = 1.0 / np.sqrt((xn.real * xn.real + xn.imag * xn.imag)
+                                    * (1.0 / np.square(a_sat)) + 1.0)
+                out[tx, n] = xn * gain * env
             else:
-                out[tx, n] = bussgang_decompose(hpa, amp).g * x[tx, n]
+                out[tx, n] = gain * mr.bussgang_mu(a_sat / amp) * xn
     # then the receive noise, pair by pair: Q real parts, then Q imaginary parts
     records: list[TrainingRecord] = []
     for tx in range(m):
@@ -246,7 +250,7 @@ def ref_simulate_ota_training(
             if rx == tx:
                 continue
             for n in range(plan.n_levels):
-                y = a0 * hw.bs_rx[rx] * omega[tx, rx] * out[tx, n]
+                y = hw.bs_rx[rx] * omega[tx, rx] * out[tx, n]
                 if noise_var > 0:
                     y = y + math.sqrt(noise_var / 2.0) * (
                         rng.standard_normal(q) + 1j * rng.standard_normal(q)
@@ -368,7 +372,7 @@ def assemble_psi_matrix(training: TrainingSet, plan: PilotPlan, order: int) -> n
 
 
 def estimate_poly_coeffs(psi_matrix: np.ndarray, order: int,
-                         sigma_ref=None) -> PolyMismatch:
+                         sigma_ref: float = 1.0) -> PolyMismatch:
     """LS estimate of the polynomial coefficients with tau_{1,0} pinned to 1.
 
     Rows of the stacked system are equilibrated to unit norm before the
@@ -397,8 +401,7 @@ def estimate_poly_coeffs(psi_matrix: np.ndarray, order: int,
     tau_c = -np.linalg.solve(gs, gram[1:, 0] / scale) / scale
     tau = np.concatenate([[1.0 + 0j], tau_c])
     m = n_cols // p
-    return PolyMismatch(tau=tau.reshape(m, p), order=order,
-                        sigma_ref=np.ones(m) if sigma_ref is None else sigma_ref)
+    return PolyMismatch(tau=tau.reshape(m, p), order=order, sigma_ref=sigma_ref)
 
 
 # ---------------------------------------------------------------------------

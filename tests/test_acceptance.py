@@ -222,7 +222,7 @@ def test_criterion_6_polynomial_estimation():
     omega_b = mr.draw_inter_antenna_channel(np.random.default_rng(62), 16)
     # amplitude cap 5 dB below the geometric-mean saturation level
     base_b = float(np.exp(np.mean(np.log(hw_b.a_sat))))
-    plan_b = mr.PilotPlan(7, 10, np.full(hw_b.m, base_b * 10.0 ** (-5.0 / 10.0)))
+    plan_b = mr.PilotPlan(7, 10, base_b * 10.0 ** (-5.0 / 10.0))
     recs_b = mr.simulate_ota_training(hw_b, plan_b, omega_b, 0.0, "surrogate",
                                       np.random.default_rng(63))
     fit_err = gauge_fit_error(estimate_poly_coeffs_anchored(recs_b, plan_b, 5),

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import mimo_recal as mr
-from mimo_recal import _kernels, analysis
+from mimo_recal import _kernels, analysis, channel
 from tests.conftest import ref_physical_terms
 
 
@@ -133,6 +133,17 @@ class TestClosedFormProfile:
 
 
 class TestSindrClosed:
+    @pytest.mark.parametrize("m, k", [(4, 4), (4, 6)])
+    @pytest.mark.parametrize("formula", [mr.sindr_zf_closed_all, mr.avg_rate_decomposition])
+    def test_m_must_exceed_k(self, formula, m, k):
+        # M = K gave SINDR 0 for every UE and a bare "math domain error" in
+        # the rate decomposition; M < K failed on a negative SINDR term
+        hw = mr.SystemHardware(a0=A0, t=np.ones(m, complex), a_sat=np.full(m, 2.0),
+                               bs_rx=np.ones(m, complex), ue_tx_gain=np.ones(k, complex),
+                               ue_rx=np.ones(k, complex))
+        with pytest.raises(ValueError, match=f"zero forcing needs M > K, got M = {m}, K = {k}"):
+            formula(hw, np.ones(k), 1.0, A0, NOISE)
+
     def test_reduces_to_ideal(self):
         hw = mr.draw_system_hardware(np.random.default_rng(0), 64, 8,
                                      mr.HardwareMismatch.none(), 1e9, ue_pilot_amp=1e-9)
@@ -408,8 +419,7 @@ class TestEstimateSindrMc:
         # UEs at the cell edge and at the minimum distance: phi spans 2.5e7,
         # so the raw Gram diagonal spans 6e14, yet the channels are far from
         # collinear and every draw must be used
-        geom = mr.CellGeometry()
-        phi = geom.zeta * np.array([geom.min_dist, 0.1, geom.radius]) ** -geom.xi
+        phi = channel.ZETA * np.array([channel.MIN_DIST, 0.1, channel.CELL_RADIUS]) ** -channel.XI
         hw = _draw(16, 3, 10.0, 1.0, default_mismatch, 5)
         out = mr.estimate_sindr_mc(hw, phi, 1.0, A0, NOISE, 4, 32, mode,
                                    np.random.default_rng(6))
@@ -440,7 +450,7 @@ class TestEstimateSindrMc:
         assert (analysis._block_draws(k, m), analysis._precoder_draws(k, m)) == (25, 3)
         rng = np.random.default_rng(14)
         hw = _draw(m, k, 8.0, 1.0, default_mismatch, 14)
-        phi = mr.draw_ue_pathloss(rng, k, mr.CellGeometry())
+        phi = mr.draw_ue_pathloss(rng, k)
         c = np.stack([np.ones(m)] + [rng.lognormal(0.0, 0.3, m)
                                      * np.exp(1j * rng.uniform(-0.5, 0.5, m))
                                      for _ in range(2)])
@@ -534,7 +544,7 @@ class TestEstimateSindrMc:
         m, k, n = 64, 8, 2000
         rng = np.random.default_rng(16)
         hw = _draw(m, k, 10.0, 1.0, default_mismatch, 16)
-        phi = mr.draw_ue_pathloss(rng, k, mr.CellGeometry())
+        phi = mr.draw_ue_pathloss(rng, k)
         seen = []
         kernel = _kernels.effective_channels
 
@@ -556,7 +566,7 @@ class TestEstimateSindrMc:
         # call per block of _block_draws(K, M) draws (here 128, 128 and 44)
         m, k, n = 64, 8, 300
         hw = _draw(m, k, 10.0, 1.0, default_mismatch, 18)
-        phi = mr.draw_ue_pathloss(np.random.default_rng(19), k, mr.CellGeometry())
+        phi = mr.draw_ue_pathloss(np.random.default_rng(19), k)
         rng = np.random.default_rng(20)
         mr.estimate_sindr_mc(hw, phi, 1.0, A0, NOISE, n, 1, "surrogate", rng)
         ref = np.random.default_rng(20)
@@ -572,7 +582,7 @@ class TestEstimateSindrMc:
         # then per draw the real and the imaginary parts of its (N, K) symbols
         m, k, n, n_sym = 64, 8, 150, 12
         hw = _draw(m, k, 10.0, 1.0, default_mismatch, 18)
-        phi = mr.draw_ue_pathloss(np.random.default_rng(19), k, mr.CellGeometry())
+        phi = mr.draw_ue_pathloss(np.random.default_rng(19), k)
         c = None if n_rows is None else np.random.default_rng(22).uniform(0.5, 1.5, (n_rows, m))
         rng = np.random.default_rng(20)
         mr.estimate_sindr_mc(hw, phi, 1.0, A0, NOISE, n, n_sym, "physical", rng, c)
@@ -706,7 +716,7 @@ class TestEstimateSindrMcStack:
         rng = np.random.default_rng(seed)
         m, k = 16, 3
         hw = _draw(m, k, 8.0, 1.0, default_mismatch, seed)
-        phi = mr.draw_ue_pathloss(rng, k, mr.CellGeometry())
+        phi = mr.draw_ue_pathloss(rng, k)
         # one row per method the CLI scores, the first uncalibrated
         c = np.stack([np.ones(m)] + [rng.lognormal(0.0, 0.3, m)
                                      * np.exp(1j * rng.uniform(-0.5, 0.5, m))

@@ -26,13 +26,16 @@ MODULES = ("numerics", "hardware", "channel", "precoding", "analysis", "calibrat
 # in tests/conftest.py.  ibo_db and sigma_from_ibo had no caller; the
 # back-off is set through a_sat_for_ibo.  zf_precoder and uplink_channel only
 # renamed _kernels.zf_apply and _kernels.uplink, and beta_zf_empirical is
-# criterion 5's oracle in tests/conftest.py.
+# criterion 5's oracle in tests/conftest.py.  CellGeometry's fields only ever
+# took their defaults, now the channel module's constants, and
+# training_overhead had one caller, calibrate.
 REMOVED = ("transmit_downlink", "DownlinkOutcome", "apply_calibration", "Precoder",
            "orth_poly_psi", "assemble_psi_matrix", "estimate_poly_coeffs",
            "estimate_poly_coeffs_from_records", "sindr_zf_closed",
            "ChannelRealization", "draw_channel", "zf_bussgang", "erfc", "erfcx",
            "exp_integral_ei", "exp_integral_ei_scaled", "ibo_db", "sigma_from_ibo",
-           "zf_precoder", "uplink_channel", "beta_zf_empirical")
+           "zf_precoder", "uplink_channel", "beta_zf_empirical", "CellGeometry",
+           "training_overhead")
 
 
 @pytest.mark.parametrize("module", MODULES)

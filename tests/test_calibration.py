@@ -40,7 +40,7 @@ def _setup(m, k, seed, ibo=10.0, rho=1.0, delta2=0.05, n_levels=7, n_symbols=10,
     omega = mr.draw_inter_antenna_channel(rng, m)
     # the amplitude cap sits ibo_min dB below the geometric-mean saturation level
     base = float(np.exp(np.mean(np.log(hw.a_sat))))
-    plan = mr.PilotPlan(n_levels, n_symbols, np.full(m, base * 10.0 ** (-ibo_min / 10.0)))
+    plan = mr.PilotPlan(n_levels, n_symbols, base * 10.0 ** (-ibo_min / 10.0))
     return hw, omega, plan, rng
 
 
@@ -88,21 +88,24 @@ class TestOrthPoly:
 
 class TestPilotPlan:
     def test_levels_increasing_and_counts(self):
-        plan = mr.PilotPlan(5, 10, np.ones(4))
+        plan = mr.PilotPlan(5, 10, 1.0)
         assert plan.n_levels == 5 and plan.n_symbols == 10
         assert np.all(np.diff(plan.levels) > 0)
         assert np.array_equal(plan.levels, (np.arange(1, 6) / 5) ** 2)
-        assert plan.amplitudes.shape == (4, 5)
-        assert plan.amplitudes[0, 4] == pytest.approx(1.0)
-        assert plan.amplitudes[0, 0] == pytest.approx(0.2)
+        assert plan.amplitudes.shape == (5,)
+        assert plan.amplitudes[4] == pytest.approx(1.0)
+        assert plan.amplitudes[0] == pytest.approx(0.2)
 
     def test_invalid(self):
         with pytest.raises(ValueError):
-            mr.PilotPlan(0, 10, np.ones(2))
+            mr.PilotPlan(0, 10, 1.0)
         with pytest.raises(ValueError):
-            mr.PilotPlan(3, 0, np.ones(2))
+            mr.PilotPlan(3, 0, 1.0)
         with pytest.raises(ValueError):
-            mr.PilotPlan(3, 5, np.zeros(2))
+            mr.PilotPlan(3, 5, 0.0)
+        # the cap is one amplitude for every antenna
+        with pytest.raises(ValueError, match="sigma_max must be one number"):
+            mr.PilotPlan(3, 5, np.ones(2))
 
     @pytest.mark.parametrize("n_levels, n_symbols, name", [
         (3.5, 5, "n_levels"), (True, 5, "n_levels"), (3, 2.0, "n_symbols"),
@@ -110,16 +113,12 @@ class TestPilotPlan:
     def test_counts_must_be_integers(self, n_levels, n_symbols, name):
         # PilotPlan(3.5, ...) built 4 levels, the top one 1.31x above the cap
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
-            mr.PilotPlan(n_levels, n_symbols, np.ones(2))
+            mr.PilotPlan(n_levels, n_symbols, 1.0)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_sigma_max_must_be_finite(self, bad):
         with pytest.raises(ValueError, match="sigma_max"):
-            mr.PilotPlan(3, 5, np.array([1.0, bad]))
-
-    def test_overhead(self):
-        plan = mr.PilotPlan(5, 10, np.ones(16))
-        assert mr.training_overhead(16, plan) == 16 * 5 * 10
+            mr.PilotPlan(3, 5, bad)
 
 
 class TestSimulateOta:
@@ -130,9 +129,27 @@ class TestSimulateOta:
                                         ue_pilot_amp=1e-9)
         recs = mr.simulate_ota_training(hw_id, plan, omega, 0.0, "surrogate",
                                         np.random.default_rng(2))
-        # y = a0 * r_i * omega * g * x with g = 1 in the linear regime
-        expected = hw_id.a0 * omega[:, :, None, None] * recs.x[:, None]
+        # y = r_i * omega * sqrt(a0) g x with g = 1 in the linear regime
+        expected = math.sqrt(hw_id.a0) * omega[:, :, None, None] * recs.x[:, None]
         assert np.allclose(recs.y, expected, rtol=1e-6)
+
+    @pytest.mark.parametrize("mode", ["surrogate", "physical"])
+    def test_pilot_carries_the_data_chain_gain(self, mode):
+        # one small pilot from antenna tx reaches antenna rx with the gain
+        # sqrt(a0) t_tx r_rx omega, the gain transmit_block gives data that
+        # antenna tx alone sends through the same amplifier
+        hw, omega, _, _ = _setup(4, 1, 51)
+        plan = mr.PilotPlan(1, 3, 1e-4 * float(np.min(hw.a_sat)))
+        ts = mr.simulate_ota_training(hw, plan, omega, 0.0, mode, np.random.default_rng(52))
+        tx, rx = 1, 2
+        x = ts.x[tx, 0]
+        w = np.zeros((4, 1), complex)
+        w[tx] = 1.0
+        data = mr.transmit_block(hw, np.ones((1, 4), complex), w, x[:, None])[:, 0]
+        gain = math.sqrt(hw.a0) * hw.t[tx]
+        assert np.allclose(data / (hw.ue_rx[0] * x), gain, rtol=1e-7)
+        assert np.allclose(ts.y[tx, rx, 0] / (hw.bs_rx[rx] * omega[tx, rx] * x), gain,
+                           rtol=1e-7)
 
     def test_reciprocity_of_propagation(self):
         hw, omega, plan, _ = _setup(4, 2, 3)
@@ -143,11 +160,10 @@ class TestSimulateOta:
                 if i == m:
                     continue
                 for n in range(plan.n_levels):
-                    g_m = mr.bussgang_decompose(hw, plan.amplitudes[m, n]).g[m]
-                    ratio = recs.y[m, i, n] / (g_m * recs.x[m, n])
-                    g_i = mr.bussgang_decompose(hw, plan.amplitudes[i, n]).g[i]
-                    ratio_sym = recs.y[i, m, n] / (g_i * recs.x[i, n])
-                    # y_{m,i}/(g_m x_m) = a0 r_i w_{mi}; the symmetric pair shares w
+                    g = mr.bussgang_decompose(hw, plan.amplitudes[n]).g
+                    ratio = recs.y[m, i, n] / (g[m] * recs.x[m, n])
+                    ratio_sym = recs.y[i, m, n] / (g[i] * recs.x[i, n])
+                    # y_{m,i}/(g_m x_m) = sqrt(a0) r_i w_{mi}; the symmetric pair shares w
                     assert np.allclose(ratio / hw.bs_rx[i], ratio_sym / hw.bs_rx[m],
                                        rtol=1e-9)
 
@@ -157,7 +173,7 @@ class TestSimulateOta:
                                         np.random.default_rng(6))
         for tx in range(4):
             for n in range(plan.n_levels):
-                amp = plan.amplitudes[tx, n]
+                amp = plan.amplitudes[n]
                 assert np.allclose(np.abs(recs.x[tx, n]), amp, rtol=1e-12)
                 rms = math.sqrt(float(np.mean(np.abs(recs.x[tx, n]) ** 2)))
                 assert rms == pytest.approx(amp, rel=1e-3)
@@ -288,7 +304,8 @@ class TestAssembleAndEstimate:
         x2 = np.array([0.3 - 1.0j])
         y21 = np.array([0.7 + 0.2j])   # received at antenna 1 (tx 2)
         y12 = np.array([-0.4 + 0.9j])  # received at antenna 2 (tx 1)
-        plan = mr.PilotPlan(1, 1, np.array([abs(x1[0]), abs(x2[0])]))
+        # the fit reads only the plan's level grid
+        plan = mr.PilotPlan(1, 1, 1.0)
         y = np.zeros((2, 2, 1, 1), dtype=complex)
         y[0, 1, 0] = y12
         y[1, 0, 0] = y21
@@ -407,7 +424,7 @@ class TestMuHatFit:
         tau = np.zeros((2, 3), dtype=complex)
         tau[:, 0] = 1.0
         tau[0, 0] = 1.0
-        poly = mr.PolyMismatch(tau=tau, order=2, sigma_ref=np.ones(2))
+        poly = mr.PolyMismatch(tau=tau, order=2, sigma_ref=1.0)
         sigma = np.full(2, 0.5)
         val = poly.mu_all(sigma)[0]
         assert np.angle(val) == pytest.approx(0.0, abs=1e-15)
@@ -418,7 +435,7 @@ class TestLinearCalibration:
         hw = mr.draw_system_hardware(np.random.default_rng(0), 4, 2,
                                      mr.HardwareMismatch.none(), 1e9, ue_pilot_amp=1e-9)
         omega = mr.draw_inter_antenna_channel(np.random.default_rng(1), 4)
-        plan = mr.PilotPlan(1, 8, np.full(4, 0.01))
+        plan = mr.PilotPlan(1, 8, 0.01)
         recs = mr.simulate_ota_training(hw, plan, omega, 0.0, "surrogate",
                                         np.random.default_rng(2))
         c = mr.linear_calibration(recs)
@@ -430,8 +447,7 @@ class TestLinearCalibration:
         recs = mr.simulate_ota_training(hw, plan, omega, 0.0, "surrogate",
                                         np.random.default_rng(4))
         c = mr.linear_calibration(recs)
-        g = [mr.bussgang_decompose(hw, plan.amplitudes[m, 0]).g[m]
-             for m in range(2)]
+        g = mr.bussgang_decompose(hw, plan.amplitudes[0]).g
         f_ratio = (g[1] / hw.bs_rx[1]) / (g[0] / hw.bs_rx[0])
         assert c[0] / c[1] == pytest.approx(f_ratio, rel=1e-10)
 
@@ -556,7 +572,7 @@ class TestPhases:
         tau = np.zeros((2, 2), dtype=complex)
         tau[0, 0] = 1.0
         tau[1, 0] = np.exp(1j * math.pi / 7)
-        poly = mr.PolyMismatch(tau=tau, order=1, sigma_ref=np.ones(2))
+        poly = mr.PolyMismatch(tau=tau, order=1, sigma_ref=1.0)
         phases = mr.calibration_phases(poly, np.array([0.1, 0.1]), np.ones(2))
         assert phases[0] == pytest.approx(0.0, abs=1e-12)
         assert phases[1] == pytest.approx(-math.pi / 7, rel=1e-9)
@@ -626,7 +642,7 @@ class TestCalibrate:
                                         np.random.default_rng(37))
         shapes = measured_level_shapes(recs, plan)
         for m in range(6):
-            g = np.array([mr.bussgang_decompose(hw, plan.amplitudes[m, n]).g[m]
+            g = np.array([mr.bussgang_decompose(hw, plan.amplitudes[n]).g[m]
                           for n in range(6)])
             assert np.allclose(shapes[m], g / g[-1], rtol=1e-9)
 
@@ -657,7 +673,7 @@ class TestCalibrationStack:
         # level nearest the mean operating amplitude
         op = float(np.mean(sigma_x))
         level = min(range(plan.n_levels),
-                    key=lambda n: abs(math.sqrt(plan.levels[n]) * plan.sigma_max[0] - op))
+                    key=lambda n: abs(math.sqrt(plan.levels[n]) * plan.sigma_max - op))
         c_lin = mr.linear_calibration(training.level(level))
         assert np.allclose(np.angle(stack[1] / c_lin), 0.0, atol=1e-12)
 
@@ -703,13 +719,13 @@ def _noiseless_training(hw, omega, plan, rng):
     (lambda hw, omega, plan, rng: mr.simulate_ota_training(hw, plan, omega, 0.0, "bogus", rng),
      ValueError, "unknown mode 'bogus'"),
     (lambda hw, omega, plan, rng: mr.PolyMismatch(tau=np.ones((4, 3), complex), order=3,
-                                                  sigma_ref=np.ones(4)),
+                                                  sigma_ref=1.0),
      ValueError, "tau must have order+1 columns"),
     (lambda hw, omega, plan, rng: mr.PolyMismatch(tau=np.full((4, 4), 2.0 + 0j), order=3,
-                                                  sigma_ref=np.ones(4)),
+                                                  sigma_ref=1.0),
      ValueError, "normalisation requires tau[0, 0] == 1"),
     (lambda hw, omega, plan, rng: mr.PolyMismatch(tau=np.ones((4, 4), complex), order=3,
-                                                  sigma_ref=np.array([1.0, 1.0, 0.0, 1.0])),
+                                                  sigma_ref=0.0),
      ValueError, "sigma_ref must be finite and positive"),
     (lambda hw, omega, plan, rng: estimate_poly_coeffs_anchored(
         _noiseless_training(hw, omega, plan, rng), plan, plan.n_levels - 1),

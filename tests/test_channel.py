@@ -7,55 +7,43 @@ import pytest
 import scipy.stats
 
 import mimo_recal as mr
-from mimo_recal import _kernels
+from mimo_recal import _kernels, channel
 from tests.conftest import one_channel
+
+
+class _FixedUniform:
+    """Generator stand-in whose uniform draws all equal ``u``."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def uniform(self, low, high, size):
+        return np.full(size, self.u)
 
 
 class TestPathloss:
     def test_reference_distance(self):
-        geom = mr.CellGeometry(radius=1.0, min_dist=0.999998, zeta=0.01, xi=3.7)
-        phi = mr.draw_ue_pathloss(np.random.default_rng(0), 4, geom)
-        assert np.allclose(phi, 0.01, rtol=1e-4)
+        # u = 1 places every UE at the cell edge, where phi = ZETA
+        phi = mr.draw_ue_pathloss(_FixedUniform(1.0), 4)
+        assert np.allclose(phi, channel.ZETA, rtol=1e-4)
 
     def test_min_distance_value(self):
-        geom = mr.CellGeometry(radius=0.0100001, min_dist=0.01, zeta=0.01, xi=3.7)
-        phi = mr.draw_ue_pathloss(np.random.default_rng(1), 4, geom)
+        # u = 0 places every UE at the minimum distance 0.01: 0.01 * 0.01^-3.7
+        phi = mr.draw_ue_pathloss(_FixedUniform(0.0), 4)
         assert np.allclose(phi, 0.01 * 10.0**7.4, rtol=1e-3)
-
-    def test_zero_exponent(self):
-        geom = mr.CellGeometry(zeta=0.42, xi=0.0)
-        phi = mr.draw_ue_pathloss(np.random.default_rng(2), 64, geom)
-        assert np.allclose(phi, 0.42)
 
     def test_area_uniform_placement(self):
         # P(d <= x) = (x^2 - r0^2)/(R^2 - r0^2) for area-uniform placement
-        geom = mr.CellGeometry()
-        phi = mr.draw_ue_pathloss(np.random.default_rng(3), 200_000, geom)
-        d = (geom.zeta / phi) ** (1.0 / geom.xi)
-        cdf = lambda x: (x**2 - geom.min_dist**2) / (geom.radius**2 - geom.min_dist**2)
+        phi = mr.draw_ue_pathloss(np.random.default_rng(3), 200_000)
+        d = (channel.ZETA / phi) ** (1.0 / channel.XI)
+        r0, radius = channel.MIN_DIST, channel.CELL_RADIUS
+        cdf = lambda x: (x**2 - r0**2) / (radius**2 - r0**2)
         stat = scipy.stats.kstest(d, cdf)
         assert stat.pvalue > 0.01
 
-    def test_invalid_geometry(self):
-        with pytest.raises(ValueError):
-            mr.CellGeometry(radius=1.0, min_dist=1.5)
-
     @pytest.mark.parametrize("call, message", [
-        (lambda: mr.CellGeometry(zeta=0.0), "need zeta > 0 and xi >= 0"),
-        (lambda: mr.CellGeometry(zeta=-0.01), "need zeta > 0 and xi >= 0"),
-        # a NaN or infinite field gave NaN or inf path losses
-        (lambda: mr.CellGeometry(zeta=math.nan), "need zeta > 0 and xi >= 0, both finite"),
-        (lambda: mr.CellGeometry(zeta=math.inf), "need zeta > 0 and xi >= 0, both finite"),
-        (lambda: mr.CellGeometry(xi=math.nan), "need zeta > 0 and xi >= 0, both finite"),
-        (lambda: mr.CellGeometry(xi=math.inf), "need zeta > 0 and xi >= 0, both finite"),
-        (lambda: mr.CellGeometry(radius=math.inf), "need 0 < min_dist < radius, radius finite"),
-        (lambda: mr.CellGeometry(radius=math.nan), "need 0 < min_dist < radius, radius finite"),
-        (lambda: mr.CellGeometry(min_dist=math.nan),
-         "need 0 < min_dist < radius, radius finite"),
-        (lambda: mr.draw_ue_pathloss(np.random.default_rng(0), 0, mr.CellGeometry()),
-         "k must be >= 1"),
-    ], ids=["zeta-zero", "zeta-negative", "zeta-nan", "zeta-inf", "xi-nan", "xi-inf",
-            "radius-inf", "radius-nan", "min-dist-nan", "no-ue"])
+        (lambda: mr.draw_ue_pathloss(np.random.default_rng(0), 0), "k must be >= 1"),
+    ], ids=["no-ue"])
     def test_bad_input_rejected(self, call, message):
         with pytest.raises(ValueError, match=message):
             call()

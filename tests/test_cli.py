@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from mimo_recal import calibration, cli
-from mimo_recal.channel import CellGeometry, draw_ue_pathloss
+from mimo_recal.channel import draw_ue_pathloss
 from mimo_recal.hardware import HardwareMismatch, a_sat_for_ibo, draw_system_hardware
 from tests.conftest import package_env
 
@@ -130,6 +130,7 @@ class TestConfig:
         ({}, ["params.order=3.0"], "params.order"),
         ({}, ["params.n_symbols_train=null"], "params.n_symbols_train"),
         ({}, ["params.snr_db=NaN"], "params.snr_db"),
+        # a0 is no parameter any more: a0_db is rejected as unknown
         ({}, ["params.a0_db=-Infinity"], "params.a0_db"),
         ({}, ["params.delta2=[0.05]"], "params.delta2"),
         ({"sweep": {"param": "theta", "values": [0.5, math.inf]}}, [], "sweep.values"),
@@ -202,7 +203,9 @@ class TestConfig:
         ({}, ["params.theta=-0.5"], "params.theta"),
         ({"scenario": "cal_rate_vs_order", "sweep": {"param": "order", "values": [3, 21]}},
          [], "sweep.values (order)"),
-        ({"sweep": {"param": "noise_var", "values": [1.0, 0.0]}}, [], "sweep.values (noise_var)"),
+        ({"scenario": "cal_rate_vs_snr",
+          "sweep": {"param": "train_noise_var", "values": [0.5, -1.0]}}, [],
+         "sweep.values (train_noise_var)"),
         ({"mode": "bogus"}, [], "mode"),
     ])
     def test_bad_entry_names_its_key(self, tmp_path, entries, sets, key):
@@ -234,6 +237,18 @@ class TestConfig:
         with pytest.raises(cli.ConfigError, match=message):
             cli.load_config(str(path))
 
+    @pytest.mark.parametrize("name", ["a0_db", "noise_var"])
+    def test_removed_params_are_unknown(self, tmp_path, name):
+        # every rate depends on a0 and the noise variance only through
+        # snr_db, so neither is a parameter, whether set or swept
+        path, _ = _write_config(tmp_path, params={name: 10.0})
+        with pytest.raises(cli.ConfigError, match=f"^params.{name}: unknown parameter"):
+            cli.load_config(str(path))
+        path, _ = _write_config(tmp_path, sweep={"param": name, "values": [1.0, 2.0]})
+        with pytest.raises(cli.ConfigError, match=f"^sweep.param: unknown parameter '{name}'"):
+            cli.load_config(str(path))
+        assert len(cli.DEFAULT_PARAMS) == 9 and name not in cli.DEFAULT_PARAMS
+
     def test_params_must_be_an_object(self):
         # a file or --set cannot give params a non-object; the constructor checks it too
         with pytest.raises(cli.ConfigError, match="^params: must be an object, got 5"):
@@ -253,6 +268,42 @@ class TestConfig:
         # sweep workers receive the config itself
         cfg = cli.load_config(str(_write_config(tmp_path)[0]))
         assert pickle.loads(pickle.dumps(cfg)) == cfg
+
+
+# for every model parameter: a tiny run where it must matter, its scenario,
+# the other params it needs, and two values.  n_symbols_train matters only
+# with training noise, and n_levels only above the order + 2 floor.
+_PARAM_EFFECT_CASES = {
+    "snr_db": ("rate_vs_snr", {}, (0.0, 20.0)),
+    "ibo_db": ("rate_vs_ibo", {}, (3.0, 10.0)),
+    "delta2": ("loss_vs_mismatch", {}, (0.01, 0.1)),
+    "theta": ("loss_vs_mismatch", {}, (0.1, 0.5)),
+    "order": ("cal_rate_vs_order", {"n_levels": 6}, (2, 3)),
+    "n_levels": ("cal_rate_vs_snr", {"order": 3}, (5, 7)),
+    "n_symbols_train": ("cal_rate_vs_snr", {"order": 3, "train_noise_var": 0.5}, (4, 10)),
+    "train_noise_var": ("cal_rate_vs_snr", {"order": 3}, (0.0, 0.5)),
+    "pathloss": ("rate_vs_snr", {}, ("unit", "drawn")),
+}
+
+
+def test_every_param_has_an_effect_case():
+    assert set(_PARAM_EFFECT_CASES) == set(cli.DEFAULT_PARAMS)
+
+
+@pytest.mark.parametrize("name", sorted(_PARAM_EFFECT_CASES))
+def test_every_param_moves_some_row(tmp_path, name):
+    # a parameter that no row depends on is a setting that does nothing
+    scenario, params, values = _PARAM_EFFECT_CASES[name]
+    rates = []
+    for value in values:
+        # the sweep axis of every case is snr_db, at one point
+        snr = value if name == "snr_db" else 5.0
+        path, _ = _write_config(
+            tmp_path, scenario=scenario, m=8, k=2, sweep={"param": "snr_db", "values": [snr]},
+            mc={"n_hardware": 2, "n_channels": 10, "n_symbols": 16},
+            params={"ibo_db": 5.0, **params, name: value})
+        rates.append([r["rate_mean"] for r in cli.run_scenario(cli.load_config(str(path)))])
+    assert rates[0] != rates[1]
 
 
 class TestCsv:
@@ -473,13 +524,12 @@ class TestScenarios:
         assert len(seen) == len(snrs) * n_hardware
         children = np.random.SeedSequence(seed).spawn(n_hardware)
         mismatch = HardwareMismatch.uniform(cfg.param("delta2"), cfg.param("theta"))
-        a0 = 10.0 ** (cfg.param("a0_db") / 10.0)
-        bases = [a_sat_for_ibo(10.0, 10.0 ** (snr / 10.0) / a0, m) for snr in snrs]
+        bases = [a_sat_for_ibo(10.0, 10.0 ** (snr / 10.0) / cli.A0, m) for snr in snrs]
         for i, base in enumerate(bases):
             for h, child in enumerate(children):
                 rng = np.random.Generator(np.random.SFC64(child))
-                phi = draw_ue_pathloss(rng, k, CellGeometry())
-                want = draw_system_hardware(rng, m, k, mismatch, base, a0=a0)
+                phi = draw_ue_pathloss(rng, k)
+                want = draw_system_hardware(rng, m, k, mismatch, base, a0=cli.A0)
                 hw, got_phi = seen[i * n_hardware + h]
                 assert np.array_equal(got_phi, phi)
                 for name in ("t", "a_sat", "bs_rx", "ue_tx_gain", "ue_rx"):
@@ -532,21 +582,42 @@ class TestScenarios:
             "none", "linear_rc", "poly_nrc", "perfect_nrc"]
 
     @pytest.mark.parametrize("scenario", ["rate_vs_snr", "cal_rate_vs_snr"])
-    def test_physical_rates_do_not_depend_on_a0(self, tmp_path, scenario):
+    def test_physical_rates_do_not_depend_on_a0(self, tmp_path, monkeypatch, scenario):
         # rho_t = SNR noise_var / a0 and the amplifiers carry a0, so every
         # rate sees a0 only through rounding; physical mode once drew the
-        # hardware with a0 = 10 whatever a0_db said
+        # hardware with a0 = 10 whatever a0 the rates used
         rows = []
-        for a0_db in (10.0, 20.0):
+        for a0 in (10.0, 100.0):
+            monkeypatch.setattr(cli, "A0", a0)
             path, _ = _write_config(
                 tmp_path, scenario=scenario, mode="physical",
                 sweep={"param": "snr_db", "values": [20.0]}, m=8, k=2,
                 mc={"n_hardware": 2, "n_channels": 10, "n_symbols": 16},
-                params={"ibo_db": 3.0, "a0_db": a0_db, "order": 3, "n_levels": 5})
+                params={"ibo_db": 3.0, "order": 3, "n_levels": 5})
             rows.append(cli.run_scenario(cli.load_config(str(path))))
         for low, high in zip(*rows):
             assert low["method"] == high["method"]
             assert high["rate_mean"] == pytest.approx(low["rate_mean"], rel=1e-12)
+
+    @pytest.mark.parametrize("mode", ["surrogate", "physical"])
+    def test_noisy_training_rows_do_not_depend_on_a0(self, tmp_path, monkeypatch, mode):
+        # the pilots go through the data's transmit chain, so at a fixed
+        # snr_db = a0 rho_t / noise_var, with the training noise a fixed
+        # ratio to noise_var, a noisy calibration point writes the same bytes
+        # whatever a0 and noise_var are; pilots that carried a0 where the
+        # data carries sqrt(a0) gained training SNR with a0
+        path, _ = _write_config(
+            tmp_path, scenario="cal_rate_vs_snr", mode=mode,
+            sweep={"param": "snr_db", "values": [0.0]}, m=8, k=2,
+            mc={"n_hardware": 2, "n_channels": 10, "n_symbols": 16},
+            params={"ibo_db": 5.0, "order": 3, "n_levels": 5, "train_noise_var": 0.5})
+        out = []
+        for a0, noise_var in ((10.0, 1.0), (100.0, 1.0), (10.0, 4.0)):
+            monkeypatch.setattr(cli, "A0", a0)
+            monkeypatch.setattr(cli, "NOISE_VAR", noise_var)
+            cli.emit_csv(cli.run_scenario(cli.load_config(str(path))), str(tmp_path / "out.csv"))
+            out.append((tmp_path / "out.csv").read_bytes())
+        assert out[1] == out[0] and out[2] == out[0]
 
     def test_order_zero_reduces_to_linear(self, tmp_path):
         path, _ = _write_config(

@@ -23,6 +23,18 @@ def _antenna(hw, i):
     return mr.HpaModel(a0=hw.a0, t=hw.t[i], a_sat=hw.a_sat[i])
 
 
+def _one(a0, t, a_sat):
+    """One amplifier as BS hardware with one antenna."""
+    return mr.SystemHardware(a0=a0, t=np.array([t], complex), a_sat=np.array([a_sat]),
+                             bs_rx=np.ones(1, complex), ue_tx_gain=np.ones(1, complex),
+                             ue_rx=np.ones(1, complex))
+
+
+def _apply(one, x):
+    """``sspa_apply`` of a one-antenna hardware on samples x of any shape."""
+    return mr.sspa_apply(one, np.asarray(x, complex)[..., None])[..., 0]
+
+
 class TestSystemHardware:
     def _fields(self, **over):
         fields = dict(a0=10.0, t=np.ones(4, complex), a_sat=np.full(4, 2.0),
@@ -98,37 +110,33 @@ class TestDrawSystemHardware:
 
 class TestSspaApply:
     def test_zero(self):
-        hpa = mr.HpaModel(a0=10.0, t=1.0 + 0j, a_sat=1.0)
-        assert mr.sspa_apply(hpa, 0.0) == 0.0
+        assert _apply(_one(10.0, 1.0, 1.0), 0.0) == 0.0
 
     def test_small_signal_linearity(self):
-        hpa = mr.HpaModel(a0=10.0, t=0.8 + 0.1j, a_sat=2.0)
+        t = 0.8 + 0.1j
         x = 2e-6 * np.exp(0.7j)
-        expected = math.sqrt(10.0) * hpa.t * x
-        assert abs(mr.sspa_apply(hpa, x) - expected) / abs(expected) < 1e-9
+        expected = math.sqrt(10.0) * t * x
+        assert abs(_apply(_one(10.0, t, 2.0), x) - expected) / abs(expected) < 1e-9
 
     def test_saturation_point(self):
         # |x| = a_sat: output amplitude sqrt(a0)|t| a_sat / sqrt(2)
-        hpa = mr.HpaModel(a0=4.0, t=1.2 * np.exp(0.3j), a_sat=1.5)
-        out = mr.sspa_apply(hpa, 1.5 + 0.0j)
+        out = _apply(_one(4.0, 1.2 * np.exp(0.3j), 1.5), 1.5 + 0.0j)
         assert abs(out) == pytest.approx(2.0 * 1.2 * 1.5 / math.sqrt(2.0), rel=1e-12)
 
     def test_phase_preserved(self):
-        hpa = mr.HpaModel(a0=1.0, t=1.0 + 0j, a_sat=1.0)
         x = 3.0 * np.exp(1.1j)
-        assert np.angle(mr.sspa_apply(hpa, x)) == pytest.approx(1.1, abs=1e-12)
+        assert np.angle(_apply(_one(1.0, 1.0, 1.0), x)) == pytest.approx(1.1, abs=1e-12)
 
     def test_bounded_output(self):
-        hpa = mr.HpaModel(a0=1.0, t=1.0 + 0j, a_sat=1.0)
         x = np.linspace(0, 1e4, 100) * np.exp(0.2j)
-        assert np.all(np.abs(mr.sspa_apply(hpa, x)) < hpa.a_sat)
+        assert np.all(np.abs(_apply(_one(1.0, 1.0, 1.0), x)) < 1.0)
 
     @given(st.floats(min_value=0.0, max_value=100.0), st.floats(min_value=0.0, max_value=100.0))
     @settings(max_examples=50, deadline=None)
     def test_amplitude_monotone(self, r1, r2):
-        hpa = mr.HpaModel(a0=2.0, t=1.0 + 0.5j, a_sat=1.3)
+        one = _one(2.0, 1.0 + 0.5j, 1.3)
         lo, hi = sorted((r1, r2))
-        assert abs(mr.sspa_apply(hpa, lo)) <= abs(mr.sspa_apply(hpa, hi)) + 1e-12
+        assert abs(_apply(one, lo)) <= abs(_apply(one, hi)) + 1e-12
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(1, 40), m=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
@@ -137,7 +145,8 @@ class TestSspaApply:
         hw = _random_hardware(rng, m)
         x = rng.lognormal(0.0, 1.0, (n, m)) * np.exp(2j * np.pi * rng.uniform(size=(n, m)))
         out = mr.sspa_apply(hw, x)
-        ref = np.stack([mr.sspa_apply(_antenna(hw, i), x[:, i]) for i in range(m)], axis=1)
+        ref = np.stack([_apply(_one(hw.a0, hw.t[i], hw.a_sat[i]), x[:, i]) for i in range(m)],
+                       axis=1)
         assert np.max(np.abs(out - ref) / np.abs(ref)) <= 1e-14
 
     @pytest.mark.parametrize("shape", [(5, 1), (5, 5), ()], ids=["one-antenna", "m-plus-1", "0-d"])
@@ -148,13 +157,12 @@ class TestSspaApply:
             mr.sspa_apply(hw, np.ones(shape, complex))
 
     def test_single_amplifier_keeps_any_shape(self):
-        hpa = mr.HpaModel(a0=2.0, t=0.9 + 0.1j, a_sat=1.3)
-        out = mr.sspa_apply(hpa, 0.5 + 0.2j)
-        assert type(out) is complex
-        assert type(mr.sspa_apply(hpa, np.complex128(0.5 + 0.2j))) is complex
-        block = mr.sspa_apply(hpa, np.full((2, 3, 7), 0.5 + 0.2j))
-        assert block.shape == (2, 3, 7)
-        assert block[1, 2, 6] == out
+        # the antenna axis comes last, after any leading axes
+        one = _one(2.0, 0.9 + 0.1j, 1.3)
+        out = mr.sspa_apply(one, np.array([0.5 + 0.2j]))
+        block = mr.sspa_apply(one, np.full((2, 3, 7, 1), 0.5 + 0.2j))
+        assert block.shape == (2, 3, 7, 1)
+        assert block[1, 2, 6, 0] == out[0]
 
     def test_zero_maps_to_zero(self):
         hw = _random_hardware(np.random.default_rng(1), 6)
@@ -209,7 +217,7 @@ class TestBussgangDecompose:
         rng = np.random.default_rng(5)
         x = (rng.standard_normal(1_000_000) + 1j * rng.standard_normal(1_000_000))
         x *= sigma / np.sqrt(2.0)
-        f = mr.sspa_apply(hpa, x) / math.sqrt(hpa.a0)
+        f = _apply(_one(hpa.a0, hpa.t, hpa.a_sat), x) / math.sqrt(hpa.a0)
         g_hat = np.vdot(x, f) / np.vdot(x, x)
         assert abs(g_hat - pair.g) < 1e-3
 
@@ -223,7 +231,7 @@ class TestBussgangDecompose:
         for _ in range(10):
             x = (rng.standard_normal(1_000_000) + 1j * rng.standard_normal(1_000_000))
             x *= sigma / np.sqrt(2.0)
-            f = mr.sspa_apply(hpa, x)
+            f = _apply(_one(hpa.a0, hpa.t, hpa.a_sat), x)
             total += float(np.sum(np.abs(f - pair.g * x) ** 2))
             count += len(x)
         assert total / count == pytest.approx(pair.sigma_d2, rel=0.03)
