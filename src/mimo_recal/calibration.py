@@ -343,8 +343,10 @@ def linear_calibration(training: TrainingSet) -> np.ndarray:
     if training.x.shape[1] != 1:
         raise ValueError("linear calibration expects a single power level; "
                          "pass TrainingSet.level(n)")
-    # s[t, r] = x_r . y_{t->r}: receiver r's own pilot against what it heard from t
-    s = np.einsum("rq,trq->tr", training.x[:, 0], training.y[:, :, 0])
+    # s[t, r] = x_r . y_{t->r}: receiver r's own pilot against what it heard from
+    # t, summed as a per-pair np.sum does; einsum's fused contraction moves the
+    # last bit, which an ill-conditioned Ybar (noisy, short training) amplifies
+    s = np.sum(training.x[None, :, 0] * training.y[:, :, 0], axis=-1)
     ybar = _unfused_product(-np.conj(s.T), s)
     # hypot rounds |s| as scalar abs() does; numpy's vector complex abs does not
     ybar[np.diag_indices(training.m)] = np.sum(np.hypot(s.real, s.imag) ** 2, axis=0)
