@@ -3,12 +3,13 @@
 ``mimo-recal run --config cfg.json [--paper-scale] [--seed N] [--set k=v]...``
 reproduces the simulation studies at configurable scale; ``mimo-recal
 selftest`` runs a quick oracle suite.  Data goes to the CSV only; progress and
-warnings go to stderr.  Hardware draw h of every sweep point reads one SFC64
-stream, spawned as child h of the config seed, so the points of a sweep share
+warnings go to stderr.  A sweep point is the ``ExperimentConfig`` with its
+swept parameter set.  Its hardware draw h reads SFC64 on child h of the seed,
+and the calibration Monte Carlo child (h, 1), so the points of a sweep share
 their hardware and channels.  MIMO_RECAL_THREADS caps the pool of spawned
-workers, whose unit of work is one (sweep point, hardware draw) pair; no output
-depends on the worker layout, and a script that runs the pool needs an
-``if __name__ == "__main__":`` guard, as each worker imports its main module.
+workers, whose unit is one (point, hardware draw) pair; no output depends on
+the worker layout, and a script that runs the pool needs an ``if __name__ ==
+"__main__":`` guard, as each worker imports its main module.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
-from itertools import islice, repeat
+from dataclasses import dataclass, replace
+from itertools import islice
 
 import numpy as np
 
@@ -61,67 +62,15 @@ CSV_COLUMNS = ("scenario", "sweep_param", "sweep_value", "method",
 A0 = 10.0
 NOISE_VAR = 1.0
 
-DEFAULT_PARAMS = {
-    "snr_db": 10.0,
-    "ibo_db": 10.0,
-    "delta2": 0.05,
-    "theta": math.pi / 6,
-    "order": 5,
-    "n_levels": 7,
-    "n_symbols_train": 10,
-    "train_noise_var": 0.0,  # OTA receive noise variance, as a ratio to NOISE_VAR
-    "pathloss": "unit",  # "unit" or "drawn"
-}
-
-
-# the allowed range of each bounded model parameter, as text and as a test
-_PARAM_RANGES = {
-    "order": (f"in [0, {MAX_PSI_ORDER}]", lambda v: 0 <= v <= MAX_PSI_ORDER),
-    "n_levels": (">= 1", lambda v: v >= 1),
-    "n_symbols_train": (">= 1", lambda v: v >= 1),
-    "delta2": (">= 0", lambda v: v >= 0),
-    "train_noise_var": (">= 0", lambda v: v >= 0),
-    "theta": ("in [0, pi]", lambda v: 0 <= v <= math.pi),
-}
-
 
 class ConfigError(ValueError):
     pass
 
 
-# every config key and the ExperimentConfig field it sets; params.<name> sets
-# one entry of params.  The file nests the dotted keys as sweep, mc and params
-# objects, and --set takes them as written here.
-CONFIG_KEYS = {
-    "scenario": "scenario", "m": "m", "k": "k", "seed": "seed", "mode": "mode",
-    "output_path": "output_path", "sweep.param": "sweep_param",
-    "sweep.values": "sweep_values", "mc.n_hardware": "n_hardware",
-    "mc.n_channels": "n_channels", "mc.n_symbols": "n_symbols",
-}
-
-
-def _check_param(name: str, value, where: str) -> None:
-    """The value check of one model parameter, set in params or swept: the
-    type of its default (an integer, a finite number or a pathloss name),
-    then its range in ``_PARAM_RANGES``."""
-    default = DEFAULT_PARAMS[name]
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if isinstance(default, str):
-        if value not in ("unit", "drawn"):
-            raise ConfigError(f"{where}: unknown value {value!r} (allowed: unit, drawn)")
-    elif isinstance(default, int) and not (number and isinstance(value, int)):
-        raise ConfigError(f"{where}: must be an integer, got {value!r}")
-    # a NaN fails the comparison
-    elif not (number and -math.inf < value < math.inf):
-        raise ConfigError(f"{where}: must be a finite number, got {value!r}")
-    elif name in _PARAM_RANGES and not _PARAM_RANGES[name][1](value):
-        raise ConfigError(f"{where}: must be {_PARAM_RANGES[name][0]}, got {value!r}")
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One experiment: a scenario, the system size, one sweep axis, Monte-Carlo
-    depths and fixed model parameters."""
+    """Every setting of one experiment, checked on construction.  A sweep
+    point is this record with its swept parameter set to the point's value."""
 
     scenario: str
     m: int = 64
@@ -133,107 +82,135 @@ class ExperimentConfig:
     n_hardware: int = 20
     n_channels: int = 1000
     n_symbols: int = 256
-    params: dict = field(default_factory=dict)
     output_path: str = "results.csv"
+    # the model parameters (PARAMS), the only fields a sweep may vary
+    snr_db: float = 10.0
+    ibo_db: float = 10.0
+    delta2: float = 0.05
+    theta: float = math.pi / 6
+    order: int = 5
+    n_levels: int = 7
+    n_symbols_train: int = 10
+    train_noise_var: float = 0.0  # OTA receive noise variance, as a ratio to NOISE_VAR
+    pathloss: str = "unit"
 
     def __post_init__(self):
-        for key in ("m", "k", "seed", "mc.n_hardware", "mc.n_channels", "mc.n_symbols"):
-            value = getattr(self, CONFIG_KEYS[key])
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ConfigError(f"{key}: must be an integer, got {value!r}")
-        if not isinstance(self.params, dict):
-            raise ConfigError(f"params: must be an object, got {self.params!r}")
-        if not isinstance(self.output_path, str):
-            raise ConfigError(f"output_path: must be a string, got {self.output_path!r}")
-        values = self.sweep_values
-        if not (isinstance(values, (list, tuple)) and values and all(
-                isinstance(v, (int, float)) and not isinstance(v, bool) for v in values)):
-            raise ConfigError(f"sweep.values: must be a non-empty list of numbers, got {values!r}")
-        object.__setattr__(self, "sweep_values", tuple(values))
-        if self.scenario not in SCENARIOS:
-            raise ConfigError(f"scenario: unknown value {self.scenario!r}")
+        for name, key in CONFIG_KEYS.items():
+            _check(name, getattr(self, name), key)
+        object.__setattr__(self, "sweep_values", tuple(self.sweep_values))
         if not self.m > self.k >= 1:
             raise ConfigError(f"m/k: need m > k >= 1, got {self.m}/{self.k}")
         # the Monte Carlo's ZF beta is finite only for M > K + 1
         if self.scenario != "loss_vs_mismatch" and self.m <= self.k + 1:
             raise ConfigError(f"m/k: {self.scenario} runs the Monte Carlo, which needs "
                               f"m > k + 1, got {self.m}/{self.k}")
-        if self.seed < 0:
-            raise ConfigError(f"seed: must be >= 0, got {self.seed}")
-        if self.mode not in ("surrogate", "physical"):
-            raise ConfigError(f"mode: unknown value {self.mode!r}")
-        for name in ("n_hardware", "n_channels"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"mc.{name}: need at least 1, got {getattr(self, name)}")
         if self.mode == "physical" and self.n_symbols <= self.k:
             raise ConfigError(f"mc.n_symbols: physical mode needs n_symbols > k = {self.k}, "
                               f"got {self.n_symbols}")
-        for key in self.params:
-            if key not in DEFAULT_PARAMS:
-                raise ConfigError(f"params.{key}: unknown parameter")
         # a sweep over a name that no parameter has would write one value at
         # every point
-        if self.sweep_param not in DEFAULT_PARAMS:
+        if self.sweep_param not in PARAMS:
             raise ConfigError(f"sweep.param: unknown parameter {self.sweep_param!r}")
-        for name, value in self.params.items():
-            _check_param(name, value, f"params.{name}")
         for value in self.sweep_values:
-            _check_param(self.sweep_param, value, f"sweep.values ({self.sweep_param})")
-
-    def param(self, name: str):
-        return self.params.get(name, DEFAULT_PARAMS[name])
+            _check(self.sweep_param, value, f"sweep.values ({self.sweep_param})")
 
 
-def _set(fields: dict, key: str, value) -> None:
-    """Set one dotted config key in ``fields``, the ExperimentConfig keywords."""
-    if key.startswith("params."):
-        fields["params"] = {**fields.get("params", {}), key[len("params."):]: value}
-    elif key in CONFIG_KEYS:
-        fields[CONFIG_KEYS[key]] = value
-    else:
-        raise ConfigError(f"{key}: unknown key (allowed: {', '.join(CONFIG_KEYS)}, "
-                          f"params.<name>)")
+PARAMS = ("snr_db", "ibo_db", "delta2", "theta", "order", "n_levels", "n_symbols_train",
+          "train_noise_var", "pathloss")
+
+# every field and its config key.  The file nests the dotted keys as sweep,
+# mc and params objects, and --set takes them as written here.
+CONFIG_KEYS = {
+    "scenario": "scenario", "m": "m", "k": "k", "seed": "seed", "mode": "mode",
+    "output_path": "output_path", "sweep_param": "sweep.param",
+    "sweep_values": "sweep.values", "n_hardware": "mc.n_hardware",
+    "n_channels": "mc.n_channels", "n_symbols": "mc.n_symbols",
+    **{name: f"params.{name}" for name in PARAMS},
+}
+
+# the allowed values of a field, or its range as text and as a test
+_RULES = {
+    "scenario": SCENARIOS,
+    "mode": ("surrogate", "physical"),
+    "pathloss": ("unit", "drawn"),
+    **dict.fromkeys(("k", "n_hardware", "n_channels", "n_levels", "n_symbols_train"),
+                    (">= 1", lambda v: v >= 1)),
+    **dict.fromkeys(("seed", "delta2", "train_noise_var"), (">= 0", lambda v: v >= 0)),
+    "order": (f"in [0, {MAX_PSI_ORDER}]", lambda v: 0 <= v <= MAX_PSI_ORDER),
+    "theta": ("in [0, pi]", lambda v: 0 <= v <= math.pi),
+}
 
 
-def _parse(text: str):
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError:
-        return text
+def _check(name: str, value, key: str) -> None:
+    """The value check of field ``name``, with errors under ``key``: one of
+    its allowed values in ``_RULES``, or the type of its default (a string, a
+    non-empty list of numbers, an integer or a finite number) and then its
+    range in ``_RULES``."""
+    rule = _RULES.get(name)
+    if rule is not None and not callable(rule[1]):
+        if value not in rule:
+            raise ConfigError(f"{key}: unknown value {value!r} (allowed: {', '.join(rule)})")
+        return
+    # a dataclass field's class attribute is its default
+    default = getattr(ExperimentConfig, name)
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if isinstance(default, str):
+        ok, kind = isinstance(value, str), "a string"
+    elif isinstance(default, tuple):
+        ok = isinstance(value, (list, tuple)) and value and all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
+        kind = "a non-empty list of numbers"
+    elif isinstance(default, int):
+        ok, kind = number and isinstance(value, int), "an integer"
+    else:  # a NaN fails the comparison
+        ok, kind = number and -math.inf < value < math.inf, "a finite number"
+    if not ok:
+        raise ConfigError(f"{key}: must be {kind}, got {value!r}")
+    if rule is not None and not rule[1](value):
+        raise ConfigError(f"{key}: must be {rule[0]}, got {value!r}")
 
 
 def load_config(path: str, sets=()) -> ExperimentConfig:
     """The config of a JSON file with ``KEY=VALUE`` overrides, validated once:
-    the file's sweep, mc and params objects are flattened to dotted keys, and
-    one setter takes them and then the overrides (a value text that is not
-    JSON is a string)."""
+    the file's sweep, mc and params objects are flattened to dotted keys, the
+    overrides set theirs (a value text that is not JSON is a string), and
+    each key sets its field in ``CONFIG_KEYS``."""
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: must hold a JSON object")
-    fields: dict = {}
+    entries: dict = {}
     for key, value in data.items():
         if key in ("sweep", "mc", "params"):
             if not isinstance(value, dict):
                 raise ConfigError(f"{key}: must be an object, got {value!r}")
-            for sub, item in value.items():
-                _set(fields, f"{key}.{sub}", item)
+            entries.update({f"{key}.{sub}": item for sub, item in value.items()})
         elif "." in key:
             raise ConfigError(f"{key}: unknown key (the file nests it as an object)")
         else:
-            _set(fields, key, value)
+            entries[key] = value
     for text in sets:
         key, sep, value = text.partition("=")
         if not sep:
             raise ConfigError(f"--set expects KEY=VALUE, got {text!r}")
-        _set(fields, key, _parse(value))
-    if "scenario" not in fields:
+        try:
+            entries[key] = json.loads(value)
+        except json.JSONDecodeError:
+            entries[key] = value
+    for key in entries:
+        if key not in CONFIG_KEYS.values():
+            if key.startswith("params."):
+                raise ConfigError(f"{key}: unknown parameter")
+            top = ", ".join(k for k in CONFIG_KEYS.values() if not k.startswith("params."))
+            raise ConfigError(f"{key}: unknown key (allowed: {top}, params.<name>)")
+    if "scenario" not in entries:
         raise ConfigError("scenario: missing")
     # swept values mean nothing without their parameter, and the reverse
-    for key, other in (("sweep.param", "sweep_values"), ("sweep.values", "sweep_param")):
-        if other in fields and CONFIG_KEYS[key] not in fields:
+    for key, other in (("sweep.param", "sweep.values"), ("sweep.values", "sweep.param")):
+        if other in entries and key not in entries:
             raise ConfigError(f"{key}: missing (a sweep sets sweep.param and sweep.values)")
-    return ExperimentConfig(**fields)
+    return ExperimentConfig(**{name: entries[key] for name, key in CONFIG_KEYS.items()
+                               if key in entries})
 
 
 # ---------------------------------------------------------------------------
@@ -245,40 +222,39 @@ def _mean_rate(sindr) -> float:
     return float(np.mean([rate_from_sindr(s) for s in sindr]))
 
 
-def _draw_rates(cfg: ExperimentConfig, index: int, h: int) -> dict:
-    """Mean rate of each method, in row order, for hardware draw ``h`` of
-    sweep point ``index``.  The draw reads one SFC64 stream, child h of the
-    config seed, so every sweep point sees the same hardware and channels
-    whatever the worker layout: the rows of a sweep are common-random-number
-    comparisons."""
-    p = {name: cfg.param(name) for name in DEFAULT_PARAMS}
-    p[cfg.sweep_param] = cfg.sweep_values[index]
-    rho_t = 10.0 ** (p["snr_db"] / 10.0) * NOISE_VAR / A0
+def _draw_rates(cfg: ExperimentConfig, h: int) -> dict:
+    """Mean rate of each method, in row order, for hardware draw ``h`` of the
+    sweep point ``cfg``.  The draw reads SFC64 on child h of the config seed,
+    and the calibration Monte Carlo child (h, 1), so every sweep point sees
+    the same hardware and channels whatever the training length and worker
+    layout: the rows of a sweep are common-random-number comparisons."""
+    rho_t = 10.0 ** (cfg.snr_db / 10.0) * NOISE_VAR / A0
     rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence(cfg.seed, spawn_key=(h,))))
-    phi = draw_ue_pathloss(rng, cfg.k) if p["pathloss"] == "drawn" else np.ones(cfg.k)
-    mismatch = HardwareMismatch.uniform(p["delta2"], p["theta"])
+    phi = draw_ue_pathloss(rng, cfg.k) if cfg.pathloss == "drawn" else np.ones(cfg.k)
+    mismatch = HardwareMismatch.uniform(cfg.delta2, cfg.theta)
     hw = draw_system_hardware(rng, cfg.m, cfg.k, mismatch,
-                              a_sat_for_ibo(p["ibo_db"], rho_t, cfg.m), a0=A0)
-    mc_args = (hw, phi, rho_t, A0, NOISE_VAR, cfg.n_channels, cfg.n_symbols, cfg.mode, rng)
+                              a_sat_for_ibo(cfg.ibo_db, rho_t, cfg.m), a0=A0)
+    mc_args = (hw, phi, rho_t, A0, NOISE_VAR, cfg.n_channels, cfg.n_symbols, cfg.mode)
     if cfg.scenario.startswith("cal_"):
-        order = p["order"]
         omega = draw_inter_antenna_channel(rng, cfg.m)
         # n_levels is held to the identifiability floor of the polynomial fit
-        plan = PilotPlan.for_hardware(hw, max(p["n_levels"], order + 2), p["n_symbols_train"])
+        plan = PilotPlan.for_hardware(hw, max(cfg.n_levels, cfg.order + 2), cfg.n_symbols_train)
         # one training set, shared by linear_rc and poly_nrc and freed before
         # the Monte Carlo, which scores every method on the same channel draws
         stack = calibration_stack(
-            hw, plan, simulate_ota_training(hw, plan, omega, p["train_noise_var"] * NOISE_VAR,
+            hw, plan, simulate_ota_training(hw, plan, omega, cfg.train_noise_var * NOISE_VAR,
                                             cfg.mode, rng),
-            order, rho_t)
-        scored = estimate_sindr_mc(*mc_args, c=stack)
+            cfg.order, rho_t)
+        mc_rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence(cfg.seed,
+                                                                            spawn_key=(h, 1))))
+        scored = estimate_sindr_mc(*mc_args, mc_rng, c=stack)
         return {name: _mean_rate(b.sindr for b in row)
                 for name, row in zip(CALIBRATION_METHODS, scored)}
 
     closed = sindr_zf_closed_all(hw, phi, rho_t, A0, NOISE_VAR)
     rates = {"closed_form": _mean_rate(b.sindr for b in closed)}
     if cfg.scenario != "loss_vs_mismatch":
-        rates["mc"] = _mean_rate(b.sindr for b in estimate_sindr_mc(*mc_args))
+        rates["mc"] = _mean_rate(b.sindr for b in estimate_sindr_mc(*mc_args, rng))
     # ideal is the linear-mismatch SINR at zero mismatch, lrm_closed at the
     # law the hardware is drawn from
     for name, law in (("ideal", HardwareMismatch.none()), ("lrm_closed", mismatch)):
@@ -308,12 +284,14 @@ _BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 def run_scenario(cfg: ExperimentConfig) -> list[dict]:
     """Rows of every sweep point in sweep order.  The unit of work is one
     (sweep point, hardware draw) pair, scored by ``_draw_rates`` in
-    point-major order; a worker gets the config itself."""
+    point-major order; a worker gets the point's config itself."""
     n = len(cfg.sweep_values)
     workers = os.environ.get("MIMO_RECAL_THREADS", "").strip()
     if workers and not (workers.isdecimal() and int(workers) >= 1):
         raise ConfigError(f"MIMO_RECAL_THREADS: need an integer >= 1, got {workers!r}")
-    points = [i for i in range(n) for _ in range(cfg.n_hardware)]
+    # each sweep point is built once and scored on every hardware draw
+    points = [point for value in cfg.sweep_values
+              for point in [replace(cfg, **{cfg.sweep_param: value})] * cfg.n_hardware]
     draws = list(range(cfg.n_hardware)) * n
     # a worker beyond the number of pairs would only start up and idle
     max_workers = min(int(workers) if workers else (os.cpu_count() or 1), len(points))
@@ -327,7 +305,7 @@ def run_scenario(cfg: ExperimentConfig) -> list[dict]:
             print(f"done point {i + 1}/{n}", file=sys.stderr)
 
     if max_workers == 1:
-        collect(map(_draw_rates, repeat(cfg), points, draws))
+        collect(map(_draw_rates, points, draws))
         return out
     # imported here, so that a single-worker run does not load the pool modules
     import multiprocessing
@@ -340,7 +318,7 @@ def run_scenario(cfg: ExperimentConfig) -> list[dict]:
     try:
         with ProcessPoolExecutor(max_workers=max_workers,
                                  mp_context=multiprocessing.get_context("spawn")) as pool:
-            collect(pool.map(_draw_rates, repeat(cfg), points, draws))
+            collect(pool.map(_draw_rates, points, draws))
     finally:
         for name in _BLAS_THREADS:
             del os.environ[name]

@@ -138,7 +138,8 @@ def draw_system_hardware(
     log-normal, complex gains per role, and b_k = B_k(ue_pilot_amp)."""
     if not m > k >= 1:
         raise ValueError(f"need m > k >= 1, got m={m}, k={k}")
-    a_m = np.abs(draw_complex_gain(rng, dists.a, size=m))
+    # the saturation spread is an amplitude: its law's phase is never drawn
+    a_m = np.exp(rng.normal(0.0, math.sqrt(dists.a.log_amp_var), size=m))
     t = draw_complex_gain(rng, dists.t, size=m)
     r = draw_complex_gain(rng, dists.r, size=m)
     u = draw_complex_gain(rng, dists.u, size=k)

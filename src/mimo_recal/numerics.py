@@ -76,13 +76,9 @@ def bussgang_lambda(a_sat, sigma_x):
 
 def draw_complex_gain(rng: np.random.Generator, dist: MismatchDistribution, size: int):
     """Draw ``size`` gains |g| = exp(N(0, delta^2)) with phase uniform on
-    (-theta, theta)."""
+    (-theta, theta), drawn at theta = 0 too: every law reads as many draws."""
     amp = np.exp(rng.normal(0.0, math.sqrt(dist.log_amp_var), size=size))
-    if dist.phase_bound > 0:
-        phase = rng.uniform(-dist.phase_bound, dist.phase_bound, size=size)
-    else:
-        phase = np.zeros_like(amp)
-    return amp * np.exp(1j * phase)
+    return amp * np.exp(1j * rng.uniform(-dist.phase_bound, dist.phase_bound, size=size))
 
 
 def sinc(theta):

@@ -95,31 +95,46 @@ def mu_scipy(x):
     return np.where(x > 50.0, 1.0 + u * (-1.0 + u * (2.25 + u * (-7.5 + u * 32.8125))), direct)
 
 
-def slp_bisection_oracle(model, sigma_x, rho_t, c_max, outer=80, inner=100):
-    """Independent max-min solution for a ``TrueMismatch`` model: bisection on
-    the common gain g0, with a per-antenna monotone root find for
-    phi_m^{-1}(g0).  phi_m(c) = c |t_m / r_m| mu(A_m / (c sigma_m)) is
-    evaluated by ``mu_scipy``, not by the library."""
-    ratio = np.abs(model.hw.t / model.hw.bs_rx)
-    a_sat = model.hw.a_sat
-    c_max, sigma_x = (np.broadcast_to(np.asarray(v, dtype=np.float64), ratio.shape)
-                      for v in (c_max, sigma_x))
+def slp_bisection_oracle(instances, outer=80, inner=100):
+    """Independent max-min solutions for ``TrueMismatch`` models, one g0 per
+    (model, sigma_x, rho_t, c_max) of ``instances``: bisection on the common
+    gain g0, with a per-antenna monotone root find for phi_m^{-1}(g0).
+    phi_m(c) = c |t_m / r_m| mu(A_m / (c sigma_m)) is evaluated by
+    ``mu_scipy``, not by the library.  The instances are bisected side by
+    side, with their antennas in one array, so that each step makes one
+    ``mu_scipy`` call for all of them; each instance still takes the steps,
+    and the power sums, of a bisection of its own."""
+    parts = []
+    for model, sigma_x, _, c_max in instances:
+        ratio = np.abs(model.hw.t / model.hw.bs_rx)
+        parts.append((ratio, model.hw.a_sat, *(
+            np.broadcast_to(np.asarray(v, dtype=np.float64), ratio.shape)
+            for v in (sigma_x, c_max))))
+    ratio, a_sat, sigma_x, c_max = (np.concatenate(p) for p in zip(*parts))
+    sizes = [len(p[0]) for p in parts]
+    spans = [slice(end - size, end) for size, end in zip(sizes, np.cumsum(sizes))]
+    owner = np.repeat(np.arange(len(sizes)), sizes)
+    rho_t = np.array([inst[2] for inst in instances], dtype=np.float64)
 
-    def phi_at(c, idx=slice(None)):
+    def phi_at(c, idx):
         return c * ratio[idx] * mu_scipy(a_sat[idx] / np.maximum(c * sigma_x[idx], 1e-300))
 
-    hi_g = float(np.min(phi_at(c_max)))
-    lo_g = 0.0
+    at_cap = phi_at(c_max, slice(None))
+    hi_g = np.array([float(np.min(at_cap[span])) for span in spans])
+    lo_g = np.zeros_like(hi_g)
+    # instances whose g0 bracket still moves
+    active = np.ones(len(parts), dtype=bool)
     for _ in range(outer):
         mid = 0.5 * (lo_g + hi_g)
+        target = mid[owner]
         lo = np.zeros_like(c_max)
         hi = c_max.copy()
         # antennas whose bracket still moves; one that stops has reached its
         # own fixed point, and every later halving would repeat that one
-        moving = np.arange(len(lo))
+        moving = np.flatnonzero(active[owner])
         for _ in range(inner):
             c = 0.5 * (lo[moving] + hi[moving])
-            below = phi_at(c, moving) < mid
+            below = phi_at(c, moving) < target[moving]
             new_lo = np.where(below, c, lo[moving])
             new_hi = np.where(below, hi[moving], c)
             still = (new_lo != lo[moving]) | (new_hi != hi[moving])
@@ -127,10 +142,13 @@ def slp_bisection_oracle(model, sigma_x, rho_t, c_max, outer=80, inner=100):
             moving = moving[still]
             if moving.size == 0:
                 break
-        step = (lo_g, mid) if float(np.sum((hi * sigma_x) ** 2)) > rho_t else (mid, hi_g)
-        if step == (lo_g, hi_g):
-            break  # mid rounds to an end: every later halving would repeat this one
-        lo_g, hi_g = step
+        over = np.array([float(np.sum((hi[span] * sigma_x[span]) ** 2)) for span in spans]) > rho_t
+        new_lo_g, new_hi_g = np.where(over, lo_g, mid), np.where(over, mid, hi_g)
+        # mid rounds to an end: every later halving would repeat this one
+        active &= (new_lo_g != lo_g) | (new_hi_g != hi_g)
+        lo_g, hi_g = np.where(active, new_lo_g, lo_g), np.where(active, new_hi_g, hi_g)
+        if not active.any():
+            break
     return lo_g
 
 

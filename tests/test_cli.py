@@ -1,5 +1,6 @@
 """Experiment runner: config handling, scenarios, CSV contract."""
 
+import dataclasses
 import json
 import math
 import os
@@ -91,15 +92,17 @@ class TestConfig:
         path, _ = _write_config(tmp_path, scenario="cal_rate_vs_snr")
         with pytest.raises(cli.ConfigError, match="params.train_noise_var"):
             cli.load_config(str(path), [f"params.train_noise_var={json.dumps(value)}"])
-        assert cli.load_config(str(path), ["params.train_noise_var=0"]).param(
-            "train_noise_var") == 0
+        assert cli.load_config(str(path), ["params.train_noise_var=0"]).train_noise_var == 0
         path, _ = _write_config(tmp_path, params={"train_noise_var": value})
         with pytest.raises(cli.ConfigError, match="params.train_noise_var"):
             cli.load_config(str(path))
 
-    @pytest.mark.parametrize("param", ["snr_dB", "m", "rho_t"])
+    @pytest.mark.parametrize("param", ["snr_dB", "rho_t", *(
+        f.name for f in dataclasses.fields(cli.ExperimentConfig) if f.name not in cli.PARAMS)])
     def test_unknown_sweep_param_rejected(self, tmp_path, param):
-        # a sweep over "snr_dB" wrote the same rate at every point
+        # a sweep over "snr_dB" wrote the same rate at every point; a sweep
+        # point is the config with the swept field set, so only the model
+        # parameters may be swept, not m or seed
         path, _ = _write_config(tmp_path, sweep={"param": param, "values": [0.0, 20.0]})
         with pytest.raises(cli.ConfigError, match="sweep.param"):
             cli.load_config(str(path))
@@ -149,7 +152,7 @@ class TestConfig:
         cfg = cli.load_config(str(path), ["params.ibo_db=8", "params.n_levels=6",
                                           "params.theta=0.5"])
         assert cfg.sweep_values == (2, 3)
-        assert (cfg.param("ibo_db"), cfg.param("n_levels"), cfg.param("theta")) == (8, 6, 0.5)
+        assert (cfg.ibo_db, cfg.n_levels, cfg.theta) == (8, 6, 0.5)
 
     def test_physical_symbols_must_exceed_k(self, tmp_path):
         # n_symbols <= k leaves the physical least-squares fit no residual
@@ -164,7 +167,7 @@ class TestConfig:
         path, _ = _write_config(tmp_path)
         cfg = cli.load_config(str(path), ["params.ibo_db=25", "mc.n_hardware=7",
                                           "sweep.values=[5, 15]", "params.pathloss=drawn"])
-        assert cfg.param("ibo_db") == 25 and cfg.param("pathloss") == "drawn"
+        assert cfg.ibo_db == 25 and cfg.pathloss == "drawn"
         assert cfg.n_hardware == 7 and cfg.n_channels == 100
         assert cfg.sweep_values == (5, 15)
         with pytest.raises(cli.ConfigError, match="^nonsense: unknown key"):
@@ -247,12 +250,16 @@ class TestConfig:
         path, _ = _write_config(tmp_path, sweep={"param": name, "values": [1.0, 2.0]})
         with pytest.raises(cli.ConfigError, match=f"^sweep.param: unknown parameter '{name}'"):
             cli.load_config(str(path))
-        assert len(cli.DEFAULT_PARAMS) == 9 and name not in cli.DEFAULT_PARAMS
+        assert len(cli.PARAMS) == 9 and name not in cli.PARAMS
 
-    def test_params_must_be_an_object(self):
-        # a file or --set cannot give params a non-object; the constructor checks it too
+    def test_params_must_be_an_object(self, tmp_path):
+        # a file or --set cannot give params a non-object
+        path, _ = _write_config(tmp_path, params=5)
         with pytest.raises(cli.ConfigError, match="^params: must be an object, got 5"):
-            cli.ExperimentConfig(scenario="rate_vs_snr", params=5)
+            cli.load_config(str(path))
+        path, _ = _write_config(tmp_path)
+        with pytest.raises(cli.ConfigError, match="^params: unknown key"):
+            cli.load_config(str(path), ["params=5"])
 
     def test_sweep_overrides_in_any_order(self, tmp_path):
         # -5 is no train_noise_var: validating after each override rejected
@@ -268,6 +275,33 @@ class TestConfig:
         # sweep workers receive the config itself
         cfg = cli.load_config(str(_write_config(tmp_path)[0]))
         assert pickle.loads(pickle.dumps(cfg)) == cfg
+
+    def test_every_field_has_one_config_key(self, tmp_path):
+        # a field without a key could not be set, and two keys for one field
+        # would let a file set it twice; each key sets its own field only
+        names = [f.name for f in dataclasses.fields(cli.ExperimentConfig)]
+        assert sorted(cli.CONFIG_KEYS) == sorted(names) and len(names) == 20
+        assert len(set(cli.CONFIG_KEYS.values())) == len(names)
+        path, _ = _write_config(tmp_path)
+        cfg = cli.load_config(str(path))
+        other = {"scenario": "rate_vs_ibo", "mode": "physical", "output_path": "other.csv",
+                 "sweep_param": "ibo_db", "sweep_values": [1.0], "pathloss": "drawn"}
+        for name, key in cli.CONFIG_KEYS.items():
+            value = other[name] if name in other else getattr(cfg, name) + 1
+            got = cli.load_config(str(path), [f"{key}={json.dumps(value)}"])
+            assert got == dataclasses.replace(cfg, **{name: value}) != cfg, key
+
+    @pytest.mark.parametrize("name", cli.PARAMS)
+    def test_every_param_can_be_swept(self, tmp_path, name):
+        path, _ = _write_config(tmp_path, scenario="cal_rate_vs_snr")
+        if name == "pathloss":
+            # swept values are numbers, and no number is a path-loss law
+            with pytest.raises(cli.ConfigError, match=r"^sweep.values \(pathloss\)"):
+                cli.load_config(str(path), ["sweep.param=pathloss"])
+            return
+        value = getattr(cli.ExperimentConfig, name)
+        cfg = cli.load_config(str(path), [f"sweep.param={name}", f"sweep.values=[{value}]"])
+        assert (cfg.sweep_param, cfg.sweep_values) == (name, (value,))
 
 
 # for every model parameter: a tiny run where it must matter, its scenario,
@@ -287,7 +321,7 @@ _PARAM_EFFECT_CASES = {
 
 
 def test_every_param_has_an_effect_case():
-    assert set(_PARAM_EFFECT_CASES) == set(cli.DEFAULT_PARAMS)
+    assert set(_PARAM_EFFECT_CASES) == set(cli.PARAMS)
 
 
 @pytest.mark.parametrize("name", sorted(_PARAM_EFFECT_CASES))
@@ -523,7 +557,7 @@ class TestScenarios:
 
         assert len(seen) == len(snrs) * n_hardware
         children = np.random.SeedSequence(seed).spawn(n_hardware)
-        mismatch = HardwareMismatch.uniform(cfg.param("delta2"), cfg.param("theta"))
+        mismatch = HardwareMismatch.uniform(cfg.delta2, cfg.theta)
         bases = [a_sat_for_ibo(10.0, 10.0 ** (snr / 10.0) / cli.A0, m) for snr in snrs]
         for i, base in enumerate(bases):
             for h, child in enumerate(children):
@@ -542,6 +576,48 @@ class TestScenarios:
             for name in ("t", "bs_rx", "ue_tx_gain", "ue_rx"):
                 assert np.array_equal(getattr(hw0, name), getattr(hw1, name))
             assert np.allclose(hw1.a_sat * bases[0], hw0.a_sat * bases[1], rtol=1e-15, atol=0)
+
+    def test_theta_sweep_through_zero_shares_hardware(self, tmp_path, monkeypatch):
+        # a gain law with theta = 0 skipped its phase draws, so every later
+        # role of that hardware draw read other stream positions
+        seen = []
+        closed = cli.sindr_zf_closed_all
+
+        def spy_closed(hw, phi, *args):
+            seen.append((hw, phi))
+            return closed(hw, phi, *args)
+
+        monkeypatch.setattr(cli, "sindr_zf_closed_all", spy_closed)
+        n_hardware = 3
+        path, _ = _write_config(
+            tmp_path, scenario="loss_vs_mismatch", seed=3, m=16, k=2,
+            sweep={"param": "theta", "values": [0.0, 0.3]},
+            mc={"n_hardware": n_hardware, "n_channels": 10, "n_symbols": 16},
+            params={"delta2": 0.05, "pathloss": "drawn"})
+        cli.run_scenario(cli.load_config(str(path)))
+
+        assert len(seen) == 2 * n_hardware
+        for (hw0, phi0), (hw1, phi1) in zip(seen[:n_hardware], seen[n_hardware:]):
+            assert np.array_equal(phi0, phi1)
+            # |amp e^{j phase}| is amp to within rounding
+            for name in ("t", "bs_rx", "ue_rx", "ue_tx_gain"):
+                assert np.allclose(np.abs(getattr(hw0, name)), np.abs(getattr(hw1, name)),
+                                   rtol=1e-15, atol=0), name
+            assert np.array_equal(hw0.a_sat, hw1.a_sat)
+
+    def test_training_length_leaves_untrained_rows(self, tmp_path):
+        # the calibration Monte Carlo reads its own child stream, so the OTA
+        # training, whose length follows n_symbols_train, moves no row that
+        # uses no training
+        path, _ = _write_config(
+            tmp_path, scenario="cal_rate_vs_snr", seed=3, m=8, k=2,
+            sweep={"param": "n_symbols_train", "values": [4, 10]},
+            mc={"n_hardware": 2, "n_channels": 10, "n_symbols": 16},
+            params={"snr_db": 5.0, "ibo_db": 5.0, "order": 3})
+        table = cli.run_scenario(cli.load_config(str(path)))
+        rows = {(r["sweep_value"], r["method"]): r["rate_mean"] for r in table}
+        for method in ("none", "perfect_nrc"):
+            assert rows[4.0, method] == rows[10.0, method], method
 
     @pytest.mark.parametrize("scenario, mode, param, values", [
         ("rate_vs_snr", "surrogate", "snr_db", [0.0, 20.0]),

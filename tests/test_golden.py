@@ -31,7 +31,7 @@ def test_every_scenario_and_mode_is_pinned():
     assert {(c.scenario, c.mode) for c in cfgs if c.mode == "physical"} == {
         ("rate_vs_snr", "physical"), ("cal_rate_vs_snr", "physical")}
     # both OTA paths: pilots only, and pilots with receive noise
-    noise = {c.param("train_noise_var") > 0 for c in cfgs if c.scenario.startswith("cal_")}
+    noise = {c.train_noise_var > 0 for c in cfgs if c.scenario.startswith("cal_")}
     assert noise == {False, True}
 
 
