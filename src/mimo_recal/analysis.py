@@ -129,20 +129,18 @@ def sinr_linear_mismatch(m: int, rho_t: float, a0: float, phi, mismatch: Hardwar
 
 
 def _check_a0(hw: SystemHardware, a0) -> None:
-    """The a0 argument of a rate formula is the hardware's own: physical
-    mode reads ``hw.a0`` in the amplifiers and ``a0`` in the power terms."""
+    """``estimate_sindr_mc``'s a0 is the hardware's own: physical mode reads
+    ``hw.a0`` in the amplifiers and ``a0`` in the power terms."""
     if a0 != hw.a0:
         raise ValueError(f"a0 must equal the hardware's a0 = {hw.a0}, got {a0}")
 
 
-def _closed_terms(hw: SystemHardware, phi, rho_t, a0, noise_var):
+def _closed_terms(hw: SystemHardware, phi, rho_t, noise_var):
     """Closed-form SINDR breakdown of every UE, and the trace statistics of
     the ZF Bussgang pair it rests on: tr{RR^*}, tr{GR^*}, sum_m |g_m - alpha
     r_m|^2 with alpha = mean(g/r), and tr{sigma_d^2}.  Raises ValueError
-    unless ``phi`` is K finite positive entries, ``a0`` is ``hw.a0`` and
-    M > K."""
-    m, k = hw.m, hw.k
-    _check_a0(hw, a0)
+    unless ``phi`` is K finite positive entries and M > K."""
+    m, k, a0 = hw.m, hw.k, hw.a0
     phi = _zf_profile(m, phi, k)[0]
     r = hw.bs_rx
     b = hw.ue_tx_gain
@@ -168,13 +166,13 @@ def _closed_terms(hw: SystemHardware, phi, rho_t, a0, noise_var):
     return breakdowns, (tr_rr, tr_gr, t_delta, tr_sig)
 
 
-def sindr_zf_closed_all(hw: SystemHardware, phi, rho_t: float, a0: float,
+def sindr_zf_closed_all(hw: SystemHardware, phi, rho_t: float,
                         noise_var: float) -> list[SindrBreakdown]:
-    """Closed-form SINDR breakdown for every UE."""
-    return _closed_terms(hw, phi, rho_t, a0, noise_var)[0]
+    """Closed-form SINDR breakdown for every UE, at the hardware's a0."""
+    return _closed_terms(hw, phi, rho_t, noise_var)[0]
 
 
-def avg_rate_decomposition(hw: SystemHardware, phi, rho_t: float, a0: float,
+def avg_rate_decomposition(hw: SystemHardware, phi, rho_t: float,
                            noise_var: float) -> RateDecomposition:
     """Average achievable rate R = R_Ideal - dR_BS - dR_UE (bits/channel use).
 
@@ -184,9 +182,8 @@ def avg_rate_decomposition(hw: SystemHardware, phi, rho_t: float, a0: float,
     emitted in that regime.
     """
     phi = np.asarray(phi, dtype=np.float64)
-    m, k = hw.m, hw.k
-    breakdowns, (tr_rr, tr_gr, t_delta, tr_sig) = _closed_terms(hw, phi, rho_t, a0,
-                                                                 noise_var)
+    m, k, a0 = hw.m, hw.k, hw.a0
+    breakdowns, (tr_rr, tr_gr, t_delta, tr_sig) = _closed_terms(hw, phi, rho_t, noise_var)
     if min(b.sindr for b in breakdowns) < 1.0:
         warnings.warn("avg_rate_decomposition: min SINDR < 1, decomposition accuracy degrades",
                       RuntimeWarning)

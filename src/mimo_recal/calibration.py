@@ -135,13 +135,14 @@ class PilotPlan:
 
 @dataclass(frozen=True)
 class TrainingSet:
-    """Pilots and received samples of one OTA training round.
+    """Pilots and received samples of one OTA training round sent under ``plan``.
 
     ``x[m, n]`` holds the Q pilots antenna m sends at level n, shape (M, N, Q);
     ``y[tx, rx, n]`` the samples antenna rx receives from them, shape
     (M, M, N, Q).  ``y[m, m]`` is 0: an antenna does not receive itself.
     """
 
+    plan: PilotPlan
     x: np.ndarray
     y: np.ndarray
 
@@ -149,16 +150,15 @@ class TrainingSet:
         if self.x.ndim != 3:
             raise ValueError("x must have shape (M, N, Q)")
         m, n, q = self.x.shape
+        if (n, q) != (self.plan.n_levels, self.plan.n_symbols):
+            raise ValueError(f"x holds {n} levels of {q} pilots, the pilot plan "
+                             f"{self.plan.n_levels} of {self.plan.n_symbols}")
         if self.y.shape != (m, m, n, q):
             raise ValueError(f"y must have shape {(m, m, n, q)}, got {self.y.shape}")
 
     @property
     def m(self) -> int:
         return self.x.shape[0]
-
-    def level(self, n: int) -> "TrainingSet":
-        """The single-level set of power level ``n`` (views, no copy)."""
-        return TrainingSet(x=self.x[:, n:n + 1], y=self.y[:, :, n:n + 1])
 
 
 def draw_inter_antenna_channel(rng: np.random.Generator, m: int) -> np.ndarray:
@@ -222,7 +222,7 @@ def simulate_ota_training(
         for tx in range(m):
             re, im = np.moveaxis(rng.standard_normal((m - 1, n_levels, 2, q)), 2, 0)
             y[tx, np.arange(m) != tx] += scale * (re + 1j * im)
-    return TrainingSet(x=x, y=y)
+    return TrainingSet(plan=plan, x=x, y=y)
 
 
 def _unfused_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -238,19 +238,20 @@ class PolyMismatch:
 
     mu_m(sigma) = sum_w tau[m, w] psi_w(sigma^2 / sigma_ref^2); sigma_ref is
     the amplitude that maps to normalised power 1 (the top pilot level),
-    finite and positive.
+    finite and positive; the order is the width of ``tau`` less one.
     """
 
     tau: np.ndarray  # (M, order+1) complex
-    order: int
     sigma_ref: float
 
     def __post_init__(self):
-        if self.tau.shape[1] != self.order + 1:
-            raise ValueError("tau must have order+1 columns")
         if self.tau[0, 0] != 1:
             raise ValueError("normalisation requires tau[0, 0] == 1")
         object.__setattr__(self, "sigma_ref", _check_positive("sigma_ref", self.sigma_ref))
+
+    @property
+    def order(self) -> int:
+        return self.tau.shape[1] - 1
 
     def mu_all(self, sigma: np.ndarray) -> np.ndarray:
         """Per-antenna values at per-antenna amplitudes; sigma has shape
@@ -272,7 +273,7 @@ class TrueMismatch:
         return ratio * bussgang_mu(arg)
 
 
-def measured_level_shapes(training: TrainingSet, plan: PilotPlan) -> np.ndarray:
+def measured_level_shapes(training: TrainingSet) -> np.ndarray:
     """Per-antenna transmit-gain profiles across the power levels.
 
     For a fixed pair the received signal scales across levels exactly like
@@ -283,9 +284,6 @@ def measured_level_shapes(training: TrainingSet, plan: PilotPlan) -> np.ndarray:
     pair-ratio equations cancel out, which leaves them unable to resolve
     a homogeneous amplifier population.
     """
-    if training.x.shape[1] != plan.n_levels:
-        raise ValueError(f"training set has {training.x.shape[1]} levels, "
-                         f"the pilot plan {plan.n_levels}")
     # the mean of y/x over the Q pilots as one contraction, (tx, rx, n), with
     # no (M, M, N, Q) temporary
     prof = np.einsum("trnq,tnq->trn", training.y, 1.0 / training.x) / training.x.shape[-1]
@@ -297,8 +295,7 @@ def measured_level_shapes(training: TrainingSet, plan: PilotPlan) -> np.ndarray:
     return np.einsum("mi,min->mn", np.conj(top), prof) / denom[:, None]
 
 
-def estimate_poly_coeffs_anchored(training: TrainingSet, plan: PilotPlan,
-                                  order: int) -> PolyMismatch:
+def estimate_poly_coeffs_anchored(training: TrainingSet, order: int) -> PolyMismatch:
     """Polynomial mismatch estimate with the common-shape gauge pinned.
 
     The paper's pair-ratio LS determines the mismatch functions only up to a
@@ -312,10 +309,11 @@ def estimate_poly_coeffs_anchored(training: TrainingSet, plan: PilotPlan,
     calibration LS.  A per-antenna polynomial refit on the shared level grid
     returns coefficients in the same basis, pinned to tau[0,0] = 1.
     """
+    plan = training.plan
     if plan.n_levels < order + 2:
         raise CalibrationError(f"need at least order+2 = {order + 2} power levels")
-    shapes = measured_level_shapes(training, plan)
-    top_scale = 1.0 / linear_calibration(training.level(plan.n_levels - 1))
+    shapes = measured_level_shapes(training)
+    top_scale = 1.0 / linear_calibration(training, plan.n_levels - 1)
     values = shapes * top_scale[:, None]
     # precision-weighted refit: the level-n profile noise scales like 1/amp_n,
     # so weight nodes by the level amplitude (exact data is unaffected)
@@ -324,7 +322,7 @@ def estimate_poly_coeffs_anchored(training: TrainingSet, plan: PilotPlan,
     tau = np.linalg.lstsq(basis, (values * weights[None, :]).T, rcond=None)[0].T
     tau = tau / tau[0, 0]
     tau[0, 0] = 1.0
-    return PolyMismatch(tau=tau, order=order, sigma_ref=plan.sigma_max)
+    return PolyMismatch(tau=tau, sigma_ref=plan.sigma_max)
 
 
 # ---------------------------------------------------------------------------
@@ -332,21 +330,20 @@ def estimate_poly_coeffs_anchored(training: TrainingSet, plan: PilotPlan,
 # ---------------------------------------------------------------------------
 
 
-def linear_calibration(training: TrainingSet) -> np.ndarray:
-    """Single-power-level reciprocity calibration (Rogalin-style LS).
+def linear_calibration(training: TrainingSet, level: int) -> np.ndarray:
+    """Single-power-level reciprocity calibration (Rogalin-style LS) from the
+    pilots of power level ``level``, in [0, N), of ``training``.
 
-    ``training`` holds one power level (see ``TrainingSet.level``).  Returns
-    c_m = 1 / f_m with f estimated from the cross-correlation matrix Ybar,
-    normalised to f_0 = 1; a common complex scale of c is a common phase and
-    gain that callers rescale to their power budget.
+    Returns c_m = 1 / f_m with f estimated from the cross-correlation matrix
+    Ybar, normalised to f_0 = 1; a common complex scale of c is a common
+    phase and gain that callers rescale to their power budget.
     """
-    if training.x.shape[1] != 1:
-        raise ValueError("linear calibration expects a single power level; "
-                         "pass TrainingSet.level(n)")
+    if not 0 <= level < training.plan.n_levels:
+        raise ValueError(f"level must lie in [0, {training.plan.n_levels}), got {level}")
     # s[t, r] = x_r . y_{t->r}: receiver r's own pilot against what it heard from
     # t, summed as a per-pair np.sum does; einsum's fused contraction moves the
     # last bit, which an ill-conditioned Ybar (noisy, short training) amplifies
-    s = np.sum(training.x[None, :, 0] * training.y[:, :, 0], axis=-1)
+    s = np.sum(training.x[None, :, level] * training.y[:, :, level], axis=-1)
     ybar = _unfused_product(-np.conj(s.T), s)
     # hypot rounds |s| as scalar abs() does; numpy's vector complex abs does not
     ybar[np.diag_indices(training.m)] = np.sum(np.hypot(s.real, s.imag) ** 2, axis=0)
@@ -533,11 +530,11 @@ def _maxmin_calibration(model, sigma_x: np.ndarray, rho_t: float,
     return replace(res, c=c_abs * np.exp(1j * calibration_phases(model, c_abs, sigma_x)))
 
 
-def calibrate(hw: SystemHardware, plan: PilotPlan, training: TrainingSet, order: int,
+def calibrate(hw: SystemHardware, training: TrainingSet, order: int,
               rho_t: float) -> CalibrationResult:
     """Calibration from one OTA training set: polynomial fit, SLP
     amplitudes, phases.  ``training`` comes from ``simulate_ota_training``
-    with the same hardware and plan; the fit is
+    with the same hardware; the fit is
     ``estimate_poly_coeffs_anchored``.  ``order`` is at least 1: the order-0
     calibration is the ``linear_rc`` row of ``calibration_stack``.
     """
@@ -546,15 +543,15 @@ def calibrate(hw: SystemHardware, plan: PilotPlan, training: TrainingSet, order:
                          "is the linear_rc row of calibration_stack")
     if training.m != hw.m:
         raise ValueError(f"training set has {training.m} antennas, the hardware {hw.m}")
-    poly = estimate_poly_coeffs_anchored(training, plan, order)
+    poly = estimate_poly_coeffs_anchored(training, order)
     sigma_x = hw.sigma_x(rho_t)
-    res = _maxmin_calibration(poly, sigma_x, rho_t, plan.sigma_max / sigma_x)
+    res = _maxmin_calibration(poly, sigma_x, rho_t, training.plan.sigma_max / sigma_x)
     # every antenna sends Q pilots at each of the N levels
-    return replace(res, overhead=hw.m * plan.n_levels * plan.n_symbols)
+    return replace(res, overhead=training.x.size)
 
 
-def calibration_stack(hw: SystemHardware, plan: PilotPlan, training: TrainingSet,
-                      order: int, rho_t: float) -> np.ndarray:
+def calibration_stack(hw: SystemHardware, training: TrainingSet, order: int,
+                      rho_t: float) -> np.ndarray:
     """The calibration vectors of ``CALIBRATION_METHODS`` from one OTA
     training set, as a (4, M) stack in that order; draws nothing.
 
@@ -568,11 +565,11 @@ def calibration_stack(hw: SystemHardware, plan: PilotPlan, training: TrainingSet
     if training.m != hw.m:
         raise ValueError(f"training set has {training.m} antennas, the hardware {hw.m}")
     sigma_x = hw.sigma_x(rho_t)
-    c_max = plan.sigma_max / sigma_x
-    level = int(np.argmin(np.abs(plan.amplitudes - float(np.mean(sigma_x)))))
-    c = linear_calibration(training.level(level))
+    c_max = training.plan.sigma_max / sigma_x
+    level = int(np.argmin(np.abs(training.plan.amplitudes - float(np.mean(sigma_x)))))
+    c = linear_calibration(training, level)
     c = c * math.sqrt(rho_t / float(np.sum(np.abs(c) ** 2 * sigma_x**2)))
     c_lin = np.minimum(np.abs(c), c_max) * np.exp(1j * np.angle(c))
-    c_poly = c_lin if order == 0 else calibrate(hw, plan, training, order, rho_t).c
+    c_poly = c_lin if order == 0 else calibrate(hw, training, order, rho_t).c
     c_perf = _maxmin_calibration(TrueMismatch(hw), sigma_x, rho_t, c_max).c
     return np.stack([np.ones(hw.m, dtype=np.complex128), c_lin, c_poly, c_perf])

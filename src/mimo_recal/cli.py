@@ -95,6 +95,13 @@ class ExperimentConfig:
     pathloss: str = "unit"
 
     def __post_init__(self):
+        # a sweep over a name that no parameter has would write one value at
+        # every point; swept values are numbers, and a path-loss law is a name
+        if self.sweep_param not in PARAMS:
+            raise ConfigError(f"sweep.param: unknown parameter {self.sweep_param!r}")
+        if isinstance(getattr(ExperimentConfig, self.sweep_param), str):
+            raise ConfigError(f"sweep.param: {self.sweep_param} takes no numbers, "
+                              "so it cannot be swept")
         for name, key in CONFIG_KEYS.items():
             _check(name, getattr(self, name), key)
         object.__setattr__(self, "sweep_values", tuple(self.sweep_values))
@@ -107,10 +114,6 @@ class ExperimentConfig:
         if self.mode == "physical" and self.n_symbols <= self.k:
             raise ConfigError(f"mc.n_symbols: physical mode needs n_symbols > k = {self.k}, "
                               f"got {self.n_symbols}")
-        # a sweep over a name that no parameter has would write one value at
-        # every point
-        if self.sweep_param not in PARAMS:
-            raise ConfigError(f"sweep.param: unknown parameter {self.sweep_param!r}")
         for value in self.sweep_values:
             _check(self.sweep_param, value, f"sweep.values ({self.sweep_param})")
 
@@ -242,8 +245,8 @@ def _draw_rates(cfg: ExperimentConfig, h: int) -> dict:
         # one training set, shared by linear_rc and poly_nrc and freed before
         # the Monte Carlo, which scores every method on the same channel draws
         stack = calibration_stack(
-            hw, plan, simulate_ota_training(hw, plan, omega, cfg.train_noise_var * NOISE_VAR,
-                                            cfg.mode, rng),
+            hw, simulate_ota_training(hw, plan, omega, cfg.train_noise_var * NOISE_VAR,
+                                      cfg.mode, rng),
             cfg.order, rho_t)
         mc_rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence(cfg.seed,
                                                                             spawn_key=(h, 1))))
@@ -251,7 +254,7 @@ def _draw_rates(cfg: ExperimentConfig, h: int) -> dict:
         return {name: _mean_rate(b.sindr for b in row)
                 for name, row in zip(CALIBRATION_METHODS, scored)}
 
-    closed = sindr_zf_closed_all(hw, phi, rho_t, A0, NOISE_VAR)
+    closed = sindr_zf_closed_all(hw, phi, rho_t, NOISE_VAR)
     rates = {"closed_form": _mean_rate(b.sindr for b in closed)}
     if cfg.scenario != "loss_vs_mismatch":
         rates["mc"] = _mean_rate(b.sindr for b in estimate_sindr_mc(*mc_args, rng))
@@ -422,7 +425,7 @@ def selftest() -> int:
     plan = PilotPlan.for_hardware(hw, 7, 4)
     training = simulate_ota_training(hw, plan, draw_inter_antenna_channel(rng, 16), 0.0,
                                      "surrogate", rng)
-    stack = calibration_stack(hw, plan, training, 5, 1.0)
+    stack = calibration_stack(hw, training, 5, 1.0)
     amps = np.abs(stack[1:])
     check("calibration stack finite, power within 1e-9 and caps met in every row",
           bool(np.all(np.isfinite(stack)) and np.all(amps**2 @ sigma_x**2 <= 1.0 + 1e-9)

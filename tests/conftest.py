@@ -167,7 +167,7 @@ def synth_poly_training(hw, plan, omega, tau, order, rng):
             for rx in range(m):
                 if rx != tx:
                     y[tx, rx, n] = hw.bs_rx[rx] * omega[tx, rx] * out
-    return TrainingSet(x=x, y=y)
+    return TrainingSet(plan=plan, x=x, y=y)
 
 
 def gauge_fit_error(poly, true_model, plan, n_grid=50):
@@ -369,7 +369,7 @@ def ref_linear_calibration(records: Iterable[TrainingRecord]) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def assemble_psi_matrix(training: TrainingSet, plan: PilotPlan, order: int) -> np.ndarray:
+def assemble_psi_matrix(training: TrainingSet, order: int) -> np.ndarray:
     """Stack the homogeneous equations Psi tau = 0 for all unordered pairs.
 
     The reciprocity identity mu_m (x_m . y_{i->m}) = mu_i (x_i . y_{m->i})
@@ -382,7 +382,7 @@ def assemble_psi_matrix(training: TrainingSet, plan: PilotPlan, order: int) -> n
     z = training.y * training.x[None]  # z[t, r] = y_{t->r} * x_r
     lo, hi = np.triu_indices(m, 1)
     pair = np.arange(len(lo))
-    psi_n = psi_vector(order, plan.levels)  # (N, order+1), shared normalised power
+    psi_n = psi_vector(order, training.plan.levels)  # (N, order+1), shared normalised power
     psi = np.zeros((len(lo), n_levels, q, m, order + 1), dtype=np.complex128)
     psi[pair, :, :, lo] = z[hi, lo][..., None] * psi_n[:, None, :]
     psi[pair, :, :, hi] = -(z[lo, hi][..., None] * psi_n[:, None, :])
@@ -419,7 +419,7 @@ def estimate_poly_coeffs(psi_matrix: np.ndarray, order: int,
     tau_c = -np.linalg.solve(gs, gram[1:, 0] / scale) / scale
     tau = np.concatenate([[1.0 + 0j], tau_c])
     m = n_cols // p
-    return PolyMismatch(tau=tau.reshape(m, p), order=order, sigma_ref=sigma_ref)
+    return PolyMismatch(tau=tau.reshape(m, p), sigma_ref=sigma_ref)
 
 
 # ---------------------------------------------------------------------------

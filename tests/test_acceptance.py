@@ -56,7 +56,7 @@ def test_criterion_1_closed_form_vs_monte_carlo():
         for i, child in enumerate(np.random.SeedSequence((1, int(snr_db))).spawn(n_hw)):
             rng = np.random.default_rng(child)
             hw = mr.draw_system_hardware(rng, m, k, MIS, a_sat)
-            closed = mr.sindr_zf_closed_all(hw, phi, rho, A0, NOISE)
+            closed = mr.sindr_zf_closed_all(hw, phi, rho, NOISE)
             est = mr.estimate_sindr_mc(hw, phi, rho, A0, NOISE, n_channels, 1,
                                        "surrogate", rng)
             for t in worst:
@@ -89,10 +89,10 @@ def test_criterion_2_rate_decomposition():
     for child in np.random.SeedSequence(20).spawn(1000):
         rng = np.random.default_rng(child)
         hw = mr.draw_system_hardware(rng, m, k, MIS, a_sat)
-        dec = mr.avg_rate_decomposition(hw, phi, rho, A0, NOISE)
+        dec = mr.avg_rate_decomposition(hw, phi, rho, NOISE)
         if dec.d_ue < 0:
             violations += 1
-        gammas = [b.sindr for b in mr.sindr_zf_closed_all(hw, phi, rho, A0, NOISE)]
+        gammas = [b.sindr for b in mr.sindr_zf_closed_all(hw, phi, rho, NOISE)]
         if min(gammas) >= 10.0:
             worst = max(worst, abs(dec.r - float(np.mean(np.log2(gammas)))))
             checked += 1
@@ -102,7 +102,7 @@ def test_criterion_2_rate_decomposition():
                             u=mr.MismatchDistribution(0.0, 0.0),
                             v=mr.MismatchDistribution(0.0, 0.0)),
         a_sat)
-    d_ue_ident = mr.avg_rate_decomposition(ident, phi, rho, A0, NOISE).d_ue
+    d_ue_ident = mr.avg_rate_decomposition(ident, phi, rho, NOISE).d_ue
     ok = worst <= 0.1 and violations == 0 and d_ue_ident == 0.0
     _line(2, "rate decomposition", ok,
           f"|r - mean log2(gamma)| max {worst:.2e} over {checked} draws, "
@@ -124,7 +124,7 @@ def test_criterion_3_large_ibo_formula():
         rng = np.random.default_rng(30)
         g_closed = np.mean([
             mr.sindr_zf_closed_all(mr.draw_system_hardware(rng, m, k, no_ue, a_sat),
-                                   np.ones(k), rho, A0, NOISE)[0].sindr
+                                   np.ones(k), rho, NOISE)[0].sindr
             for _ in range(n_hw)])
         g_libo = mr.sindr_large_ibo(m, rho, A0, a_sat, np.ones(k), no_ue, NOISE)[0]
         errs_10pct[ibo] = abs(g_libo - g_closed) / g_closed
@@ -142,7 +142,7 @@ def test_criterion_3_large_ibo_formula():
         rng = np.random.default_rng(31)  # common draws across IBO points
         g_closed = np.mean([
             mr.sindr_zf_closed_all(mr.draw_system_hardware(rng, m, k, exp_only, a_sat),
-                                   np.ones(k), rho, A0, NOISE)[0].sindr
+                                   np.ones(k), rho, NOISE)[0].sindr
             for _ in range(n_hw)])
         g_libo = mr.sindr_large_ibo(m, rho, A0, a_sat, np.ones(k), exp_only, NOISE)[0]
         decay.append(abs(g_libo - g_closed) / g_closed)
@@ -213,7 +213,7 @@ def test_criterion_6_polynomial_estimation():
     tau = rng.standard_normal((8, order + 1)) + 1j * rng.standard_normal((8, order + 1))
     tau /= tau[0, 0]
     recs = synth_poly_training(hw, plan, omega, tau, order, rng)
-    est = estimate_poly_coeffs(assemble_psi_matrix(recs, plan, order), order)
+    est = estimate_poly_coeffs(assemble_psi_matrix(recs, order), order)
     rec_err = float(np.max(np.abs(est.tau - tau)) / np.max(np.abs(tau)))
 
     # (b) fitted mu within 1% of true g/r on [0, sigma_max], noiseless training
@@ -225,7 +225,7 @@ def test_criterion_6_polynomial_estimation():
     plan_b = mr.PilotPlan(7, 10, base_b * 10.0 ** (-5.0 / 10.0))
     recs_b = mr.simulate_ota_training(hw_b, plan_b, omega_b, 0.0, "surrogate",
                                       np.random.default_rng(63))
-    fit_err = gauge_fit_error(estimate_poly_coeffs_anchored(recs_b, plan_b, 5),
+    fit_err = gauge_fit_error(estimate_poly_coeffs_anchored(recs_b, 5),
                               mr.TrueMismatch(hw_b), plan_b)
 
     # (c) over-fitting trend: rate vs order rises then falls at Q=2; at Q=50
@@ -248,9 +248,9 @@ def test_criterion_6_polynomial_estimation():
             for o in orders:
                 # order 0 is the conventional single-power calibration
                 if o == 0:
-                    c = mr.calibration_stack(hw_i, plan_i, recs_i, 0, rho)[1]
+                    c = mr.calibration_stack(hw_i, recs_i, 0, rho)[1]
                 else:
-                    c = mr.calibrate(hw_i, plan_i, recs_i, o, rho).c
+                    c = mr.calibrate(hw_i, recs_i, o, rho).c
                 out[o].append(mean_rate_mc(hw_i, np.ones(2), rho, A0, NOISE, c,
                                            np.random.default_rng(kid)))
         trend[q] = {o: np.array(v) for o, v in out.items()}
@@ -339,7 +339,7 @@ def test_criterion_8_end_to_end_calibration():
             training = mr.simulate_ota_training(hw, plan, omega, 1.0, "surrogate", rng)
             scored = mr.estimate_sindr_mc(hw, np.ones(4), rho, A0, NOISE, 400, 1,
                                           "surrogate", rng,
-                                          c=mr.calibration_stack(hw, plan, training, 5, rho))
+                                          c=mr.calibration_stack(hw, training, 5, rho))
             for name, breakdowns in zip(rates, scored):
                 rates[name].append(np.mean([mr.rate_from_sindr(b.sindr)
                                             for b in breakdowns]))
@@ -380,7 +380,7 @@ def test_criterion_9_overhead_accounting():
         order = min(5, n_levels - 2)
         training = mr.simulate_ota_training(hw, plan, omega, 0.0, "surrogate",
                                             np.random.default_rng(2))
-        res = mr.calibrate(hw, plan, training, order, 1.0)
+        res = mr.calibrate(hw, training, order, 1.0)
         counts.append(res.overhead == m * n_levels * q)
     ok = all(counts)
     _line(9, "overhead accounting", ok, f"M*N*Q exact for {sum(counts)}/3 configs")

@@ -142,12 +142,12 @@ class TestSindrClosed:
                                bs_rx=np.ones(m, complex), ue_tx_gain=np.ones(k, complex),
                                ue_rx=np.ones(k, complex))
         with pytest.raises(ValueError, match=f"zero forcing needs M > K, got M = {m}, K = {k}"):
-            formula(hw, np.ones(k), 1.0, A0, NOISE)
+            formula(hw, np.ones(k), 1.0, NOISE)
 
     def test_reduces_to_ideal(self):
         hw = mr.draw_system_hardware(np.random.default_rng(0), 64, 8,
                                      mr.HardwareMismatch.none(), 1e9, ue_pilot_amp=1e-9)
-        b = mr.sindr_zf_closed_all(hw, np.ones(8), 1.0, A0, NOISE)[0]
+        b = mr.sindr_zf_closed_all(hw, np.ones(8), 1.0, NOISE)[0]
         assert b.si == pytest.approx(0.0, abs=1e-20)
         assert b.mui == pytest.approx(0.0, abs=1e-20)
         assert b.nld < 1e-12
@@ -162,18 +162,18 @@ class TestSindrClosed:
         hw = mr.SystemHardware(
             a0=A0, t=(2.0 + 1.0j) * r, a_sat=np.full(16, 1e9),
             bs_rx=r, ue_tx_gain=base.ue_tx_gain, ue_rx=base.ue_rx)
-        b = mr.sindr_zf_closed_all(hw, np.ones(4), 1.0, A0, NOISE)[0]
+        b = mr.sindr_zf_closed_all(hw, np.ones(4), 1.0, NOISE)[0]
         assert b.si == pytest.approx(0.0, abs=1e-18 * b.es)
         assert b.mui == pytest.approx(0.0, abs=1e-18 * b.es)
 
     def test_common_phase_invariance(self, default_mismatch):
         hw = _draw(32, 4, 10.0, 1.0, default_mismatch, 2)
-        base = mr.sindr_zf_closed_all(hw, np.ones(4), 1.0, A0, NOISE)
+        base = mr.sindr_zf_closed_all(hw, np.ones(4), 1.0, NOISE)
         rot = mr.SystemHardware(
             a0=hw.a0, t=hw.t * np.exp(0.8j), a_sat=hw.a_sat,
             bs_rx=hw.bs_rx * np.exp(-0.3j), ue_tx_gain=hw.ue_tx_gain,
             ue_rx=hw.ue_rx)
-        rotated = mr.sindr_zf_closed_all(rot, np.ones(4), 1.0, A0, NOISE)
+        rotated = mr.sindr_zf_closed_all(rot, np.ones(4), 1.0, NOISE)
         for a, b in zip(base, rotated):
             assert b.sindr == pytest.approx(a.sindr, rel=1e-10)
 
@@ -182,7 +182,7 @@ class TestSindrClosed:
         # SI/MUI carry the closed forms' O(1/M) error, see the M-scaling test
         hw = _draw(256, 8, 10.0, 1.0, default_mismatch, 3)
         phi = np.ones(8)
-        closed = mr.sindr_zf_closed_all(hw, phi, 1.0, A0, NOISE)
+        closed = mr.sindr_zf_closed_all(hw, phi, 1.0, NOISE)
         mc = mr.estimate_sindr_mc(hw, phi, 1.0, A0, NOISE, 6000, 1, "surrogate",
                                   np.random.default_rng(4))
         for c, m_ in zip(closed, mc):
@@ -197,7 +197,7 @@ class TestSindrClosed:
         rng = np.random.default_rng(5)
         hw = _draw(128, 4, 10.0, 1.0, default_mismatch, 5)
         phi = rng.uniform(0.5, 2.0, 4)
-        closed = mr.sindr_zf_closed_all(hw, phi, 1.0, A0, NOISE)
+        closed = mr.sindr_zf_closed_all(hw, phi, 1.0, NOISE)
         mc = mr.estimate_sindr_mc(hw, phi, 1.0, A0, NOISE, 8000, 1, "surrogate",
                                   np.random.default_rng(6))
         for c, m_ in zip(closed, mc):
@@ -212,7 +212,7 @@ class TestSindrClosed:
             for seed in range(4):
                 hw = _draw(m, 8, 10.0, 1.0, default_mismatch, (7, m, seed))
                 phi = np.ones(8)
-                closed = mr.sindr_zf_closed_all(hw, phi, 1.0, A0, NOISE)
+                closed = mr.sindr_zf_closed_all(hw, phi, 1.0, NOISE)
                 mc = mr.estimate_sindr_mc(hw, phi, 1.0, A0, NOISE, 4000, 1,
                                           "surrogate", np.random.default_rng((8, m, seed)))
                 rels.append(np.mean([abs(c.si - e.si) / e.si
@@ -255,7 +255,7 @@ class TestRateDecomposition:
     def test_ideal_hardware(self):
         hw = mr.draw_system_hardware(np.random.default_rng(0), 64, 8,
                                      mr.HardwareMismatch.none(), 1e9, ue_pilot_amp=1e-9)
-        dec = mr.avg_rate_decomposition(hw, np.ones(8), 10.0, A0, NOISE)
+        dec = mr.avg_rate_decomposition(hw, np.ones(8), 10.0, NOISE)
         assert dec.r_ideal == pytest.approx(math.log2(56 / 8.0 * 10.0 * A0), rel=1e-12)
         assert dec.r_ideal == pytest.approx(math.log2(700.0), rel=1e-12)
         assert dec.d_ue == 0.0
@@ -267,7 +267,7 @@ class TestRateDecomposition:
                                   u=mr.MismatchDistribution(0.0, 0.0),
                                   v=mr.MismatchDistribution(0.0, 0.0))
         hw = _draw(64, 8, 10.0, 1.0, mis, 1)
-        dec = mr.avg_rate_decomposition(hw, np.ones(8), 1.0, A0, NOISE)
+        dec = mr.avg_rate_decomposition(hw, np.ones(8), 1.0, NOISE)
         assert dec.d_ue == 0.0
 
     def test_internal_consistency(self, default_mismatch):
@@ -275,11 +275,10 @@ class TestRateDecomposition:
         checked = 0
         for seed in range(40):
             hw = _draw(64, 8, 10.0, 10.0, default_mismatch, (2, seed))
-            gammas = [b.sindr for b in mr.sindr_zf_closed_all(hw, np.ones(8), 10.0,
-                                                              A0, NOISE)]
+            gammas = [b.sindr for b in mr.sindr_zf_closed_all(hw, np.ones(8), 10.0, NOISE)]
             if min(gammas) < 10.0:
                 continue
-            dec = mr.avg_rate_decomposition(hw, np.ones(8), 10.0, A0, NOISE)
+            dec = mr.avg_rate_decomposition(hw, np.ones(8), 10.0, NOISE)
             assert abs(dec.r - float(np.mean(np.log2(gammas)))) <= 0.1
             checked += 1
         assert checked > 10
@@ -287,14 +286,14 @@ class TestRateDecomposition:
     def test_d_ue_nonnegative(self, default_mismatch):
         for seed in range(200):
             hw = _draw(32, 8, 10.0, 1.0, default_mismatch, (3, seed))
-            dec = mr.avg_rate_decomposition(hw, np.ones(8), 1.0, A0, NOISE)
+            dec = mr.avg_rate_decomposition(hw, np.ones(8), 1.0, NOISE)
             assert dec.d_ue >= 0.0
             assert dec.r == pytest.approx(dec.r_ideal - dec.d_bs - dec.d_ue, abs=1e-12)
 
     def test_low_sindr_warns(self, default_mismatch):
         hw = _draw(16, 8, 2.0, 1e-4, default_mismatch, 4)
         with pytest.warns(RuntimeWarning):
-            mr.avg_rate_decomposition(hw, np.ones(8), 1e-4, A0, NOISE)
+            mr.avg_rate_decomposition(hw, np.ones(8), 1e-4, NOISE)
 
 
 class TestLargeIbo:
@@ -325,7 +324,7 @@ class TestLargeIbo:
         acc = 0.0
         for _ in range(200):
             hw = mr.draw_system_hardware(rng, m, k, mis, a_sat)
-            acc += mr.sindr_zf_closed_all(hw, np.ones(k), rho, A0, NOISE)[0].sindr
+            acc += mr.sindr_zf_closed_all(hw, np.ones(k), rho, NOISE)[0].sindr
         closed = acc / 200
         libo = mr.sindr_large_ibo(m, rho, A0, a_sat, np.ones(k), mis, NOISE)[0]
         assert libo == pytest.approx(closed, rel=0.10)
@@ -632,7 +631,7 @@ class TestBadTransmitPower:
     def test_closed_form(self, default_mismatch, rho_t):
         hw = _draw(16, 4, 10.0, 1.0, default_mismatch, 4)
         with pytest.raises(ValueError, match="rho_t"):
-            mr.sindr_zf_closed_all(hw, np.ones(4), rho_t, A0, NOISE)
+            mr.sindr_zf_closed_all(hw, np.ones(4), rho_t, NOISE)
 
     @pytest.mark.parametrize("mode", ["surrogate", "physical"])
     def test_monte_carlo(self, default_mismatch, rho_t, mode):
@@ -644,21 +643,14 @@ class TestBadTransmitPower:
     def test_rate_decomposition(self, default_mismatch, rho_t):
         hw = _draw(16, 4, 10.0, 1.0, default_mismatch, 4)
         with pytest.raises(ValueError, match="rho_t"):
-            mr.avg_rate_decomposition(hw, np.ones(4), rho_t, A0, NOISE)
+            mr.avg_rate_decomposition(hw, np.ones(4), rho_t, NOISE)
 
 
 class TestA0MustBeTheHardwares:
-    """The a0 argument and ``hw.a0`` are one quantity: physical mode took
-    NLD from ``hw.a0`` and ES, SI and MUI from the argument, and the closed
-    forms never read ``hw.a0``, so a mismatch gave wrong terms silently."""
-
-    @pytest.mark.parametrize("a0", [1.0, math.nan])
-    def test_closed_forms(self, default_mismatch, a0):
-        hw = _draw(16, 4, 10.0, 1.0, default_mismatch, 4)
-        assert hw.a0 == A0
-        for fn in (mr.sindr_zf_closed_all, mr.avg_rate_decomposition):
-            with pytest.raises(ValueError, match="a0 must equal the hardware's a0"):
-                fn(hw, np.ones(4), 1.0, a0, NOISE)
+    """The a0 argument of ``estimate_sindr_mc`` and ``hw.a0`` are one
+    quantity: physical mode took NLD from ``hw.a0`` and ES, SI and MUI from
+    the argument, so a mismatch gave wrong terms silently.  The closed forms
+    take no a0 and read ``hw.a0``."""
 
     @pytest.mark.parametrize("mode", ["surrogate", "physical"])
     def test_monte_carlo(self, default_mismatch, mode):
@@ -688,11 +680,11 @@ class TestBadPathLoss:
 
     def test_closed_form(self, default_mismatch, phi):
         hw = _draw(8, 2, 10.0, 1.0, default_mismatch, 4)
-        self._raises(mr.sindr_zf_closed_all, hw, phi, 1.0, A0, NOISE)
+        self._raises(mr.sindr_zf_closed_all, hw, phi, 1.0, NOISE)
 
     def test_rate_decomposition(self, default_mismatch, phi):
         hw = _draw(8, 2, 10.0, 1.0, default_mismatch, 4)
-        self._raises(mr.avg_rate_decomposition, hw, phi, 1.0, A0, NOISE)
+        self._raises(mr.avg_rate_decomposition, hw, phi, 1.0, NOISE)
 
     def test_beta(self, default_mismatch, phi):
         hw = _draw(8, 2, 10.0, 1.0, default_mismatch, 4)

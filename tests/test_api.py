@@ -1,7 +1,9 @@
 """The public surface: each module's ``__all__`` names live objects, the
 package re-exports every one of them, and removed names stay removed."""
 
+import dataclasses
 import importlib
+import inspect
 import os
 import shutil
 import subprocess
@@ -59,6 +61,30 @@ def test_removed_names_are_gone(name):
     assert not hasattr(mr, name)
     for module in MODULES:
         assert not hasattr(importlib.import_module(f"mimo_recal.{module}"), name)
+
+
+@pytest.mark.parametrize("module, holder, field, allowed", [
+    ("calibration", mr.TrainingSet, "plan", ()),
+    # perfbench's zf_ideal_estimate passes a0 to estimate_sindr_mc by position
+    ("analysis", mr.SystemHardware, "a0", ("estimate_sindr_mc",)),
+])
+def test_no_function_takes_a_field_beside_its_holder(module, holder, field, allowed):
+    # a training set carries its pilot plan and the hardware its a0, so an
+    # argument beside them could only repeat the field or disagree with it
+    mod = importlib.import_module(f"mimo_recal.{module}")
+    takes = []
+    for name in mod.__all__:
+        fn = getattr(mod, name)
+        if inspect.isfunction(fn):
+            params = inspect.signature(fn, eval_str=True).parameters
+            if field in params and any(p.annotation is holder for p in params.values()):
+                takes.append(name)
+    assert takes == list(allowed)
+
+
+def test_training_levels_and_model_order_are_not_stored_twice():
+    assert not hasattr(mr.TrainingSet, "level")
+    assert "order" not in {f.name for f in dataclasses.fields(mr.PolyMismatch)}
 
 
 def test_package_comes_from_the_first_pythonpath_entry_that_holds_it():

@@ -209,10 +209,7 @@ class TestSimulateOta:
         assert recs.y.shape == (5, 5, plan.n_levels, plan.n_symbols)
         assert np.all(recs.y[np.arange(5), np.arange(5)] == 0)
         assert np.count_nonzero(recs.y) == 5 * 4 * plan.n_levels * plan.n_symbols
-        single = recs.level(2)
-        assert single.x.shape == (5, 1, plan.n_symbols)
-        assert np.shares_memory(single.y, recs.y)
-        assert np.array_equal(single.y[:, :, 0], recs.y[:, :, 2])
+        assert recs.plan is plan
 
 
 def _close(a, b, rel=1e-12):
@@ -247,9 +244,9 @@ class TestTensorMatchesRecordReference:
         assert rng_ts.bit_generator.state == rng_ref.bit_generator.state
 
         for n in range(n_levels):
-            assert _close(mr.linear_calibration(ts.level(n)),
+            assert _close(mr.linear_calibration(ts, n),
                           ref_linear_calibration([r for r in recs if r.level == n]))
-        assert _close(measured_level_shapes(ts, plan), ref_measured_level_shapes(recs, plan))
+        assert _close(measured_level_shapes(ts), ref_measured_level_shapes(recs, plan))
 
 
 @pytest.mark.parametrize("mode", ["surrogate", "physical"])
@@ -286,14 +283,18 @@ def test_level_shapes_match_one_shot_profile(m, n_levels, q, noisy, seed):
     rng_ts, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
     ts = mr.simulate_ota_training(hw, plan, omega, noise_var, "surrogate", rng_ts)
     recs = ref_simulate_ota_training(hw, plan, omega, noise_var, "surrogate", rng_ref)
-    assert _close(measured_level_shapes(ts, plan), ref_measured_level_shapes(recs, plan))
+    assert _close(measured_level_shapes(ts), ref_measured_level_shapes(recs, plan))
 
 
-def test_level_shapes_reject_a_plan_with_other_levels():
+@pytest.mark.parametrize("n_levels, n_symbols", [(4, 10), (3, 9)])
+def test_training_set_rejects_pilots_off_its_plan(n_levels, n_symbols):
+    # a round holds N levels of Q pilots, as its plan says, or none is built
     hw, omega, plan, rng = _setup(4, 2, 7, n_levels=3)
     ts = mr.simulate_ota_training(hw, plan, omega, 0.0, "surrogate", rng)
-    with pytest.raises(ValueError, match="3 levels, the pilot plan 4"):
-        measured_level_shapes(ts, mr.PilotPlan(4, plan.n_symbols, plan.sigma_max))
+    other = mr.PilotPlan(n_levels, n_symbols, plan.sigma_max)
+    with pytest.raises(ValueError, match=f"x holds 3 levels of 10 pilots, the pilot plan "
+                                         f"{n_levels} of {n_symbols}"):
+        TrainingSet(plan=other, x=ts.x, y=ts.y)
 
 
 class TestAssembleAndEstimate:
@@ -309,8 +310,8 @@ class TestAssembleAndEstimate:
         y = np.zeros((2, 2, 1, 1), dtype=complex)
         y[0, 1, 0] = y12
         y[1, 0, 0] = y21
-        recs = mr.TrainingSet(x=np.array([x1, x2])[:, None], y=y)
-        psi = assemble_psi_matrix(recs, plan, order=1)
+        recs = mr.TrainingSet(plan=plan, x=np.array([x1, x2])[:, None], y=y)
+        psi = assemble_psi_matrix(recs, order=1)
         assert psi.shape == (1, 4)
         psi_vals = psi_vector(1, float(plan.levels[0]))
         ybar_1 = y21[0] * x1[0]
@@ -324,7 +325,7 @@ class TestAssembleAndEstimate:
         hw, omega, plan, _ = _setup(6, 2, 11, n_levels=4, n_symbols=3)
         recs = mr.simulate_ota_training(hw, plan, omega, 0.0, "surrogate",
                                         np.random.default_rng(12))
-        psi = assemble_psi_matrix(recs, plan, order=2)
+        psi = assemble_psi_matrix(recs, order=2)
         assert psi.shape == (6 * 5 // 2 * 4 * 3, 6 * 3)
 
     def test_ground_truth_in_null_space(self):
@@ -334,7 +335,7 @@ class TestAssembleAndEstimate:
                + 1j * rng.standard_normal((6, order + 1)))
         tau /= tau[0, 0]
         recs = synth_poly_training(hw, plan, omega, tau, order, rng)
-        psi = assemble_psi_matrix(recs, plan, order)
+        psi = assemble_psi_matrix(recs, order)
         resid = np.linalg.norm(psi @ tau.ravel())
         assert resid <= 1e-10 * np.linalg.norm(psi) * np.linalg.norm(tau)
 
@@ -345,7 +346,7 @@ class TestAssembleAndEstimate:
                + 1j * rng.standard_normal((8, order + 1)))
         tau /= tau[0, 0]
         recs = synth_poly_training(hw, plan, omega, tau, order, rng)
-        psi = assemble_psi_matrix(recs, plan, order)
+        psi = assemble_psi_matrix(recs, order)
         est = estimate_poly_coeffs(psi, order, sigma_ref=plan.sigma_max)
         assert np.max(np.abs(est.tau - tau)) <= 1e-8 * np.max(np.abs(tau))
 
@@ -360,8 +361,8 @@ class TestAssembleAndEstimate:
         tau /= tau[0, 0]
         recs = synth_poly_training(hw, plan, omega, tau, order, rng)
         with pytest.raises(CalibrationError):
-            estimate_poly_coeffs(assemble_psi_matrix(recs, plan, order), order)
-        est = estimate_poly_coeffs_anchored(recs, plan, order)
+            estimate_poly_coeffs(assemble_psi_matrix(recs, order), order)
+        est = estimate_poly_coeffs_anchored(recs, order)
         for m in range(1, 6):
             assert np.allclose(est.tau[m], est.tau[0], atol=1e-8)
 
@@ -370,7 +371,7 @@ class TestAssembleAndEstimate:
         hw, omega, plan, rng = _setup(6, 2, 16, n_levels=4, n_symbols=2)
         recs = mr.simulate_ota_training(hw, plan, omega, 0.0, "surrogate", rng)
         with pytest.raises(CalibrationError):
-            estimate_poly_coeffs(assemble_psi_matrix(recs, plan, 3), 3)
+            estimate_poly_coeffs(assemble_psi_matrix(recs, 3), 3)
 
     def test_snr_trend(self):
         # coefficient error decreases monotonically with training SNR
@@ -393,8 +394,8 @@ class TestAssembleAndEstimate:
                                 y[tx, rx, n] += math.sqrt(noise_var / 2) * (
                                     rng.standard_normal(plan.n_symbols)
                                     + 1j * rng.standard_normal(plan.n_symbols))
-                noisy = mr.TrainingSet(x=recs.x, y=y)
-                est = estimate_poly_coeffs(assemble_psi_matrix(noisy, plan, order), order)
+                noisy = mr.TrainingSet(plan=plan, x=recs.x, y=y)
+                est = estimate_poly_coeffs(assemble_psi_matrix(noisy, order), order)
                 acc += float(np.linalg.norm(est.tau - tau) / np.linalg.norm(tau))
             errs.append(acc / 40)
         assert errs[0] > errs[1] > errs[2]
@@ -408,14 +409,14 @@ class TestMuHatFit:
                                     ibo_min=5.0)
         recs = mr.simulate_ota_training(hw, plan, omega, 0.0, "surrogate",
                                         np.random.default_rng(19))
-        poly = estimate_poly_coeffs_anchored(recs, plan, 5)
+        poly = estimate_poly_coeffs_anchored(recs, 5)
         assert gauge_fit_error(poly, mr.TrueMismatch(hw), plan) <= 0.01
 
     def test_phase_continuity(self):
         hw, omega, plan, _ = _setup(8, 2, 20, n_levels=7, ibo_min=5.0)
         recs = mr.simulate_ota_training(hw, plan, omega, 0.0, "surrogate",
                                         np.random.default_rng(21))
-        poly = estimate_poly_coeffs_anchored(recs, plan, 5)
+        poly = estimate_poly_coeffs_anchored(recs, 5)
         grid = np.linspace(1e-3, 1.0, 50)[:, None] * plan.sigma_max
         phases = np.unwrap(np.angle(poly.mu_all(grid)), axis=0)
         assert np.max(np.abs(np.diff(phases, axis=0))) < math.pi / 2
@@ -424,7 +425,8 @@ class TestMuHatFit:
         tau = np.zeros((2, 3), dtype=complex)
         tau[:, 0] = 1.0
         tau[0, 0] = 1.0
-        poly = mr.PolyMismatch(tau=tau, order=2, sigma_ref=1.0)
+        poly = mr.PolyMismatch(tau=tau, sigma_ref=1.0)
+        assert poly.order == 2  # read from the width of tau
         sigma = np.full(2, 0.5)
         val = poly.mu_all(sigma)[0]
         assert np.angle(val) == pytest.approx(0.0, abs=1e-15)
@@ -438,7 +440,7 @@ class TestLinearCalibration:
         plan = mr.PilotPlan(1, 8, 0.01)
         recs = mr.simulate_ota_training(hw, plan, omega, 0.0, "surrogate",
                                         np.random.default_rng(2))
-        c = mr.linear_calibration(recs)
+        c = mr.linear_calibration(recs, 0)
         assert np.allclose(c, 1.0, rtol=1e-9)
 
     def test_two_antenna_ratio(self):
@@ -446,7 +448,7 @@ class TestLinearCalibration:
         plan = mr.PilotPlan(1, 6, plan0.sigma_max * 1e-3)
         recs = mr.simulate_ota_training(hw, plan, omega, 0.0, "surrogate",
                                         np.random.default_rng(4))
-        c = mr.linear_calibration(recs)
+        c = mr.linear_calibration(recs, 0)
         g = mr.bussgang_decompose(hw, plan.amplitudes[0]).g
         f_ratio = (g[1] / hw.bs_rx[1]) / (g[0] / hw.bs_rx[0])
         assert c[0] / c[1] == pytest.approx(f_ratio, rel=1e-10)
@@ -457,15 +459,17 @@ class TestLinearCalibration:
         plan = mr.PilotPlan(1, 6, plan0.sigma_max * 1e-6)
         recs = mr.simulate_ota_training(hw, plan, omega, 0.0, "surrogate",
                                         np.random.default_rng(6))
-        c = mr.linear_calibration(recs)
+        c = mr.linear_calibration(recs, 0)
         products = c * hw.t / hw.bs_rx
         assert np.max(np.abs(products - products[0])) <= 1e-8 * np.abs(products[0])
 
     def test_validation(self):
+        # a negative level indexed another power level from the end
         hw, omega, plan, rng = _setup(4, 2, 7, n_levels=2)
         recs = mr.simulate_ota_training(hw, plan, omega, 0.0, "surrogate", rng)
-        with pytest.raises(ValueError):
-            mr.linear_calibration(recs)  # two levels mixed
+        for level in (-1, 2):
+            with pytest.raises(ValueError, match=rf"level must lie in \[0, 2\), got {level}"):
+                mr.linear_calibration(recs, level)
 
 
 class TestSlpSolve:
@@ -538,7 +542,7 @@ class TestSlpSolve:
                                         np.random.default_rng(19))
         sigma_x = hw.sigma_x(1.0)
         c_max = plan.sigma_max / sigma_x
-        for model in (mr.TrueMismatch(hw), estimate_poly_coeffs_anchored(recs, plan, 5)):
+        for model in (mr.TrueMismatch(hw), estimate_poly_coeffs_anchored(recs, 5)):
             columns = np.stack([_phi_all(model, frac * c_max, sigma_x)
                                 for frac in np.linspace(0.0, 1.0, 65)], axis=1)
             assert np.array_equal(_phi_grid(model, sigma_x, c_max), columns)
@@ -573,7 +577,7 @@ class TestPhases:
         tau = np.zeros((2, 2), dtype=complex)
         tau[0, 0] = 1.0
         tau[1, 0] = np.exp(1j * math.pi / 7)
-        poly = mr.PolyMismatch(tau=tau, order=1, sigma_ref=1.0)
+        poly = mr.PolyMismatch(tau=tau, sigma_ref=1.0)
         phases = mr.calibration_phases(poly, np.array([0.1, 0.1]), np.ones(2))
         assert phases[0] == pytest.approx(0.0, abs=1e-12)
         assert phases[1] == pytest.approx(-math.pi / 7, rel=1e-9)
@@ -595,7 +599,7 @@ class TestPhases:
                                      default_mismatch, mr.a_sat_for_ibo(10.0, 1.0, 8))
         plan = mr.PilotPlan.for_hardware(hw, 7, 5)
         omega = mr.draw_inter_antenna_channel(np.random.default_rng(6), 8)
-        res = mr.calibrate(hw, plan, mr.simulate_ota_training(
+        res = mr.calibrate(hw, mr.simulate_ota_training(
             hw, plan, omega, 0.0, "surrogate", np.random.default_rng(7)), 5, 1.0)
         model = mr.TrueMismatch(hw)
         sigma_x = hw.sigma_x(1.0)
@@ -603,7 +607,7 @@ class TestPhases:
             mr.estimate_poly_coeffs_anchored(
                 mr.simulate_ota_training(hw, plan, omega, 0.0, "surrogate",
                                          np.random.default_rng(7)),
-                plan, 5),
+                5),
             sigma_x, 1.0, plan.sigma_max / sigma_x, strict=False)
         assert np.allclose(np.abs(res.c), np.abs(res_amp.c), rtol=1e-9)
         assert res.g0 == pytest.approx(res_amp.g0, rel=1e-9)
@@ -613,7 +617,7 @@ class TestCalibrate:
     def test_end_to_end_residual(self, default_mismatch):
         hw, omega, plan, _ = _setup(8, 2, 30, ibo=10.0, n_levels=7, n_symbols=10,
                                     ibo_min=5.0)
-        res = mr.calibrate(hw, plan, mr.simulate_ota_training(
+        res = mr.calibrate(hw, mr.simulate_ota_training(
             hw, plan, omega, 0.0, "surrogate", np.random.default_rng(31)), 5, 1.0)
         assert res.converged
         model = mr.TrueMismatch(hw)
@@ -624,13 +628,13 @@ class TestCalibrate:
 
     def test_overhead_counter(self, default_mismatch):
         hw, omega, plan, _ = _setup(8, 2, 32, n_levels=7, n_symbols=10)
-        res = mr.calibrate(hw, plan, mr.simulate_ota_training(
+        res = mr.calibrate(hw, mr.simulate_ota_training(
             hw, plan, omega, 0.0, "surrogate", np.random.default_rng(33)), 5, 1.0)
         assert res.overhead == 8 * 7 * 10
 
     def test_constraints_satisfied(self, default_mismatch):
         hw, omega, plan, _ = _setup(8, 2, 34, n_levels=7)
-        res = mr.calibrate(hw, plan, mr.simulate_ota_training(
+        res = mr.calibrate(hw, mr.simulate_ota_training(
             hw, plan, omega, 0.0, "surrogate", np.random.default_rng(35)), 5, 2.0)
         sigma_x = hw.sigma_x(2.0)
         c_max = plan.sigma_max / sigma_x
@@ -641,7 +645,7 @@ class TestCalibrate:
         hw, omega, plan, _ = _setup(6, 2, 36, n_levels=6)
         recs = mr.simulate_ota_training(hw, plan, omega, 0.0, "surrogate",
                                         np.random.default_rng(37))
-        shapes = measured_level_shapes(recs, plan)
+        shapes = measured_level_shapes(recs)
         for m in range(6):
             g = np.array([mr.bussgang_decompose(hw, plan.amplitudes[n]).g[m]
                           for n in range(6)])
@@ -654,7 +658,7 @@ class TestCalibrationStack:
         hw, omega, plan, _ = _setup(8, 2, seed, rho=rho, n_levels=7, n_symbols=10)
         training = mr.simulate_ota_training(hw, plan, omega, 0.1, "surrogate",
                                             np.random.default_rng(seed + 1))
-        return hw, plan, training, mr.calibration_stack(hw, plan, training, order, rho)
+        return hw, plan, training, mr.calibration_stack(hw, training, order, rho)
 
     @pytest.mark.parametrize("rho, seed", [(1.0, 40), (3.0, 42)])
     def test_rows(self, rho, seed):
@@ -675,10 +679,10 @@ class TestCalibrationStack:
         op = float(np.mean(sigma_x))
         level = min(range(plan.n_levels),
                     key=lambda n: abs(math.sqrt(plan.levels[n]) * plan.sigma_max - op))
-        c_lin = mr.linear_calibration(training.level(level))
+        c_lin = mr.linear_calibration(training, level)
         assert np.allclose(np.angle(stack[1] / c_lin), 0.0, atol=1e-12)
 
-        assert np.array_equal(stack[2], mr.calibrate(hw, plan, training, 5, rho).c)
+        assert np.array_equal(stack[2], mr.calibrate(hw, training, 5, rho).c)
 
         true_model = mr.TrueMismatch(hw)
         res = mr.slp_solve(true_model, sigma_x, rho, c_max, strict=False)
@@ -693,13 +697,13 @@ class TestCalibrationStack:
         # the order-0 rule lives only here: calibrate refuses order 0
         for order in (0, -1):
             with pytest.raises(ValueError, match="calibration_stack"):
-                mr.calibrate(hw, plan, training, order, 1.0)
+                mr.calibrate(hw, training, order, 1.0)
 
     def test_antenna_count_checked(self):
         hw, plan, training, _ = self._stack(0, 1.0, 46)
         other, _, _, _ = _setup(6, 2, 47)
         with pytest.raises(ValueError, match="antennas"):
-            mr.calibration_stack(other, plan, training, 0, 1.0)
+            mr.calibration_stack(other, training, 0, 1.0)
 
 
 def _noiseless_training(hw, omega, plan, rng):
@@ -707,9 +711,11 @@ def _noiseless_training(hw, omega, plan, rng):
 
 
 @pytest.mark.parametrize("call, error, message", [
-    (lambda hw, omega, plan, rng: TrainingSet(x=np.ones((4, 7)), y=np.ones((4, 4, 7))),
+    (lambda hw, omega, plan, rng: TrainingSet(plan=plan, x=np.ones((4, 7)),
+                                              y=np.ones((4, 4, 7))),
      ValueError, "x must have shape (M, N, Q)"),
-    (lambda hw, omega, plan, rng: TrainingSet(x=np.ones((4, 7, 2)), y=np.ones((4, 4, 7, 3))),
+    (lambda hw, omega, plan, rng: TrainingSet(plan=mr.PilotPlan(7, 2, 1.0),
+                                              x=np.ones((4, 7, 2)), y=np.ones((4, 4, 7, 3))),
      ValueError, "y must have shape (4, 4, 7, 2), got (4, 4, 7, 3)"),
     (lambda hw, omega, plan, rng: mr.simulate_ota_training(hw, plan, omega[:3, :3], 0.0,
                                                            "surrogate", rng),
@@ -719,27 +725,24 @@ def _noiseless_training(hw, omega, plan, rng):
      ValueError, "omega must have zero diagonal"),
     (lambda hw, omega, plan, rng: mr.simulate_ota_training(hw, plan, omega, 0.0, "bogus", rng),
      ValueError, "unknown mode 'bogus'"),
-    (lambda hw, omega, plan, rng: mr.PolyMismatch(tau=np.ones((4, 3), complex), order=3,
-                                                  sigma_ref=1.0),
-     ValueError, "tau must have order+1 columns"),
-    (lambda hw, omega, plan, rng: mr.PolyMismatch(tau=np.full((4, 4), 2.0 + 0j), order=3,
+    (lambda hw, omega, plan, rng: mr.PolyMismatch(tau=np.full((4, 4), 2.0 + 0j),
                                                   sigma_ref=1.0),
      ValueError, "normalisation requires tau[0, 0] == 1"),
-    (lambda hw, omega, plan, rng: mr.PolyMismatch(tau=np.ones((4, 4), complex), order=3,
+    (lambda hw, omega, plan, rng: mr.PolyMismatch(tau=np.ones((4, 4), complex),
                                                   sigma_ref=0.0),
      ValueError, "sigma_ref must be finite and positive"),
     (lambda hw, omega, plan, rng: estimate_poly_coeffs_anchored(
-        _noiseless_training(hw, omega, plan, rng), plan, plan.n_levels - 1),
+        _noiseless_training(hw, omega, plan, rng), plan.n_levels - 1),
      CalibrationError, "need at least order+2 = 8 power levels"),
     (lambda hw, omega, plan, rng: mr.slp_solve(mr.TrueMismatch(hw), np.ones(4), 1.0,
                                                np.ones(3)),
      ValueError, "sigma_x and c_max must have equal length"),
-    (lambda hw, omega, plan, rng: mr.calibrate(_setup(6, 2, 61)[0], plan,
+    (lambda hw, omega, plan, rng: mr.calibrate(_setup(6, 2, 61)[0],
                                                _noiseless_training(hw, omega, plan, rng), 3,
                                                1.0),
      ValueError, "training set has 4 antennas, the hardware 6"),
-], ids=["x-ndim", "y-shape", "omega-shape", "omega-diagonal", "mode", "tau-columns",
-        "tau00", "sigma-ref", "too-few-levels", "slp-lengths", "calibrate-antennas"])
+], ids=["x-ndim", "y-shape", "omega-shape", "omega-diagonal", "mode", "tau00",
+        "sigma-ref", "too-few-levels", "slp-lengths", "calibrate-antennas"])
 def test_bad_input_rejected(call, error, message):
     hw, omega, plan, rng = _setup(4, 2, 60)
     with pytest.raises(error, match=re.escape(message)) as info:

@@ -115,10 +115,13 @@ class TestConfig:
         ("train_noise_var", [math.inf]), ("pathloss", [1.0]), ("pathloss", ["drawn"]),
     ])
     def test_swept_values_checked_as_params(self, tmp_path, param, values):
-        # swept values used to skip the params checks and fail only at run time
+        # swept values used to skip the params checks and fail only at run
+        # time; pathloss takes no numbers, so its sweep is refused whatever
+        # the values are
         path, _ = _write_config(tmp_path, scenario="cal_rate_vs_snr",
                                 sweep={"param": param, "values": values})
-        with pytest.raises(cli.ConfigError, match="sweep.values"):
+        key = "sweep.param" if param == "pathloss" else "sweep.values"
+        with pytest.raises(cli.ConfigError, match=f"^{key}"):
             cli.load_config(str(path))
         path, _ = _write_config(tmp_path, scenario="cal_rate_vs_snr",
                                 sweep={"param": "train_noise_var", "values": [0.0, 0.01]})
@@ -295,9 +298,13 @@ class TestConfig:
     def test_every_param_can_be_swept(self, tmp_path, name):
         path, _ = _write_config(tmp_path, scenario="cal_rate_vs_snr")
         if name == "pathloss":
-            # swept values are numbers, and no number is a path-loss law
-            with pytest.raises(cli.ConfigError, match=r"^sweep.values \(pathloss\)"):
+            # swept values are numbers, and no number is a path-loss law: the
+            # parameter is refused, where every value of it was before
+            with pytest.raises(cli.ConfigError,
+                               match=r"^sweep.param: pathloss takes no numbers, so it cannot "
+                                     r"be swept"):
                 cli.load_config(str(path), ["sweep.param=pathloss"])
+            assert cli.load_config(str(path), ["params.pathloss=drawn"]).pathloss == "drawn"
             return
         value = getattr(cli.ExperimentConfig, name)
         cfg = cli.load_config(str(path), [f"sweep.param={name}", f"sweep.values=[{value}]"])
@@ -425,13 +432,13 @@ class TestScenarios:
             seen["simulated"].append(simulate(*args, **kwargs))
             return seen["simulated"][-1]
 
-        def spy_linear(training):
-            seen["linear"].append(training)
-            return linear(training)
+        def spy_linear(training, level):
+            seen["linear"].append((training, level))
+            return linear(training, level)
 
-        def spy_calibrate(hw, plan, training, *args, **kwargs):
+        def spy_calibrate(hw, training, *args, **kwargs):
             seen["calibrate"].append(training)
-            return calibrate(hw, plan, training, *args, **kwargs)
+            return calibrate(hw, training, *args, **kwargs)
 
         monkeypatch.setattr(cli, "simulate_ota_training", spy_simulate)
         monkeypatch.setattr(calibration, "linear_calibration", spy_linear)
@@ -448,12 +455,10 @@ class TestScenarios:
         # two linear calibrations per draw: the linear_rc row, then the
         # top-level scale of calibrate's anchored fit
         assert len(seen["linear"]) == 2 * n_hardware
-        for full, single, used in zip(seen["simulated"], seen["linear"][0::2],
-                                      seen["calibrate"]):
-            assert used is full
-            assert single.x.shape[1] == 1 and np.shares_memory(single.y, full.y)
-            assert any(np.array_equal(single.y, full.level(n).y)
-                       for n in range(full.x.shape[1]))
+        for i, (full, used) in enumerate(zip(seen["simulated"], seen["calibrate"])):
+            (row, level), (fit, top) = seen["linear"][2 * i:2 * i + 2]
+            assert used is full and row is full and fit is full
+            assert 0 <= level < full.plan.n_levels and top == full.plan.n_levels - 1
 
     def test_one_monte_carlo_call_per_hardware_draw(self, tmp_path, monkeypatch):
         # the four methods of one hardware draw are scored on the same

@@ -293,7 +293,7 @@ _NO_MISMATCH = mr.HardwareMismatch.none()
     ("sigma_x", lambda: mr.bussgang_decompose(mr.HpaModel(a0=10.0, t=1.0 + 0j, a_sat=1.0),
                                               math.inf)),
     ("sigma_x", lambda: mr.bussgang_lambda(1.0, math.inf)),
-    ("sigma_ref", lambda: mr.PolyMismatch(tau=np.ones((2, 2), complex), order=1,
+    ("sigma_ref", lambda: mr.PolyMismatch(tau=np.ones((2, 2), complex),
                                           sigma_ref=np.array([1.0, math.nan]))),
     ("m", lambda: mr.a_sat_for_ibo(10.0, 1.0, math.inf)),
 ], ids=["hardware-a0", "hardware-a_sat", "hpa-a0", "decompose-sigma", "lambda-sigma",

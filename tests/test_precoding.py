@@ -246,7 +246,7 @@ class TestTransmitDownlink:
         mu = hardware.bussgang_mu
         shapes = []
         monkeypatch.setattr(hardware, "bussgang_mu", lambda x: shapes.append(np.shape(x)) or mu(x))
-        mr.sindr_zf_closed_all(hw, phi, 1.0, 10.0, 1.0)
+        mr.sindr_zf_closed_all(hw, phi, 1.0, 1.0)
         assert shapes == [(16,)]
         shapes.clear()
         mr.estimate_sindr_mc(hw, phi, 1.0, 10.0, 1.0, 8, 1, "surrogate",
