@@ -47,6 +47,10 @@ __all__ = [
 
 MAX_PSI_ORDER = 20
 
+# complex received samples (1 MiB) in one chunk of the OTA exchange, the
+# budget of the Monte-Carlo channel buffer
+_OTA_CHUNK_SAMPLES = 1 << 16
+
 # the rows of ``calibration_stack``, in order
 CALIBRATION_METHODS = ("none", "linear_rc", "poly_nrc", "perfect_nrc")
 
@@ -135,16 +139,20 @@ class PilotPlan:
 
 @dataclass(frozen=True)
 class TrainingSet:
-    """Pilots and received samples of one OTA training round sent under ``plan``.
+    """One OTA training round sent under ``plan``, held as the two per-pair
+    statistics the estimators read.
 
-    ``x[m, n]`` holds the Q pilots antenna m sends at level n, shape (M, N, Q);
-    ``y[tx, rx, n]`` the samples antenna rx receives from them, shape
-    (M, M, N, Q).  ``y[m, m]`` is 0: an antenna does not receive itself.
+    ``x[m, n]`` holds the Q pilots antenna m sends at level n, shape (M, N, Q).
+    Of the samples y_{t->r} that antenna r receives from antenna t at level
+    n, ``ratio[t, r, n]`` is the mean over the Q pilots of y_{t->r} / x_t and
+    ``xcorr[t, r, n]`` the correlation sum_q x_r y_{t->r}; both have shape
+    (M, M, N) and are 0 on the diagonal: an antenna does not receive itself.
     """
 
     plan: PilotPlan
     x: np.ndarray
-    y: np.ndarray
+    ratio: np.ndarray
+    xcorr: np.ndarray
 
     def __post_init__(self):
         if self.x.ndim != 3:
@@ -153,8 +161,10 @@ class TrainingSet:
         if (n, q) != (self.plan.n_levels, self.plan.n_symbols):
             raise ValueError(f"x holds {n} levels of {q} pilots, the pilot plan "
                              f"{self.plan.n_levels} of {self.plan.n_symbols}")
-        if self.y.shape != (m, m, n, q):
-            raise ValueError(f"y must have shape {(m, m, n, q)}, got {self.y.shape}")
+        for name in ("ratio", "xcorr"):
+            shape = getattr(self, name).shape
+            if shape != (m, m, n):
+                raise ValueError(f"{name} must have shape {(m, m, n)}, got {shape}")
 
     @property
     def m(self) -> int:
@@ -194,6 +204,11 @@ def simulate_ota_training(
     ``noise_var`` is; then, with noise, one (M-1, N, 2, Q) block per
     transmitter, so each other antenna and level takes Q real parts, then Q
     imaginary parts.
+
+    The samples of as many transmitters as fit in ``_OTA_CHUNK_SAMPLES``,
+    and at least one, are made at a time, reduced to their rows of ``ratio``
+    and ``xcorr`` and dropped, so the round takes O(M^2 N) memory, not
+    O(M^2 N Q).
     """
     m = hw.m
     if omega.shape != (m, m):
@@ -214,15 +229,28 @@ def simulate_ota_training(
     else:
         gain = (math.sqrt(hw.a0) * hw.t)[:, None] * bussgang_mu(hw.a_sat[:, None] / amps)
         out = gain[:, :, None] * x
-    # the signal is written straight into y, which is 0 on the diagonal since
-    # omega is; the noise is added after it in the pinned draw order
-    y = _unfused_product(hw.bs_rx[None, :], omega)[:, :, None, None] * out[:, None]
-    if noise_var > 0:
-        scale = math.sqrt(noise_var / 2.0)
-        for tx in range(m):
-            re, im = np.moveaxis(rng.standard_normal((m - 1, n_levels, 2, q)), 2, 0)
-            y[tx, np.arange(m) != tx] += scale * (re + 1j * im)
-    return TrainingSet(plan=plan, x=x, y=y)
+    link = _unfused_product(hw.bs_rx[None, :], omega)
+    scale = math.sqrt(noise_var / 2.0)
+    ratio = np.empty((m, m, n_levels), dtype=np.complex128)
+    xcorr = np.empty_like(ratio)
+    step = max(1, _OTA_CHUNK_SAMPLES // (m * n_levels * q))
+    for lo in range(0, m, step):
+        hi = min(lo + step, m)
+        # the samples y_{t->r} of transmitters lo..hi-1: the signal first, 0 on
+        # the diagonal since omega is, then the noise in the pinned draw order
+        y = link[lo:hi, :, None, None] * out[lo:hi, None]
+        if noise_var > 0:
+            for row, tx in enumerate(range(lo, hi)):
+                re, im = np.moveaxis(rng.standard_normal((m - 1, n_levels, 2, q)), 2, 0)
+                noise = scale * (re + 1j * im)
+                y[row, :tx] += noise[:tx]
+                y[row, tx + 1:] += noise[tx:]
+        ratio[lo:hi] = np.einsum("trnq,tnq->trn", y, 1.0 / x[lo:hi]) / q
+        # summed as a per-pair np.sum does; einsum's fused contraction moves
+        # the last bit, which an ill-conditioned Ybar (noisy, short training)
+        # amplifies in linear_calibration
+        xcorr[lo:hi] = np.sum(x[None] * y, axis=-1)
+    return TrainingSet(plan=plan, x=x, ratio=ratio, xcorr=xcorr)
 
 
 def _unfused_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -277,16 +305,14 @@ def measured_level_shapes(training: TrainingSet) -> np.ndarray:
     """Per-antenna transmit-gain profiles across the power levels.
 
     For a fixed pair the received signal scales across levels exactly like
-    the transmitter's gain g_m, so y/x averaged per level measures g_m's
-    level profile up to one per-pair constant.  Combining the receivers by
-    least squares returns, for every antenna, the complex profile normalised
-    to 1 at the top level.  This is the observable that the paper's
+    the transmitter's gain g_m, so y/x averaged per level, ``training.ratio``,
+    measures g_m's level profile up to one per-pair constant.  Combining the
+    receivers by least squares returns, for every antenna, the complex
+    profile normalised to 1 at the top level.  This is the observable that the paper's
     pair-ratio equations cancel out, which leaves them unable to resolve
     a homogeneous amplifier population.
     """
-    # the mean of y/x over the Q pilots as one contraction, (tx, rx, n), with
-    # no (M, M, N, Q) temporary
-    prof = np.einsum("trnq,tnq->trn", training.y, 1.0 / training.x) / training.x.shape[-1]
+    prof = training.ratio
     top = prof[:, :, -1]
     denom = np.sum(np.abs(top) ** 2, axis=1)
     dead = np.flatnonzero(denom == 0)
@@ -340,10 +366,8 @@ def linear_calibration(training: TrainingSet, level: int) -> np.ndarray:
     """
     if not 0 <= level < training.plan.n_levels:
         raise ValueError(f"level must lie in [0, {training.plan.n_levels}), got {level}")
-    # s[t, r] = x_r . y_{t->r}: receiver r's own pilot against what it heard from
-    # t, summed as a per-pair np.sum does; einsum's fused contraction moves the
-    # last bit, which an ill-conditioned Ybar (noisy, short training) amplifies
-    s = np.sum(training.x[None, :, level] * training.y[:, :, level], axis=-1)
+    # s[t, r] = x_r . y_{t->r}: receiver r's own pilot against what it heard from t
+    s = training.xcorr[:, :, level]
     ybar = _unfused_product(-np.conj(s.T), s)
     # hypot rounds |s| as scalar abs() does; numpy's vector complex abs does not
     ybar[np.diag_indices(training.m)] = np.sum(np.hypot(s.real, s.imag) ** 2, axis=0)

@@ -153,9 +153,10 @@ def slp_bisection_oracle(instances, outer=80, inner=100):
 
 
 def synth_poly_training(hw, plan, omega, tau, order, rng):
-    """Noise-free training set generated from known polynomial mismatch
-    functions (g_m = r_m * mu_m), in the estimator's normalised-power basis,
-    through the transmit amplitude gain sqrt(a0)."""
+    """Noise-free pilots x (M, N, Q) and received samples y (M, M, N, Q)
+    generated from known polynomial mismatch functions (g_m = r_m * mu_m), in
+    the estimator's normalised-power basis, through the transmit amplitude
+    gain sqrt(a0)."""
     m, n_levels, q = hw.m, plan.n_levels, plan.n_symbols
     x = np.empty((m, n_levels, q), dtype=np.complex128)
     y = np.zeros((m, m, n_levels, q), dtype=np.complex128)
@@ -167,7 +168,14 @@ def synth_poly_training(hw, plan, omega, tau, order, rng):
             for rx in range(m):
                 if rx != tx:
                     y[tx, rx, n] = hw.bs_rx[rx] * omega[tx, rx] * out
-    return TrainingSet(plan=plan, x=x, y=y)
+    return x, y
+
+
+def training_from_samples(plan, x, y):
+    """The TrainingSet of pilots x (M, N, Q) and received samples
+    y (M, M, N, Q) sent under ``plan``."""
+    return TrainingSet(plan=plan, x=x, ratio=np.mean(y / x[:, None], axis=-1),
+                       xcorr=np.sum(x[None] * y, axis=-1))
 
 
 def gauge_fit_error(poly, true_model, plan, n_grid=50):
@@ -193,8 +201,8 @@ def mean_rate_mc(hw, phi, rho_t, a0, noise_var, c, rng, n_channels=200):
 # The loop implementations below hold one TrainingRecord per (tx, rx, level)
 # and build every quantity pair by pair, the direct transcription of the
 # pilot exchange.  They are the oracle for the array-native TrainingSet path:
-# the same seed must give the same x and y, and the consumers the same
-# outputs.
+# the same seed must give the same pilots and per-pair statistics, and the
+# consumers the same outputs.
 # ---------------------------------------------------------------------------
 
 
@@ -285,6 +293,39 @@ def _records_by_key(records: Iterable[TrainingRecord]) -> dict[tuple[int, int, i
     return table
 
 
+def _antenna_count(table) -> int:
+    return max(max(t, r) for t, r, _ in table) + 1
+
+
+def ref_pilot_samples(records: Iterable[TrainingRecord],
+                      plan: PilotPlan) -> tuple[np.ndarray, np.ndarray]:
+    """The pilots x (M, N, Q) and received samples y (M, M, N, Q) of
+    ``records``; y is 0 where an antenna would receive itself."""
+    table = _records_by_key(records)
+    m = _antenna_count(table)
+    x = np.empty((m, plan.n_levels, plan.n_symbols), dtype=np.complex128)
+    y = np.zeros((m, m, plan.n_levels, plan.n_symbols), dtype=np.complex128)
+    for (tx, rx, n), rec in table.items():
+        x[tx, n] = rec.x
+        y[tx, rx, n] = rec.y
+    return x, y
+
+
+def ref_pair_statistics(records: Iterable[TrainingRecord],
+                        plan: PilotPlan) -> tuple[np.ndarray, np.ndarray]:
+    """ratio[t, r, n] = mean(y_{t->r} / x_t) and xcorr[t, r, n] =
+    sum(x_r y_{t->r}), each (M, M, N), pair by pair; 0 on the diagonal."""
+    table = _records_by_key(records)
+    m = _antenna_count(table)
+    pilots = {(tx, n): rec.x for (tx, _, n), rec in table.items()}
+    ratio = np.zeros((m, m, plan.n_levels), dtype=np.complex128)
+    xcorr = np.zeros_like(ratio)
+    for (tx, rx, n), rec in table.items():
+        ratio[tx, rx, n] = np.mean(rec.y / rec.x)
+        xcorr[tx, rx, n] = np.sum(pilots[rx, n] * rec.y)
+    return ratio, xcorr
+
+
 def ref_measured_level_shapes(records: Iterable[TrainingRecord], plan: PilotPlan) -> np.ndarray:
     """Per-antenna transmit-gain profiles across the power levels.
 
@@ -296,7 +337,7 @@ def ref_measured_level_shapes(records: Iterable[TrainingRecord], plan: PilotPlan
     equations of the polynomial LS cancel out.)
     """
     table = _records_by_key(records)
-    m_count = max(max(t, r) for t, r, _ in table.keys()) + 1
+    m_count = _antenna_count(table)
     n_levels = plan.n_levels
     prof = np.zeros((m_count, m_count, n_levels), dtype=np.complex128)
     for (tx, rx, n), rec in table.items():
@@ -369,8 +410,11 @@ def ref_linear_calibration(records: Iterable[TrainingRecord]) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def assemble_psi_matrix(training: TrainingSet, order: int) -> np.ndarray:
-    """Stack the homogeneous equations Psi tau = 0 for all unordered pairs.
+def assemble_psi_matrix(plan: PilotPlan, x: np.ndarray, y: np.ndarray,
+                        order: int) -> np.ndarray:
+    """Stack the homogeneous equations Psi tau = 0 for all unordered pairs
+    from the pilots x (M, N, Q) and received samples y (M, M, N, Q) of a
+    round sent under ``plan``.
 
     The reciprocity identity mu_m (x_m . y_{i->m}) = mu_i (x_i . y_{m->i})
     holds per symbol.  Rows: M(M-1)/2 * N * Q, ordered by pair (m < i), level
@@ -378,11 +422,11 @@ def assemble_psi_matrix(training: TrainingSet, order: int) -> np.ndarray:
     touches only the blocks of antennas m and i, with +ybar^{(m)} psi_n and
     -ybar^{(i)} psi_n.
     """
-    m, n_levels, q = training.x.shape
-    z = training.y * training.x[None]  # z[t, r] = y_{t->r} * x_r
+    m, n_levels, q = x.shape
+    z = y * x[None]  # z[t, r] = y_{t->r} * x_r
     lo, hi = np.triu_indices(m, 1)
     pair = np.arange(len(lo))
-    psi_n = psi_vector(order, training.plan.levels)  # (N, order+1), shared normalised power
+    psi_n = psi_vector(order, plan.levels)  # (N, order+1), shared normalised power
     psi = np.zeros((len(lo), n_levels, q, m, order + 1), dtype=np.complex128)
     psi[pair, :, :, lo] = z[hi, lo][..., None] * psi_n[:, None, :]
     psi[pair, :, :, hi] = -(z[lo, hi][..., None] * psi_n[:, None, :])

@@ -212,8 +212,8 @@ def test_criterion_6_polynomial_estimation():
     order = 5
     tau = rng.standard_normal((8, order + 1)) + 1j * rng.standard_normal((8, order + 1))
     tau /= tau[0, 0]
-    recs = synth_poly_training(hw, plan, omega, tau, order, rng)
-    est = estimate_poly_coeffs(assemble_psi_matrix(recs, order), order)
+    x, y = synth_poly_training(hw, plan, omega, tau, order, rng)
+    est = estimate_poly_coeffs(assemble_psi_matrix(plan, x, y, order), order)
     rec_err = float(np.max(np.abs(est.tau - tau)) / np.max(np.abs(tau)))
 
     # (b) fitted mu within 1% of true g/r on [0, sigma_max], noiseless training

@@ -1,7 +1,9 @@
 """Multi-power OTA calibration: basis, training, estimation, SLP, phases."""
 
+import dataclasses
 import math
 import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 
 import mimo_recal as mr
 from mimo_recal.calibration import (
+    _OTA_CHUNK_SAMPLES,
     CalibrationError,
     TrainingSet,
     _phi_all,
@@ -26,9 +29,12 @@ from tests.conftest import (
     gauge_fit_error,
     ref_linear_calibration,
     ref_measured_level_shapes,
+    ref_pair_statistics,
+    ref_pilot_samples,
     ref_simulate_ota_training,
     slp_bisection_oracle,
     synth_poly_training,
+    training_from_samples,
 )
 
 
@@ -130,8 +136,10 @@ class TestSimulateOta:
         recs = mr.simulate_ota_training(hw_id, plan, omega, 0.0, "surrogate",
                                         np.random.default_rng(2))
         # y = r_i * omega * sqrt(a0) g x with g = 1 in the linear regime
-        expected = math.sqrt(hw_id.a0) * omega[:, :, None, None] * recs.x[:, None]
-        assert np.allclose(recs.y, expected, rtol=1e-6)
+        link = math.sqrt(hw_id.a0) * omega[:, :, None]
+        assert np.allclose(recs.ratio, np.broadcast_to(link, recs.ratio.shape), rtol=1e-6)
+        assert np.allclose(recs.xcorr, link * np.einsum("rnq,tnq->trn", recs.x, recs.x),
+                           rtol=1e-6)
 
     @pytest.mark.parametrize("mode", ["surrogate", "physical"])
     def test_pilot_carries_the_data_chain_gain(self, mode):
@@ -148,8 +156,10 @@ class TestSimulateOta:
         data = mr.transmit_block(hw, np.ones((1, 4), complex), w, x[:, None])[:, 0]
         gain = math.sqrt(hw.a0) * hw.t[tx]
         assert np.allclose(data / (hw.ue_rx[0] * x), gain, rtol=1e-7)
-        assert np.allclose(ts.y[tx, rx, 0] / (hw.bs_rx[rx] * omega[tx, rx] * x), gain,
-                           rtol=1e-7)
+        link = hw.bs_rx[rx] * omega[tx, rx]
+        assert ts.ratio[tx, rx, 0] / link == pytest.approx(gain, rel=1e-7)
+        assert ts.xcorr[tx, rx, 0] / (link * np.sum(ts.x[rx, 0] * x)) == pytest.approx(
+            gain, rel=1e-7)
 
     def test_reciprocity_of_propagation(self):
         hw, omega, plan, _ = _setup(4, 2, 3)
@@ -161,11 +171,11 @@ class TestSimulateOta:
                     continue
                 for n in range(plan.n_levels):
                     g = mr.bussgang_decompose(hw, plan.amplitudes[n]).g
-                    ratio = recs.y[m, i, n] / (g[m] * recs.x[m, n])
-                    ratio_sym = recs.y[i, m, n] / (g[i] * recs.x[i, n])
-                    # y_{m,i}/(g_m x_m) = sqrt(a0) r_i w_{mi}; the symmetric pair shares w
-                    assert np.allclose(ratio / hw.bs_rx[i], ratio_sym / hw.bs_rx[m],
-                                       rtol=1e-9)
+                    # y_{m,i}/(g_m x_m) = sqrt(a0) r_i w_{mi}; the symmetric pair
+                    # shares w, and x_i . y_{m->i} shares the pilot product too
+                    for stat in (recs.ratio, recs.xcorr):
+                        assert stat[m, i, n] / (g[m] * hw.bs_rx[i]) == pytest.approx(
+                            stat[i, m, n] / (g[i] * hw.bs_rx[m]), rel=1e-9)
 
     def test_constant_modulus_pilots(self):
         hw, omega, plan, _ = _setup(4, 2, 5, n_symbols=1000)
@@ -199,16 +209,18 @@ class TestSimulateOta:
         quiet = mr.simulate_ota_training(hw, plan, omega, 0.0, mode, np.random.default_rng(3))
         noisy = mr.simulate_ota_training(hw, plan, omega, 0.5, mode, np.random.default_rng(3))
         assert np.array_equal(quiet.x, noisy.x)
-        assert not np.array_equal(quiet.y, noisy.y)
+        assert not np.array_equal(quiet.ratio, noisy.ratio)
+        assert not np.array_equal(quiet.xcorr, noisy.xcorr)
 
     def test_record_count(self):
         hw, omega, plan, _ = _setup(5, 2, 9)
         recs = mr.simulate_ota_training(hw, plan, omega, 0.0, "surrogate",
                                         np.random.default_rng(10))
         assert recs.x.shape == (5, plan.n_levels, plan.n_symbols)
-        assert recs.y.shape == (5, 5, plan.n_levels, plan.n_symbols)
-        assert np.all(recs.y[np.arange(5), np.arange(5)] == 0)
-        assert np.count_nonzero(recs.y) == 5 * 4 * plan.n_levels * plan.n_symbols
+        for stat in (recs.ratio, recs.xcorr):
+            assert stat.shape == (5, 5, plan.n_levels)
+            assert np.all(stat[np.arange(5), np.arange(5)] == 0)
+            assert np.count_nonzero(stat) == 5 * 4 * plan.n_levels
         assert recs.plan is plan
 
 
@@ -235,10 +247,7 @@ class TestTensorMatchesRecordReference:
         recs = ref_simulate_ota_training(hw, plan, omega, noise_var, mode, rng_ref)
 
         assert len(recs) == m * (m - 1) * n_levels
-        for rec in recs:
-            assert np.array_equal(ts.x[rec.tx_antenna, rec.level], rec.x)
-            assert np.array_equal(ts.y[rec.tx_antenna, rec.rx_antenna, rec.level], rec.y)
-        assert not np.any(ts.y[np.arange(m), np.arange(m)])
+        _assert_pair_statistics(ts, recs, plan)
         # the phases come from one draw and the noise from one block per
         # transmitter, and both use up the same stream as the per-pair loop
         assert rng_ts.bit_generator.state == rng_ref.bit_generator.state
@@ -249,31 +258,56 @@ class TestTensorMatchesRecordReference:
         assert _close(measured_level_shapes(ts), ref_measured_level_shapes(recs, plan))
 
 
+def _assert_pair_statistics(ts, recs, plan):
+    # the pilots and xcorr bit for bit; ratio sums the Q quotients of the
+    # per-pair mean as a contraction of y and 1/x
+    for rec in recs:
+        assert np.array_equal(ts.x[rec.tx_antenna, rec.level], rec.x)
+    ratio, xcorr = ref_pair_statistics(recs, plan)
+    assert np.array_equal(ts.xcorr, xcorr)
+    assert _close(ts.ratio, ratio)
+    diag = np.arange(ts.m)
+    assert not np.any(ts.ratio[diag, diag]) and not np.any(ts.xcorr[diag, diag])
+
+
 @pytest.mark.parametrize("mode", ["surrogate", "physical"])
 @pytest.mark.parametrize("noise_var", [0.0, 0.5])
 def test_training_at_benchmark_size(noise_var, mode):
     # M=64, N=7, Q=10, the calibration benchmark's round, against the
-    # per-pair loop bit for bit: the signal written first, then the noise
-    # added in the pinned draw order
+    # per-pair loop: the signal written first, then the noise added in the
+    # pinned draw order, 14 transmitters a chunk with a last chunk of 8
     hw, omega, plan, _ = _setup(64, 8, 23)
+    step = _OTA_CHUNK_SAMPLES // (64 * plan.n_levels * plan.n_symbols)
+    assert (step, 64 % step) == (14, 8)
     rng_ts, rng_ref = np.random.default_rng(5), np.random.default_rng(5)
     ts = mr.simulate_ota_training(hw, plan, omega, noise_var, mode, rng_ts)
     recs = ref_simulate_ota_training(hw, plan, omega, noise_var, mode, rng_ref)
-    x = np.empty_like(ts.x)
-    y = np.zeros_like(ts.y)
-    for rec in recs:
-        x[rec.tx_antenna, rec.level] = rec.x
-        y[rec.tx_antenna, rec.rx_antenna, rec.level] = rec.y
-    assert np.array_equal(ts.x, x) and np.array_equal(ts.y, y)
+    _assert_pair_statistics(ts, recs, plan)
     assert rng_ts.bit_generator.state == rng_ref.bit_generator.state
+
+
+@pytest.mark.parametrize("mode", ["surrogate", "physical"])
+def test_training_memory_does_not_grow_with_the_pilot_count(mode):
+    # M=96, N=7, Q=40: the received samples alone would take 41 MB; the round
+    # keeps two (M, M, N) statistics, 2 MB, and reduces chunks of two
+    # transmitters, 0.9 MB
+    hw, omega, plan, rng = _setup(96, 2, 31, n_symbols=40)
+    tracemalloc.start()
+    try:
+        ts = mr.simulate_ota_training(hw, plan, omega, 0.5, mode, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+    assert all(np.ndim(getattr(ts, f.name)) < 4 for f in dataclasses.fields(ts))
 
 
 @settings(max_examples=30, deadline=None)
 @given(m=st.integers(2, 12), n_levels=st.integers(1, 7), q=st.integers(1, 12),
        noisy=st.booleans(), seed=st.integers(0, 2**32 - 1))
 def test_level_shapes_match_one_shot_profile(m, n_levels, q, noisy, seed):
-    # the profiles from one contraction over (M, M, N, Q) against the
-    # per-pair mean of y/x; the two sum the Q ratios in another order
+    # the profiles from the contraction of y and 1/x against the per-pair
+    # mean of y/x; the two sum the Q ratios in another order
     rng = np.random.default_rng(seed)
     hw = mr.draw_system_hardware(rng, m, 1, mr.HardwareMismatch.uniform(0.05, 0.5),
                                  mr.a_sat_for_ibo(10.0, 1.0, m))
@@ -294,7 +328,7 @@ def test_training_set_rejects_pilots_off_its_plan(n_levels, n_symbols):
     other = mr.PilotPlan(n_levels, n_symbols, plan.sigma_max)
     with pytest.raises(ValueError, match=f"x holds 3 levels of 10 pilots, the pilot plan "
                                          f"{n_levels} of {n_symbols}"):
-        TrainingSet(plan=other, x=ts.x, y=ts.y)
+        TrainingSet(plan=other, x=ts.x, ratio=ts.ratio, xcorr=ts.xcorr)
 
 
 class TestAssembleAndEstimate:
@@ -310,8 +344,7 @@ class TestAssembleAndEstimate:
         y = np.zeros((2, 2, 1, 1), dtype=complex)
         y[0, 1, 0] = y12
         y[1, 0, 0] = y21
-        recs = mr.TrainingSet(plan=plan, x=np.array([x1, x2])[:, None], y=y)
-        psi = assemble_psi_matrix(recs, order=1)
+        psi = assemble_psi_matrix(plan, np.array([x1, x2])[:, None], y, order=1)
         assert psi.shape == (1, 4)
         psi_vals = psi_vector(1, float(plan.levels[0]))
         ybar_1 = y21[0] * x1[0]
@@ -323,9 +356,9 @@ class TestAssembleAndEstimate:
 
     def test_row_count(self):
         hw, omega, plan, _ = _setup(6, 2, 11, n_levels=4, n_symbols=3)
-        recs = mr.simulate_ota_training(hw, plan, omega, 0.0, "surrogate",
-                                        np.random.default_rng(12))
-        psi = assemble_psi_matrix(recs, order=2)
+        x, y = ref_pilot_samples(ref_simulate_ota_training(
+            hw, plan, omega, 0.0, "surrogate", np.random.default_rng(12)), plan)
+        psi = assemble_psi_matrix(plan, x, y, order=2)
         assert psi.shape == (6 * 5 // 2 * 4 * 3, 6 * 3)
 
     def test_ground_truth_in_null_space(self):
@@ -334,8 +367,8 @@ class TestAssembleAndEstimate:
         tau = (rng.standard_normal((6, order + 1))
                + 1j * rng.standard_normal((6, order + 1)))
         tau /= tau[0, 0]
-        recs = synth_poly_training(hw, plan, omega, tau, order, rng)
-        psi = assemble_psi_matrix(recs, order)
+        x, y = synth_poly_training(hw, plan, omega, tau, order, rng)
+        psi = assemble_psi_matrix(plan, x, y, order)
         resid = np.linalg.norm(psi @ tau.ravel())
         assert resid <= 1e-10 * np.linalg.norm(psi) * np.linalg.norm(tau)
 
@@ -345,8 +378,8 @@ class TestAssembleAndEstimate:
         tau = (rng.standard_normal((8, order + 1))
                + 1j * rng.standard_normal((8, order + 1)))
         tau /= tau[0, 0]
-        recs = synth_poly_training(hw, plan, omega, tau, order, rng)
-        psi = assemble_psi_matrix(recs, order)
+        x, y = synth_poly_training(hw, plan, omega, tau, order, rng)
+        psi = assemble_psi_matrix(plan, x, y, order)
         est = estimate_poly_coeffs(psi, order, sigma_ref=plan.sigma_max)
         assert np.max(np.abs(est.tau - tau)) <= 1e-8 * np.max(np.abs(tau))
 
@@ -359,19 +392,20 @@ class TestAssembleAndEstimate:
         tau_row = rng.standard_normal(order + 1) + 1j * rng.standard_normal(order + 1)
         tau = np.tile(tau_row, (6, 1))
         tau /= tau[0, 0]
-        recs = synth_poly_training(hw, plan, omega, tau, order, rng)
+        x, y = synth_poly_training(hw, plan, omega, tau, order, rng)
         with pytest.raises(CalibrationError):
-            estimate_poly_coeffs(assemble_psi_matrix(recs, order), order)
-        est = estimate_poly_coeffs_anchored(recs, order)
+            estimate_poly_coeffs(assemble_psi_matrix(plan, x, y, order), order)
+        est = estimate_poly_coeffs_anchored(training_from_samples(plan, x, y), order)
         for m in range(1, 6):
             assert np.allclose(est.tau[m], est.tau[0], atol=1e-8)
 
     def test_rank_deficiency_detected(self):
         # N = order + 1 leaves the per-level scale family unresolved
         hw, omega, plan, rng = _setup(6, 2, 16, n_levels=4, n_symbols=2)
-        recs = mr.simulate_ota_training(hw, plan, omega, 0.0, "surrogate", rng)
+        x, y = ref_pilot_samples(
+            ref_simulate_ota_training(hw, plan, omega, 0.0, "surrogate", rng), plan)
         with pytest.raises(CalibrationError):
-            estimate_poly_coeffs(assemble_psi_matrix(recs, 3), 3)
+            estimate_poly_coeffs(assemble_psi_matrix(plan, x, y, 3), 3)
 
     def test_snr_trend(self):
         # coefficient error decreases monotonically with training SNR
@@ -385,8 +419,7 @@ class TestAssembleAndEstimate:
                 tau = (rng.standard_normal((5, order + 1))
                        + 1j * rng.standard_normal((5, order + 1)))
                 tau /= tau[0, 0]
-                recs = synth_poly_training(hw, plan, omega, tau, order, rng)
-                y = recs.y.copy()
+                x, y = synth_poly_training(hw, plan, omega, tau, order, rng)
                 for tx in range(5):
                     for n in range(plan.n_levels):
                         for rx in range(5):
@@ -394,8 +427,7 @@ class TestAssembleAndEstimate:
                                 y[tx, rx, n] += math.sqrt(noise_var / 2) * (
                                     rng.standard_normal(plan.n_symbols)
                                     + 1j * rng.standard_normal(plan.n_symbols))
-                noisy = mr.TrainingSet(plan=plan, x=recs.x, y=y)
-                est = estimate_poly_coeffs(assemble_psi_matrix(noisy, order), order)
+                est = estimate_poly_coeffs(assemble_psi_matrix(plan, x, y, order), order)
                 acc += float(np.linalg.norm(est.tau - tau) / np.linalg.norm(tau))
             errs.append(acc / 40)
         assert errs[0] > errs[1] > errs[2]
@@ -712,11 +744,19 @@ def _noiseless_training(hw, omega, plan, rng):
 
 @pytest.mark.parametrize("call, error, message", [
     (lambda hw, omega, plan, rng: TrainingSet(plan=plan, x=np.ones((4, 7)),
-                                              y=np.ones((4, 4, 7))),
+                                              ratio=np.ones((4, 4, 7)),
+                                              xcorr=np.ones((4, 4, 7))),
      ValueError, "x must have shape (M, N, Q)"),
     (lambda hw, omega, plan, rng: TrainingSet(plan=mr.PilotPlan(7, 2, 1.0),
-                                              x=np.ones((4, 7, 2)), y=np.ones((4, 4, 7, 3))),
-     ValueError, "y must have shape (4, 4, 7, 2), got (4, 4, 7, 3)"),
+                                              x=np.ones((4, 7, 2)),
+                                              ratio=np.ones((4, 4, 7, 2)),
+                                              xcorr=np.ones((4, 4, 7))),
+     ValueError, "ratio must have shape (4, 4, 7), got (4, 4, 7, 2)"),
+    (lambda hw, omega, plan, rng: TrainingSet(plan=mr.PilotPlan(7, 2, 1.0),
+                                              x=np.ones((4, 7, 2)),
+                                              ratio=np.ones((4, 4, 7)),
+                                              xcorr=np.ones((4, 4, 6))),
+     ValueError, "xcorr must have shape (4, 4, 7), got (4, 4, 6)"),
     (lambda hw, omega, plan, rng: mr.simulate_ota_training(hw, plan, omega[:3, :3], 0.0,
                                                            "surrogate", rng),
      ValueError, "omega must be M x M"),
@@ -741,7 +781,7 @@ def _noiseless_training(hw, omega, plan, rng):
                                                _noiseless_training(hw, omega, plan, rng), 3,
                                                1.0),
      ValueError, "training set has 4 antennas, the hardware 6"),
-], ids=["x-ndim", "y-shape", "omega-shape", "omega-diagonal", "mode", "tau00",
+], ids=["x-ndim", "ratio-shape", "xcorr-shape", "omega-shape", "omega-diagonal", "mode", "tau00",
         "sigma-ref", "too-few-levels", "slp-lengths", "calibrate-antennas"])
 def test_bad_input_rejected(call, error, message):
     hw, omega, plan, rng = _setup(4, 2, 60)
