@@ -47,10 +47,6 @@ __all__ = [
 
 MAX_PSI_ORDER = 20
 
-# complex received samples (1 MiB) in one chunk of the OTA exchange, the
-# budget of the Monte-Carlo channel buffer
-_OTA_CHUNK_SAMPLES = 1 << 16
-
 # the rows of ``calibration_stack``, in order
 CALIBRATION_METHODS = ("none", "linear_rc", "poly_nrc", "perfect_nrc")
 
@@ -147,6 +143,7 @@ class TrainingSet:
     n, ``ratio[t, r, n]`` is the mean over the Q pilots of y_{t->r} / x_t and
     ``xcorr[t, r, n]`` the correlation sum_q x_r y_{t->r}; both have shape
     (M, M, N) and are 0 on the diagonal: an antenna does not receive itself.
+    ``simulate_ota_training`` draws both from their law given the pilots.
     """
 
     plan: PilotPlan
@@ -186,29 +183,26 @@ def simulate_ota_training(
     mode: Literal["physical", "surrogate"],
     rng: np.random.Generator,
 ) -> TrainingSet:
-    """Simulate the pair-wise pilot exchange for all ordered antenna pairs.
+    """The pair-wise pilot exchange of all ordered antenna pairs, held as the
+    two statistics of a ``TrainingSet``.
 
-    Pilots are constant-modulus with random phases, so the level-n operating
-    amplitude is exactly sqrt(rho_c,n).  Each antenna transmits once per
-    level; all other antennas receive the same waveform through the symmetric
-    channel ``omega``.  The pilots go through the data's transmit chain:
-    physical mode applies ``sspa_apply`` sample-wise, and surrogate mode its
-    Bussgang linear scale sqrt(a0) t mu(A/amp) at the pilot amplitude, so
-    antenna rx receives y = r_rx omega (sqrt(a0) t mu x).  Neither injects
-    sampled distortion: a constant-modulus pilot drives the (memoryless)
-    amplifier at a single deterministic operating point, so the
-    Gaussian-input distortion term has no physical counterpart here and would
-    only act as errors-in-variables noise in the ratio equations.
+    Each antenna sends Q constant-modulus pilots of random phase per level
+    through the data's transmit chain, and every other antenna receives them
+    through the symmetric channel ``omega``.  A pilot drives the memoryless
+    amplifier at one operating point, so it only picks up the complex gain
+    G[t, n] at the level amplitude amp_n: ``sspa_apply`` at amp_n over amp_n
+    (physical) or sqrt(a0) t mu(A/amp_n) (surrogate); no sampled distortion
+    is injected.  With L = r_r omega, S[t, r, n] = sum_q x_t x_r and
+    sigma^2 = ``noise_var``, both statistics are drawn from their law given
+    the pilots: ratio = L G + a, a ~ CN(0, sigma^2/(Q amp_n^2)), and
+    xcorr = S ratio + e, e ~ CN(0, sigma^2 (Q amp_n^2 - |S|^2/(Q amp_n^2)))
+    independent of a.  The samples are never made, so the round takes
+    O(M^2 N) memory whatever Q is.
 
-    Random draws: one (M, N, Q) draw of the pilot phases, whatever
-    ``noise_var`` is; then, with noise, one (M-1, N, 2, Q) block per
-    transmitter, so each other antenna and level takes Q real parts, then Q
-    imaginary parts.
-
-    The samples of as many transmitters as fit in ``_OTA_CHUNK_SAMPLES``,
-    and at least one, are made at a time, reduced to their rows of ``ratio``
-    and ``xcorr`` and dropped, so the round takes O(M^2 N) memory, not
-    O(M^2 N Q).
+    Random draws: one (M, N, Q) ``uniform`` draw of the pilot phases, whatever
+    ``noise_var`` is; then, with noise, one (2, 2, M, M, N) ``standard_normal``
+    block, drawn as four (M, M, N) quarters: the real and imaginary parts of
+    a, then those of e.
     """
     m = hw.m
     if omega.shape != (m, m):
@@ -225,31 +219,35 @@ def simulate_ota_training(
     amps = plan.amplitudes
     x = amps[:, None] * np.exp(2j * np.pi * rng.uniform(0.0, 1.0, (m, n_levels, q)))
     if mode == "physical":
-        out = np.moveaxis(sspa_apply(hw, np.moveaxis(x, 0, -1)), -1, 0)
+        gain = sspa_apply(hw, np.broadcast_to(amps[:, None], (n_levels, m))).T / amps
     else:
         gain = (math.sqrt(hw.a0) * hw.t)[:, None] * bussgang_mu(hw.a_sat[:, None] / amps)
-        out = gain[:, :, None] * x
-    link = _unfused_product(hw.bs_rx[None, :], omega)
-    scale = math.sqrt(noise_var / 2.0)
-    ratio = np.empty((m, m, n_levels), dtype=np.complex128)
-    xcorr = np.empty_like(ratio)
-    step = max(1, _OTA_CHUNK_SAMPLES // (m * n_levels * q))
-    for lo in range(0, m, step):
-        hi = min(lo + step, m)
-        # the samples y_{t->r} of transmitters lo..hi-1: the signal first, 0 on
-        # the diagonal since omega is, then the noise in the pinned draw order
-        y = link[lo:hi, :, None, None] * out[lo:hi, None]
-        if noise_var > 0:
-            for row, tx in enumerate(range(lo, hi)):
-                re, im = np.moveaxis(rng.standard_normal((m - 1, n_levels, 2, q)), 2, 0)
-                noise = scale * (re + 1j * im)
-                y[row, :tx] += noise[:tx]
-                y[row, tx + 1:] += noise[tx:]
-        ratio[lo:hi] = np.einsum("trnq,tnq->trn", y, 1.0 / x[lo:hi]) / q
-        # summed as a per-pair np.sum does; einsum's fused contraction moves
-        # the last bit, which an ill-conditioned Ybar (noisy, short training)
-        # amplifies in linear_calibration
-        xcorr[lo:hi] = np.sum(x[None] * y, axis=-1)
+    ratio = _unfused_product(hw.bs_rx[None, :], omega)[:, :, None] * gain[:, None, :]
+    # S[t, r, n] = sum_q x_t x_r, a view of the level-batched (N, M, M)
+    # product; xcorr = S ratio + e is formed in its place
+    pilots = np.moveaxis(x, 1, 0)
+    xcorr = np.moveaxis(pilots @ np.swapaxes(pilots, 1, 2), 0, -1)
+    if noise_var > 0:
+        energy = q * amps**2  # sum_q |x_q|^2 at level n
+        part = np.empty((m, m, n_levels))  # one quarter of the normal block
+        for out in (ratio.real, ratio.imag):
+            out += np.multiply(rng.standard_normal(out=part),
+                               np.sqrt(noise_var / 2.0 / energy), out=part)
+        # the standard deviation of e's parts; |S| = Q amp_n^2 for collinear
+        # pilots (Q = 1), where the variance may round below 0
+        sd = np.square(xcorr.real)
+        sd += np.square(xcorr.imag, out=part)
+        sd *= -noise_var / 2.0 / energy
+        sd += noise_var / 2.0 * energy
+        np.sqrt(np.maximum(sd, 0.0, out=sd), out=sd)
+        xcorr *= ratio
+        for out in (xcorr.real, xcorr.imag):
+            out += np.multiply(rng.standard_normal(out=part), sd, out=part)
+        diag = np.arange(m)
+        ratio[diag, diag] = 0.0
+        xcorr[diag, diag] = 0.0
+    else:
+        xcorr *= ratio
     return TrainingSet(plan=plan, x=x, ratio=ratio, xcorr=xcorr)
 
 

@@ -3,8 +3,10 @@
 Every oracle here is independent of the implementation path it checks:
 quadrature and series for the special functions, Monte-Carlo sampling for the
 Bussgang layer, an explicit inverse per draw for the empirical ZF
-normalisation, bisection for the max-min solver, and synthetic-data
-generators for the calibration estimators.
+normalisation, bisection for the max-min solver, synthetic-data generators
+for the calibration estimators, and the sample-level OTA exchange.
+``same_law`` compares two samplers that draw from one law by different
+random streams.
 """
 
 import importlib.util
@@ -14,7 +16,7 @@ import sys
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Literal
+from typing import Callable, Iterable, Literal
 
 import numpy as np
 import pytest
@@ -200,9 +202,11 @@ def mean_rate_mc(hw, phi, rho_t, a0, noise_var, c, rng, n_channels=200):
 #
 # The loop implementations below hold one TrainingRecord per (tx, rx, level)
 # and build every quantity pair by pair, the direct transcription of the
-# pilot exchange.  They are the oracle for the array-native TrainingSet path:
-# the same seed must give the same pilots and per-pair statistics, and the
-# consumers the same outputs.
+# pilot exchange, sample by sample.  They are the oracle for the
+# array-native TrainingSet path: without noise the same seed must give the
+# same pilots and, to rounding, the same per-pair statistics and consumer
+# outputs; with noise the library draws the statistics from their law, which
+# ``same_law`` checks at fixed pilots.
 # ---------------------------------------------------------------------------
 
 
@@ -324,6 +328,80 @@ def ref_pair_statistics(records: Iterable[TrainingRecord],
         ratio[tx, rx, n] = np.mean(rec.y / rec.x)
         xcorr[tx, rx, n] = np.sum(pilots[rx, n] * rec.y)
     return ratio, xcorr
+
+
+# ---------------------------------------------------------------------------
+# same-law kit: two samplers that draw from one law by different streams
+# ---------------------------------------------------------------------------
+
+# the seed list and z bound of the OTA same-law tests.  On the 208
+# statistics of a 3-antenna, 2-level round of 5 pilots, two samplers of one
+# law score a largest |z| of 2.8-3.3 at 1,000 seeds, and 1.1 times the noise
+# variance on one side scores 7.5-7.8 (the link-averaged variances)
+LAW_SEEDS = range(1000)
+LAW_Z = 4.5
+
+
+def same_law(draw_a, draw_b, stats, seeds, z):
+    """Fail unless two samplers agree in the mean of every statistic.
+
+    ``draw_a`` and ``draw_b`` each take a generator and return one draw;
+    ``stats`` maps a draw to a 1-D array of real statistics.  For every
+    seed of the fixed list ``seeds`` draw_a runs on ``default_rng([0,
+    seed])`` and draw_b on ``default_rng([1, seed])``, so the two streams
+    are disjoint and the verdict is deterministic.  Each statistic's means
+    are compared by the two-sample z-score (mean_a - mean_b) / sqrt(var_a/n
+    + var_b/n), and an AssertionError names the largest |z| above ``z``.  A
+    statistic that is constant on both sides scores 0 if the two agree.
+    Returns the largest |z|.
+    """
+    seeds = list(seeds)
+    a = np.array([stats(draw_a(np.random.default_rng([0, s]))) for s in seeds])
+    b = np.array([stats(draw_b(np.random.default_rng([1, s]))) for s in seeds])
+    diff = np.abs(a.mean(axis=0) - b.mean(axis=0))
+    se = np.sqrt((a.var(axis=0, ddof=1) + b.var(axis=0, ddof=1)) / len(seeds))
+    score = np.divide(diff, se, out=np.where(diff > 0, np.inf, 0.0), where=se > 0)
+    worst = int(np.argmax(score))
+    assert score[worst] <= z, (f"statistic {worst} of {score.size}: |z| = "
+                               f"{score[worst]:.2f} > {z} over {len(seeds)} seeds")
+    return float(score[worst])
+
+
+class FixedPilots:
+    """A generator for the OTA simulators whose ``uniform`` draws repeat
+    those of ``default_rng(pilot_seed)`` and whose ``standard_normal`` draws
+    come from ``rng``: both simulators draw the pilot phases with
+    ``uniform`` and the noise with ``standard_normal``, so every round sent
+    with a fresh one has the same pilots and fresh noise."""
+
+    def __init__(self, pilot_seed: int, rng: np.random.Generator):
+        self.uniform = np.random.default_rng(pilot_seed).uniform
+        self.standard_normal = rng.standard_normal
+
+
+def ota_link_moments(plan: PilotPlan, noise_var: float, quiet) -> Callable[[tuple], np.ndarray]:
+    """``stats`` for ``same_law`` on OTA draws (ratio, xcorr) at the pilots of
+    the noiseless pair ``quiet`` = (ratio0, xcorr0).
+
+    On every link off the diagonal, a = ratio - ratio0 and b = xcorr - xcorr0
+    are scaled to unit variance by sigma^2/(Q amp_n^2) and sigma^2 Q amp_n^2.
+    The statistics are the real and imaginary parts of a, b, |a|^2, |b|^2,
+    b a* (the covariance), a b (the pseudo-covariance), a^2 and b^2, per
+    link and averaged over the links.
+    """
+    energy = plan.n_symbols * plan.amplitudes ** 2
+    sd_a, sd_b = np.sqrt(noise_var / energy), np.sqrt(noise_var * energy)
+    off = ~np.eye(len(quiet[0]), dtype=bool)
+
+    def stats(pair):
+        a = (pair[0] - quiet[0])[off] / sd_a
+        b = (pair[1] - quiet[1])[off] / sd_b
+        moments = np.stack([a, b, np.abs(a) ** 2, np.abs(b) ** 2, b * np.conj(a),
+                            a * b, a * a, b * b]).reshape(8, -1)
+        both = np.concatenate([moments, moments.mean(axis=1, keepdims=True)], axis=1)
+        return np.concatenate([both.real.ravel(), both.imag.ravel()])
+
+    return stats
 
 
 def ref_measured_level_shapes(records: Iterable[TrainingRecord], plan: PilotPlan) -> np.ndarray:

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 import mimo_recal as mr
 from mimo_recal.calibration import (
-    _OTA_CHUNK_SAMPLES,
     CalibrationError,
     TrainingSet,
     _phi_all,
@@ -24,14 +23,20 @@ from mimo_recal.calibration import (
     psi_vector,
 )
 from tests.conftest import (
+    LAW_SEEDS,
+    LAW_Z,
+    FixedPilots,
+    TrainingRecord,
     assemble_psi_matrix,
     estimate_poly_coeffs,
     gauge_fit_error,
+    ota_link_moments,
     ref_linear_calibration,
     ref_measured_level_shapes,
     ref_pair_statistics,
     ref_pilot_samples,
     ref_simulate_ota_training,
+    same_law,
     slp_bisection_oracle,
     synth_poly_training,
     training_from_samples,
@@ -233,39 +238,46 @@ class TestTensorMatchesRecordReference:
 
     @settings(max_examples=60, deadline=None)
     @given(m=st.integers(2, 6), n_levels=st.integers(1, 4), q=st.integers(1, 5),
-           noisy=st.booleans(), mode=st.sampled_from(["surrogate", "physical"]),
+           mode=st.sampled_from(["surrogate", "physical"]),
            seed=st.integers(0, 2**32 - 1))
-    def test_same_draws_same_outputs(self, m, n_levels, q, noisy, mode, seed):
+    def test_same_draws_same_outputs(self, m, n_levels, q, mode, seed):
         rng = np.random.default_rng(seed)
         hw = mr.draw_system_hardware(rng, m, 1, mr.HardwareMismatch.uniform(0.05, 0.5),
                                      mr.a_sat_for_ibo(10.0, 1.0, m))
         omega = mr.draw_inter_antenna_channel(rng, m)
         plan = mr.PilotPlan.for_hardware(hw, n_levels, q)
-        noise_var = 1.0 if noisy else 0.0
         rng_ts, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        ts = mr.simulate_ota_training(hw, plan, omega, noise_var, mode, rng_ts)
-        recs = ref_simulate_ota_training(hw, plan, omega, noise_var, mode, rng_ref)
+        ts = mr.simulate_ota_training(hw, plan, omega, 0.0, mode, rng_ts)
+        recs = ref_simulate_ota_training(hw, plan, omega, 0.0, mode, rng_ref)
 
         assert len(recs) == m * (m - 1) * n_levels
         _assert_pair_statistics(ts, recs, plan)
-        # the phases come from one draw and the noise from one block per
-        # transmitter, and both use up the same stream as the per-pair loop
+        # without noise the round draws the pilot phases and nothing else
         assert rng_ts.bit_generator.state == rng_ref.bit_generator.state
+        _assert_pilot_consumers(ts, recs, plan)
 
-        for n in range(n_levels):
-            assert _close(mr.linear_calibration(ts, n),
-                          ref_linear_calibration([r for r in recs if r.level == n]))
-        assert _close(measured_level_shapes(ts), ref_measured_level_shapes(recs, plan))
+
+def _assert_pilot_consumers(ts, recs, plan):
+    # the level shapes against the oracle's records; the calibration against
+    # the oracle's solve on the xcorr that _assert_pair_statistics pinned,
+    # as the normal equations amplify its rounding by their condition number
+    assert _close(measured_level_shapes(ts), ref_measured_level_shapes(recs, plan))
+    unit = np.ones(1, dtype=np.complex128)
+    for n in range(plan.n_levels):
+        same_xcorr = [TrainingRecord(t, r, n, x=unit, y=ts.xcorr[t, r, n:n + 1])
+                      for t in range(ts.m) for r in range(ts.m) if r != t]
+        assert _close(mr.linear_calibration(ts, n), ref_linear_calibration(same_xcorr))
 
 
 def _assert_pair_statistics(ts, recs, plan):
-    # the pilots and xcorr bit for bit; ratio sums the Q quotients of the
-    # per-pair mean as a contraction of y and 1/x
+    # the pilots bit for bit; ratio and xcorr, which the round forms from the
+    # pilots' complex gain and the level-batched pilot products, to rounding
+    # of the per-pair mean of y/x and sum of x_r y
     for rec in recs:
         assert np.array_equal(ts.x[rec.tx_antenna, rec.level], rec.x)
     ratio, xcorr = ref_pair_statistics(recs, plan)
-    assert np.array_equal(ts.xcorr, xcorr)
     assert _close(ts.ratio, ratio)
+    assert _close(ts.xcorr, xcorr)
     diag = np.arange(ts.m)
     assert not np.any(ts.ratio[diag, diag]) and not np.any(ts.xcorr[diag, diag])
 
@@ -273,24 +285,92 @@ def _assert_pair_statistics(ts, recs, plan):
 @pytest.mark.parametrize("mode", ["surrogate", "physical"])
 @pytest.mark.parametrize("noise_var", [0.0, 0.5])
 def test_training_at_benchmark_size(noise_var, mode):
-    # M=64, N=7, Q=10, the calibration benchmark's round, against the
-    # per-pair loop: the signal written first, then the noise added in the
-    # pinned draw order, 14 transmitters a chunk with a last chunk of 8
+    # M=64, N=7, Q=10, the calibration benchmark's round: the noiseless
+    # statistics of the per-pair loop, and with noise the draw order one
+    # (M, N, Q) uniform block, then one (2, 2, M, M, N) normal block holding
+    # the real and imaginary parts of a, then of e
     hw, omega, plan, _ = _setup(64, 8, 23)
-    step = _OTA_CHUNK_SAMPLES // (64 * plan.n_levels * plan.n_symbols)
-    assert (step, 64 % step) == (14, 8)
     rng_ts, rng_ref = np.random.default_rng(5), np.random.default_rng(5)
     ts = mr.simulate_ota_training(hw, plan, omega, noise_var, mode, rng_ts)
-    recs = ref_simulate_ota_training(hw, plan, omega, noise_var, mode, rng_ref)
-    _assert_pair_statistics(ts, recs, plan)
+    recs = ref_simulate_ota_training(hw, plan, omega, 0.0, mode, rng_ref)
+    if noise_var == 0:
+        _assert_pair_statistics(ts, recs, plan)
+        _assert_pilot_consumers(ts, recs, plan)
+        assert rng_ts.bit_generator.state == rng_ref.bit_generator.state
+        return
+    z = rng_ref.standard_normal((2, 2, 64, 64, plan.n_levels))
     assert rng_ts.bit_generator.state == rng_ref.bit_generator.state
+    ratio, xcorr = ref_pair_statistics(recs, plan)
+    s = np.einsum("tnq,rnq->trn", ts.x, ts.x)
+    energy = plan.n_symbols * plan.amplitudes ** 2
+    ratio += np.sqrt(noise_var / 2 / energy) * (z[0, 0] + 1j * z[0, 1])
+    e_var = np.maximum(energy - np.abs(s) ** 2 / energy, 0.0) * noise_var / 2
+    xcorr = s * ratio + np.sqrt(e_var) * (z[1, 0] + 1j * z[1, 1])
+    off = ~np.eye(64, dtype=bool)
+    assert _close(ts.ratio[off], ratio[off]) and _close(ts.xcorr[off], xcorr[off])
+    diag = np.arange(64)
+    assert not np.any(ts.ratio[diag, diag]) and not np.any(ts.xcorr[diag, diag])
+
+
+def _law_round(mode):
+    """A 3-antenna, 2-level round of 5 pilots at fixed pilots: the plan, the
+    noiseless (ratio, xcorr), the library's sampler at noise variance 0.5
+    and the sample-level oracle's at a given noise variance."""
+    hw, omega, plan, _ = _setup(3, 1, 41, n_levels=2, n_symbols=5)
+
+    def oracle(noise_var):
+        return lambda rng: ref_pair_statistics(ref_simulate_ota_training(
+            hw, plan, omega, noise_var, mode, FixedPilots(43, rng)), plan)
+
+    def library(rng):
+        ts = mr.simulate_ota_training(hw, plan, omega, 0.5, mode, FixedPilots(43, rng))
+        return ts.ratio, ts.xcorr
+
+    return plan, oracle(0.0)(np.random.default_rng(0)), library, oracle
+
+
+@pytest.mark.parametrize("mode", ["surrogate", "physical"])
+def test_noisy_statistics_follow_the_sample_law(mode):
+    # given the pilots, the drawn (ratio, xcorr) of every link has the means,
+    # variances, covariance and pseudo-covariances of the per-sample
+    # exchange; the same call detects the oracle at 1.1 times the noise
+    # variance (its power)
+    plan, quiet, library, oracle = _law_round(mode)
+    stats = ota_link_moments(plan, 0.5, quiet)
+    same_law(library, oracle(0.5), stats, LAW_SEEDS, LAW_Z)
+    with pytest.raises(AssertionError, match=r"\|z\| = "):
+        same_law(library, oracle(0.55), stats, LAW_SEEDS, LAW_Z)
+
+
+class TestSameLaw:
+    def test_oracle_against_itself(self):
+        plan, quiet, _, oracle = _law_round("surrogate")
+        same_law(oracle(0.5), oracle(0.5), ota_link_moments(plan, 0.5, quiet),
+                 LAW_SEEDS, LAW_Z)
+
+    def test_tenth_more_noise_variance_detected(self):
+        plan, quiet, _, oracle = _law_round("surrogate")
+        with pytest.raises(AssertionError, match=r"\|z\| = "):
+            same_law(oracle(0.5), oracle(0.55), ota_link_moments(plan, 0.5, quiet),
+                     LAW_SEEDS, LAW_Z)
+
+
+@pytest.mark.parametrize("mode", ["surrogate", "physical"])
+def test_single_pilot_leaves_no_xcorr_noise(mode):
+    # at Q = 1 the pilots of t and r are collinear, |S| = Q amp^2 and e's
+    # variance is 0, up to rounding on either side of it
+    hw, omega, plan, rng = _setup(6, 2, 47, n_symbols=1)
+    ts = mr.simulate_ota_training(hw, plan, omega, 0.5, mode, rng)
+    assert np.all(np.isfinite(ts.ratio)) and np.all(np.isfinite(ts.xcorr))
+    pilot_product = np.einsum("tnq,rnq->trn", ts.x, ts.x)
+    assert np.allclose(ts.xcorr, pilot_product * ts.ratio, rtol=1e-6, atol=0.0)
 
 
 @pytest.mark.parametrize("mode", ["surrogate", "physical"])
 def test_training_memory_does_not_grow_with_the_pilot_count(mode):
     # M=96, N=7, Q=40: the received samples alone would take 41 MB; the round
-    # keeps two (M, M, N) statistics, 2 MB, and reduces chunks of two
-    # transmitters, 0.9 MB
+    # keeps two (M, M, N) statistics, 2 MB, and draws its noise into two
+    # real temporaries of that shape, 1 MB
     hw, omega, plan, rng = _setup(96, 2, 31, n_symbols=40)
     tracemalloc.start()
     try:
@@ -306,8 +386,9 @@ def test_training_memory_does_not_grow_with_the_pilot_count(mode):
 @given(m=st.integers(2, 12), n_levels=st.integers(1, 7), q=st.integers(1, 12),
        noisy=st.booleans(), seed=st.integers(0, 2**32 - 1))
 def test_level_shapes_match_one_shot_profile(m, n_levels, q, noisy, seed):
-    # the profiles from the contraction of y and 1/x against the per-pair
-    # mean of y/x; the two sum the Q ratios in another order
+    # the profiles of one contraction over ratio against the per-antenna
+    # loop: without noise on the sample-level oracle's records, with noise on
+    # records whose mean y/x is the drawn ratio
     rng = np.random.default_rng(seed)
     hw = mr.draw_system_hardware(rng, m, 1, mr.HardwareMismatch.uniform(0.05, 0.5),
                                  mr.a_sat_for_ibo(10.0, 1.0, m))
@@ -316,7 +397,11 @@ def test_level_shapes_match_one_shot_profile(m, n_levels, q, noisy, seed):
     noise_var = 1.0 if noisy else 0.0
     rng_ts, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
     ts = mr.simulate_ota_training(hw, plan, omega, noise_var, "surrogate", rng_ts)
-    recs = ref_simulate_ota_training(hw, plan, omega, noise_var, "surrogate", rng_ref)
+    if noisy:
+        recs = [TrainingRecord(t, r, n, x=ts.x[t, n], y=ts.ratio[t, r, n] * ts.x[t, n])
+                for t in range(m) for r in range(m) if r != t for n in range(n_levels)]
+    else:
+        recs = ref_simulate_ota_training(hw, plan, omega, 0.0, "surrogate", rng_ref)
     assert _close(measured_level_shapes(ts), ref_measured_level_shapes(recs, plan))
 
 
