@@ -369,6 +369,32 @@ class TestEstimateSindrMc:
         for b in bs:
             assert b.sindr == pytest.approx(ideal, rel=0.03)
 
+    @pytest.mark.parametrize("mode, n_draws, n_symbols, c", [
+        ("surrogate", 2 * analysis._block_draws(8, 64) + 1, 1, None),
+        ("surrogate", 2 * analysis._block_draws(8, 64) + 1, 1,
+         np.stack([np.ones(64), np.full(64, np.exp(1j * math.pi / 3))])),
+        ("physical", 2 * analysis._precoder_draws(8, 64) + 1, 16, None),
+    ], ids=["surrogate", "surrogate-stack", "physical"])
+    def test_identity_hardware_terms_are_exact(self, mode, n_draws, n_symbols, c):
+        # identity hardware over two channel blocks and one more draw: entries
+        # within 1e-10 of I/sqrt(beta) put ES = a0 rho |mean H_kk|^2 within
+        # 2e-10 of a0 rho/beta and MUI below 1e-18 of it; SI is a difference
+        # of two ES-sized sums, so it is held only to 1e-12.  A common phase
+        # e^{j pi/3} on every antenna rotates H_eq and must leave the terms
+        # alone.  Physical mode fits H_eq from 16 symbols sent through
+        # amplifiers that stay linear (a_sat 1e9), over two precoder blocks.
+        rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence(0, spawn_key=(0,))))
+        hw = mr.draw_system_hardware(rng, 64, 8, mr.HardwareMismatch.none(), 1e9,
+                                     ue_pilot_amp=1e-9, a0=1.0)
+        beta = mr.beta_zf_closed(hw, np.ones(8))
+        scored = mr.estimate_sindr_mc(hw, np.ones(8), 1.0, 1.0, 1.0, n_draws, n_symbols, mode,
+                                      rng, c=c)
+        for row in scored if c is not None else [scored]:
+            for b in row:
+                assert abs(b.es * beta - 1.0) <= 2e-10
+                assert b.mui * beta <= 1e-18
+                assert b.si * beta <= 1e-12
+
     def test_error_scales_with_draws(self, default_mismatch):
         # quadrupling the draws roughly halves the SI estimator spread
         hw = _draw(32, 4, 10.0, 1.0, default_mismatch, 2)

@@ -1,6 +1,7 @@
 """The public surface: each module's ``__all__`` names live objects, the
 package re-exports every one of them, and removed names stay removed."""
 
+import ast
 import dataclasses
 import importlib
 import inspect
@@ -85,6 +86,37 @@ def test_no_function_takes_a_field_beside_its_holder(module, holder, field, allo
 def test_training_levels_and_model_order_are_not_stored_twice():
     assert not hasattr(mr.TrainingSet, "level")
     assert "order" not in {f.name for f in dataclasses.fields(mr.PolyMismatch)}
+
+
+# imports no code reads, each kept for the perfbench test that pins it
+UNUSED_IMPORTS = {
+    # perfbench/tests/test_tracer.py::test_install_patches_every_from_import_binding
+    # checks that the tracer rebinds analysis.bussgang_mu
+    ("analysis", "bussgang_mu"),
+    # perfbench/tests/test_tracer.py::test_install_patches_every_from_import_binding
+    # checks that the tracer rebinds cli.slp_solve
+    ("cli", "slp_solve"),
+}
+
+
+def test_no_unused_imports():
+    # a name a module imports and never reads is dead code, and a pinned name
+    # that starts being read leaves the list
+    unused = set()
+    for path in sorted(Path(mr.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update(a.asname or a.name.partition(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update(a.asname or a.name for a in node.names)
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        unused.update((path.stem, name) for name in imported - read)
+    assert unused == UNUSED_IMPORTS
 
 
 def test_package_comes_from_the_first_pythonpath_entry_that_holds_it():

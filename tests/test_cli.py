@@ -73,9 +73,11 @@ class TestConfig:
     @pytest.mark.parametrize("mc, field", [
         ({"n_hardware": 0, "n_channels": 100, "n_symbols": 16}, "mc.n_hardware"),
         ({"n_hardware": 3, "n_channels": 0, "n_symbols": 16}, "mc.n_channels"),
+        ({"n_hardware": 3, "n_channels": 100, "n_symbols": -3}, "mc.n_symbols"),
     ])
     def test_empty_monte_carlo_rejected(self, tmp_path, mc, field):
-        # an empty Monte Carlo would write NaN rows with n_trials 0
+        # an empty Monte Carlo would write NaN rows with n_trials 0, and
+        # n_symbols = -3 loaded and ran in surrogate mode
         path, _ = _write_config(tmp_path, mc=mc)
         with pytest.raises(cli.ConfigError, match=field):
             cli.load_config(str(path))
@@ -164,6 +166,10 @@ class TestConfig:
         with pytest.raises(cli.ConfigError, match="mc.n_symbols"):
             cli.load_config(str(path))
         path, _ = _write_config(tmp_path, mc=mc)
+        assert cli.load_config(str(path)).n_symbols == 2
+        # loss_vs_mismatch runs no Monte Carlo, so the floor does not apply
+        path, _ = _write_config(tmp_path, scenario="loss_vs_mismatch", mode="physical", mc=mc,
+                                sweep={"param": "delta2", "values": [0.05]})
         assert cli.load_config(str(path)).n_symbols == 2
 
     def test_overrides(self, tmp_path):
@@ -728,8 +734,18 @@ class TestEntryPoint:
         second = open(raw["output_path"], "rb").read()
         assert first != second
 
-    def test_selftest_passes(self):
-        assert cli.main(["selftest"]) == 0
+    def test_run_is_the_only_subcommand(self, capsys):
+        # the oracle checks live in the test suite, not in the library
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["selftest"])
+        assert exit_info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(["--help"])
+        assert exit_info.value.code == 0
+        out = capsys.readouterr().out
+        assert "{run}" in out and "selftest" not in out
+        assert not hasattr(cli, "selftest")
 
     def test_paper_scale_overrides_m_and_k(self, tmp_path, monkeypatch):
         # --paper-scale wins over --set; the spy keeps the run off paper scale
