@@ -1,4 +1,5 @@
-"""Closed-form SINDR/rate expressions and their Monte-Carlo counterparts.
+"""Closed-form SINDR/rate expressions and their Monte-Carlo counterparts,
+the closed-form ZF normalisation and the downlink transmit chain.
 
 Every ``phi`` argument is the path-loss amplitude gain of ``channel``.
 """
@@ -13,11 +14,10 @@ import numpy as np
 
 from . import _kernels
 from .channel import _check_phi, draw_channels
-from .hardware import HardwareMismatch, SystemHardware, bussgang_decompose
+from .hardware import HardwareMismatch, SystemHardware, bussgang_decompose, sspa_apply
 # bussgang_mu is not called here: perfbench/tests/test_tracer.py checks that
 # the tracer rebinds this module's name for it
 from .numerics import _check_positive, bussgang_mu, sinc  # noqa: F401
-from .precoding import beta_zf_closed, transmit_block
 
 # complex channel entries (1 MiB) in the Monte-Carlo channel buffer
 _BLOCK_ENTRIES = 1 << 16
@@ -48,6 +48,8 @@ __all__ = [
     "avg_rate_decomposition",
     "sindr_large_ibo",
     "estimate_sindr_mc",
+    "beta_zf_closed",
+    "transmit_block",
 ]
 
 
@@ -235,6 +237,22 @@ def sindr_large_ibo(m: int, rho_t: float, a0: float, a_sat: float, phi,
     return num / den
 
 
+def beta_zf_closed(hw: SystemHardware, phi) -> float:
+    """Closed-form beta_ZF = M tr{(B Phi^2 B^*)^{-1}} / (tr{RR^*} (M-K)).
+
+    ``phi`` follows the path-loss amplitude convention of the closed-form
+    layer (channel row mean-square phi^2), and must be K finite positive
+    entries (ValueError).
+    """
+    m, k = hw.m, hw.k
+    phi = _check_phi(phi, k)
+    if m <= k + 1:
+        raise ValueError("closed-form beta needs M > K + 1")
+    tr_b_phi2_inv = float(np.sum(1.0 / (np.abs(hw.ue_tx_gain) ** 2 * phi**2)))
+    tr_rr = float(np.sum(np.abs(hw.bs_rx) ** 2))
+    return m * tr_b_phi2_inv / (tr_rr * (m - k))
+
+
 def estimate_sindr_mc(
     hw: SystemHardware,
     phi,
@@ -372,6 +390,16 @@ def estimate_sindr_mc(
             terms.append(SindrBreakdown(es, si, mui, nld[j, i], noise_var))
         out.append(terms)
     return out if c_arr.ndim == 2 else out[0]
+
+
+def transmit_block(hw: SystemHardware, h: np.ndarray, w: np.ndarray,
+                   s: np.ndarray) -> np.ndarray:
+    """Noiseless received block of the downlink chain: the (N, K) symbols s
+    through the precoder w (M, K), the per-antenna SSPAs, the channel h
+    (K, M) and the UE receive gains, U H f(W s).  Returns (N, K), or
+    (C, N, K) for a (C, M, K) stack of precoders; the amplifier output
+    carries sqrt(a0)."""
+    return sspa_apply(hw, s @ np.swapaxes(w, -1, -2)) @ (hw.ue_rx[:, None] * h).T
 
 
 def _normal_fit(s, y):

@@ -453,13 +453,14 @@ def slp_solve(
     model that is not concave increasing on the grid an error instead of a
     warning.  ``model.mu_all`` takes amplitudes of shape (..., M), as
     ``PolyMismatch`` and ``TrueMismatch`` do.  Raises ValueError unless
-    ``sigma_x``, ``c_max`` and ``rho_t`` are finite and positive.
+    ``sigma_x``, ``c_max`` and ``rho_t`` are finite and positive, and
+    ``sigma_x`` and ``c_max`` are 1-d of equal length.
     """
     sigma_x = _check_positive("sigma_x", sigma_x)
     c_max = _check_positive("c_max", c_max)
     _check_positive("rho_t", rho_t)
-    if len(c_max) != len(sigma_x):
-        raise ValueError("sigma_x and c_max must have equal length")
+    if np.ndim(sigma_x) != 1 or np.shape(c_max) != np.shape(sigma_x):
+        raise ValueError("sigma_x and c_max must have equal length as 1-d arrays")
     _check_concave_increasing(model, sigma_x, c_max, strict)
 
     h_rel = 1e-6

@@ -15,6 +15,7 @@ module.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import math
 import os
@@ -335,22 +336,13 @@ def run_scenario(cfg: ExperimentConfig) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 
-def _format_field(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.9g}"
-    text = str(value)
-    if any(ch in text for ch in ',"\n'):
-        text = '"' + text.replace('"', '""') + '"'
-    return text
-
-
 def emit_csv(table: list[dict], path: str) -> None:
     """RFC-4180 CSV with a header row, floats at 9 significant digits, LF endings."""
-    lines = [",".join(CSV_COLUMNS)]
-    for row in table:
-        lines.append(",".join(_format_field(row[col]) for col in CSV_COLUMNS))
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(CSV_COLUMNS)
+        writer.writerows([f"{row[col]:.9g}" if isinstance(row[col], float) else row[col]
+                          for col in CSV_COLUMNS] for row in table)
 
 
 # ---------------------------------------------------------------------------

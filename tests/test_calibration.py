@@ -680,6 +680,18 @@ class TestSlpSolve:
         with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
             mr.slp_solve(mr.TrueMismatch(hw), args["sigma_x"], args["rho_t"], args["c_max"])
 
+    @pytest.mark.parametrize("sigma_x, c_max", [
+        (np.ones(8), 5.0),
+        (1.0, np.full(8, 5.0)),
+        (np.ones(8), np.full((8, 8), 5.0)),
+    ], ids=["scalar-c-max", "scalar-sigma-x", "2d-c-max"])
+    def test_non_vector_input_rejected(self, sigma_x, c_max):
+        # a scalar raised TypeError from len(), not the ValueError documented
+        hw = mr.draw_system_hardware(np.random.default_rng(3), 8, 2,
+                                     mr.HardwareMismatch.none(), 2.0)
+        with pytest.raises(ValueError, match="sigma_x and c_max must have equal length"):
+            mr.slp_solve(mr.TrueMismatch(hw), sigma_x, 1.0, c_max, strict=False)
+
     def test_concavity_gate(self):
         class BadModel:
             def mu_all(self, sigma):

@@ -33,7 +33,7 @@ class TestErfc:
     def test_quadrature_value(self):
         # oracle: erfc(1) = 1 - 2/sqrt(pi) * int_0^1 exp(-t^2) dt
         val, _ = scipy.integrate.quad(lambda t: math.exp(-t * t), 0.0, 1.0,
-                                      epsabs=1e-15, epsrel=1e-14)
+                                      epsabs=1e-14, epsrel=1e-14)
         oracle = 1.0 - 2.0 / math.sqrt(math.pi) * val
         assert oracle == pytest.approx(ERFC_1, abs=1e-14)
         assert _kernels.erfc(1.0) == pytest.approx(ERFC_1, abs=1e-13)
