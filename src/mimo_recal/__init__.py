@@ -8,7 +8,6 @@ solver).  See the README for the CLI and the acceptance suite.
 
 from .numerics import *
 from .hardware import *
-from .channel import *
 from .analysis import *
 from .calibration import *
 

@@ -1,12 +1,7 @@
-"""Hot numeric kernels: the special functions behind the Bussgang curves, and
-the batched zero-forcing core.
-
-The special functions take float64 arrays and use numpy and ``math.erfc``
-(elementwise through ``np.frompyfunc``); each continued fraction has a fixed
-depth, so every value depends on its own argument only, not on the rest of
-the call.  The ZF core is batched numpy:
-``zf_apply`` builds precoders, and ``effective_channels``, the Monte-Carlo
-kernel, works from K x K products of the channel without forming one.
+"""The batched zero-forcing core in numpy: the uplink assembly ``uplink``,
+``zf_apply``, which builds precoders, and ``effective_channels``, the
+Monte-Carlo kernel, which works from K x K products of the channel without
+forming one.
 """
 
 from __future__ import annotations
@@ -14,117 +9,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-
-_SQRT_PI = math.sqrt(math.pi)
-_EULER_GAMMA = 0.5772156649015328606
-_ERFC = np.frompyfunc(math.erfc, 1, 1)
-# at and above this ratio mu uses the Laplace continued fraction
-_MU_CF_FROM = 4.0
-# continued-fraction depths: ceil(80/x) + 6 at x = 4 for the Laplace tail and
-# ceil(100/y) + 6 at y = 1 for the scaled E1, the floors of their branches
-_LAPLACE_DEPTH = 26
-_E1_DEPTH = 106
-
-
-def erfc(x: np.ndarray) -> np.ndarray:
-    """Complementary error function of a float64 array, by ``math.erfc``."""
-    return np.asarray(_ERFC(x), dtype=np.float64)
-
-
-def _laplace_tail(x: np.ndarray) -> np.ndarray:
-    """F1 = x + 1/(x + (3/2)/(x + 2/(x + ...))) for x >= 4, so that
-    sqrt(pi) erfcx(x) = 1/(x + (1/2)/F1).  Against depth 3000 on [4, 1e8],
-    the depth that reaches 1.2e-16 is 24 at x = 4 and 11 at x = 10, below
-    ``_LAPLACE_DEPTH``."""
-    t = x.copy()
-    for n in range(_LAPLACE_DEPTH, 1, -1):
-        t = x + (0.5 * n) / t
-    return t
-
-
-def e1_scaled(y: np.ndarray) -> np.ndarray:
-    """exp(y) E1(y) for y > 0."""
-    y = np.asarray(y, dtype=np.float64)
-    out = np.empty_like(y)
-    small = ~(y > 1.0)
-    if np.any(small):
-        # E1(y) = -gamma - ln y - sum_k (-y)^k / (k k!); 24 terms reach 1e-24
-        ys = y[small]
-        acc = -_EULER_GAMMA - np.log(ys)
-        term = np.ones_like(ys)
-        for k in range(1, 25):
-            term *= -ys / k
-            acc -= term / k
-        out[small] = np.exp(ys) * acc
-    if not np.all(small):
-        # backward recurrence of F = (y+1) - 1/((y+3) - 4/((y+5) - ...)).
-        # Against depth 400 on [1, 1e4], the depth that reaches 2.3e-16 is
-        # 95 at y = 1 and 14 at y = 10, below ``_E1_DEPTH``.
-        yl = y[~small]
-        t = yl + (2.0 * _E1_DEPTH + 1.0)
-        for i in range(_E1_DEPTH, 0, -1):
-            t = (yl + (2.0 * i - 1.0)) - (i * i) / t
-        out[~small] = 1.0 / t
-    return out
-
-
-def mu(x: np.ndarray) -> np.ndarray:
-    """Bussgang gain of the smooth envelope limiter at saturation-to-rms
-    ratio x >= 0: (x/2) B with B = 2x - sqrt(pi) erfcx(x) (2x^2 - 1).  B
-    cancels as x grows (16x at x = 4), so from 4 on it is (1 + x/F1)/(x +
-    (1/2)/F1) with the Laplace tail F1, and past 50 the asymptotic series
-    1 - u + 2.25u^2 - ... with u = 1/x^2 takes over."""
-    x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    large = x > 50.0
-    if np.any(large):
-        u = (1.0 / x[large]) ** 2
-        out[large] = 1.0 + u * (-1.0 + u * (2.25 + u * (-7.5 + u * 32.8125)))
-    mid = (x >= _MU_CF_FROM) & ~large
-    if np.any(mid):
-        xm = x[mid]
-        f1 = _laplace_tail(xm)
-        out[mid] = 0.5 * xm * (1.0 + xm / f1) / (xm + 0.5 / f1)
-    small = ~(large | mid)
-    if np.any(small):
-        # erfcx(x) = erfc(x) exp(x^2), with x^2 = hi + lo split exactly
-        # (Dekker), so the rounding of x*x (up to 1.8e-15 relative below 4)
-        # does not reach exp
-        xs = x[small]
-        c = 134217729.0 * xs
-        xh = c - (c - xs)
-        xl = xs - xh
-        hi = xs * xs
-        lo = ((xh * xh - hi) + 2.0 * xh * xl) + xl * xl
-        erfcx = erfc(xs) * (np.exp(hi) * (1.0 + lo))
-        out[small] = 0.5 * xs * (2.0 * xs - _SQRT_PI * erfcx * (2.0 * xs * xs - 1.0))
-    return out
-
-
-def lam(a_sat: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-    """Distortion variance per unit |t|^2 at saturation a_sat and input rms
-    sigma: A^2 + (A^4/s^2) e^y Ei(-y) - s^2 mu^2 with y = A^2/s^2, where
-    e^y Ei(-y) = -e1_scaled(y).  Past A/s = 25 the direct form cancels and
-    an asymptotic series takes over."""
-    a_sat, sigma = np.broadcast_arrays(np.asarray(a_sat, dtype=np.float64),
-                                       np.asarray(sigma, dtype=np.float64))
-    a = a_sat / sigma
-    out = np.empty_like(a)
-    large = a > 25.0
-    if np.any(large):
-        u = (1.0 / a[large]) ** 2
-        out[large] = sigma[large] ** 2 * u * u * (0.5 + u * (-4.5 + u * 34.3125))
-    rest = ~large
-    if np.any(rest):
-        ar, sr, Ar = a[rest], sigma[rest], a_sat[rest]
-        mu_r = mu(ar)
-        out[rest] = Ar ** 2 - (Ar ** 4 / sr ** 2) * e1_scaled(ar * ar) - sr ** 2 * mu_r * mu_r
-    return np.maximum(out, 0.0)
-
-
-# ---------------------------------------------------------------------------
-# batched zero-forcing core (the Monte-Carlo hot loop)
-# ---------------------------------------------------------------------------
 
 # an equilibrated Gram matrix above this condition number counts as rank-deficient
 ZF_COND_MAX = 1e12

@@ -1,7 +1,8 @@
 """Closed-form SINDR/rate expressions and their Monte-Carlo counterparts,
-the closed-form ZF normalisation and the downlink transmit chain.
+the propagation channel they average over, the closed-form ZF normalisation
+and the downlink transmit chain.
 
-Every ``phi`` argument is the path-loss amplitude gain of ``channel``.
+Path loss phi_k is an amplitude gain: channel row k has mean-square phi_k^2.
 """
 
 from __future__ import annotations
@@ -13,11 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .channel import _check_phi, draw_channels
 from .hardware import HardwareMismatch, SystemHardware, bussgang_decompose, sspa_apply
 # bussgang_mu is not called here: perfbench/tests/test_tracer.py checks that
 # the tracer rebinds this module's name for it
-from .numerics import _check_positive, bussgang_mu, sinc  # noqa: F401
+from .numerics import _check_positive, bussgang_mu  # noqa: F401
 
 # complex channel entries (1 MiB) in the Monte-Carlo channel buffer
 _BLOCK_ENTRIES = 1 << 16
@@ -40,6 +40,9 @@ def _precoder_draws(k: int, m: int) -> int:
     return max(1, _BLOCK_ENTRIES // (8 * k * m))
 
 __all__ = [
+    "draw_ue_pathloss",
+    "draw_channels",
+    "sinc",
     "SindrBreakdown",
     "RateDecomposition",
     "sinr_linear_mismatch",
@@ -51,6 +54,53 @@ __all__ = [
     "beta_zf_closed",
     "transmit_block",
 ]
+
+
+# the normalised cell: radius, minimum BS-UE distance, reference path gain
+# zeta (linear) and path-loss exponent xi
+CELL_RADIUS = 1.0
+MIN_DIST = 0.01
+ZETA = 0.01
+XI = 3.7
+
+
+def draw_ue_pathloss(rng: np.random.Generator, k: int) -> np.ndarray:
+    """Path-loss gains phi_k = ZETA * d^(-XI) for K UEs placed area-uniformly
+    on the annulus [MIN_DIST, CELL_RADIUS]."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    u = rng.uniform(0.0, 1.0, size=k)
+    d = np.sqrt(MIN_DIST**2 + u * (CELL_RADIUS**2 - MIN_DIST**2))
+    return ZETA * d ** (-XI)
+
+
+def _check_phi(phi, k: int | None = None) -> np.ndarray:
+    """``phi`` as a float64 array; raises ValueError unless it holds K
+    finite positive path-loss amplitudes, K = ``k``, or any K >= 1 for None."""
+    phi = np.asarray(phi, dtype=np.float64)
+    shape_ok = phi.shape == (k,) if k is not None else phi.ndim == 1 and phi.size >= 1
+    # a NaN fails the comparison
+    if not shape_ok or not np.all((phi > 0) & (phi < math.inf)):
+        want = "K >= 1" if k is None else f"K = {k}"
+        raise ValueError(f"phi must hold {want} finite positive entries, got {phi}")
+    return phi
+
+
+def draw_channels(rng: np.random.Generator, phi, out: np.ndarray) -> np.ndarray:
+    """Fill the complex (..., K, M) array ``out`` with Rayleigh channels,
+    E{|h_km|^2} = phi_k^2, and return it: one generator call into its float
+    view (real and imaginary parts interleaved), scaled by phi_k/sqrt(2).
+    Raises ValueError unless ``phi`` is K finite positive entries."""
+    phi = _check_phi(phi, out.shape[-2])
+    out_f = out.view(np.float64)
+    rng.standard_normal(out=out_f)
+    out_f *= (phi / math.sqrt(2.0))[:, None]
+    return out
+
+
+def sinc(theta):
+    """Unnormalised sinc sin(theta)/theta with sinc(0) = 1."""
+    return np.sinc(np.asarray(theta, dtype=np.float64) / np.pi)
 
 
 @dataclass(frozen=True)

@@ -481,6 +481,10 @@ def slp_solve(
         return float(np.sum(((chi_max - chi) * sigma_x / slope) ** 2)) < rho_t
 
     c = 1e-3 * c_max
+    # at a large back-off c_max is so large that this start exceeds the budget
+    power = float(np.sum((c * sigma_x) ** 2))
+    if power > rho_t:
+        c *= math.sqrt(rho_t / power) / 2
     phi, slope = phi_and_slope(c)
     min_phi = float(np.min(phi))
     iterations = 0

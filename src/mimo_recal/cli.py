@@ -26,6 +26,7 @@ from itertools import islice
 import numpy as np
 
 from .analysis import (
+    draw_ue_pathloss,
     estimate_sindr_mc,
     rate_from_sindr,
     sindr_zf_closed_all,
@@ -42,7 +43,6 @@ from .calibration import (
     # that the tracer rebinds this module's name for it
     slp_solve,  # noqa: F401
 )
-from .channel import draw_ue_pathloss
 from .hardware import HardwareMismatch, a_sat_for_ibo, draw_system_hardware
 
 SCENARIOS = (

@@ -1,4 +1,6 @@
-"""RF-chain models: BS and UE gains held as arrays, and the BS amplifier.
+"""RF-chain models: the gain laws (``MismatchDistribution`` per role,
+``HardwareMismatch`` over the five roles) and their draw, BS and UE gains
+held as arrays, and the BS amplifier.
 
 The BS transmit chains carry the soft envelope limiter (SSPA)
 
@@ -18,10 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import (MismatchDistribution, _check_positive, bussgang_lambda, bussgang_mu,
-                       draw_complex_gain)
+from .numerics import _check_positive, bussgang_lambda, bussgang_mu
 
 __all__ = [
+    "MismatchDistribution",
+    "draw_complex_gain",
     "HpaModel",
     "SystemHardware",
     "BussgangPair",
@@ -31,6 +34,30 @@ __all__ = [
     "bussgang_decompose",
     "a_sat_for_ibo",
 ]
+
+
+@dataclass(frozen=True)
+class MismatchDistribution:
+    """Log-normal amplitude / uniform phase law of one RF-gain role.
+
+    ``log_amp_var`` is the variance of ln|g| and ``phase_bound`` the half-width
+    of the uniform phase in radians.
+    """
+
+    log_amp_var: float
+    phase_bound: float = 0.0
+
+    def __post_init__(self):
+        _check_positive("log_amp_var", self.log_amp_var, zero_ok=True)
+        if not 0.0 <= self.phase_bound <= math.pi:
+            raise ValueError(f"phase_bound must lie in [0, pi], got {self.phase_bound}")
+
+
+def draw_complex_gain(rng: np.random.Generator, dist: MismatchDistribution, size: int):
+    """Draw ``size`` gains |g| = exp(N(0, delta^2)) with phase uniform on
+    (-theta, theta), drawn at theta = 0 too: every law reads as many draws."""
+    amp = np.exp(rng.normal(0.0, math.sqrt(dist.log_amp_var), size=size))
+    return amp * np.exp(1j * rng.uniform(-dist.phase_bound, dist.phase_bound, size=size))
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import mimo_recal as mr
-from mimo_recal import _kernels, analysis, channel
+from mimo_recal import _kernels, analysis
 from tests.conftest import ref_physical_terms
 
 
@@ -444,7 +444,7 @@ class TestEstimateSindrMc:
         # UEs at the cell edge and at the minimum distance: phi spans 2.5e7,
         # so the raw Gram diagonal spans 6e14, yet the channels are far from
         # collinear and every draw must be used
-        phi = channel.ZETA * np.array([channel.MIN_DIST, 0.1, channel.CELL_RADIUS]) ** -channel.XI
+        phi = analysis.ZETA * np.array([analysis.MIN_DIST, 0.1, analysis.CELL_RADIUS]) ** -analysis.XI
         hw = _draw(16, 3, 10.0, 1.0, default_mismatch, 5)
         out = mr.estimate_sindr_mc(hw, phi, 1.0, A0, NOISE, 4, 32, mode,
                                    np.random.default_rng(6))

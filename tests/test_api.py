@@ -27,14 +27,14 @@ MODULES = tuple(sorted(path.stem for path in Path(mr.__file__).parent.glob("*.py
 # superseded by transmit_block, mu_all, psi_vector,
 # estimate_poly_coeffs_anchored, sindr_zf_closed_all, draw_channels (which
 # takes the amplitude phi and fills an array), bussgang_decompose and the
-# _kernels special functions behind bussgang_mu/bussgang_lambda.  The paper's
+# numerics kernels behind bussgang_mu/bussgang_lambda.  The paper's
 # pair-ratio LS (assemble_psi_matrix, estimate_poly_coeffs,
 # estimate_poly_coeffs_from_records) is kept only as the dense test reference
 # in tests/conftest.py.  ibo_db and sigma_from_ibo had no caller; the
 # back-off is set through a_sat_for_ibo.  zf_precoder and uplink_channel only
 # renamed _kernels.zf_apply and _kernels.uplink, and beta_zf_empirical is
 # criterion 5's oracle in tests/conftest.py.  CellGeometry's fields only ever
-# took their defaults, now the channel module's constants, and
+# took their defaults, now analysis's cell constants, and
 # training_overhead had one caller, calibrate.
 REMOVED = ("transmit_downlink", "DownlinkOutcome", "apply_calibration", "Precoder",
            "orth_poly_psi", "assemble_psi_matrix", "estimate_poly_coeffs",
@@ -68,9 +68,10 @@ def test_removed_names_are_gone(name):
         assert not hasattr(importlib.import_module(f"mimo_recal.{module}"), name)
 
 
-def test_precoding_module_is_gone():
-    # beta_zf_closed and transmit_block live in analysis
-    assert importlib.util.find_spec("mimo_recal.precoding") is None
+@pytest.mark.parametrize("module", ["precoding", "channel"])
+def test_removed_module_is_gone(module):
+    # beta_zf_closed, transmit_block and the channel draws live in analysis
+    assert importlib.util.find_spec(f"mimo_recal.{module}") is None
 
 
 @pytest.mark.parametrize("module, holder, field, allowed", [
@@ -126,6 +127,33 @@ def test_no_unused_imports():
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
         unused.update((path.stem, name) for name in imported - read)
     assert unused == UNUSED_IMPORTS
+
+
+# the private names one library module may import from another
+SHARED_PRIVATE = {"_check_positive", "_kernels"}
+
+
+def test_no_private_name_crosses_modules():
+    # a private helper is read only by the module that defines it, so a
+    # concept and the checks it needs stay in one file
+    crossing = set()
+    for path in sorted(Path(mr.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level > 0:
+                crossing.update((path.stem, a.name) for a in node.names
+                                if a.name.startswith("_") and a.name not in SHARED_PRIVATE)
+    assert crossing == set()
+
+
+def test_readme_tour_lists_every_module():
+    # the module column of the README's "Library tour" table
+    tour = (ROOT / "README.md").read_text(encoding="utf-8").split("## Library tour", 1)[1]
+    tour = tour.split("\n## ", 1)[0]
+    listed = {line.split("|")[1].strip().strip("`") for line in tour.splitlines()
+              if line.startswith("| `")}
+    modules = {path.stem for path in Path(mr.__file__).parent.glob("*.py")
+               if path.stem != "__init__"}
+    assert listed == modules
 
 
 def test_package_comes_from_the_first_pythonpath_entry_that_holds_it():

@@ -56,6 +56,8 @@ def _setup(m, k, seed, ibo=10.0, rho=1.0, delta2=0.05, n_levels=7, n_symbols=10,
 
 
 class TestOrthPoly:
+    """The polynomial basis ``psi_vector``."""
+
     def test_order_zero_constant(self):
         assert psi_vector(0, 0.0)[0] == 2.0
         assert psi_vector(0, 7.3)[0] == 2.0
@@ -417,6 +419,9 @@ def test_training_set_rejects_pilots_off_its_plan(n_levels, n_symbols):
 
 
 class TestAssembleAndEstimate:
+    """The paper's pair-ratio least squares, kept as the dense reference
+    in ``tests/conftest.py``."""
+
     def test_smallest_instance_structure(self):
         # M=2, N=1, Q=1, order 1: one row [ybar@1 psi0, ybar@1 psi1,
         # -ybar@2 psi0, -ybar@2 psi1]
@@ -631,6 +636,26 @@ class TestSlpSolve:
             c_max = float(np.exp(np.mean(np.log(hw.a_sat)))) / sigma_x
             instances.append((model, sigma_x, 1.0, c_max))
             g0.append(mr.slp_solve(model, sigma_x, 1.0, c_max, strict=False).g0)
+        assert g0 == pytest.approx(list(slp_bisection_oracle(instances)), rel=1e-4)
+
+    def test_large_back_off_starts_inside_the_budget(self, default_mismatch):
+        # past about 31 dB the start 1e-3 c_max alone exceeds the power
+        # budget; the solver scales it in and still meets criterion 7's bound
+        instances, g0 = [], []
+        for ibo in (32.0, 40.0, 60.0):
+            for m in (8, 64):
+                hw = mr.draw_system_hardware(np.random.default_rng(1), m, 2, default_mismatch,
+                                             mr.a_sat_for_ibo(ibo, 1.0, m))
+                model = mr.TrueMismatch(hw)
+                sigma_x = hw.sigma_x(1.0)
+                c_max = float(np.exp(np.mean(np.log(hw.a_sat)))) / sigma_x
+                assert float(np.sum((1e-3 * c_max * sigma_x) ** 2)) > 1.0
+                res = mr.slp_solve(model, sigma_x, 1.0, c_max)
+                assert res.converged
+                assert float(np.sum(np.abs(res.c) ** 2 * sigma_x**2)) <= 1.0 + 1e-9
+                assert np.all(np.abs(res.c) <= c_max + 1e-9)
+                instances.append((model, sigma_x, 1.0, c_max))
+                g0.append(res.g0)
         assert g0 == pytest.approx(list(slp_bisection_oracle(instances)), rel=1e-4)
 
     def test_min_phi_monotone(self, default_mismatch):

@@ -7,7 +7,7 @@ import pytest
 import scipy.stats
 
 import mimo_recal as mr
-from mimo_recal import _kernels, channel
+from mimo_recal import _kernels, analysis
 from tests.conftest import one_channel
 
 
@@ -25,7 +25,7 @@ class TestPathloss:
     def test_reference_distance(self):
         # u = 1 places every UE at the cell edge, where phi = ZETA
         phi = mr.draw_ue_pathloss(_FixedUniform(1.0), 4)
-        assert np.allclose(phi, channel.ZETA, rtol=1e-4)
+        assert np.allclose(phi, analysis.ZETA, rtol=1e-4)
 
     def test_min_distance_value(self):
         # u = 0 places every UE at the minimum distance 0.01: 0.01 * 0.01^-3.7
@@ -35,8 +35,8 @@ class TestPathloss:
     def test_area_uniform_placement(self):
         # P(d <= x) = (x^2 - r0^2)/(R^2 - r0^2) for area-uniform placement
         phi = mr.draw_ue_pathloss(np.random.default_rng(3), 200_000)
-        d = (channel.ZETA / phi) ** (1.0 / channel.XI)
-        r0, radius = channel.MIN_DIST, channel.CELL_RADIUS
+        d = (analysis.ZETA / phi) ** (1.0 / analysis.XI)
+        r0, radius = analysis.MIN_DIST, analysis.CELL_RADIUS
         cdf = lambda x: (x**2 - r0**2) / (radius**2 - r0**2)
         stat = scipy.stats.kstest(d, cdf)
         assert stat.pvalue > 0.01
@@ -90,6 +90,8 @@ class TestDrawChannel:
 
 
 class TestUplinkChannel:
+    """``_kernels.uplink``."""
+
     def test_identity_hardware(self, default_mismatch):
         hw = mr.draw_system_hardware(np.random.default_rng(1), 8, 3,
                                      mr.HardwareMismatch.none(), 1.0, ue_pilot_amp=1e-9)

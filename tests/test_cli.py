@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from mimo_recal import calibration, cli
-from mimo_recal.channel import draw_ue_pathloss
+from mimo_recal.analysis import draw_ue_pathloss
 from mimo_recal.hardware import HardwareMismatch, a_sat_for_ibo, draw_system_hardware
 from tests.conftest import package_env
 
@@ -426,6 +426,18 @@ class TestScenarios:
         for row in table:
             assert row["n_trials"] == 3
             assert np.isfinite(row["rate_mean"])
+
+    def test_calibration_rows_at_large_back_off(self, tmp_path):
+        # at 40 dB the SLP's first point, 1e-3 of the cap, exceeds the power
+        # budget on its own
+        path, _ = _write_config(
+            tmp_path, scenario="cal_rate_vs_snr", seed=1,
+            sweep={"param": "snr_db", "values": [10.0]}, m=8, k=2,
+            mc={"n_hardware": 2, "n_channels": 40, "n_symbols": 8},
+            params={"ibo_db": 40.0})
+        table = cli.run_scenario(cli.load_config(str(path)))
+        assert [r["method"] for r in table] == list(cli.CALIBRATION_METHODS)
+        assert all(np.isfinite(r["rate_mean"]) for r in table)
 
     def test_one_training_set_per_hardware_draw(self, tmp_path, monkeypatch):
         # linear_rc and poly_nrc calibrate from the same OTA pilots, and the

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import mimo_recal as mr
-from mimo_recal import _kernels
+from mimo_recal import numerics
 from tests.conftest import mc_bussgang, soft_limiter
 
 # frozen oracle values; the generating oracles are re-run in the tests below
@@ -25,10 +25,10 @@ LAM_11_MC = 0.017932499410377348   # 1e7-sample variance oracle, seed 20260809
 
 class TestErfc:
     def test_symmetry_point(self):
-        assert _kernels.erfc(0.0) == pytest.approx(1.0, abs=1e-15)
+        assert numerics._erfc(0.0) == pytest.approx(1.0, abs=1e-15)
 
     def test_large_argument_limit(self):
-        assert _kernels.erfc(40.0) < 1e-300
+        assert numerics._erfc(40.0) < 1e-300
 
     def test_quadrature_value(self):
         # oracle: erfc(1) = 1 - 2/sqrt(pi) * int_0^1 exp(-t^2) dt
@@ -36,18 +36,18 @@ class TestErfc:
                                       epsabs=1e-14, epsrel=1e-14)
         oracle = 1.0 - 2.0 / math.sqrt(math.pi) * val
         assert oracle == pytest.approx(ERFC_1, abs=1e-14)
-        assert _kernels.erfc(1.0) == pytest.approx(ERFC_1, abs=1e-13)
+        assert numerics._erfc(1.0) == pytest.approx(ERFC_1, abs=1e-13)
 
     def test_absolute_error_on_interval(self):
         x = np.linspace(-6.0, 6.0, 4001)
-        assert np.max(np.abs(_kernels.erfc(x) - scipy.special.erfc(x))) <= 1e-12
+        assert np.max(np.abs(numerics._erfc(x) - scipy.special.erfc(x))) <= 1e-12
 
     def test_scaled_identity(self):
         # mu's erfc(x) exp(x^2) with x^2 split exactly agrees with the product
         # of unscaled parts on (0, 4), the range of mu that uses it
         x = np.linspace(0.0, 4.0, 401)[1:-1]
-        direct = _kernels.mu(x)
-        composed = 0.5 * x * (2.0 * x - math.sqrt(math.pi) * _kernels.erfc(x) * np.exp(x**2)
+        direct = numerics._mu(x)
+        composed = 0.5 * x * (2.0 * x - math.sqrt(math.pi) * numerics._erfc(x) * np.exp(x**2)
                               * (2.0 * x**2 - 1.0))
         assert np.max(np.abs(direct - composed) / np.abs(direct)) <= 1e-10
 
@@ -56,7 +56,7 @@ class TestExpIntegral:
     """``e1_scaled(y)`` = exp(y) E1(y) = -exp(y) Ei(-y) for y > 0."""
 
     def test_series_value(self):
-        assert -_kernels.e1_scaled(1.0) * math.exp(-1.0) == pytest.approx(EI_MINUS_1, rel=1e-10)
+        assert -numerics._e1_scaled(1.0) * math.exp(-1.0) == pytest.approx(EI_MINUS_1, rel=1e-10)
 
     def test_scaled_asymptotic_value(self):
         # oracle: exp(40)*Ei(-40) = -(1/40)(1 - 1/40 + 2/40^2 - 6/40^3 + 24/40^4 - ...)
@@ -64,16 +64,16 @@ class TestExpIntegral:
         terms = [1.0, -1.0 / y, 2.0 / y**2, -6.0 / y**3, 24.0 / y**4, -120.0 / y**5]
         oracle = -sum(terms) / y
         assert oracle == pytest.approx(EI_SCALED_40, rel=1e-6)
-        assert -_kernels.e1_scaled(y) == pytest.approx(EI_SCALED_40, rel=1e-10)
+        assert -numerics._e1_scaled(y) == pytest.approx(EI_SCALED_40, rel=1e-10)
 
     def test_matches_scipy_on_range(self):
         y = np.linspace(0.01, 30.0, 500)
-        mine = -_kernels.e1_scaled(y) * np.exp(-y)
+        mine = -numerics._e1_scaled(y) * np.exp(-y)
         ref = scipy.special.expi(-y)
         assert np.max(np.abs(mine - ref) / np.abs(ref)) <= 1e-10
 
     def test_logarithmic_divergence(self):
-        assert -_kernels.e1_scaled(1e-12) * math.exp(-1e-12) < -20.0
+        assert -numerics._e1_scaled(1e-12) * math.exp(-1e-12) < -20.0
 
 
 class TestBussgangMu:
@@ -198,7 +198,7 @@ class TestOneValuePerArgument:
     @given(x=st.lists(_arg([1.0, 4.0, 10.0, 25.0, 50.0]), min_size=2, max_size=10))
     def test_one_argument_kernels(self, x):
         x = np.array(x)
-        for f in (_kernels.mu, _kernels.e1_scaled):
+        for f in (numerics._mu, numerics._e1_scaled):
             assert self._elementwise(f, x), f.__name__
 
     @settings(max_examples=100, deadline=None)
@@ -210,7 +210,7 @@ class TestOneValuePerArgument:
     def test_lam(self, pairs):
         # the ratio A/s sets the branch, and y = (A/s)^2 that of e1_scaled
         ratio, sigma = np.array(pairs).T
-        assert self._elementwise(_kernels.lam, ratio * sigma, sigma)
+        assert self._elementwise(numerics._lam, ratio * sigma, sigma)
 
 
 def _max_rel_err(got, ref):
@@ -224,7 +224,7 @@ class TestAgainstMpmath:
         y = np.geomspace(1e-6, 1e4, 801)
         with mpmath.workdps(50):
             ref = np.array([float(mpmath.e1(v) * mpmath.exp(v)) for v in y])
-        assert _max_rel_err(_kernels.e1_scaled(y), ref) <= 1e-14
+        assert _max_rel_err(numerics._e1_scaled(y), ref) <= 1e-14
 
     @pytest.mark.parametrize("lo, hi, tol", [
         (0.0, 2.0, 6e-13), (2.0, 10.0, 2.1e-14), (10.0, 50.0, 4.6e-13), (50.0, 1e4, 1.8e-15)])

@@ -1,4 +1,7 @@
-"""ZF precoder core, normalisation scalar and the downlink transmit chain."""
+"""The ZF precoders of ``_kernels.zf_apply`` and, in ``analysis``, the
+closed-form normalisation ``beta_zf_closed``, the downlink transmit chain
+``transmit_block`` and ``estimate_sindr_mc``'s refusal of a zero
+calibration vector."""
 
 import math
 
@@ -18,6 +21,8 @@ def _system(m, k, mismatch, a_sat, seed, rho=1.0):
 
 
 class TestZfPrecoder:
+    """``_kernels.zf_apply``."""
+
     def test_inversion_residual(self, default_mismatch):
         hw, phi, h = _system(16, 4, default_mismatch, 10.0, 0)
         h_ul = _kernels.uplink(h, hw.bs_rx, hw.ue_tx_gain)
@@ -131,6 +136,8 @@ def _symbols(rng, n, k, rho_t=1.0):
 
 
 class TestTransmitDownlink:
+    """``analysis.transmit_block``."""
+
     def test_ideal_noiseless_inversion(self):
         # no mismatch, linear regime, no noise: y_k = sqrt(a0) s_k / sqrt(beta)
         hw = mr.draw_system_hardware(np.random.default_rng(0), 16, 4,
@@ -255,6 +262,8 @@ class TestTransmitDownlink:
 
 
 class TestApplyCalibration:
+    """``estimate_sindr_mc`` refuses a zero calibration vector."""
+
     def test_zero_vector_rejected(self, default_mismatch):
         # diag(c) W with c = 0 sends nothing; both Monte-Carlo modes refuse it
         hw, phi, _ = _system(8, 2, default_mismatch, 1.0, 16)
